@@ -125,13 +125,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_coreness(args) -> int:
+    fx = None
+    if args.fixture:  # read it before the search, so a bad path fails at once
+        try:
+            fx = load_fixture(args.fixture)
+        except OSError as exc:
+            raise ValueError(f"cannot read fixture: {exc}") from exc
     rep = core_test(args.n, args.m, args.q, search_bound=args.brute_bound)
     data = {"params": {"q": args.q, "n": args.n, "m": args.m}, "coreness": coreness_report_dict(rep)}
     ok = True
-    if args.fixture:
+    if fx is not None:
         spec = _field_for(args.q)
         G = build_graph(spec, args.n, args.m)
-        fx = load_fixture(args.fixture)
         fxrep = verify_fixture_partition(G, fx)
         data["fixture"] = fixture_report_dict(fxrep)
         ok = fxrep.ok

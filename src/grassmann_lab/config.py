@@ -28,8 +28,10 @@ CLIQUE_ENUM_BOUND = 2000
 # deliberately above it, so its coreness stays "undetermined" by default.
 SEARCH_BOUND = 1000
 
-# Node budget for the clique/independence branch and bound; desk-scale
-# instances need a few hundred nodes, runaway ones exhaust in seconds.
+# Node budget for the clique/independence branch and bound.  Clique
+# searches on desk-scale instances need a few hundred nodes; the
+# independence search runs only when a greedy set falls short of the
+# |V|/omega cap, and there it can use the whole budget (J_2(5,2) does).
 SEARCH_NODE_BUDGET = 500_000
 
 # Node budget for the backtracking colouring search.

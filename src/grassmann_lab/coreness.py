@@ -1,12 +1,16 @@
 """Exact clique/independence/chromatic computations and coreness verdicts.
 
 The solvers are deliberately small: a Tomita-style branch-and-bound with a
-greedy colour bound for maximum clique (reused on the complement for the
-independence number) and a clique-seeded DSATUR backtracking search for
-colourings.  Both carry node budgets; on exhaustion the independence
-number degrades to a bounds pair and the coreness verdict to an honest
-"undetermined", never a hang.  Tie-breaking is always by smallest vertex
-id, so witnesses are reproducible.
+greedy colour bound for maximum clique, and a clique-seeded DSATUR
+backtracking search for colourings that picks its next vertex from
+per-saturation-level bitsets and reads free colours off per-colour
+neighbourhood bitsets.  Both run on explicit stacks, so no search depth
+touches the interpreter's recursion limit, and both carry node budgets;
+on exhaustion the coreness verdict degrades to an honest "undetermined",
+never a hang.  The independence number first compares a greedy
+independent set with the free |V|/omega cap and runs the branch and
+bound on the complement only when the two differ.  Tie-breaking is
+always by smallest vertex id, so witnesses are reproducible.
 
 A graph in this family is a core exactly when its chromatic number
 exceeds its clique number; in particular a non-integral vertex/clique
@@ -19,8 +23,6 @@ size formulas, so searches can be seeded without any branch and bound.
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,17 +38,6 @@ from .field import make_field
 from .graph import GrassmannGraph, bits, build_graph, star, top
 from .qpoly import gaussian_binomial_int, h_integrality, omega_int
 from .subspaces import enumerate_subspaces
-
-
-@contextmanager
-def _recursion_room(nv: int):
-    """Recursive searches may go one frame per vertex; leave headroom."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 2 * nv + 500))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 # -- branch and bound maximum clique --------------------------------
@@ -72,31 +63,43 @@ def _greedy_colour_order(adj, P: int) -> list[tuple[int, int]]:
 def max_clique_bitset(adj, nv: int, node_budget: int | None = None) -> list[int]:
     """A maximum clique of the graph given as per-vertex bitsets.
 
+    Each search node greedily colours its candidate set P and branches on
+    its vertices in reverse colouring order until the colour bound cannot
+    beat the best clique.  Nodes are frames [branch order, P] on an
+    explicit stack, and R holds the vertex each open child branched on.
     Raises SearchBudgetExceeded when a node budget is given and exhausted.
     """
     best: list[int] = []
+    R: list[int] = []
+    stack: list[list] = []
     nodes = 0
 
-    def expand(R: list[int], P: int):
-        nonlocal best, nodes
+    def enter(P: int):
+        nonlocal nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
-        order = _greedy_colour_order(adj, P)
-        for v, colour in reversed(order):
-            if len(R) + colour <= len(best):
-                return
+        stack.append([_greedy_colour_order(adj, P), P])
+
+    enter((1 << nv) - 1)
+    while stack:
+        frame = stack[-1]
+        order = frame[0]
+        if order and len(R) + order[-1][1] > len(best):
+            v = order.pop()[0]
             R.append(v)
-            newP = P & adj[v]
+            newP = frame[1] & adj[v]
+            frame[1] ^= 1 << v
             if newP:
-                expand(R, newP)
-            elif len(R) > len(best):
+                enter(newP)
+                continue
+            if len(R) > len(best):
                 best = R[:]
             R.pop()
-            P ^= 1 << v
-
-    with _recursion_room(nv):
-        expand([], (1 << nv) - 1)
+            continue
+        stack.pop()  # branches exhausted or bounded away
+        if stack:
+            R.pop()
     return sorted(best)
 
 
@@ -145,21 +148,22 @@ def alpha_exact(
 ):
     """Independence number, exactly when the search is affordable.
 
-    Over the vertex bound, or when the branch and bound exhausts its node
-    budget, returns (greedy lower bound, |V| // omega upper bound)
-    instead; the upper bound is the vertex-transitive inequality
-    |V|/alpha >= omega rearranged.
+    A greedy independent set and the |V| // omega cap (the vertex-transitive
+    inequality |V|/alpha >= omega rearranged) bracket alpha; when they
+    meet, that is alpha, with no search.  Otherwise the branch and bound
+    runs on the complement; over the vertex bound, or when it exhausts its
+    node budget, returns the pair (greedy, cap) instead.
     """
     nv = G.num_vertices
+    greedy = len(_greedy_independent(G.adjacency, nv))
+    upper = nv // omega_int(G.n, G.m, G.spec.q)
+    if greedy == upper:
+        return greedy
     if nv <= bound:
         try:
             return len(max_clique_bitset(_complement(G.adjacency, nv), nv, node_budget))
         except SearchBudgetExceeded:
             pass
-    greedy = len(_greedy_independent(G.adjacency, nv))
-    upper = nv // omega_int(G.n, G.m, G.spec.q)
-    if greedy == upper:
-        return greedy  # the greedy set already meets the |V|/omega cap
     return greedy, upper
 
 
@@ -195,99 +199,86 @@ def find_colouring(
     """Search for a proper k-colouring by DSATUR-ordered backtracking.
 
     The seed vertices (a clique) take colours 0, 1, ... up front, which
-    removes all colour symmetry.  Saturation is tracked incrementally via
-    per-vertex neighbour-colour counts.  Returns the colour table, or
-    None when the exhaustive search proves no k-colouring exists; raises
-    SearchBudgetExceeded when the node budget runs out first.
+    removes all colour symmetry.  The next vertex is the uncoloured one of
+    highest saturation, then degree, then smallest id: once vertices are
+    relabelled by (-degree, id), the lowest bit of the highest non-empty
+    saturation level.  Colour c is free at v when v is not in seen[c], the
+    union of the neighbourhoods of colour c.  Backtracking keeps one frame
+    per coloured vertex on an explicit stack, holding what it takes to undo
+    that colouring; each colour tried is a node.  Returns the colour table,
+    or None when the exhaustive search proves no k-colouring exists;
+    raises SearchBudgetExceeded when the node budget runs out first.
     """
     if len(seed) > k:
         return None
-    colours = [-1] * nv
-    counts = [[0] * k for _ in range(nv)]  # colours used by neighbours, with multiplicity
-    sat = [0] * nv  # distinct neighbour colours
-    degs = [adj[i].bit_count() for i in range(nv)]
-    neighbours = [list(bits(a)) for a in adj]
+    order = sorted(range(nv), key=lambda v: (-adj[v].bit_count(), v))
+    rank = [0] * nv
+    for r, v in enumerate(order):
+        rank[v] = r
+    nadj = [sum(1 << rank[u] for u in bits(adj[v])) for v in order]
+    colours = [-1] * nv  # by relabelled vertex
+    seen = [0] * k
+    uncoloured = (1 << nv) - 1
+    level = [0] * (k + 1)  # uncoloured vertices by saturation
+    level[0] = uncoloured
 
-    def assign(v: int, c: int):
+    def assign(v: int, c: int, s: int, top: int):
+        """Colour v, of saturation s, with c; no level above top is occupied."""
+        nonlocal uncoloured
+        uncoloured ^= 1 << v
+        level[s] ^= 1 << v
         colours[v] = c
-        for u in neighbours[v]:
-            cu = counts[u]
-            if cu[c] == 0:
-                sat[u] += 1
-            cu[c] += 1
-
-    def retract(v: int, c: int):
-        colours[v] = -1
-        for u in neighbours[v]:
-            cu = counts[u]
-            cu[c] -= 1
-            if cu[c] == 0:
-                sat[u] -= 1
+        newly = nadj[v] & uncoloured & ~seen[c]  # these now see c: one level up
+        seen[c] |= nadj[v]
+        while newly:
+            moved = level[top] & newly
+            if moved:
+                level[top] ^= moved
+                level[top + 1] |= moved
+                newly ^= moved
+            top -= 1
 
     for c, v in enumerate(seed):
-        assign(v, c)
-
+        v = rank[v]
+        assign(v, c, sum(seen[d] >> v & 1 for d in range(c)), c)
+    stack = []  # per coloured vertex: (v, c, top, seen[c], level[:top + 2]) before it
     nodes = 0
-
-    def descend() -> bool:
-        nonlocal nodes
-        best_v = -1
-        best_key = None
-        for v in range(nv):
-            if colours[v] < 0:
-                key = (sat[v], degs[v], -v)
-                if best_key is None or key > best_key:
-                    best_v, best_key = v, key
-        if best_v < 0:
-            return True
-        if sat[best_v] == k:
-            return False
-        cv = counts[best_v]
-        for c in range(k):
-            if cv[c]:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetExceeded(f"colouring search exceeded {node_budget} nodes")
-            assign(best_v, c)
-            if descend():
-                return True
-            retract(best_v, c)
-        return False
-
-    with _recursion_room(nv):
-        if descend():
-            validate_colouring(adj, colours, k)
-            return colours
-    return None
+    top = len(seed)  # no saturation level above this one is occupied
+    while uncoloured:
+        while not level[top]:
+            top -= 1
+        x = level[top]
+        v, c = (x & -x).bit_length() - 1, 0  # at level k no colour is free
+        while True:
+            while c < k and seen[c] >> v & 1:
+                c += 1
+            if c < k:
+                break
+            if not stack:
+                return None
+            v, c, top, seen[c], levels = stack.pop()
+            level[: top + 2] = levels  # assign(v, c) changed no level above top + 1
+            uncoloured |= 1 << v
+            c += 1
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(f"colouring search exceeded {node_budget} nodes")
+        stack.append((v, c, top, seen[c], level[: top + 2]))
+        assign(v, c, top, top)
+        top += 1
+    table = [colours[rank[v]] for v in range(nv)]
+    validate_colouring(adj, table, k)
+    return table
 
 
 def dsatur_upper_bound(adj, nv: int, seed=()) -> tuple[int, list[int]]:
-    """Greedy DSATUR colouring (no backtracking); (colour count, table)."""
-    colours = [-1] * nv
-    degs = [adj[i].bit_count() for i in range(nv)]
-    neighbours = [list(bits(a)) for a in adj]
-    used_masks = [0] * nv  # bitmask of colours seen among neighbours
+    """Greedy DSATUR colouring (no backtracking); (colour count, table).
 
-    def assign(v: int, c: int):
-        colours[v] = c
-        cb = 1 << c
-        for u in neighbours[v]:
-            used_masks[u] |= cb
-
-    for c, v in enumerate(seed):
-        assign(v, c)
-    for _ in range(nv - len(seed)):
-        best_v, best_key = -1, None
-        for v in range(nv):
-            if colours[v] < 0:
-                key = (used_masks[v].bit_count(), degs[v], -v)
-                if best_key is None or key > best_key:
-                    best_v, best_key = v, key
-        c = 0
-        while used_masks[best_v] >> c & 1:
-            c += 1
-        assign(best_v, c)
+    With nv colours the first descent of find_colouring never dead-ends
+    and gives each vertex its smallest free colour, which is exactly
+    greedy DSATUR.
+    """
+    colours = find_colouring(adj, nv, nv, seed, node_budget=nv)
     return max(colours) + 1, colours
 
 
@@ -498,8 +489,7 @@ def core_test(
 
     spec = make_field(*p_e)
     G = build_graph(spec, n, m, max_vertices=max(search_bound, nv))
-    first_centre = enumerate_subspaces(spec, n, m - 1)[0]
-    clique = list(star(G, first_centre).members)  # a maximum clique, by the size formulas
+    clique = structural_max_clique(G)  # a star, since 2m <= n
     try:
         bb = max_clique_witness(G, bound=search_bound, node_budget=clique_node_budget)
         if len(bb) != omega:

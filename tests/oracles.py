@@ -3,11 +3,19 @@
 Everything here deliberately avoids the code paths under test: ranks come
 from minor enumeration, distances from BFS, subspace membership from
 brute-force span enumeration, and field properties from exhaustive loops.
+The search kernels at the end are the straightforward recursive versions
+of the library's iterative, bitset-driven ones.
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from itertools import combinations, product
+
+from grassmann_lab.config import COLOUR_NODE_BUDGET, SearchBudgetExceeded
+from grassmann_lab.coreness import validate_colouring
+from grassmann_lab.graph import bits
 
 
 def bfs_distances(adjacency, source: int) -> list[int]:
@@ -132,3 +140,179 @@ def check_field_axioms(spec) -> None:
                 assert spec.add(ab_add, c) == spec.add(a, spec.add(b, c))
                 assert spec.mul(ab_mul, c) == spec.mul(a, spec.mul(b, c))
                 assert spec.mul(ab_add, c) == spec.add(spec.mul(a, c), spec.mul(b, c))
+
+
+# -- recursive search kernels ------------------------------------------
+#
+# The clique branch and bound and DSATUR searches as they stood before the
+# kernels in grassmann_lab.coreness became iterative and bitset-driven,
+# kept verbatim as references: the rewritten kernels must return the same
+# cliques, colour tables and None results, and exhaust the same budgets.
+
+
+@contextmanager
+def _recursion_room(nv: int):
+    """Recursive searches may go one frame per vertex; leave headroom."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 2 * nv + 500))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+# -- branch and bound maximum clique --------------------------------
+
+
+def _greedy_colour_order(adj, P: int) -> list[tuple[int, int]]:
+    """Greedy colour classes of the candidate set; (vertex, colour)."""
+    order = []
+    uncoloured = P
+    colour = 0
+    while uncoloured:
+        colour += 1
+        avail = uncoloured
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            order.append((v, colour))
+            vb = 1 << v
+            uncoloured ^= vb
+            avail = (avail ^ vb) & ~adj[v]
+    return order
+
+
+def max_clique_bitset(adj, nv: int, node_budget: int | None = None) -> list[int]:
+    """A maximum clique of the graph given as per-vertex bitsets.
+
+    Raises SearchBudgetExceeded when a node budget is given and exhausted.
+    """
+    best: list[int] = []
+    nodes = 0
+
+    def expand(R: list[int], P: int):
+        nonlocal best, nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
+        order = _greedy_colour_order(adj, P)
+        for v, colour in reversed(order):
+            if len(R) + colour <= len(best):
+                return
+            R.append(v)
+            newP = P & adj[v]
+            if newP:
+                expand(R, newP)
+            elif len(R) > len(best):
+                best = R[:]
+            R.pop()
+            P ^= 1 << v
+
+    with _recursion_room(nv):
+        expand([], (1 << nv) - 1)
+    return sorted(best)
+
+
+def find_colouring(
+    adj,
+    nv: int,
+    k: int,
+    seed=(),
+    node_budget: int = COLOUR_NODE_BUDGET,
+) -> list[int] | None:
+    """Search for a proper k-colouring by DSATUR-ordered backtracking.
+
+    The seed vertices (a clique) take colours 0, 1, ... up front, which
+    removes all colour symmetry.  Saturation is tracked incrementally via
+    per-vertex neighbour-colour counts.  Returns the colour table, or
+    None when the exhaustive search proves no k-colouring exists; raises
+    SearchBudgetExceeded when the node budget runs out first.
+    """
+    if len(seed) > k:
+        return None
+    colours = [-1] * nv
+    counts = [[0] * k for _ in range(nv)]  # colours used by neighbours, with multiplicity
+    sat = [0] * nv  # distinct neighbour colours
+    degs = [adj[i].bit_count() for i in range(nv)]
+    neighbours = [list(bits(a)) for a in adj]
+
+    def assign(v: int, c: int):
+        colours[v] = c
+        for u in neighbours[v]:
+            cu = counts[u]
+            if cu[c] == 0:
+                sat[u] += 1
+            cu[c] += 1
+
+    def retract(v: int, c: int):
+        colours[v] = -1
+        for u in neighbours[v]:
+            cu = counts[u]
+            cu[c] -= 1
+            if cu[c] == 0:
+                sat[u] -= 1
+
+    for c, v in enumerate(seed):
+        assign(v, c)
+
+    nodes = 0
+
+    def descend() -> bool:
+        nonlocal nodes
+        best_v = -1
+        best_key = None
+        for v in range(nv):
+            if colours[v] < 0:
+                key = (sat[v], degs[v], -v)
+                if best_key is None or key > best_key:
+                    best_v, best_key = v, key
+        if best_v < 0:
+            return True
+        if sat[best_v] == k:
+            return False
+        cv = counts[best_v]
+        for c in range(k):
+            if cv[c]:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchBudgetExceeded(f"colouring search exceeded {node_budget} nodes")
+            assign(best_v, c)
+            if descend():
+                return True
+            retract(best_v, c)
+        return False
+
+    with _recursion_room(nv):
+        if descend():
+            validate_colouring(adj, colours, k)
+            return colours
+    return None
+
+
+def dsatur_upper_bound(adj, nv: int, seed=()) -> tuple[int, list[int]]:
+    """Greedy DSATUR colouring (no backtracking); (colour count, table)."""
+    colours = [-1] * nv
+    degs = [adj[i].bit_count() for i in range(nv)]
+    neighbours = [list(bits(a)) for a in adj]
+    used_masks = [0] * nv  # bitmask of colours seen among neighbours
+
+    def assign(v: int, c: int):
+        colours[v] = c
+        cb = 1 << c
+        for u in neighbours[v]:
+            used_masks[u] |= cb
+
+    for c, v in enumerate(seed):
+        assign(v, c)
+    for _ in range(nv - len(seed)):
+        best_v, best_key = -1, None
+        for v in range(nv):
+            if colours[v] < 0:
+                key = (used_masks[v].bit_count(), degs[v], -v)
+                if best_key is None or key > best_key:
+                    best_v, best_key = v, key
+        c = 0
+        while used_masks[best_v] >> c & 1:
+            c += 1
+        assign(best_v, c)
+    return max(colours) + 1, colours

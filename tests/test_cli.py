@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from grassmann_lab import cli
 from grassmann_lab.cli import main
 from grassmann_lab.fixture import default_fixture_path
 from grassmann_lab.report import graph_from_json_dict, graph_to_json_dict
@@ -112,6 +113,20 @@ def test_tampered_fixture_exits_1(capsys, tmp_path):
     data = json.loads(out)
     assert data["fixture"]["ok"] is False
     assert not data["fixture"]["independent_sets"]
+
+
+def test_missing_fixture_exits_3_before_the_search(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coreness search ran before the fixture was read")
+
+    monkeypatch.setattr(cli, "core_test", refuse)
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(
+        capsys, "coreness", "--q", "4", "--n", "4", "--m", "2", "--fixture", str(missing)
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"error: cannot read fixture: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_coreness_core_case(capsys):

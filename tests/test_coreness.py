@@ -1,5 +1,8 @@
+import random
+import sys
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from grassmann_lab import (
@@ -14,8 +17,21 @@ from grassmann_lab import (
     star,
     validate_endomorphism,
 )
-from grassmann_lab.config import BoundExceeded
-from grassmann_lab.coreness import Endomorphism, find_colouring, max_clique_witness
+from grassmann_lab import coreness
+from grassmann_lab.config import (
+    COLOUR_NODE_BUDGET,
+    SEARCH_NODE_BUDGET,
+    BoundExceeded,
+    SearchBudgetExceeded,
+)
+from grassmann_lab.coreness import (
+    Endomorphism,
+    dsatur_upper_bound,
+    find_colouring,
+    max_clique_bitset,
+    max_clique_witness,
+    structural_max_clique,
+)
 from grassmann_lab.fixture import fixture_colouring, load_fixture
 from grassmann_lab.graph import dual_permutation
 
@@ -39,10 +55,19 @@ def test_alpha_bounds_when_over_budget(j252):
     assert hi == 155 // 15
 
 
-def test_alpha_degrades_to_bounds_on_node_budget(j242, j252):
+def test_alpha_degrades_to_bounds_on_node_budget(monkeypatch, j242, j252):
     # greedy already meets the |V|/omega cap on J_2(4,2), so it is exact
     assert alpha_exact(j242, node_budget=1) == 5
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return max_clique_bitset(*args, **kwargs)
+
+    monkeypatch.setattr(coreness, "max_clique_bitset", spy)
+    # greedy finds 7 < 155 // 15 = 10, so the search runs, and exhausts
     assert alpha_exact(j252, node_budget=1) == (7, 10)
+    assert len(calls) == 1
 
 
 def test_omega_raises_on_node_budget(j252):
@@ -181,3 +206,114 @@ def test_core_test_validates_inputs():
 def test_search_bound_errors(j252):
     with pytest.raises(BoundExceeded):
         omega_exact(j252, bound=10)
+
+
+# -- the iterative kernels against the recursive references -----------------
+
+
+def _outcome(search, *args, node_budget):
+    """The search's result, or its budget message if it ran out."""
+    try:
+        return "result", search(*args, node_budget=node_budget)
+    except SearchBudgetExceeded as exc:
+        return "exhausted", str(exc)
+
+
+def _assert_same_searches(adj, nv, k, seed, budgets):
+    for budget in budgets:
+        expected = _outcome(oracles.find_colouring, adj, nv, k, seed, node_budget=budget)
+        assert _outcome(find_colouring, adj, nv, k, seed, node_budget=budget) == expected
+
+
+def _nodes_used(search, *args, limit=1000):
+    """Smallest budget the search finishes within, if at most limit."""
+    if _outcome(search, *args, node_budget=limit)[0] == "exhausted":
+        return None
+    lo, hi = 1, limit
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _outcome(search, *args, node_budget=mid)[0] == "exhausted":
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.fixture(scope="module")
+def j442(f4):
+    return build_graph(f4, 4, 2)
+
+
+@pytest.mark.parametrize("name", ["j242", "j342", "j442"])
+def test_kernels_match_references_on_grassmann_graphs(name, request):
+    G = request.getfixturevalue(name)
+    adj, nv = G.adjacency, G.num_vertices
+    slow = name == "j442"  # its full searches take seconds in the references
+    colour_budgets = (1, 50, 1000) if slow else (1, 50, 1000, COLOUR_NODE_BUDGET)
+    clique_budgets = (1, 50, 1000) if slow else (1, 50, 1000, SEARCH_NODE_BUDGET)
+    clique = structural_max_clique(G)
+    omega = len(clique)
+    for k in (omega - 1, omega):
+        _assert_same_searches(adj, nv, k, clique[:k], colour_budgets)
+    assert dsatur_upper_bound(adj, nv, clique) == oracles.dsatur_upper_bound(adj, nv, clique)
+    complement = coreness._complement(adj, nv)
+    for graph in (adj, complement):
+        for budget in clique_budgets:
+            expected = _outcome(oracles.max_clique_bitset, graph, nv, node_budget=budget)
+            assert _outcome(max_clique_bitset, graph, nv, node_budget=budget) == expected
+
+
+def _random_graph(rng, nv, p):
+    adj = [0] * nv
+    for i in range(nv):
+        for j in range(i):
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+@pytest.mark.parametrize("graph_seed", range(12))
+def test_kernels_match_references_on_random_graphs(graph_seed):
+    # non-regular graphs, so the degree tie-break of the relabelling matters
+    rng = random.Random(graph_seed)
+    nv = rng.randint(8, 60)
+    adj = _random_graph(rng, nv, rng.uniform(0.1, 0.6))
+    clique = oracles.max_clique_bitset(adj, nv)
+    assert max_clique_bitset(adj, nv) == clique
+    assert _nodes_used(max_clique_bitset, adj, nv) == _nodes_used(
+        oracles.max_clique_bitset, adj, nv
+    )
+    for seed in ((), clique):
+        upper = oracles.dsatur_upper_bound(adj, nv, seed)
+        assert dsatur_upper_bound(adj, nv, seed) == upper
+        # unseeded searches below chi explore every colour permutation and
+        # take seconds to exhaust the default budget, so they stop at 1000
+        budgets = (1, 50, 1000, COLOUR_NODE_BUDGET) if seed else (1, 50, 1000)
+        for k in range(len(clique) - 1, upper[0] + 1):
+            _assert_same_searches(adj, nv, k, seed[:k], budgets)
+            assert _nodes_used(find_colouring, adj, nv, k, seed[:k]) == _nodes_used(
+                oracles.find_colouring, adj, nv, k, seed[:k]
+            )
+
+
+def test_searches_leave_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("a search changed the interpreter's recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    nv = 1200  # one search frame per vertex, deeper than the default limit
+    full = (1 << nv) - 1
+    assert max_clique_bitset([full ^ (1 << i) for i in range(nv)], nv) == list(range(nv))
+    nv = 3000
+    path = [(1 << (i - 1) if i else 0) | (1 << (i + 1) if i + 1 < nv else 0) for i in range(nv)]
+    assert find_colouring(path, nv, 2) == [(i + 1) % 2 for i in range(nv)]
+
+
+def test_alpha_takes_the_greedy_path_at_the_cap(monkeypatch, j242, j342):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the branch and bound ran although greedy meets the cap")
+
+    monkeypatch.setattr(coreness, "max_clique_bitset", refuse)
+    assert alpha_exact(j242) == 5
+    assert alpha_exact(j342) == 10
