@@ -55,7 +55,6 @@ from .subspaces import (
     enumerate_subspaces,
     intersect,
     join,
-    subspaces_between,
 )
 
 __version__ = "0.1.0"

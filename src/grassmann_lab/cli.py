@@ -4,17 +4,12 @@ Commands: build, verify, coreness, qbinom, scan.  All reports go to
 stdout as UTF-8; errors go to stderr.  Exit codes: 0 all checks pass or
 report produced, 1 a verification check failed, 2 a resource bound was
 hit, 3 invalid input.
-
-GRASSMANN_LAB_THREADS caps the worker count of the verification kernels;
-every kernel in this build is single-threaded, so any cap is honoured
-and output is deterministic byte-for-byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .arith import prime_power_base
@@ -32,6 +27,7 @@ from .graph import (
 from .qpoly import (
     gaussian_binomial_int,
     gaussian_binomial_poly,
+    h_integrality,
     h_report,
     knuth_wilf_exponents,
     scan_core_threshold,
@@ -62,18 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
-
-
-def worker_cap() -> int:
-    """Effective worker count permitted by GRASSMANN_LAB_THREADS."""
-    raw = os.environ.get("GRASSMANN_LAB_THREADS", "")
-    try:
-        cap = int(raw) if raw else 1
-    except ValueError:
-        raise ValueError(f"GRASSMANN_LAB_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError("GRASSMANN_LAB_THREADS must be >= 1")
-    return 1  # all kernels are single-threaded; 1 <= cap always holds
 
 
 def _field_for(q: int):
@@ -169,8 +153,6 @@ def cmd_qbinom(args) -> int:
         hrep = h_report(args.n, args.m)
         data["qbinom"]["h"] = h_report_dict(hrep)
         if args.at is not None:
-            from .qpoly import h_integrality
-
             value = h_integrality(args.n, args.m, args.at)
             data["qbinom"]["h"]["value_at"] = (
                 {"q": args.at, "value": value}
@@ -264,7 +246,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        worker_cap()
         return args.func(args)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

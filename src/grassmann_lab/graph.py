@@ -10,6 +10,12 @@ The maximal cliques of these graphs are exactly the stars (all m-spaces
 over a fixed (m-1)-space) and the tops (all m-spaces inside a fixed
 (m+1)-space); the operations here both construct those families directly
 and re-discover them by brute force for verification.
+
+A subspace is the set of its vectors, so the vertex masks also decide
+the lattice relations the clique checks need: containment is a subset
+test on masks, and dim(A intersect B) = log_q |mask(A) & mask(B)|.  Star
+and top membership and the four lemma predicates are read off the masks,
+with no Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -19,19 +25,8 @@ from typing import Literal
 
 from .config import BUILD_BOUND, CLIQUE_ENUM_BOUND, MAX_GRAPH_FIELD, BoundExceeded
 from .field import FieldSpec
-from .linalg import stack_rank
 from .qpoly import gaussian_binomial_int
-from .subspaces import (
-    Subspace,
-    dual_complement,
-    enumerate_subspaces,
-    full_subspace,
-    intersect,
-    join,
-    subspaces_between,
-    vector_mask,
-    zero_subspace,
-)
+from .subspaces import Subspace, dual_complement, enumerate_subspaces, vector_mask
 
 
 def bits(x: int):
@@ -40,6 +35,18 @@ def bits(x: int):
         b = x & -x
         yield b.bit_length() - 1
         x ^= b
+
+
+def _subspace_dim(size: int, q: int) -> int:
+    """d with q^d == size: the dimension of a subspace of that many vectors."""
+    d = 0
+    power = 1
+    while power < size:
+        power *= q
+        d += 1
+    if power != size:
+        raise AssertionError("mask intersection is not a subspace size")
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,15 +73,7 @@ class GrassmannGraph:
         return self.adjacency[i].bit_count()
 
     def intersection_dim(self, i: int, j: int) -> int:
-        count = (self.masks[i] & self.masks[j]).bit_count()
-        d = 0
-        power = 1
-        while power < count:
-            power *= self.spec.q
-            d += 1
-        if power != count:
-            raise AssertionError("mask intersection is not a subspace size")
-        return d
+        return _subspace_dim((self.masks[i] & self.masks[j]).bit_count(), self.spec.q)
 
     def distance(self, i: int, j: int) -> int:
         """m - dim(X intersect Y); equals the path distance."""
@@ -131,22 +130,26 @@ class MaximalClique:
 
 
 def star(G: GrassmannGraph, P: Subspace) -> MaximalClique:
-    """All vertices containing the (m-1)-dimensional centre P."""
+    """All vertices containing the (m-1)-dimensional centre P.
+
+    Vertex v is a member iff mask(P) & mask(v) == mask(P).
+    """
     if P.dim != G.m - 1:
         raise ValueError(f"star centre must have dimension {G.m - 1}, got {P.dim}")
-    members = tuple(
-        sorted(G.vertex_id(S) for S in subspaces_between(P, full_subspace(G.spec, G.n), G.m))
-    )
+    mp = vector_mask(P)
+    members = tuple(i for i, mv in enumerate(G.masks) if mp & mv == mp)
     return MaximalClique("star", P, members, _to_bitset(members))
 
 
 def top(G: GrassmannGraph, Q: Subspace) -> MaximalClique:
-    """All vertices contained in the (m+1)-dimensional centre Q."""
+    """All vertices contained in the (m+1)-dimensional centre Q.
+
+    Vertex v is a member iff mask(v) & mask(Q) == mask(v).
+    """
     if Q.dim != G.m + 1:
         raise ValueError(f"top centre must have dimension {G.m + 1}, got {Q.dim}")
-    members = tuple(
-        sorted(G.vertex_id(S) for S in subspaces_between(zero_subspace(G.spec, G.n), Q, G.m))
-    )
+    mq = vector_mask(Q)
+    members = tuple(i for i, mv in enumerate(G.masks) if mv & mq == mv)
     return MaximalClique("top", Q, members, _to_bitset(members))
 
 
@@ -293,19 +296,27 @@ class LemmaReport:
 
 
 def verify_clique_lemmas(G: GrassmannGraph) -> LemmaReport:
-    """Check the four structural facts over all relevant clique pairs."""
+    """Check the four structural facts over all relevant clique pairs.
+
+    Centre relations come from vector masks: incidence is a subset test,
+    dim(A intersect B) is log_q |mask(A) & mask(B)|, the span A + B of
+    two star centres is the one vertex whose mask covers both masks, and
+    the intersection of two top centres is the one vertex whose mask is
+    the AND of theirs.
+    """
     report = LemmaReport(q=G.spec.q)
     stars = star_catalog(G)
     tops = top_catalog(G)
     q = G.spec.q
     m = G.m
+    masks = G.masks
+    star_masks = [vector_mask(s.center) for s in stars]
+    top_masks = [vector_mask(t.center) for t in tops]
 
-    from .subspaces import contains
-
-    for s in stars:
-        for t in tops:
+    for s, ms in zip(stars, star_masks):
+        for t, mt in zip(tops, top_masks):
             common = (s.bitset & t.bitset).bit_count()
-            incident = contains(t.center, s.center)
+            incident = ms & mt == ms
             if (common > 0) != incident or (incident and common != q + 1):
                 report.star_top_ok = False
                 report.counterexamples.append(
@@ -324,16 +335,18 @@ def verify_clique_lemmas(G: GrassmannGraph) -> LemmaReport:
                     )
 
     for i in range(len(stars)):
-        A = stars[i].center
+        ma = star_masks[i]
         bi = stars[i].bitset
         for j in range(i + 1, len(stars)):
-            B = stars[j].center
+            mb = star_masks[j]
             meet = bi & stars[j].bitset
-            dim_ab = A.dim + B.dim - stack_rank(A.basis, B.basis)
+            dim_ab = _subspace_dim((ma & mb).bit_count(), q)
             expect_meet = dim_ab == m - 2
             ok = (meet != 0) == expect_meet
             if ok and meet:
-                ok = meet == 1 << G.vertex_id(join(A, B))
+                # dim(A intersect B) = m-2 makes A + B an m-space, so it is that vertex
+                v = meet.bit_length() - 1
+                ok = meet == 1 << v and masks[v] & (ma | mb) == ma | mb
             if not ok:
                 report.star_meet_ok = False
                 report.counterexamples.append(
@@ -341,16 +354,17 @@ def verify_clique_lemmas(G: GrassmannGraph) -> LemmaReport:
                 )
 
     for i in range(len(tops)):
-        P = tops[i].center
+        mp = top_masks[i]
         bi = tops[i].bitset
         for j in range(i + 1, len(tops)):
-            Qc = tops[j].center
+            mq = top_masks[j]
             meet = bi & tops[j].bitset
-            dim_pq = P.dim + Qc.dim - stack_rank(P.basis, Qc.basis)
+            dim_pq = _subspace_dim((mp & mq).bit_count(), q)
             expect_meet = dim_pq == m
             ok = (meet != 0) == expect_meet
             if ok and meet:
-                ok = meet == 1 << G.vertex_id(intersect(P, Qc))
+                v = meet.bit_length() - 1
+                ok = meet == 1 << v and masks[v] == mp & mq
             if not ok:
                 report.top_meet_ok = False
                 report.counterexamples.append({"check": "top-meet", "pair": (i, j), "dim": dim_pq})

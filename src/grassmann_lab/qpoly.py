@@ -381,6 +381,10 @@ def h_integrality(n: int, m: int, q: int):
         raise ValueError(f"{q} is not a prime power")
     if not (2 <= m and 2 * m <= n):
         raise ValueError("need 4 <= 2m <= n")
+    return _h_value(n, m, q)
+
+
+def _h_value(n: int, m: int, q: int) -> int | Fraction:
     value = Fraction(gaussian_binomial_int(n, m, q), omega_int(n, m, q))
     return int(value) if value.denominator == 1 else value
 
@@ -420,11 +424,10 @@ def scan_core_threshold(n: int, m: int, q_max: int) -> ScanReport:
     q = 2
     while q <= q_max:
         if prime_power_base(q) is not None:
-            value = Fraction(gaussian_binomial_int(n, m, q), omega_int(n, m, q))
-            entries.append(
-                ScanEntry(q, value.denominator == 1, value.numerator, value.denominator)
-            )
-            if value.denominator == 1:
+            value = _h_value(n, m, q)
+            whole = isinstance(value, int)
+            entries.append(ScanEntry(q, whole, value.numerator, value.denominator))
+            if whole:
                 largest = q
         q += 1
     return ScanReport(n, m, q_max, i, i >= 2, tuple(entries), largest)

@@ -168,36 +168,6 @@ def dual_complement(W: Subspace) -> Subspace:
     return Subspace(W.spec, W.ambient, K.nrows, K)
 
 
-def subspaces_between(L: Subspace, U: Subspace, k: int) -> list[Subspace]:
-    """All k-dimensional S with L <= S <= U, in canonical order.
-
-    Works in the quotient U/L: lifts every (k - dim L)-dimensional
-    subspace of the quotient back alongside L's basis.
-    """
-    if L.spec != U.spec or L.ambient != U.ambient:
-        raise ValueError("subspaces of different ambient spaces")
-    if not contains(U, L):
-        raise ValueError("lower subspace is not contained in the upper one")
-    if not L.dim <= k <= U.dim:
-        raise ValueError(f"need dim L <= k <= dim U, got {L.dim}, {k}, {U.dim}")
-    if U.dim == L.dim:
-        return [L]
-    spec = L.spec
-    # complement of L inside U: residues of U's basis rows against L
-    lp = list(_pivot_cols(L))
-    residues = [reduce_vector(L.basis, lp, row) for row in U.basis.rows]
-    E, edim, _ = rref(matrix(spec, residues, L.ambient))
-    assert edim == U.dim - L.dim
-    out = []
-    for W in enumerate_subspaces(spec, edim, k - L.dim):
-        lifted = [mat_vec(E, wr) for wr in W.basis.rows]
-        S = canonicalize(matrix(spec, list(L.basis.rows) + lifted, L.ambient))
-        assert S.dim == k
-        out.append(S)
-    out.sort(key=sort_key)
-    return out
-
-
 def vector_mask(S: Subspace) -> int:
     """Bitmask over all q^n coordinate vectors with the members of S set.
 

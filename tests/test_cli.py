@@ -215,13 +215,3 @@ def test_reports_are_deterministic(capsys):
     _, out1, _ = run(capsys, "coreness", "--q", "2", "--n", "4", "--m", "2")
     _, out2, _ = run(capsys, "coreness", "--q", "2", "--n", "4", "--m", "2")
     assert out1 == out2
-
-
-def test_thread_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("GRASSMANN_LAB_THREADS", "4")
-    code, out, _ = run(capsys, "qbinom", "--n", "4", "--m", "2")
-    assert code == 0
-    monkeypatch.setenv("GRASSMANN_LAB_THREADS", "zero")
-    code, _, err = run(capsys, "qbinom", "--n", "4", "--m", "2")
-    assert code == 3
-    assert "GRASSMANN_LAB_THREADS" in err

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
+import grassmann_lab.graph as graph_module
 from grassmann_lab import (
     all_maximal_cliques_bruteforce,
     build_graph,
     classify_maximal_cliques,
     dual_map_check,
     enumerate_subspaces,
+    make_field,
     star,
     star_catalog,
     top,
@@ -102,6 +106,28 @@ def test_top_members_inside_centre(j242):
                 assert j242.adjacent(i, j)
 
 
+@pytest.mark.parametrize(
+    "p, e, n, m",
+    [(2, 1, 4, 2), (3, 1, 4, 2), (2, 2, 4, 2), (2, 1, 5, 2), (2, 1, 5, 3)],
+    ids=["j242", "j342", "j442", "j252", "j253"],
+)
+def test_star_and_top_members_match_contains(p, e, n, m):
+    # the mask catalogs against containment decided on RREF bases
+    G = build_graph(make_field(p, e), n, m)
+    cliques = [
+        (star(G, P), tuple(v for v, S in enumerate(G.vertices) if contains(S, P)))
+        for P in enumerate_subspaces(G.spec, n, m - 1)
+    ] + [
+        (top(G, Q), tuple(v for v, S in enumerate(G.vertices) if contains(Q, S)))
+        for Q in enumerate_subspaces(G.spec, n, m + 1)
+    ]
+    for c, members in cliques:
+        assert c.members == members
+        assert c.bitset == sum(1 << v for v in members)
+        for v in members:
+            assert (G.adjacency[v] | 1 << v) & c.bitset == c.bitset
+
+
 def test_star_top_wrong_centre_dim(j242):
     with pytest.raises(ValueError):
         star(j242, j242.vertices[0])
@@ -156,6 +182,30 @@ def test_clique_lemmas_pass(j242, j252, j342):
     for G in (j242, j252, j342):
         report = verify_clique_lemmas(G)
         assert report.ok, report.counterexamples
+
+
+def test_clique_lemmas_fail_on_corrupted_catalogs(j242, monkeypatch):
+    stars = star_catalog(j242)
+    tops = top_catalog(j242)
+
+    # every star claims the next star's centre
+    rotated = [replace(s, center=stars[(i + 1) % len(stars)].center) for i, s in enumerate(stars)]
+    monkeypatch.setattr(graph_module, "star_catalog", lambda G: rotated)
+    report = verify_clique_lemmas(j242)
+    assert not report.star_top_ok and not report.star_meet_ok
+    assert report.pairwise_ok and report.top_meet_ok
+    assert {c["check"] for c in report.counterexamples} == {"star-top", "star-meet"}
+
+    # the first top swallows the second
+    merged = tops[0].bitset | tops[1].bitset
+    grown = [replace(tops[0], members=tuple(bits(merged)), bitset=merged)] + tops[1:]
+    monkeypatch.setattr(graph_module, "star_catalog", star_catalog)
+    monkeypatch.setattr(graph_module, "top_catalog", lambda G: grown)
+    report = verify_clique_lemmas(j242)
+    assert not report.pairwise_ok and not report.top_meet_ok
+    checks = {c["check"] for c in report.counterexamples}
+    assert {"pairwise", "top-meet"} <= checks
+    assert all(c["family"] == "tops" for c in report.counterexamples if c["check"] == "pairwise")
 
 
 def test_incident_star_top_sizes(j242, j342):

@@ -10,7 +10,6 @@ from grassmann_lab import (
     intersect,
     join,
     matrix,
-    subspaces_between,
 )
 from grassmann_lab.config import BoundExceeded
 from grassmann_lab.subspaces import (
@@ -157,38 +156,6 @@ def test_duality_is_a_bijection_between_levels(f2, f3):
             images = {dual_complement(S).basis.rows for S in enumerate_subspaces(spec, n, k)}
             target = {S.basis.rows for S in enumerate_subspaces(spec, n, n - k)}
             assert images == target
-
-
-def test_subspaces_between(f2, f3):
-    line = canonicalize(matrix(f2, [[1, 0, 0, 0]]))
-    space3 = canonicalize(matrix(f2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
-    mids = subspaces_between(line, space3, 2)
-    assert len(mids) == 3  # q + 1
-    for S in mids:
-        assert contains(S, line) and contains(space3, S)
-
-    assert subspaces_between(line, line, 1) == [line]
-
-    everything = subspaces_between(zero_subspace(f2, 4), full_subspace(f2, 4), 2)
-    assert everything == enumerate_subspaces(f2, 4, 2)
-
-    lf3 = canonicalize(matrix(f3, [[1, 0, 0]]))
-    assert len(subspaces_between(lf3, full_subspace(f3, 3), 2)) == 4  # q + 1
-
-
-def test_subspaces_between_order_matches_enumeration(f3, f4):
-    # the canonical order agrees with the enumeration order, including
-    # the extension-field element order
-    for spec, n, k in ((f3, 3, 2), (f4, 2, 1), (f4, 3, 2)):
-        between = subspaces_between(zero_subspace(spec, n), full_subspace(spec, n), k)
-        assert between == enumerate_subspaces(spec, n, k)
-
-
-def test_subspaces_between_requires_nesting(f2):
-    a = canonicalize(matrix(f2, [[1, 0, 0, 0]]))
-    b = canonicalize(matrix(f2, [[0, 1, 0, 0], [0, 0, 1, 0]]))
-    with pytest.raises(ValueError):
-        subspaces_between(a, b, 1)
 
 
 def test_vector_mask_agrees_with_span_enumeration(f2, f3):
