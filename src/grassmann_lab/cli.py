@@ -85,6 +85,14 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _field_for(args.q)
+    # the lemma checks compare every pair of star and top centres; build_graph
+    # rejects m outside 1..n-1 as invalid input
+    centres = sum(gaussian_binomial_int(args.n, k, args.q) for k in (args.m - 1, args.m + 1))
+    if 1 <= args.m < args.n and centres > args.brute_bound:
+        raise BoundExceeded(
+            f"clique catalogs too large for the lemma checks: J_{args.q}({args.n},{args.m}) "
+            f"has {centres} star and top centres > {args.brute_bound}"
+        )
     G = build_graph(spec, args.n, args.m, max_vertices=args.brute_bound)
     cliques = all_maximal_cliques_bruteforce(G, bound=args.brute_bound)
     census = classify_maximal_cliques(G, cliques)
@@ -119,8 +127,8 @@ def cmd_coreness(args) -> int:
     data = {"params": {"q": args.q, "n": args.n, "m": args.m}, "coreness": coreness_report_dict(rep)}
     ok = True
     if fx is not None:
-        spec = _field_for(args.q)
-        G = build_graph(spec, args.n, args.m)
+        # a witness carries the graph core_test built
+        G = rep.witness.graph if rep.witness else build_graph(_field_for(args.q), args.n, args.m)
         fxrep = verify_fixture_partition(G, fx)
         data["fixture"] = fixture_report_dict(fxrep)
         ok = fxrep.ok

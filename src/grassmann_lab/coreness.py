@@ -35,9 +35,8 @@ from .config import (
     SearchBudgetExceeded,
 )
 from .field import make_field
-from .graph import GrassmannGraph, bits, build_graph, star, top
+from .graph import GrassmannGraph, bits, build_graph
 from .qpoly import gaussian_binomial_int, h_integrality, omega_int
-from .subspaces import enumerate_subspaces
 
 
 # -- branch and bound maximum clique --------------------------------
@@ -125,17 +124,14 @@ def omega_exact(
 
 
 def structural_max_clique(G: GrassmannGraph) -> list[int]:
-    """A maximum clique read off the structure, no search.
+    """A maximum clique read off the graph's catalogs, no search.
 
     The star over the canonically first (m-1)-space has clique-number
     size when n >= 2m; otherwise the top inside the first (m+1)-space
-    does.
+    does.  Both are the first entries of G.stars and G.tops, which are
+    built once per graph and shared with the structure checks.
     """
-    if G.n >= 2 * G.m:
-        centre = enumerate_subspaces(G.spec, G.n, G.m - 1)[0]
-        return list(star(G, centre).members)
-    centre = enumerate_subspaces(G.spec, G.n, G.m + 1)[0]
-    return list(top(G, centre).members)
+    return list((G.stars if G.n >= 2 * G.m else G.tops)[0].members)
 
 
 def _complement(adj, nv: int) -> list[int]:

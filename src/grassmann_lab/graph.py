@@ -8,8 +8,10 @@ cheap at desk scale.
 
 The maximal cliques of these graphs are exactly the stars (all m-spaces
 over a fixed (m-1)-space) and the tops (all m-spaces inside a fixed
-(m+1)-space); the operations here both construct those families directly
-and re-discover them by brute force for verification.
+(m+1)-space).  A graph builds both catalogs once, on first use, and keeps
+them as G.stars and G.tops, each clique with its centre's vector mask; the
+census, the lemma and duality checks and the clique seed all read them,
+and brute force re-discovers them for verification.
 
 A subspace is the set of its vectors, so the vertex masks also decide
 the lattice relations the clique checks need: containment is a subset
@@ -21,6 +23,7 @@ with no Gaussian elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 from .config import BUILD_BOUND, CLIQUE_ENUM_BOUND, MAX_GRAPH_FIELD, BoundExceeded
@@ -79,6 +82,16 @@ class GrassmannGraph:
         """m - dim(X intersect Y); equals the path distance."""
         return self.m - self.intersection_dim(i, j)
 
+    @cached_property
+    def stars(self) -> list[MaximalClique]:
+        """Every star, in centre enumeration order; built once, on first use."""
+        return star_catalog(self)
+
+    @cached_property
+    def tops(self) -> list[MaximalClique]:
+        """Every top, in centre enumeration order; built once, on first use."""
+        return top_catalog(self)
+
 
 def build_graph(
     spec: FieldSpec,
@@ -121,6 +134,7 @@ def build_graph(
 class MaximalClique:
     kind: Literal["star", "top"]
     center: Subspace
+    center_mask: int  # vector_mask(center)
     members: tuple[int, ...]
     bitset: int
 
@@ -138,7 +152,7 @@ def star(G: GrassmannGraph, P: Subspace) -> MaximalClique:
         raise ValueError(f"star centre must have dimension {G.m - 1}, got {P.dim}")
     mp = vector_mask(P)
     members = tuple(i for i, mv in enumerate(G.masks) if mp & mv == mp)
-    return MaximalClique("star", P, members, _to_bitset(members))
+    return MaximalClique("star", P, mp, members, _to_bitset(members))
 
 
 def top(G: GrassmannGraph, Q: Subspace) -> MaximalClique:
@@ -150,7 +164,7 @@ def top(G: GrassmannGraph, Q: Subspace) -> MaximalClique:
         raise ValueError(f"top centre must have dimension {G.m + 1}, got {Q.dim}")
     mq = vector_mask(Q)
     members = tuple(i for i, mv in enumerate(G.masks) if mv & mq == mv)
-    return MaximalClique("top", Q, members, _to_bitset(members))
+    return MaximalClique("top", Q, mq, members, _to_bitset(members))
 
 
 def _to_bitset(ids) -> int:
@@ -174,7 +188,10 @@ def all_maximal_cliques_bruteforce(
     """Every maximal clique, by pivoting Bron-Kerbosch over the bitsets.
 
     Vertices are seeded in degeneracy order; results are returned as
-    sorted member tuples in a deterministic order.
+    sorted member tuples in a deterministic order.  Nodes are frames
+    [P, X, branches left] on an explicit stack, and R holds the vertex
+    each open node branched on, so no clique size touches the
+    interpreter's recursion limit.
     """
     nv = G.num_vertices
     if nv > bound:
@@ -182,31 +199,43 @@ def all_maximal_cliques_bruteforce(
     adj = G.adjacency
     order = _degeneracy_order(adj, nv)
     out: list[tuple[int, ...]] = []
+    R: list[int] = []
+    stack: list[list[int]] = []
 
-    def expand(R: list[int], P: int, X: int):
+    def enter(P: int, X: int):
         if not P and not X:
             out.append(tuple(sorted(R)))
+            R.pop()
             return
-        # pivot with the most candidates among P | X
+        # pivot: the first u in P | X with the most candidates; none beats |P|
         best_u, best_cnt = -1, -1
-        pux = P | X
-        for u in bits(pux):
+        full = P.bit_count()
+        for u in bits(P | X):
             c = (P & adj[u]).bit_count()
             if c > best_cnt:
                 best_u, best_cnt = u, c
-        for v in bits(P & ~adj[best_u]):
-            vb = 1 << v
-            R.append(v)
-            expand(R, P & adj[v], X & adj[v])
-            R.pop()
-            P ^= vb
-            X |= vb
+                if c == full:
+                    break
+        stack.append([P, X, P & ~adj[best_u]])
 
     P = (1 << nv) - 1
     X = 0
     for v in order:
         vb = 1 << v
-        expand([v], P & adj[v], X & adj[v])
+        R.append(v)
+        enter(P & adj[v], X & adj[v])
+        while stack:
+            frame = stack[-1]
+            P_, X_, todo = frame
+            if not todo:
+                stack.pop()
+                R.pop()
+                continue
+            wb = todo & -todo  # branches in ascending vertex order
+            w = wb.bit_length() - 1
+            frame[:] = P_ ^ wb, X_ | wb, todo ^ wb
+            R.append(w)
+            enter(P_ & adj[w], X_ & adj[w])
         P ^= vb
         X |= vb
     out.sort()
@@ -233,8 +262,8 @@ class CliqueCensus:
     total: int
     star_count: int
     top_count: int
-    star_size: int | None
-    top_size: int | None
+    star_size: int
+    top_size: int
     unmatched: list[tuple[int, ...]]
 
     @property
@@ -247,26 +276,11 @@ def classify_maximal_cliques(
 ) -> CliqueCensus:
     if cliques is None:
         cliques = all_maximal_cliques_bruteforce(G)
-    catalog: dict[int, str] = {}
-    star_size = top_size = None
-    for c in star_catalog(G):
-        catalog[c.bitset] = "star"
-        star_size = c.size
-    if G.m + 1 <= G.n:
-        for c in top_catalog(G):
-            catalog[c.bitset] = "top"
-            top_size = c.size
-    stars = tops = 0
-    unmatched = []
-    for members in cliques:
-        kind = catalog.get(_to_bitset(members))
-        if kind == "star":
-            stars += 1
-        elif kind == "top":
-            tops += 1
-        else:
-            unmatched.append(members)
-    return CliqueCensus(len(cliques), stars, tops, star_size, top_size, unmatched)
+    catalog = {c.bitset: c.kind for c in G.stars + G.tops}
+    kinds = [catalog.get(_to_bitset(members)) for members in cliques]
+    unmatched = [members for members, kind in zip(cliques, kinds) if kind is None]
+    stars, tops = kinds.count("star"), kinds.count("top")
+    return CliqueCensus(len(cliques), stars, tops, G.stars[0].size, G.tops[0].size, unmatched)
 
 
 @dataclass
@@ -305,18 +319,17 @@ def verify_clique_lemmas(G: GrassmannGraph) -> LemmaReport:
     the AND of theirs.
     """
     report = LemmaReport(q=G.spec.q)
-    stars = star_catalog(G)
-    tops = top_catalog(G)
+    stars = G.stars
+    tops = G.tops
     q = G.spec.q
     m = G.m
     masks = G.masks
-    star_masks = [vector_mask(s.center) for s in stars]
-    top_masks = [vector_mask(t.center) for t in tops]
 
-    for s, ms in zip(stars, star_masks):
-        for t, mt in zip(tops, top_masks):
+    for s in stars:
+        ms = s.center_mask
+        for t in tops:
             common = (s.bitset & t.bitset).bit_count()
-            incident = ms & mt == ms
+            incident = ms & t.center_mask == ms
             if (common > 0) != incident or (incident and common != q + 1):
                 report.star_top_ok = False
                 report.counterexamples.append(
@@ -335,10 +348,10 @@ def verify_clique_lemmas(G: GrassmannGraph) -> LemmaReport:
                     )
 
     for i in range(len(stars)):
-        ma = star_masks[i]
+        ma = stars[i].center_mask
         bi = stars[i].bitset
         for j in range(i + 1, len(stars)):
-            mb = star_masks[j]
+            mb = stars[j].center_mask
             meet = bi & stars[j].bitset
             dim_ab = _subspace_dim((ma & mb).bit_count(), q)
             expect_meet = dim_ab == m - 2
@@ -354,10 +367,10 @@ def verify_clique_lemmas(G: GrassmannGraph) -> LemmaReport:
                 )
 
     for i in range(len(tops)):
-        mp = top_masks[i]
+        mp = tops[i].center_mask
         bi = tops[i].bitset
         for j in range(i + 1, len(tops)):
-            mq = top_masks[j]
+            mq = tops[j].center_mask
             meet = bi & tops[j].bitset
             dim_pq = _subspace_dim((mp & mq).bit_count(), q)
             expect_meet = dim_pq == m
@@ -406,6 +419,11 @@ def dual_permutation(G: GrassmannGraph) -> list[int]:
 
 
 def dual_map_check(G: GrassmannGraph) -> DualReport:
+    """Check the complement map on the vertices and on the clique catalogs.
+
+    The dual clique of each star or top is looked up in G.tops or G.stars
+    by its centre's RREF rows, not rebuilt.
+    """
     report = DualReport()
     perm = dual_permutation(G)
     nv = G.num_vertices
@@ -426,19 +444,15 @@ def dual_map_check(G: GrassmannGraph) -> DualReport:
             report.preserves_adjacency = False
             report.counterexamples.append({"check": "adjacency", "vertex": i})
 
-    for P in enumerate_subspaces(G.spec, G.n, G.m - 1):
-        s = star(G, P)
-        image = tuple(sorted(perm[v] for v in s.members))
-        t = top(G, dual_complement(P))
-        if image != t.members:
-            report.stars_to_tops = False
-            report.counterexamples.append({"check": "star-to-top", "center": P.basis.rows})
-    for Q in enumerate_subspaces(G.spec, G.n, G.m + 1):
-        t = top(G, Q)
-        image = tuple(sorted(perm[v] for v in t.members))
-        s = star(G, dual_complement(Q))
-        if image != s.members:
-            report.tops_to_stars = False
-            report.counterexamples.append({"check": "top-to-star", "center": Q.basis.rows})
+    for check, flag, cliques, duals in (
+        ("star-to-top", "stars_to_tops", G.stars, G.tops),
+        ("top-to-star", "tops_to_stars", G.tops, G.stars),
+    ):
+        by_centre = {c.center.basis.rows: c.bitset for c in duals}
+        for c in cliques:
+            image = _to_bitset(perm[v] for v in c.members)
+            if image != by_centre.get(dual_complement(c.center).basis.rows):
+                setattr(report, flag, False)
+                report.counterexamples.append({"check": check, "center": c.center.basis.rows})
 
     return report

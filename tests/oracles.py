@@ -316,3 +316,37 @@ def dsatur_upper_bound(adj, nv: int, seed=()) -> tuple[int, list[int]]:
             c += 1
         assign(best_v, c)
     return max(colours) + 1, colours
+
+
+# -- maximal clique enumeration ---------------------------------------
+
+
+def all_maximal_cliques(adj, nv: int) -> list[tuple[int, ...]]:
+    """Every maximal clique, sorted, by recursive pivoting Bron-Kerbosch.
+
+    Seeds in vertex order rather than degeneracy order; the sorted result
+    does not depend on the seeding.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def expand(R: list[int], P: int, X: int):
+        if not P and not X:
+            out.append(tuple(sorted(R)))
+            return
+        best_u, best_cnt = -1, -1
+        for u in bits(P | X):
+            c = (P & adj[u]).bit_count()
+            if c > best_cnt:
+                best_u, best_cnt = u, c
+        for v in bits(P & ~adj[best_u]):
+            vb = 1 << v
+            R.append(v)
+            expand(R, P & adj[v], X & adj[v])
+            R.pop()
+            P ^= vb
+            X |= vb
+
+    with _recursion_room(nv):
+        expand([], (1 << nv) - 1, 0)
+    out.sort()
+    return out

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from grassmann_lab import cli
+from grassmann_lab import cli, coreness, graph
 from grassmann_lab.cli import main
 from grassmann_lab.fixture import default_fixture_path
 from grassmann_lab.report import graph_from_json_dict, graph_to_json_dict
@@ -78,6 +78,27 @@ def test_verify_j252_skips_dual(capsys):
     assert data["lemmas"]["dual"] == {"applicable": False, "note": "requires n = 2m"}
 
 
+def test_verify_builds_each_catalog_once(capsys, monkeypatch):
+    calls = []
+    for name in ("star_catalog", "top_catalog"):
+        build = getattr(graph, name)
+        monkeypatch.setattr(
+            graph, name, lambda G, name=name, build=build: calls.append(name) or build(G)
+        )
+    code, _, _ = run(capsys, "verify", "--q", "2", "--n", "4", "--m", "2")
+    assert code == 0
+    assert sorted(calls) == ["star_catalog", "top_catalog"]
+
+
+def test_verify_bounds_the_catalogs_before_enumerating(capsys):
+    # J_2(10,1) has 1023 vertices but 174,252 star and top centres
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "10", "--m", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_q3(capsys):
     code, out, _ = run(capsys, "verify", "--q", "3", "--n", "4", "--m", "2")
     assert code == 0
@@ -98,6 +119,24 @@ def test_coreness_with_fixture(capsys):
     assert core["witness"]["classification"] == "colouring"
     assert data["fixture"]["ok"] is True
     assert data["fixture"]["chi_upper"] == 7
+
+
+def test_coreness_with_fixture_builds_the_graph_once(capsys, monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return graph.build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_graph", spy)
+    monkeypatch.setattr(coreness, "build_graph", spy)
+    code, _, _ = run(
+        capsys,
+        "coreness", "--q", "2", "--n", "4", "--m", "2",
+        "--fixture", str(default_fixture_path()),
+    )
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_tampered_fixture_exits_1(capsys, tmp_path):

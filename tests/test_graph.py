@@ -1,4 +1,7 @@
+import random
+import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,10 +20,10 @@ from grassmann_lab import (
     verify_clique_lemmas,
 )
 from grassmann_lab.config import BoundExceeded
-from grassmann_lab.graph import bits
-from grassmann_lab.linalg import stack_rank
-from grassmann_lab.subspaces import contains
-from oracles import bfs_distances, intersection_dim_by_enumeration
+from grassmann_lab.graph import bits, dual_permutation
+from grassmann_lab.linalg import matrix, stack_rank
+from grassmann_lab.subspaces import canonicalize, contains
+from oracles import all_maximal_cliques, bfs_distances, intersection_dim_by_enumeration
 
 
 def test_vertex_counts(j242, j252, j342):
@@ -173,6 +176,36 @@ def test_bruteforce_cliques_j342(j342):
     assert census.unmatched == []
 
 
+def test_bruteforce_cliques_match_the_recursive_reference(j242, j252, j342):
+    for G in (j242, j252, j342):
+        expected = all_maximal_cliques(G.adjacency, G.num_vertices)
+        assert all_maximal_cliques_bruteforce(G) == expected
+
+
+@pytest.mark.parametrize("graph_seed", range(12))
+def test_bruteforce_cliques_match_the_reference_on_random_graphs(graph_seed):
+    rng = random.Random(graph_seed)
+    nv = rng.randint(1, 40)
+    p = rng.uniform(0.1, 0.9)
+    adj = [0] * nv
+    for i in range(nv):
+        for j in range(i):
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    G = SimpleNamespace(num_vertices=nv, adjacency=adj)
+    assert all_maximal_cliques_bruteforce(G) == all_maximal_cliques(adj, nv)
+
+
+def test_bruteforce_cliques_leave_the_recursion_limit_alone(f2, monkeypatch):
+    def refuse(limit):
+        raise AssertionError("clique enumeration changed the interpreter's recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    G = build_graph(f2, 10, 1)  # complete on 1023 vertices: one frame per vertex
+    assert all_maximal_cliques_bruteforce(G) == [tuple(range(1023))]
+
+
 def test_bruteforce_bound(j242):
     with pytest.raises(BoundExceeded):
         all_maximal_cliques_bruteforce(j242, bound=10)
@@ -185,13 +218,18 @@ def test_clique_lemmas_pass(j242, j252, j342):
 
 
 def test_clique_lemmas_fail_on_corrupted_catalogs(j242, monkeypatch):
+    # each check runs on a fresh copy of j242, whose catalogs the patched
+    # builders make; j242 itself may have its real catalogs cached
     stars = star_catalog(j242)
     tops = top_catalog(j242)
 
     # every star claims the next star's centre
-    rotated = [replace(s, center=stars[(i + 1) % len(stars)].center) for i, s in enumerate(stars)]
+    rotated = [
+        replace(s, center=nxt.center, center_mask=nxt.center_mask)
+        for s, nxt in zip(stars, stars[1:] + stars[:1])
+    ]
     monkeypatch.setattr(graph_module, "star_catalog", lambda G: rotated)
-    report = verify_clique_lemmas(j242)
+    report = verify_clique_lemmas(replace(j242))
     assert not report.star_top_ok and not report.star_meet_ok
     assert report.pairwise_ok and report.top_meet_ok
     assert {c["check"] for c in report.counterexamples} == {"star-top", "star-meet"}
@@ -201,7 +239,7 @@ def test_clique_lemmas_fail_on_corrupted_catalogs(j242, monkeypatch):
     grown = [replace(tops[0], members=tuple(bits(merged)), bitset=merged)] + tops[1:]
     monkeypatch.setattr(graph_module, "star_catalog", star_catalog)
     monkeypatch.setattr(graph_module, "top_catalog", lambda G: grown)
-    report = verify_clique_lemmas(j242)
+    report = verify_clique_lemmas(replace(j242))
     assert not report.pairwise_ok and not report.top_meet_ok
     checks = {c["check"] for c in report.counterexamples}
     assert {"pairwise", "top-meet"} <= checks
@@ -226,6 +264,34 @@ def test_incident_star_top_sizes(j242, j342):
 def test_dual_map_on_j242(j242):
     report = dual_map_check(j242)
     assert report.ok, report.counterexamples
+
+
+def _swap_first_coordinates(S):
+    rows = [(r[1], r[0], *r[2:]) for r in S.basis.rows]
+    return canonicalize(matrix(S.spec, rows, S.ambient))
+
+
+def test_dual_map_check_names_centres_a_coordinate_swap_moves(j242, monkeypatch):
+    # the duality followed by swapping the first two coordinates of GF(2)^4
+    # is still an adjacency-preserving involution, but it sends the star
+    # over P to the top over swap(P)^perp, which is the dual top only when
+    # the swap fixes P
+    dual = dual_permutation(j242)
+    swap = [j242.vertex_id(_swap_first_coordinates(v)) for v in j242.vertices]
+    monkeypatch.setattr(graph_module, "dual_permutation", lambda G: [swap[d] for d in dual])
+    report = dual_map_check(j242)
+    assert report.bijection and report.involution and report.preserves_adjacency
+    assert not report.stars_to_tops and not report.tops_to_stars
+    named = {"star-to-top": [], "top-to-star": []}
+    for c in report.counterexamples:
+        named[c["check"]].append(c["center"])
+    for check, dim in (("star-to-top", 1), ("top-to-star", 3)):
+        moved = [
+            C.basis.rows
+            for C in enumerate_subspaces(j242.spec, 4, dim)
+            if _swap_first_coordinates(C).basis.rows != C.basis.rows
+        ]
+        assert moved and named[check] == moved
 
 
 def test_dual_map_requires_n_twice_m(j252):
