@@ -102,19 +102,13 @@ def max_clique_bitset(adj, nv: int, node_budget: int | None = None) -> list[int]
     return sorted(best)
 
 
-def max_clique_witness(
-    G: GrassmannGraph, bound: int = SEARCH_BOUND, node_budget: int = SEARCH_NODE_BUDGET
-) -> list[int]:
-    if G.num_vertices > bound:
-        raise BoundExceeded(f"graph too large for exact search: {G.num_vertices} > {bound}")
-    return max_clique_bitset(G.adjacency, G.num_vertices, node_budget)
-
-
 def omega_exact(
     G: GrassmannGraph, bound: int = SEARCH_BOUND, node_budget: int = SEARCH_NODE_BUDGET
 ) -> int:
     """Clique number by branch and bound; must agree with the size formula."""
-    clique = max_clique_witness(G, bound, node_budget)
+    if G.num_vertices > bound:
+        raise BoundExceeded(f"graph too large for exact search: {G.num_vertices} > {bound}")
+    clique = max_clique_bitset(G.adjacency, G.num_vertices, node_budget)
     expected = omega_int(G.n, G.m, G.spec.q)
     if len(clique) != expected:
         raise AssertionError(
@@ -278,6 +272,30 @@ def dsatur_upper_bound(adj, nv: int, seed=()) -> tuple[int, list[int]]:
     return max(colours) + 1, colours
 
 
+def _alpha_and_chi_floor(G: GrassmannGraph, omega: int, bound: int, node_budget: int):
+    """(alpha, max(omega, ceil(|V|/alpha))), with alpha's upper end when it is a pair."""
+    alpha = alpha_exact(G, bound, node_budget)
+    alpha_hi = alpha if isinstance(alpha, int) else alpha[1]
+    return alpha, max(omega, -(-G.num_vertices // alpha_hi))
+
+
+def _colour_walk(G: GrassmannGraph, clique, lower: int, upper: int, node_budget: int):
+    """Try k = lower .. upper-1 colours, seeded with the clique; (lo, hi, table).
+
+    (k, k, table) when a k-colouring turns up; (upper, upper, None) when
+    every k is refuted; (k, upper, None) when the search at k runs out of
+    its node budget.
+    """
+    for k in range(lower, upper):
+        try:
+            table = find_colouring(G.adjacency, G.num_vertices, k, clique, node_budget)
+        except SearchBudgetExceeded:
+            return k, upper, None
+        if table is not None:
+            return k, k, table
+    return upper, upper, None
+
+
 def chi_exact(
     G: GrassmannGraph,
     known_colouring=None,
@@ -287,35 +305,22 @@ def chi_exact(
     """Chromatic number: exact int when the search closes, else (lo, hi).
 
     The lower bound is max(omega, ceil(|V|/alpha)); the upper bound comes
-    from a supplied colouring or clique-seeded DSATUR; the gap is closed
-    by backtracking search with the clique seed.
+    from a supplied colouring or clique-seeded DSATUR; the colouring walk
+    that core_test runs at k = omega closes the gap here from the lower
+    bound up.
     """
     nv = G.num_vertices
     if nv > bound:
         return omega_int(G.n, G.m, G.spec.q), nv
-    adj = G.adjacency
     clique = structural_max_clique(G)
-    omega = len(clique)
-    alpha = alpha_exact(G, bound)
-    alpha_hi = alpha if isinstance(alpha, int) else alpha[1]
-    lower = max(omega, -(-nv // alpha_hi))
+    _, lower = _alpha_and_chi_floor(G, len(clique), bound, SEARCH_NODE_BUDGET)
     if known_colouring is not None:
-        k = max(known_colouring) + 1
-        validate_colouring(adj, known_colouring, k)
-        upper = k
+        upper = max(known_colouring) + 1
+        validate_colouring(G.adjacency, known_colouring, upper)
     else:
-        upper, _ = dsatur_upper_bound(adj, nv, seed=clique)
-    k = lower
-    while k < upper:
-        try:
-            found = find_colouring(adj, nv, k, seed=clique, node_budget=node_budget)
-        except SearchBudgetExceeded:
-            return lower, upper
-        if found is not None:
-            return k
-        k += 1
-        lower = k
-    return upper
+        upper, _ = dsatur_upper_bound(G.adjacency, nv, seed=clique)
+    lo, hi, _ = _colour_walk(G, clique, lower, upper, node_budget)
+    return lo if lo == hi else (lo, hi)
 
 
 # -- endomorphisms ---------------------------------------------------
@@ -493,26 +498,13 @@ def core_test(
         rep.evidence.append(
             "clique branch and bound hit its node budget; clique number taken from the formula"
         )
-    alpha = alpha_exact(G, bound=search_bound, node_budget=clique_node_budget)
-    rep.alpha = alpha
-    alpha_hi = alpha if isinstance(alpha, int) else alpha[1]
-    chi_low = max(omega, -(-nv // alpha_hi))
+    rep.alpha, chi_low = _alpha_and_chi_floor(G, omega, search_bound, clique_node_budget)
 
-    try:
-        colouring = find_colouring(G.adjacency, nv, omega, seed=clique, node_budget=node_budget)
-    except SearchBudgetExceeded:
-        rep.verdict = "core" if chi_low > omega else "undetermined"
-        rep.chi = (chi_low, nv)
-        rep.evidence.append("colouring search budget exhausted before a decision")
-        if rep.verdict == "core":
-            rep.evidence.append(f"chi >= {chi_low} > omega = {omega} proves a core")
-        return rep
-
+    chi_lo, chi_hi, colouring = _colour_walk(G, clique, omega, omega + 1, node_budget)
     if colouring is not None:
         rep.chi = omega
-        endo = build_colouring_endomorphism(G, colouring, clique)
-        rep.witness = endo
-        rep.witness_class = classify_endomorphism(G, endo)
+        rep.witness = build_colouring_endomorphism(G, colouring, clique)
+        rep.witness_class = classify_endomorphism(G, rep.witness)
         rep.verdict = "not-core"
         rep.evidence.append(
             f"found a proper {omega}-colouring; composing it with a maximum clique "
@@ -523,11 +515,18 @@ def core_test(
             "consistent with the pseudo-core dichotomy (every endomorphism is an "
             "automorphism or a colouring)"
         )
-        return rep
-
-    rep.chi = (omega + 1, nv)
-    rep.verdict = "core"
-    rep.evidence.append(f"exhaustive search proves no {omega}-colouring exists, so chi > omega")
+    elif chi_lo == chi_hi:
+        rep.chi = (omega + 1, nv)
+        rep.verdict = "core"
+        rep.evidence.append(
+            f"exhaustive search proves no {omega}-colouring exists, so chi > omega"
+        )
+    else:
+        rep.verdict = "core" if chi_low > omega else "undetermined"
+        rep.chi = (chi_low, nv)
+        rep.evidence.append("colouring search budget exhausted before a decision")
+        if rep.verdict == "core":
+            rep.evidence.append(f"chi >= {chi_low} > omega = {omega} proves a core")
     return rep
 
 

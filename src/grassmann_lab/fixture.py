@@ -16,10 +16,9 @@ from dataclasses import dataclass, field as dataclass_field
 from importlib import resources
 from pathlib import Path
 
-from .field import FieldSpec
 from .graph import GrassmannGraph
-from .linalg import matrix, stack_rank
-from .subspaces import Subspace, canonicalize
+from .linalg import stack_rank
+from .subspaces import subspace_from_digits
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,6 @@ def load_fixture(path: str | Path | None = None) -> J242Fixture:
     return J242Fixture(matrices, sets)
 
 
-def fixture_subspace(spec: FieldSpec, rows) -> Subspace:
-    return canonicalize(matrix(spec, [[int(ch) for ch in r] for r in rows]))
-
-
 @dataclass
 class FixtureReport:
     """Result of checking a fixture against its graph.
@@ -90,7 +85,7 @@ def verify_fixture_partition(G: GrassmannGraph, fx: J242Fixture) -> FixtureRepor
     report = FixtureReport()
     spec = G.spec
 
-    subspaces = {label: fixture_subspace(spec, rows) for label, rows in fx.matrices.items()}
+    subspaces = {label: subspace_from_digits(spec, rows) for label, rows in fx.matrices.items()}
     ids = {}
     for label, S in subspaces.items():
         if S.dim != G.m or S.ambient != G.n:

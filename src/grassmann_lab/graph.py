@@ -187,17 +187,17 @@ def all_maximal_cliques_bruteforce(
 ) -> list[tuple[int, ...]]:
     """Every maximal clique, by pivoting Bron-Kerbosch over the bitsets.
 
-    Vertices are seeded in degeneracy order; results are returned as
-    sorted member tuples in a deterministic order.  Nodes are frames
-    [P, X, branches left] on an explicit stack, and R holds the vertex
-    each open node branched on, so no clique size touches the
-    interpreter's recursion limit.
+    The search starts from one root node, P = every vertex, and pivots
+    there as at every node, so no ordering pass comes first; results are
+    returned as sorted member tuples in a deterministic order.  Nodes are
+    frames [P, X, branches left] on an explicit stack, and R holds the
+    vertex each open node below the root branched on, so no clique size
+    touches the interpreter's recursion limit.
     """
     nv = G.num_vertices
     if nv > bound:
         raise BoundExceeded(f"graph too large for clique enumeration: {nv} > {bound}")
     adj = G.adjacency
-    order = _degeneracy_order(adj, nv)
     out: list[tuple[int, ...]] = []
     R: list[int] = []
     stack: list[list[int]] = []
@@ -218,41 +218,22 @@ def all_maximal_cliques_bruteforce(
                     break
         stack.append([P, X, P & ~adj[best_u]])
 
-    P = (1 << nv) - 1
-    X = 0
-    for v in order:
-        vb = 1 << v
-        R.append(v)
-        enter(P & adj[v], X & adj[v])
-        while stack:
-            frame = stack[-1]
-            P_, X_, todo = frame
-            if not todo:
-                stack.pop()
+    enter((1 << nv) - 1, 0)
+    while stack:
+        frame = stack[-1]
+        P, X, todo = frame
+        if not todo:
+            stack.pop()
+            if stack:
                 R.pop()
-                continue
-            wb = todo & -todo  # branches in ascending vertex order
-            w = wb.bit_length() - 1
-            frame[:] = P_ ^ wb, X_ | wb, todo ^ wb
-            R.append(w)
-            enter(P_ & adj[w], X_ & adj[w])
-        P ^= vb
-        X |= vb
+            continue
+        wb = todo & -todo  # branches in ascending vertex order
+        w = wb.bit_length() - 1
+        frame[:] = P ^ wb, X | wb, todo ^ wb
+        R.append(w)
+        enter(P & adj[w], X & adj[w])
     out.sort()
     return out
-
-
-def _degeneracy_order(adj, nv: int) -> list[int]:
-    remaining = (1 << nv) - 1
-    degs = [adj[i].bit_count() for i in range(nv)]
-    order = []
-    for _ in range(nv):
-        v = min(bits(remaining), key=lambda u: (degs[u], u))
-        order.append(v)
-        remaining ^= 1 << v
-        for u in bits(adj[v] & remaining):
-            degs[u] -= 1
-    return order
 
 
 @dataclass
@@ -312,11 +293,13 @@ class LemmaReport:
 def verify_clique_lemmas(G: GrassmannGraph) -> LemmaReport:
     """Check the four structural facts over all relevant clique pairs.
 
-    Centre relations come from vector masks: incidence is a subset test,
-    dim(A intersect B) is log_q |mask(A) & mask(B)|, the span A + B of
-    two star centres is the one vertex whose mask covers both masks, and
-    the intersection of two top centres is the one vertex whose mask is
-    the AND of theirs.
+    Each star-top pair is visited once, and each pair of stars and each
+    pair of tops is visited once for both the pairwise and the meet
+    check.  Centre relations come from vector masks: incidence is a
+    subset test, dim(A intersect B) is log_q |mask(A) & mask(B)|, the
+    span A + B of two star centres is the one vertex whose mask covers
+    both masks, and the intersection of two top centres is the one vertex
+    whose mask is the AND of theirs.
     """
     report = LemmaReport(q=G.spec.q)
     stars = G.stars
@@ -336,51 +319,33 @@ def verify_clique_lemmas(G: GrassmannGraph) -> LemmaReport:
                     {"check": "star-top", "star": s.members, "top": t.members, "common": common}
                 )
 
-    for fam_name, fam in (("stars", stars), ("tops", tops)):
+    # one pass per family: two cliques share at most one vertex, and they
+    # share one exactly when their centres meet in dimension meet_dim, in
+    # the vertex whose mask is_meet accepts; dim(A intersect B) = m-2 makes
+    # A + B an m-space, so the star meet covers both centres
+    for fam_name, check, flag, fam, meet_dim, is_meet in (
+        ("stars", "star-meet", "star_meet_ok", stars, m - 2, lambda v, a, b: v & (a | b) == a | b),
+        ("tops", "top-meet", "top_meet_ok", tops, m, lambda v, a, b: v == a & b),
+    ):
         for i in range(len(fam)):
+            ma = fam[i].center_mask
             bi = fam[i].bitset
             for j in range(i + 1, len(fam)):
-                c = (bi & fam[j].bitset).bit_count()
+                mb = fam[j].center_mask
+                meet = bi & fam[j].bitset
+                c = meet.bit_count()
                 if c > 1:
                     report.pairwise_ok = False
                     report.counterexamples.append(
                         {"check": "pairwise", "family": fam_name, "pair": (i, j), "common": c}
                     )
-
-    for i in range(len(stars)):
-        ma = stars[i].center_mask
-        bi = stars[i].bitset
-        for j in range(i + 1, len(stars)):
-            mb = stars[j].center_mask
-            meet = bi & stars[j].bitset
-            dim_ab = _subspace_dim((ma & mb).bit_count(), q)
-            expect_meet = dim_ab == m - 2
-            ok = (meet != 0) == expect_meet
-            if ok and meet:
-                # dim(A intersect B) = m-2 makes A + B an m-space, so it is that vertex
-                v = meet.bit_length() - 1
-                ok = meet == 1 << v and masks[v] & (ma | mb) == ma | mb
-            if not ok:
-                report.star_meet_ok = False
-                report.counterexamples.append(
-                    {"check": "star-meet", "pair": (i, j), "dim": dim_ab}
-                )
-
-    for i in range(len(tops)):
-        mp = tops[i].center_mask
-        bi = tops[i].bitset
-        for j in range(i + 1, len(tops)):
-            mq = tops[j].center_mask
-            meet = bi & tops[j].bitset
-            dim_pq = _subspace_dim((mp & mq).bit_count(), q)
-            expect_meet = dim_pq == m
-            ok = (meet != 0) == expect_meet
-            if ok and meet:
-                v = meet.bit_length() - 1
-                ok = meet == 1 << v and masks[v] == mp & mq
-            if not ok:
-                report.top_meet_ok = False
-                report.counterexamples.append({"check": "top-meet", "pair": (i, j), "dim": dim_pq})
+                dim = _subspace_dim((ma & mb).bit_count(), q)
+                ok = (c > 0) == (dim == meet_dim)
+                if ok and c:
+                    ok = c == 1 and is_meet(masks[meet.bit_length() - 1], ma, mb)
+                if not ok:
+                    setattr(report, flag, False)
+                    report.counterexamples.append({"check": check, "pair": (i, j), "dim": dim})
 
     return report
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import prime_power_base
+from .arith import prime_power_base, prime_powers_upto
 
 
 class IntPolynomial:
@@ -275,21 +275,25 @@ def knuth_wilf_exponents(n: int, m: int) -> CycloFactorization:
     return CycloFactorization(exps)
 
 
+def _omega_exponent(n: int, m: int) -> int:
+    """k with clique number (q^k - 1)/(q - 1): stars when n >= 2m, tops otherwise."""
+    if m < 1 or n < m:
+        raise ValueError("need 1 <= m <= n")
+    return n - m + 1 if n >= 2 * m else m + 1
+
+
 def omega_poly(n: int, m: int) -> IntPolynomial:
     """Clique number of the Grassmann graph as a polynomial in q.
 
     (q^(n-m+1) - 1)/(q - 1) when n >= 2m (stars are maximum cliques),
     (q^(m+1) - 1)/(q - 1) otherwise (tops are).
     """
-    if m < 1 or n < m:
-        raise ValueError("need 1 <= m <= n")
-    k = n - m + 1 if n >= 2 * m else m + 1
-    return x_power_minus_one(k).exact_div(x_power_minus_one(1))
+    return x_power_minus_one(_omega_exponent(n, m)).exact_div(x_power_minus_one(1))
 
 
 def omega_int(n: int, m: int, q: int) -> int:
-    """Clique number evaluated at an integer q."""
-    return omega_poly(n, m)(q)
+    """Clique number evaluated at an integer q >= 2, on integers."""
+    return (q ** _omega_exponent(n, m) - 1) // (q - 1)
 
 
 @dataclass(frozen=True)
@@ -421,13 +425,10 @@ def scan_core_threshold(n: int, m: int, q_max: int) -> ScanReport:
     i = gcd(m, n - m + 1)
     entries = []
     largest = None
-    q = 2
-    while q <= q_max:
-        if prime_power_base(q) is not None:
-            value = _h_value(n, m, q)
-            whole = isinstance(value, int)
-            entries.append(ScanEntry(q, whole, value.numerator, value.denominator))
-            if whole:
-                largest = q
-        q += 1
+    for q in prime_powers_upto(q_max):
+        value = _h_value(n, m, q)
+        whole = isinstance(value, int)
+        entries.append(ScanEntry(q, whole, value.numerator, value.denominator))
+        if whole:
+            largest = q
     return ScanReport(n, m, q_max, i, i >= 2, tuple(entries), largest)

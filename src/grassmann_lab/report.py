@@ -11,12 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coreness import CorenessReport
-from .field import FieldSpec, make_field
+from .field import make_field
 from .fixture import FixtureReport
 from .graph import DualReport, GrassmannGraph, LemmaReport, bits
-from .linalg import matrix
 from .qpoly import HReport, IntPolynomial, ScanReport
-from .subspaces import Subspace, canonicalize
+from .subspaces import Subspace, subspace_from_digits, vector_mask
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -29,11 +28,6 @@ def digit(x: int) -> str:
 
 def matrix_digits(S: Subspace) -> list[str]:
     return ["".join(digit(x) for x in row) for row in S.basis.rows]
-
-
-def parse_matrix_digits(spec: FieldSpec, rows: list[str]) -> Subspace:
-    entries = [[_DIGITS.index(ch) for ch in row] for row in rows]
-    return canonicalize(matrix(spec, entries, len(rows[0]) if rows else 1))
 
 
 def params_dict(G: GrassmannGraph) -> dict:
@@ -61,19 +55,16 @@ def graph_to_json_dict(G: GrassmannGraph) -> dict:
 
 def graph_from_json_dict(data: dict) -> GrassmannGraph:
     """Rebuild a graph from a dump; adjacency comes from the edge list."""
-    from .graph import GrassmannGraph as GG
-
     p, e, n, m = (data["params"][k] for k in ("p", "e", "n", "m"))
     spec = make_field(p, e)
-    vertices = tuple(parse_matrix_digits(spec, v["matrix"]) for v in data["vertices"])
+    vertices = tuple(subspace_from_digits(spec, v["matrix"]) for v in data["vertices"])
     adjacency = [0] * len(vertices)
     for i, j in data["edges"]:
         adjacency[i] |= 1 << j
         adjacency[j] |= 1 << i
-    from .subspaces import vector_mask
-
     index = {v.basis.rows: i for i, v in enumerate(vertices)}
-    return GG(spec, n, m, vertices, tuple(adjacency), tuple(vector_mask(v) for v in vertices), index)
+    masks = tuple(vector_mask(v) for v in vertices)
+    return GrassmannGraph(spec, n, m, vertices, tuple(adjacency), masks, index)
 
 
 def graph_to_dot(G: GrassmannGraph) -> str:

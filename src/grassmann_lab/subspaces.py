@@ -46,6 +46,14 @@ def canonicalize(M: FqMatrix) -> Subspace:
     return Subspace(M.spec, M.cols, rk, R)
 
 
+def subspace_from_digits(spec: FieldSpec, rows) -> Subspace:
+    """The span of matrix rows given as digit strings, 0-9 then a-z per entry.
+
+    The fixture file and the JSON graph dumps write matrices this way.
+    """
+    return canonicalize(matrix(spec, [[int(ch, 36) for ch in row] for row in rows]))
+
+
 def zero_subspace(spec: FieldSpec, n: int) -> Subspace:
     return Subspace(spec, n, 0, matrix(spec, [], n))
 

@@ -29,7 +29,6 @@ from grassmann_lab.coreness import (
     dsatur_upper_bound,
     find_colouring,
     max_clique_bitset,
-    max_clique_witness,
     structural_max_clique,
 )
 from grassmann_lab.fixture import fixture_colouring, load_fixture
@@ -106,8 +105,14 @@ def test_chi_bound_chain(j242):
     assert chi >= -(-j242.num_vertices // alpha) >= omega
 
 
+def test_chi_exact_agrees_with_core_test(j242, j342):
+    # both run the same clique-seeded colouring walk
+    for G in (j242, j342):
+        assert chi_exact(G) == core_test(G.n, G.m, G.spec.q).chi
+
+
 def test_find_colouring_rejects_impossible(j242):
-    clique = max_clique_witness(j242)
+    clique = structural_max_clique(j242)
     assert find_colouring(j242.adjacency, 35, 6, seed=clique[:6]) is None
 
 

@@ -7,9 +7,9 @@ from grassmann_lab.fixture import (
     J242Fixture,
     default_fixture_path,
     fixture_colouring,
-    fixture_subspace,
     load_fixture,
 )
+from grassmann_lab.subspaces import subspace_from_digits
 
 # transcription is frozen; any edit to the data file must be deliberate
 FIXTURE_SHA256 = "42794264264d63a8e7132be9f2aab38974624d73bc1bea2e7de774c5e91d5778"
@@ -32,7 +32,7 @@ def test_some_fixture_matrices_are_not_reduced(f2):
     fx = load_fixture()
     # A20 = (0010 / 1001) has decreasing pivots; canonicalization reorders it
     raw = fx.matrices["A20"]
-    S = fixture_subspace(f2, raw)
+    S = subspace_from_digits(f2, raw)
     assert ["".join(str(x) for x in r) for r in S.basis.rows] != list(raw)
     assert S.dim == 2
 

@@ -1,0 +1,72 @@
+"""Pinned stdout digests: refactors must leave these reports byte-identical."""
+
+import hashlib
+
+import pytest
+
+from grassmann_lab.cli import main
+from grassmann_lab.fixture import default_fixture_path
+
+FIXTURE = str(default_fixture_path())
+
+# (command, exit code, sha256 of stdout); the word FIXTURE stands for the shipped fixture
+GOLDEN = [
+    (
+        "coreness --q 2 --n 4 --m 2 --fixture FIXTURE",
+        0,
+        "e186f8e53eeee68960f0b38180f937c8895106728b9111e1f2789457c99200be",
+    ),
+    (
+        "coreness --q 3 --n 4 --m 2",
+        0,
+        "b4777cb541d4c6b20c2c8417cde127b9059ea82ad31888c01b979613e9420b15",
+    ),
+    (
+        "coreness --q 2 --n 5 --m 2",
+        0,
+        "cbd8c971984b4a6040b787c2b7effef4d85f20b8c2ef1c860c60095e18aaf25a",
+    ),
+    (
+        "coreness --q 2 --n 7 --m 3",
+        0,
+        "a0a3cfe7efde21de64b80aa07bcaf13cc4292b14076ba63d776e1dcdfdb3ef54",
+    ),
+    (
+        "verify --q 2 --n 4 --m 2",
+        0,
+        "84ba7dd12ac5017006acb41bfc1833ae6e39ec3237b2eab543e06131cc22478a",
+    ),
+    (
+        "verify --q 3 --n 4 --m 2 --format text",
+        0,
+        "f0934fa8248596f29bfee97d11c4d30d615b7fa0493c1912359325933e6f4197",
+    ),
+    (
+        "verify --q 2 --n 5 --m 3",
+        0,
+        "7a80fc72b42bef306ab4a4d38a962490698a283631e4303d44f771412fe3c48a",
+    ),
+    (
+        "qbinom --n 8 --m 3 --at 2 --q-max 16",
+        0,
+        "fda2b1ee10ff2d6fb8c8e1a341753f6e4be49a5c172983d72fc79880c6468b62",
+    ),
+    (
+        "scan --n 5 --m 2 --q-max 64",
+        0,
+        "390f212151e692b0009262f700878b78929b7f3972d1872c21d66570574a4669",
+    ),
+    (
+        "build --q 2 --n 4 --m 2 --format json",
+        0,
+        "ad70ea73e692be6eb16d8f333b4f668f5203a03c230eb618a8f2353a63f8a1e2",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_stdout_matches_the_pinned_digest(capsys, command, code, digest):
+    argv = [FIXTURE if a == "FIXTURE" else a for a in command.split()]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

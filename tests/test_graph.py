@@ -246,6 +246,23 @@ def test_clique_lemmas_fail_on_corrupted_catalogs(j242, monkeypatch):
     assert all(c["family"] == "tops" for c in report.counterexamples if c["check"] == "pairwise")
 
 
+def test_clique_lemmas_flag_two_stars_sharing_two_vertices(j242, monkeypatch):
+    # star 0 also claims one member of star 1, so the two share two vertices
+    stars = star_catalog(j242)
+    extra = next(v for v in stars[1].members if v not in stars[0].members)
+    grown = stars[0].bitset | 1 << extra
+    corrupted = [replace(stars[0], members=tuple(bits(grown)), bitset=grown)] + stars[1:]
+    monkeypatch.setattr(graph_module, "star_catalog", lambda G: corrupted)
+    report = verify_clique_lemmas(replace(j242))
+    assert not report.pairwise_ok and not report.star_meet_ok
+    assert report.top_meet_ok
+    assert {"check": "pairwise", "family": "stars", "pair": (0, 1), "common": 2} in (
+        report.counterexamples
+    )
+    assert {"check": "star-meet", "pair": (0, 1), "dim": 0} in report.counterexamples
+    assert all(c["family"] == "stars" for c in report.counterexamples if c["check"] == "pairwise")
+
+
 def test_incident_star_top_sizes(j242, j342):
     for G in (j242, j342):
         q = G.spec.q

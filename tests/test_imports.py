@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports and each private
+function it defines."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,19 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_private_function_is_used(path):
+    tree = ast.parse(path.read_text())
+    private = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    }
+    unused = []
+    for name, definition in private.items():
+        outside = (node for top in tree.body if top is not definition for node in ast.walk(top))
+        if not any(isinstance(node, ast.Name) and node.id == name for node in outside):
+            unused.append(name)
+    assert unused == [], f"{path.name} defines private functions it never calls: {unused}"

@@ -213,8 +213,11 @@ def test_scan_8_3():
 
 
 def test_omega_int_matches_poly():
-    for n, m, q in ((4, 2, 2), (5, 2, 2), (4, 2, 3), (6, 3, 2)):
-        assert omega_int(n, m, q) == omega_poly(n, m)(q)
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            poly = omega_poly(n, m)
+            for q in (2, 3, 4, 5, 7, 8, 9):
+                assert omega_int(n, m, q) == poly(q), (n, m, q)
 
 
 def test_q_constant():
