@@ -1,6 +1,9 @@
-"""Small integer number-theory helpers (trial division scale)."""
+"""Small integer number-theory helpers (trial division scale, and one sieve)."""
 
 from __future__ import annotations
+
+from itertools import compress
+from math import isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -41,8 +44,26 @@ def prime_power_base(q: int) -> tuple[int, int] | None:
 
 
 def prime_powers_upto(limit: int) -> list[int]:
-    """All prime powers q with 2 <= q <= limit, ascending."""
-    return [q for q in range(2, limit + 1) if prime_power_base(q) is not None]
+    """All prime powers q with 2 <= q <= limit, ascending.
+
+    An Eratosthenes sieve marks the primes; each prime p <= sqrt(limit)
+    then marks its higher powers.
+    """
+    if limit < 2:
+        return []
+    prime = bytearray([1]) * (limit + 1)
+    prime[:2] = b"\x00\x00"
+    for p in range(2, isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    power = bytearray(prime)
+    for p in range(2, isqrt(limit) + 1):
+        if prime[p]:
+            pk = p * p
+            while pk <= limit:
+                power[pk] = 1
+                pk *= p
+    return list(compress(range(limit + 1), power))
 
 
 def prime_factors(n: int) -> list[int]:

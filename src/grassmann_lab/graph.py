@@ -2,9 +2,14 @@
 
 Vertices are the m-dimensional subspaces of GF(q)^n in canonical
 enumeration order; two are adjacent when their intersection has
-dimension m-1.  Adjacency is stored as one int bitset per vertex, which
-keeps pair queries, clique enumeration, and the exhaustive lemma checks
-cheap at desk scale.
+dimension m-1, that is, when they share an (m-1)-space.  So the stars
+(all m-spaces over one (m-1)-space) cover every edge, and a vertex's
+neighbourhood is the union of its [m,1]_q stars less the vertex itself:
+the builder groups the vertices by the masks of their hyperplanes, one
+group per star, and ORs each vertex's groups, in one pass over the
+vertices with no test of vertex pairs.  Adjacency is stored as one int
+bitset per vertex, which keeps pair queries, clique enumeration, and the
+exhaustive lemma checks cheap at desk scale.
 
 The maximal cliques of these graphs are exactly the stars (all m-spaces
 over a fixed (m-1)-space) and the tops (all m-spaces inside a fixed
@@ -29,7 +34,14 @@ from typing import Literal
 from .config import BUILD_BOUND, CLIQUE_ENUM_BOUND, MAX_GRAPH_FIELD, BoundExceeded
 from .field import FieldSpec
 from .qpoly import gaussian_binomial_int
-from .subspaces import Subspace, dual_complement, enumerate_subspaces, vector_mask
+from .subspaces import (
+    Subspace,
+    dual_complement,
+    enumerate_subspaces,
+    hyperplane_positions,
+    vector_mask,
+    vector_spans,
+)
 
 
 def bits(x: int):
@@ -100,10 +112,11 @@ def build_graph(
     max_vertices: int = BUILD_BOUND,
     max_q: int = MAX_GRAPH_FIELD,
 ) -> GrassmannGraph:
-    """Build J_q(n, m) with adjacency decided by intersection dimension.
+    """Build J_q(n, m), with adjacency as the union of each vertex's stars.
 
-    Each vertex carries the bitmask of its member vectors; a pair is
-    adjacent iff the AND of their masks has exactly q^(m-1) elements.
+    Each vertex carries the bitmask of its member vectors.  Two vertices
+    are adjacent iff they share an (m-1)-space, so adjacency[v] is the OR
+    of the stars through v, less v; the stars come from _star_buckets.
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
@@ -115,19 +128,35 @@ def build_graph(
             f"enumeration too large: J_{spec.q}({n},{m}) has {count} vertices > {max_vertices}"
         )
     vertices = tuple(enumerate_subspaces(spec, n, m))
-    masks = [vector_mask(v) for v in vertices]
-    thr = spec.q ** (m - 1)
+    masks, buckets = _star_buckets(vertices)
     adjacency = [0] * count
-    for i in range(count):
-        mi = masks[i]
-        ai = adjacency[i]
-        for j in range(i + 1, count):
-            if (mi & masks[j]).bit_count() == thr:
-                ai |= 1 << j
-                adjacency[j] |= 1 << i
-        adjacency[i] = ai
+    for members in buckets.values():
+        clique = _to_bitset(members)
+        for v in members:
+            adjacency[v] |= clique
+    adjacency = tuple(a ^ (1 << v) for v, a in enumerate(adjacency))
     index = {v.basis.rows: i for i, v in enumerate(vertices)}
-    return GrassmannGraph(spec, n, m, vertices, tuple(adjacency), tuple(masks), index)
+    return GrassmannGraph(spec, n, m, vertices, adjacency, tuple(masks), index)
+
+
+def _star_buckets(vertices: tuple[Subspace, ...]) -> tuple[list[int], dict[int, list[int]]]:
+    """The vector mask of each m-space, and its ids grouped by hyperplane.
+
+    A hyperplane of a vertex is the OR of one fixed set of span positions
+    (subspaces.hyperplane_positions), so one span per vertex gives its mask
+    and all its [m,1]_q hyperplane masks.  Each group, keyed by the mask of
+    its (m-1)-space and holding ids in ascending order, is one star.
+    """
+    spec = vertices[0].spec
+    planes = hyperplane_positions(spec, vertices[0].dim)
+    masks = []
+    buckets: dict[int, list[int]] = {}
+    for i, span in enumerate(vector_spans(vertices)):
+        vecs = [1 << v for v in span]
+        masks.append(sum(vecs))
+        for plane in planes:
+            buckets.setdefault(sum(map(vecs.__getitem__, plane)), []).append(i)
+    return masks, buckets
 
 
 @dataclass(frozen=True)
@@ -175,7 +204,14 @@ def _to_bitset(ids) -> int:
 
 
 def star_catalog(G: GrassmannGraph) -> list[MaximalClique]:
-    return [star(G, P) for P in enumerate_subspaces(G.spec, G.n, G.m - 1)]
+    """Every star, read off the hyperplane groups by its centre's mask."""
+    _, buckets = _star_buckets(G.vertices)
+    out = []
+    for P in enumerate_subspaces(G.spec, G.n, G.m - 1):
+        mp = vector_mask(P)
+        members = tuple(buckets[mp])
+        out.append(MaximalClique("star", P, mp, members, _to_bitset(members)))
+    return out
 
 
 def top_catalog(G: GrassmannGraph) -> list[MaximalClique]:

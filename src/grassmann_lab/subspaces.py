@@ -9,6 +9,7 @@ the sort key exposed by sort_key().
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -176,47 +177,63 @@ def dual_complement(W: Subspace) -> Subspace:
     return Subspace(W.spec, W.ambient, K.nrows, K)
 
 
+def vector_spans(spaces: Iterable[Subspace]) -> Iterator[list[int]]:
+    """The encoded members of each subspace, in coefficient order.
+
+    A vector (v0, ..., v_{n-1}) is encoded as v0 + v1*q + ... + v_{n-1}*q^(n-1).
+    Position c_0 + c_1*q + ... + c_{k-1}*q^(k-1) of a span, for field
+    elements c_i, holds the code of sum_i c_i * row_i of the RREF basis, so
+    coordinate j of that vector is c . (column j).  A span is thus the sum
+    over the columns of their coefficient digits times q^j; the spaces share
+    one field, and the digits of each distinct (j, column) are computed once.
+    """
+    digits: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for S in spaces:
+        q = S.spec.q
+        terms = []
+        for j, col in enumerate(zip(*S.basis.rows)):
+            if any(col):
+                d = digits.get((j, col))
+                if d is None:
+                    d = digits[j, col] = [x * q**j for x in _coefficient_digits(S.spec, col)]
+                terms.append(d)
+        yield list(map(sum, zip(*terms))) if terms else [0]
+
+
+def hyperplane_positions(spec: FieldSpec, k: int) -> list[list[int]]:
+    """For each (k-1)-space H of GF(q)^k, the coefficient positions in H.
+
+    H is the kernel of a normalised functional f, one per 1-space of
+    GF(q)^k.  Read through a span from vector_spans, the positions of H
+    give the members of one (k-1)-subspace of that k-space, and the
+    hyperplanes of the span are exactly these, each once.
+    """
+    return [
+        [pos for pos, x in enumerate(_coefficient_digits(spec, f.basis.rows[0])) if not x]
+        for f in enumerate_subspaces(spec, k, 1)
+    ]
+
+
+def _coefficient_digits(spec: FieldSpec, col: tuple[int, ...]) -> list[int]:
+    """c . col for every coefficient vector c, in coefficient order."""
+    q = spec.q
+    vals = [0]
+    for x in col:
+        if not x:  # c * 0 = 0: every c repeats the values so far
+            vals *= q
+            continue
+        terms = range(1, q) if x == 1 else [spec.mul(c, x) for c in range(1, q)]
+        vals += [spec.add(v, t) for t in terms for v in vals]
+    return vals
+
+
 def vector_mask(S: Subspace) -> int:
     """Bitmask over all q^n coordinate vectors with the members of S set.
 
-    A vector (v0, ..., v_{n-1}) indexes bit v0 + v1*q + ... + v_{n-1}*q^(n-1).
+    Bit i is set when the vector with code i (see vector_spans) lies in S.
     Intersection dimensions then come from popcounts of ANDed masks.
     """
-    spec = S.spec
-    q = spec.q
-    span = [0]
-    for row in S.basis.rows:
-        shift = 1
-        enc = 0
-        for x in row:
-            enc += x * shift
-            shift *= q
-        scaled = []
-        for c in range(1, q):
-            acc = 0
-            shift = 1
-            for x in row:
-                acc += spec.mul(c, x) * shift
-                shift *= q
-            scaled.append(acc)
-        new = list(span)
-        for s in scaled:
-            new.extend(_vec_add_encoded(spec, v, s) for v in span)
-        span = new
     mask = 0
-    for v in span:
+    for v in next(vector_spans((S,))):
         mask |= 1 << v
     return mask
-
-
-def _vec_add_encoded(spec: FieldSpec, a: int, b: int) -> int:
-    """Coordinatewise field addition of two base-q encoded vectors."""
-    q = spec.q
-    out = 0
-    shift = 1
-    while a or b:
-        out += spec.add(a % q, b % q) * shift
-        a //= q
-        b //= q
-        shift *= q
-    return out

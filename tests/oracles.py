@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: ranks come
 from minor enumeration, distances from BFS, subspace membership from
-brute-force span enumeration, and field properties from exhaustive loops.
+brute-force span enumeration, Grassmann adjacency from a popcount test on
+every pair of vertex masks, and field properties from exhaustive loops.
 The search kernels at the end are the straightforward recursive versions
 of the library's iterative, bitset-driven ones.
 """
@@ -83,6 +84,34 @@ def span_vectors(spec, rows, n: int) -> frozenset:
                 v = tuple(spec.add(x, spec.mul(c, y)) for x, y in zip(v, row))
         out.add(v)
     return frozenset(out)
+
+
+def mask_by_enumeration(spec, S) -> int:
+    """The vector mask of S: bit sum_j v_j q^j for every member v of its span."""
+    mask = 0
+    for v in span_vectors(spec, S.basis.rows, S.ambient):
+        mask |= 1 << sum(x * spec.q**j for j, x in enumerate(v))
+    return mask
+
+
+def pairwise_adjacency(masks, q: int, m: int) -> list[int]:
+    """Grassmann adjacency by testing every pair of vertex masks.
+
+    Two m-spaces are adjacent iff the AND of their masks has exactly
+    q^(m-1) elements; V^2/2 popcounts.
+    """
+    count = len(masks)
+    thr = q ** (m - 1)
+    adjacency = [0] * count
+    for i in range(count):
+        mi = masks[i]
+        ai = adjacency[i]
+        for j in range(i + 1, count):
+            if (mi & masks[j]).bit_count() == thr:
+                ai |= 1 << j
+                adjacency[j] |= 1 << i
+        adjacency[i] = ai
+    return adjacency
 
 
 def intersection_dim_by_enumeration(spec, S, T) -> int:

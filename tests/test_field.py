@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import pytest
 
 from grassmann_lab import make_field
@@ -71,6 +73,13 @@ def test_field_axioms_exhaustive_up_to_64():
     for q in prime_powers_upto(64):
         p, e = prime_power_base(q)
         check_field_axioms(make_field(p, e))
+
+
+def test_prime_power_sieve_matches_trial_division():
+    trial = [q for q in range(2, 200_001) if prime_power_base(q) is not None]
+    for limit in range(3001):
+        assert prime_powers_upto(limit) == trial[: bisect_right(trial, limit)]
+    assert prime_powers_upto(200_000) == trial
 
 
 def test_inverse_of_zero_fails(f2):

@@ -61,6 +61,26 @@ GOLDEN = [
         0,
         "ad70ea73e692be6eb16d8f333b4f668f5203a03c230eb618a8f2353a63f8a1e2",
     ),
+    (
+        "build --q 3 --n 4 --m 2",
+        0,
+        "d3e438fbbb12801eba8d48b44daa7ae0e8dcfaca2f20b16f944c6794d9d5d086",
+    ),
+    (
+        "build --q 4 --n 4 --m 2 --format json",
+        0,
+        "dbcdd95a904c7a0538d2c2e1ed3eedf99f304e4f338f0b8d86031019d9a2e141",
+    ),
+    (
+        "build --q 2 --n 6 --m 4 --format dot",
+        0,
+        "0370c8da88371a07b7fb9bb0224e608836260b1bbaeb0343771a2d88407d8d79",
+    ),
+    (
+        "build --q 2 --n 3 --m 1 --format json",
+        0,
+        "3383f62aa416df2d35c817cca9e527c6f934459ea4ad9ef0175a75beabfeea83",
+    ),
 ]
 
 

@@ -23,13 +23,44 @@ from grassmann_lab.config import BoundExceeded
 from grassmann_lab.graph import bits, dual_permutation
 from grassmann_lab.linalg import matrix, stack_rank
 from grassmann_lab.subspaces import canonicalize, contains
-from oracles import all_maximal_cliques, bfs_distances, intersection_dim_by_enumeration
+from oracles import (
+    all_maximal_cliques,
+    bfs_distances,
+    intersection_dim_by_enumeration,
+    mask_by_enumeration,
+    pairwise_adjacency,
+)
 
 
 def test_vertex_counts(j242, j252, j342):
     assert j242.num_vertices == 35
     assert j252.num_vertices == 155
     assert j342.num_vertices == 130
+
+
+@pytest.mark.parametrize(
+    "p, e, n, m",
+    [
+        (2, 1, 3, 1),
+        (3, 1, 3, 1),
+        (2, 1, 4, 3),
+        (2, 1, 5, 3),
+        (2, 1, 6, 4),
+        (2, 1, 6, 3),
+        (3, 1, 5, 2),
+        (5, 1, 4, 2),
+        (2, 2, 4, 2),
+        (2, 3, 3, 1),
+        (3, 2, 3, 2),
+    ],
+    ids=["j231", "j331", "j243", "j253", "j264", "j263", "j352", "j542", "j442", "j831", "j932"],
+)
+def test_star_union_adjacency_matches_pairwise_masks(p, e, n, m):
+    # masks from span enumeration, adjacency from every pair's popcount
+    G = build_graph(make_field(p, e), n, m)
+    masks = [mask_by_enumeration(G.spec, S) for S in G.vertices]
+    assert list(G.masks) == masks
+    assert list(G.adjacency) == pairwise_adjacency(masks, G.spec.q, m)
 
 
 def test_m_equal_one_is_complete(f2):

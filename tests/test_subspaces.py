@@ -15,8 +15,10 @@ from grassmann_lab.config import BoundExceeded
 from grassmann_lab.subspaces import (
     contains,
     full_subspace,
+    hyperplane_positions,
     sort_key,
     vector_mask,
+    vector_spans,
     zero_subspace,
 )
 from oracles import is_rref, span_vectors
@@ -169,3 +171,28 @@ def test_vector_mask_agrees_with_span_enumeration(f2, f3):
                 for x in reversed(v):
                     idx = idx * spec.q + x
                 assert mask >> idx & 1
+
+
+def test_vector_spans_hold_each_coefficient_combination(f3, f4):
+    for spec, n, k in ((f3, 3, 2), (f4, 3, 2), (f4, 2, 1)):
+        q = spec.q
+        spaces = enumerate_subspaces(spec, n, k)
+        for S, span in zip(spaces, vector_spans(spaces)):
+            assert len(span) == q**k
+            for pos, code in enumerate(span):
+                v = [0] * n
+                for i, row in enumerate(S.basis.rows):
+                    c = pos // q**i % q
+                    v = [spec.add(x, spec.mul(c, y)) for x, y in zip(v, row)]
+                assert code == sum(x * q**j for j, x in enumerate(v))
+
+
+def test_hyperplane_positions_give_every_hyperplane_once(f2, f3, f4):
+    for spec, n, k in ((f2, 4, 3), (f3, 4, 2), (f4, 3, 2), (f2, 3, 1)):
+        planes = hyperplane_positions(spec, k)
+        assert len(planes) == gaussian_binomial_int(k, 1, spec.q)
+        below = [(P, vector_mask(P)) for P in enumerate_subspaces(spec, n, k - 1)]
+        spaces = enumerate_subspaces(spec, n, k)
+        for S, span in zip(spaces, vector_spans(spaces)):
+            masks = [sum(1 << span[pos] for pos in plane) for plane in planes]
+            assert sorted(masks) == sorted(m for P, m in below if contains(S, P))
