@@ -13,7 +13,14 @@ import json
 import sys
 
 from .arith import prime_power_base
-from .config import BUILD_BOUND, CLIQUE_ENUM_BOUND, SEARCH_BOUND, BoundExceeded
+from .config import (
+    BUILD_BOUND,
+    CLIQUE_ENUM_BOUND,
+    MAX_QBINOM_DEGREE,
+    SEARCH_BOUND,
+    BoundExceeded,
+    check_decimal_digits,
+)
 from .coreness import core_test
 from .field import make_field
 from .fixture import load_fixture, verify_fixture_partition
@@ -89,6 +96,9 @@ def cmd_verify(args) -> int:
     # rejects m outside 1..n-1 as invalid input
     centres = sum(gaussian_binomial_int(args.n, k, args.q) for k in (args.m - 1, args.m + 1))
     if 1 <= args.m < args.n and centres > args.brute_bound:
+        check_decimal_digits(
+            centres, f"the star and top centre count of J_{args.q}({args.n},{args.m})"
+        )
         raise BoundExceeded(
             f"clique catalogs too large for the lemma checks: J_{args.q}({args.n},{args.m}) "
             f"has {centres} star and top centres > {args.brute_bound}"
@@ -144,6 +154,12 @@ def cmd_coreness(args) -> int:
 
 
 def cmd_qbinom(args) -> int:
+    degree = args.m * (args.n - args.m)
+    if 0 <= args.m <= args.n and degree > args.max_degree:
+        raise BoundExceeded(
+            f"Gaussian binomial too large: [{args.n},{args.m}]_q has degree {degree} "
+            f"> {args.max_degree}"
+        )
     poly = gaussian_binomial_poly(args.n, args.m)
     exps = knuth_wilf_exponents(args.n, args.m)
     data = {
@@ -156,7 +172,10 @@ def cmd_qbinom(args) -> int:
     if args.at is not None:
         if prime_power_base(args.at) is None:
             raise ValueError(f"--at must be a prime power, got {args.at}")
-        data["qbinom"]["value_at"] = {"q": args.at, "value": gaussian_binomial_int(args.n, args.m, args.at)}
+        value = gaussian_binomial_int(args.n, args.m, args.at)
+        # h's numerator and denominator at --at are no larger than this value
+        check_decimal_digits(value, f"[{args.n},{args.m}]_q at q = {args.at}")
+        data["qbinom"]["value_at"] = {"q": args.at, "value": value}
     if 2 <= args.m and 2 * args.m <= args.n:
         hrep = h_report(args.n, args.m)
         data["qbinom"]["h"] = h_report_dict(hrep)
@@ -238,6 +257,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--at", type=int, default=None, help="evaluate at this prime power")
     p.add_argument("--q-max", type=int, default=None, help="also scan integrality up to here")
     p.add_argument("--format", choices=["json", "text"], default="json")
+    p.add_argument("--max-degree", type=int, default=MAX_QBINOM_DEGREE, help="cap on m(n-m)")
     p.set_defaults(func=cmd_qbinom)
 
     p = sub.add_parser("scan", help="integrality scan of h over prime powers")

@@ -6,6 +6,8 @@ defaults target desk-scale experiments (the interesting instances have a
 few dozen to a few thousand vertices).
 """
 
+import sys
+
 # Largest permitted field size q = p^e.
 MAX_FIELD_SIZE = 1 << 20
 
@@ -39,9 +41,29 @@ SEARCH_NODE_BUDGET = 500_000
 # Node budget for the backtracking colouring search.
 COLOUR_NODE_BUDGET = 200_000
 
+# Cap on the degree m(n-m) of [n choose m]_q in `qbinom`.  The h report's
+# dense cyclotomic products grow with the square of the degree; at the
+# cap, [160,80] and [243,30] take 2.5-3.6 s each on one Xeon core.
+MAX_QBINOM_DEGREE = 6400
+
 
 class BoundExceeded(ValueError):
     """An input would exceed a configured resource bound."""
+
+
+def check_decimal_digits(value: int, what: str) -> None:
+    """Raise BoundExceeded if str(value) would pass the interpreter's digit limit.
+
+    The limit (0 for none) is read with sys.get_int_max_str_digits() and
+    never set, since it is process-global state.  Interpreters older than
+    3.10.7 have no such limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and abs(value) >= 10**limit:
+        raise BoundExceeded(
+            f"{what} has more than {limit} decimal digits, "
+            "the interpreter's limit for int-to-str conversion"
+        )
 
 
 class SearchBudgetExceeded(RuntimeError):

@@ -33,6 +33,7 @@ from .config import (
     SEARCH_NODE_BUDGET,
     BoundExceeded,
     SearchBudgetExceeded,
+    check_decimal_digits,
 )
 from .field import make_field
 from .graph import GrassmannGraph, bits, build_graph
@@ -453,15 +454,15 @@ def core_test(
     if m < 1:
         raise ValueError("need m >= 1")
     p_e = _validated_prime_power(q)
+    if m > 1 and not 2 * m <= n:
+        raise ValueError("need 2m <= n (the graph is isomorphic to its complement-dimension twin)")
+    nv = gaussian_binomial_int(n, m, q)
+    check_decimal_digits(nv, f"the vertex count of J_{q}({n},{m})")  # the report prints it
     if m == 1:
-        nv = gaussian_binomial_int(n, 1, q)
         rep = CorenessReport(q, n, m, nv, omega=nv, alpha=1, chi=nv, verdict="core")
         rep.evidence.append("complete graph: every endomorphism permutes the vertices")
         return rep
-    if not 2 * m <= n:
-        raise ValueError("need 2m <= n (the graph is isomorphic to its complement-dimension twin)")
 
-    nv = gaussian_binomial_int(n, m, q)
     omega = omega_int(n, m, q)
     rep = CorenessReport(q, n, m, nv, omega=omega)
 

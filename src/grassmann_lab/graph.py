@@ -31,7 +31,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal
 
-from .config import BUILD_BOUND, CLIQUE_ENUM_BOUND, MAX_GRAPH_FIELD, BoundExceeded
+from .config import (
+    BUILD_BOUND,
+    CLIQUE_ENUM_BOUND,
+    MAX_GRAPH_FIELD,
+    BoundExceeded,
+    check_decimal_digits,
+)
 from .field import FieldSpec
 from .qpoly import gaussian_binomial_int
 from .subspaces import (
@@ -124,6 +130,7 @@ def build_graph(
         raise BoundExceeded(f"field too large for graph building: q={spec.q} > {max_q}")
     count = gaussian_binomial_int(n, m, spec.q)
     if count > max_vertices:
+        check_decimal_digits(count, f"the vertex count of J_{spec.q}({n},{m})")
         raise BoundExceeded(
             f"enumeration too large: J_{spec.q}({n},{m}) has {count} vertices > {max_vertices}"
         )

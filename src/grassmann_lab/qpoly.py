@@ -4,7 +4,11 @@ Everything here is exact: coefficients are arbitrary-precision ints and
 every division is checked.  The central objects are
 
   * cyclotomic polynomials, built by exact division of x^t - 1,
-  * Gaussian binomials as polynomials in q and as evaluated integers,
+  * Gaussian binomials as polynomials in q and as evaluated integers;
+    the polynomial is built on a plain coefficient list, where each
+    factor q^t - 1 is one shift-and-subtract and each exact division
+    by q^i - 1 is the top-down recurrence quo[k-i] = c[k] + quo[k],
+    so a factor costs O(degree) rather than a dense product,
   * their cyclotomic factorization via floor-sum exponents,
   * the ratio h(q) = (vertex count of the Grassmann graph) / (clique
     number), split into a numerator/denominator pair of cyclotomic
@@ -201,16 +205,28 @@ def cyclotomic(t: int) -> IntPolynomial:
 def gaussian_binomial_poly(n: int, m: int) -> IntPolynomial:
     """[n choose m]_q as a polynomial in q, degree m(n-m).
 
-    Product of (q^(n+1-i) - 1)/(q^i - 1) for i = 1..m, interleaving
-    multiplication and exact division so every intermediate stays a
-    polynomial.
+    Product of (q^(n+1-i) - 1)/(q^i - 1) for i = 1..m on one coefficient
+    list c, constant term first, so every intermediate stays a polynomial.
+    Multiplying by q^t - 1 shifts c up by t places and subtracts c.
+    Dividing by q^i - 1 runs from the top down: the quotient's
+    coefficients obey quo[k-i] = c[k] + quo[k], which in place is
+    c[k-i] += c[k]; then c[i:] is the quotient and c[:i] the remainder,
+    which must vanish.
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    result = ONE
+    c = [1]
     for i in range(1, m + 1):
-        result = (result * x_power_minus_one(n + 1 - i)).exact_div(x_power_minus_one(i))
-    return result
+        t = n + 1 - i
+        c = [0] * t + c
+        for k in range(len(c) - t):
+            c[k] -= c[k + t]
+        for k in range(len(c) - 1, i - 1, -1):
+            c[k - i] += c[k]
+        if any(c[:i]):
+            raise ValueError(f"q^{i} - 1 does not divide the partial product")
+        c = c[i:]
+    return IntPolynomial(c)
 
 
 def gaussian_binomial_int(n: int, m: int, q: int) -> int:
@@ -385,12 +401,16 @@ def h_integrality(n: int, m: int, q: int):
         raise ValueError(f"{q} is not a prime power")
     if not (2 <= m and 2 * m <= n):
         raise ValueError("need 4 <= 2m <= n")
-    return _h_value(n, m, q)
+    num, den = _h_parts(n, m, q)
+    return num if den == 1 else Fraction(num, den)
 
 
-def _h_value(n: int, m: int, q: int) -> int | Fraction:
-    value = Fraction(gaussian_binomial_int(n, m, q), omega_int(n, m, q))
-    return int(value) if value.denominator == 1 else value
+def _h_parts(n: int, m: int, q: int) -> tuple[int, int]:
+    """h(q) in lowest terms as (numerator, denominator), one gcd per q."""
+    num = gaussian_binomial_int(n, m, q)
+    den = omega_int(n, m, q)
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 @dataclass(frozen=True)
@@ -426,9 +446,8 @@ def scan_core_threshold(n: int, m: int, q_max: int) -> ScanReport:
     entries = []
     largest = None
     for q in prime_powers_upto(q_max):
-        value = _h_value(n, m, q)
-        whole = isinstance(value, int)
-        entries.append(ScanEntry(q, whole, value.numerator, value.denominator))
-        if whole:
+        num, den = _h_parts(n, m, q)
+        entries.append(ScanEntry(q, den == 1, num, den))
+        if den == 1:
             largest = q
     return ScanReport(n, m, q_max, i, i >= 2, tuple(entries), largest)

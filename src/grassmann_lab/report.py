@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .config import check_decimal_digits
 from .coreness import CorenessReport
 from .field import make_field
 from .fixture import FixtureReport
@@ -199,6 +200,9 @@ def h_report_dict(rep: HReport) -> dict:
 
 
 def scan_report_dict(rep: ScanReport) -> dict:
+    # every h(q) is at least 1, so no denominator outgrows its numerator
+    biggest = max((e.numerator for e in rep.entries), default=0)
+    check_decimal_digits(biggest, f"h(q) for (n={rep.n}, m={rep.m}) up to q = {rep.q_max}")
     return {
         "n": rep.n,
         "m": rep.m,

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .config import ENUM_BOUND, BoundExceeded
+from .config import ENUM_BOUND, BoundExceeded, check_decimal_digits
 from .field import FieldSpec
 from .linalg import (
     FqMatrix,
@@ -104,6 +104,7 @@ def enumerate_subspaces(
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     total = gaussian_binomial_int(n, k, spec.q)
     if total > bound:
+        check_decimal_digits(total, f"[{n} choose {k}]_{spec.q}")
         raise BoundExceeded(
             f"enumeration too large: [{n} choose {k}]_{spec.q} = {total} > {bound}"
         )

@@ -4,19 +4,32 @@ Everything here deliberately avoids the code paths under test: ranks come
 from minor enumeration, distances from BFS, subspace membership from
 brute-force span enumeration, Grassmann adjacency from a popcount test on
 every pair of vertex masks, and field properties from exhaustive loops.
-The search kernels at the end are the straightforward recursive versions
-of the library's iterative, bitset-driven ones.
+The search kernels are the straightforward recursive versions of the
+library's iterative, bitset-driven ones, and the q-polynomial references
+at the end are the dense polynomial product and the Fraction-based scan.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
+from grassmann_lab.arith import prime_powers_upto
 from grassmann_lab.config import COLOUR_NODE_BUDGET, SearchBudgetExceeded
 from grassmann_lab.coreness import validate_colouring
 from grassmann_lab.graph import bits
+from grassmann_lab.qpoly import (
+    ONE,
+    IntPolynomial,
+    ScanEntry,
+    ScanReport,
+    gaussian_binomial_int,
+    omega_int,
+    x_power_minus_one,
+)
 
 
 def bfs_distances(adjacency, source: int) -> list[int]:
@@ -379,3 +392,35 @@ def all_maximal_cliques(adj, nv: int) -> list[tuple[int, ...]]:
         expand([], (1 << nv) - 1, 0)
     out.sort()
     return out
+
+
+# -- q-polynomials ------------------------------------------------------
+
+
+def gaussian_binomial_poly(n: int, m: int) -> IntPolynomial:
+    """[n choose m]_q as a polynomial in q, degree m(n-m).
+
+    Product of (q^(n+1-i) - 1)/(q^i - 1) for i = 1..m, interleaving
+    multiplication and exact division so every intermediate stays a
+    polynomial.
+    """
+    if not 0 <= m <= n:
+        raise ValueError("need 0 <= m <= n")
+    result = ONE
+    for i in range(1, m + 1):
+        result = (result * x_power_minus_one(n + 1 - i)).exact_div(x_power_minus_one(i))
+    return result
+
+
+def scan_core_threshold(n: int, m: int, q_max: int) -> ScanReport:
+    """The integrality scan of h(q) = [n,m]_q / omega, one Fraction per q."""
+    i = gcd(m, n - m + 1)
+    entries = []
+    largest = None
+    for q in prime_powers_upto(q_max):
+        value = Fraction(gaussian_binomial_int(n, m, q), omega_int(n, m, q))
+        whole = value.denominator == 1
+        entries.append(ScanEntry(q, whole, value.numerator, value.denominator))
+        if whole:
+            largest = q
+    return ScanReport(n, m, q_max, i, i >= 2, tuple(entries), largest)

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from grassmann_lab import cli, coreness, graph
 from grassmann_lab.cli import main
+from grassmann_lab.config import MAX_QBINOM_DEGREE
 from grassmann_lab.fixture import default_fixture_path
 from grassmann_lab.report import graph_from_json_dict, graph_to_json_dict
 
@@ -217,6 +219,47 @@ def test_scan_command(capsys):
     data = json.loads(out)["qbinom"]["scan"]
     assert data["largest_integer_q"] is None
     assert len(data["entries"]) == 27
+
+
+DIGIT_BOUND_COMMANDS = [
+    "qbinom --n 80 --m 40 --at 2048",
+    "qbinom --n 80 --m 40 --q-max 2048",
+    "qbinom --n 300 --m 4 --at 1048576",
+    "scan --n 200 --m 100 --q-max 4",
+    "build --q 2 --n 300 --m 150",
+    "verify --q 2 --n 300 --m 150",
+    "coreness --q 2 --n 300 --m 150",
+]
+
+
+@pytest.mark.parametrize("command", DIGIT_BOUND_COMMANDS)
+def test_integers_past_the_str_digit_limit_exit_2(capsys, command):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *command.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than {limit} decimal digits" in err
+    assert "set_int_max_str_digits" not in err
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_qbinom_caps_the_degree_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("polynomial built above the cap")
+
+    monkeypatch.setattr(cli, "gaussian_binomial_poly", refuse)
+    code, out, err = run(capsys, "qbinom", "--n", "400", "--m", "200")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: Gaussian binomial too large: [400,200]_q has degree 40000 "
+        f"> {MAX_QBINOM_DEGREE}\n"
+    )
+    code, _, err = run(capsys, "qbinom", "--n", "8", "--m", "3", "--max-degree", "14")
+    assert code == 2 and "degree 15 > 14" in err
+    monkeypatch.undo()
+    assert run(capsys, "qbinom", "--n", "8", "--m", "3", "--max-degree", "15")[0] == 0
 
 
 def test_witness_revalidates_from_json(capsys, j242):

@@ -52,6 +52,21 @@ GOLDEN = [
         "fda2b1ee10ff2d6fb8c8e1a341753f6e4be49a5c172983d72fc79880c6468b62",
     ),
     (
+        "qbinom --n 80 --m 40",
+        0,
+        "6e9a67e82d5bb9440faabf77faf28669f4a237e358a475672fd6d19d7423fcad",
+    ),
+    (
+        "qbinom --n 24 --m 12 --at 2048 --q-max 2048",
+        0,
+        "f40c6694ae6e2bec228a5e734adb0febcc77a0434e8cf8daa6e6a1dea205a077",
+    ),
+    (
+        "scan --n 8 --m 3 --q-max 20000",
+        0,
+        "f4673ce7102cfc247b911665e40cdbf9a64a5210a879d75e0ee5dfcfd711acb1",
+    ),
+    (
         "scan --n 5 --m 2 --q-max 64",
         0,
         "390f212151e692b0009262f700878b78929b7f3972d1872c21d66570574a4669",

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import oracles
 import pytest
 
 from grassmann_lab import (
@@ -13,6 +14,7 @@ from grassmann_lab import (
     knuth_wilf_exponents,
     omega_int,
     omega_poly,
+    qpoly,
     scan_core_threshold,
 )
 from grassmann_lab.qpoly import ONE, IntPolynomial, Q, x_power_minus_one
@@ -223,3 +225,37 @@ def test_omega_int_matches_poly():
 def test_q_constant():
     assert Q(5) == 5
     assert (Q**2 + Q + 1)(3) == 13
+
+
+def test_gaussian_binomial_poly_matches_the_dense_product():
+    for n in range(31):
+        for m in range(n + 1):
+            assert gaussian_binomial_poly(n, m) == oracles.gaussian_binomial_poly(n, m), (n, m)
+    assert gaussian_binomial_poly(80, 40) == oracles.gaussian_binomial_poly(80, 40)
+
+
+@pytest.mark.parametrize("n, m", [(5, -1), (5, 6), (0, 1), (0, -1)])
+def test_gaussian_binomial_poly_rejects_m_outside_0_to_n(n, m):
+    with pytest.raises(ValueError):
+        gaussian_binomial_poly(n, m)
+
+
+def test_scan_matches_the_fraction_reference():
+    for n in range(4, 25):
+        for m in range(2, n // 2 + 1):
+            assert scan_core_threshold(n, m, 3000) == oracles.scan_core_threshold(n, m, 3000)
+    assert scan_core_threshold(8, 3, 200000) == oracles.scan_core_threshold(8, 3, 200000)
+
+
+def test_binomial_and_scan_kernels_stay_sparse(monkeypatch):
+    """Neither kernel may fall back on dense polynomial products or a Fraction per q."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", refuse)
+    monkeypatch.setattr(IntPolynomial, "__divmod__", refuse)
+    monkeypatch.setattr(qpoly, "Fraction", refuse)
+    assert gaussian_binomial_poly(80, 40).degree == 1600
+    rep = scan_core_threshold(8, 3, 5000)
+    assert rep.entries and rep.largest_integer_q is None
