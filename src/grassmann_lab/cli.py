@@ -134,14 +134,12 @@ def cmd_coreness(args) -> int:
         except OSError as exc:
             raise ValueError(f"cannot read fixture: {exc}") from exc
     rep = core_test(args.n, args.m, args.q, search_bound=args.brute_bound)
-    data = {"params": {"q": args.q, "n": args.n, "m": args.m}, "coreness": coreness_report_dict(rep)}
-    ok = True
+    fxrep = None
     if fx is not None:
         # a witness carries the graph core_test built
         G = rep.witness.graph if rep.witness else build_graph(_field_for(args.q), args.n, args.m)
         fxrep = verify_fixture_partition(G, fx)
-        data["fixture"] = fixture_report_dict(fxrep)
-        ok = fxrep.ok
+    ok = fxrep is None or fxrep.ok
     if args.format == "text":
         sys.stdout.write(
             f"J_{args.q}({args.n},{args.m}): verdict {rep.verdict}; "
@@ -149,16 +147,23 @@ def cmd_coreness(args) -> int:
             + "\n"
         )
     else:
+        data = {
+            "params": {"q": args.q, "n": args.n, "m": args.m},
+            "coreness": coreness_report_dict(rep),
+        }
+        if fxrep is not None:
+            data["fixture"] = fixture_report_dict(fxrep)
         _emit(data)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_qbinom(args) -> int:
+    with_h = 2 <= args.m and 2 * args.m <= args.n
     degree = args.m * (args.n - args.m)
-    if 0 <= args.m <= args.n and degree > args.max_degree:
+    if with_h and degree > MAX_QBINOM_DEGREE:
         raise BoundExceeded(
-            f"Gaussian binomial too large: [{args.n},{args.m}]_q has degree {degree} "
-            f"> {args.max_degree}"
+            f"Gaussian binomial too large for the h report: [{args.n},{args.m}]_q has "
+            f"degree {degree} > {MAX_QBINOM_DEGREE}"
         )
     poly = gaussian_binomial_poly(args.n, args.m)
     exps = knuth_wilf_exponents(args.n, args.m)
@@ -172,20 +177,21 @@ def cmd_qbinom(args) -> int:
     if args.at is not None:
         if prime_power_base(args.at) is None:
             raise ValueError(f"--at must be a prime power, got {args.at}")
-        value = gaussian_binomial_int(args.n, args.m, args.at)
-        # h's numerator and denominator at --at are no larger than this value
-        check_decimal_digits(value, f"[{args.n},{args.m}]_q at q = {args.at}")
-        data["qbinom"]["value_at"] = {"q": args.at, "value": value}
-    if 2 <= args.m and 2 * args.m <= args.n:
+        value_at = gaussian_binomial_int(args.n, args.m, args.at)
+        data["qbinom"]["value_at"] = {"q": args.at, "value": value_at}
+    if with_h:
         hrep = h_report(args.n, args.m)
         data["qbinom"]["h"] = h_report_dict(hrep)
         if args.at is not None:
             value = h_integrality(args.n, args.m, args.at)
-            data["qbinom"]["h"]["value_at"] = (
-                {"q": args.at, "value": value}
-                if isinstance(value, int)
-                else {"q": args.at, "value": f"{value.numerator}/{value.denominator}"}
-            )
+            if isinstance(value, int):
+                data["qbinom"]["h"]["value_at"] = {"q": args.at, "value": value}
+            else:
+                check_decimal_digits(value.numerator, f"h({args.at}) for (n={args.n}, m={args.m})")
+                data["qbinom"]["h"]["value_at"] = {
+                    "q": args.at,
+                    "value": f"{value.numerator}/{value.denominator}",
+                }
         if args.q_max is not None:
             data["qbinom"]["scan"] = scan_report_dict(
                 scan_core_threshold(args.n, args.m, args.q_max)
@@ -204,6 +210,8 @@ def cmd_qbinom(args) -> int:
             )
         sys.stdout.write("\n".join(lines) + "\n")
     else:
+        if args.at is not None:  # h(q) there is no larger
+            check_decimal_digits(value_at, f"[{args.n},{args.m}]_q at q = {args.at}")
         _emit(data)
     return EXIT_OK
 
@@ -257,7 +265,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--at", type=int, default=None, help="evaluate at this prime power")
     p.add_argument("--q-max", type=int, default=None, help="also scan integrality up to here")
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--max-degree", type=int, default=MAX_QBINOM_DEGREE, help="cap on m(n-m)")
     p.set_defaults(func=cmd_qbinom)
 
     p = sub.add_parser("scan", help="integrality scan of h over prime powers")

@@ -41,9 +41,10 @@ SEARCH_NODE_BUDGET = 500_000
 # Node budget for the backtracking colouring search.
 COLOUR_NODE_BUDGET = 200_000
 
-# Cap on the degree m(n-m) of [n choose m]_q in `qbinom`.  The h report's
-# dense cyclotomic products grow with the square of the degree; at the
-# cap, [160,80] and [243,30] take 2.5-3.6 s each on one Xeon core.
+# Cap on the degree m(n-m) of [n choose m]_q when `qbinom` runs the h
+# report (4 <= 2m <= n).  The report's dense cyclotomic products grow with
+# the square of the degree; at the cap, [160,80] and [243,30] take
+# 2.5-3.6 s each on one Xeon core.
 MAX_QBINOM_DEGREE = 6400
 
 

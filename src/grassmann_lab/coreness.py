@@ -454,21 +454,24 @@ def core_test(
     if m < 1:
         raise ValueError("need m >= 1")
     p_e = _validated_prime_power(q)
-    if m > 1 and not 2 * m <= n:
-        raise ValueError("need 2m <= n (the graph is isomorphic to its complement-dimension twin)")
-    nv = gaussian_binomial_int(n, m, q)
-    check_decimal_digits(nv, f"the vertex count of J_{q}({n},{m})")  # the report prints it
     if m == 1:
+        nv = gaussian_binomial_int(n, 1, q)
         rep = CorenessReport(q, n, m, nv, omega=nv, alpha=1, chi=nv, verdict="core")
         rep.evidence.append("complete graph: every endomorphism permutes the vertices")
         return rep
+    if not 2 * m <= n:
+        raise ValueError("need 2m <= n (the graph is isomorphic to its complement-dimension twin)")
 
+    nv = gaussian_binomial_int(n, m, q)
     omega = omega_int(n, m, q)
     rep = CorenessReport(q, n, m, nv, omega=omega)
 
     value = h_integrality(n, m, q)
     rep.integrality_value = value
+    # the evidence below prints h(q) = |V|/omega, and |V| past the search bound
+    ratio = f"|V|/omega for J_{q}({n},{m})"
     if isinstance(value, Fraction):
+        check_decimal_digits(value.numerator, ratio)
         rep.verdict = "core"
         rep.chi = (omega + 1, nv)
         rep.alpha = (1, nv // omega)
@@ -477,9 +480,11 @@ def core_test(
             "so the graph is a core"
         )
         return rep
+    check_decimal_digits(value, ratio)
     rep.evidence.append(f"|V|/omega = {value} is an integer; integrality test inconclusive")
 
     if nv > search_bound:
+        check_decimal_digits(nv, f"the vertex count of J_{q}({n},{m})")
         rep.verdict = "undetermined"
         rep.alpha = (1, nv // omega)
         rep.chi = (omega, nv)

@@ -138,6 +138,8 @@ def _value_or_bounds(v):
 
 
 def coreness_report_dict(rep: CorenessReport) -> dict:
+    # omega, alpha, chi and the vertex/clique ratio are no larger than |V|
+    check_decimal_digits(rep.num_vertices, f"the vertex count of J_{rep.q}({rep.n},{rep.m})")
     value = rep.integrality_value
     if isinstance(value, Fraction):
         integrality = {

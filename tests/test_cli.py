@@ -231,20 +231,38 @@ DIGIT_BOUND_COMMANDS = [
     "coreness --q 2 --n 300 --m 150",
 ]
 
+# 0 means no limit; interpreters before 3.10.7 have none
+STR_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
+
+@pytest.mark.skipif(
+    not 0 < STR_DIGIT_LIMIT <= 4300,
+    reason="the commands print integers just past the default 4300-digit int-to-str limit",
+)
 @pytest.mark.parametrize("command", DIGIT_BOUND_COMMANDS)
 def test_integers_past_the_str_digit_limit_exit_2(capsys, command):
-    limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, *command.split())
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"more than {limit} decimal digits" in err
+    assert f"more than {STR_DIGIT_LIMIT} decimal digits" in err
     assert "set_int_max_str_digits" not in err
-    assert sys.get_int_max_str_digits() == limit
+    assert sys.get_int_max_str_digits() == STR_DIGIT_LIMIT
 
 
-def test_qbinom_caps_the_degree_before_building(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command",
+    [
+        "coreness --q 2 --n 20000 --m 1 --format text",
+        "qbinom --n 3000 --m 1 --at 1048576 --format text",
+    ],
+)
+def test_huge_integers_that_are_never_printed_pass(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and out and err == ""
+
+
+def test_qbinom_caps_the_degree_of_the_h_report_before_building(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("polynomial built above the cap")
 
@@ -253,13 +271,22 @@ def test_qbinom_caps_the_degree_before_building(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == (
-        "error: Gaussian binomial too large: [400,200]_q has degree 40000 "
+        "error: Gaussian binomial too large for the h report: [400,200]_q has degree 40000 "
         f"> {MAX_QBINOM_DEGREE}\n"
     )
-    code, _, err = run(capsys, "qbinom", "--n", "8", "--m", "3", "--max-degree", "14")
+    monkeypatch.setattr(cli, "MAX_QBINOM_DEGREE", 14)
+    code, _, err = run(capsys, "qbinom", "--n", "8", "--m", "3")
     assert code == 2 and "degree 15 > 14" in err
     monkeypatch.undo()
-    assert run(capsys, "qbinom", "--n", "8", "--m", "3", "--max-degree", "15")[0] == 0
+    monkeypatch.setattr(cli, "MAX_QBINOM_DEGREE", 15)
+    assert run(capsys, "qbinom", "--n", "8", "--m", "3")[0] == 0
+
+
+def test_qbinom_without_an_h_report_is_not_capped(capsys, monkeypatch):
+    # degree 9999 > MAX_QBINOM_DEGREE, but m = 1 runs no h report
+    assert run(capsys, "qbinom", "--n", "10000", "--m", "1")[0] == 0
+    monkeypatch.setattr(cli, "MAX_QBINOM_DEGREE", 0)
+    assert run(capsys, "qbinom", "--n", "8", "--m", "5")[0] == 0
 
 
 def test_witness_revalidates_from_json(capsys, j242):

@@ -201,6 +201,13 @@ def test_core_test_complete_graph():
     assert rep.omega == rep.num_vertices == 15
 
 
+def test_core_test_keeps_vertex_counts_past_the_str_digit_limit():
+    # 2^20000 - 1 has 6021 digits; the complete-graph report prints none of them
+    rep = core_test(20000, 1, 2)
+    assert rep.verdict == "core"
+    assert rep.num_vertices == rep.omega == 2**20000 - 1
+
+
 def test_core_test_validates_inputs():
     with pytest.raises(ValueError):
         core_test(5, 2, 6)  # not a prime power
