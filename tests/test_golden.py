@@ -96,6 +96,21 @@ GOLDEN = [
         0,
         "3383f62aa416df2d35c817cca9e527c6f934459ea4ad9ef0175a75beabfeea83",
     ),
+    (
+        "build --q 2 --n 5 --m 2 --format json",
+        0,
+        "6c9058444893156cd9c986dab97b01eab97d84a99667571345e58df47b14a1d4",
+    ),
+    (
+        "scan --n 8 --m 3 --q-max 2000",
+        0,
+        "a567cb92ce313928bca8edc946ffb7320106823cc27c625500c50b887eee6e4d",
+    ),
+    (
+        "qbinom --n 9 --m 7",
+        0,
+        "4fdf1a0db2617919b8a547103137e8ae4b6e400a2c71247f8aa3a949418efc81",
+    ),
 ]
 
 
