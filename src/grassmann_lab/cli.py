@@ -9,7 +9,6 @@ hit, 3 invalid input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .arith import prime_power_base
@@ -41,6 +40,7 @@ from .qpoly import (
 )
 from .report import (
     census_dict,
+    check_scan_digits,
     coreness_report_dict,
     dual_report_dict,
     fixture_report_dict,
@@ -52,6 +52,7 @@ from .report import (
     params_dict,
     poly_dict,
     scan_report_dict,
+    to_json,
 )
 
 EXIT_OK = 0
@@ -75,7 +76,7 @@ def _field_for(q: int):
 
 
 def _emit(data) -> None:
-    sys.stdout.write(json.dumps(data, indent=2) + "\n")
+    sys.stdout.write(to_json(data) + "\n")
 
 
 def cmd_build(args) -> int:
@@ -193,9 +194,7 @@ def cmd_qbinom(args) -> int:
                     "value": f"{value.numerator}/{value.denominator}",
                 }
         if args.q_max is not None:
-            data["qbinom"]["scan"] = scan_report_dict(
-                scan_core_threshold(args.n, args.m, args.q_max)
-            )
+            data["qbinom"]["scan"] = _scan_dict(args.n, args.m, args.q_max)
     if args.format == "text":
         lines = [f"[{args.n},{args.m}]_q = {poly}"]
         lines.append(
@@ -216,18 +215,30 @@ def cmd_qbinom(args) -> int:
     return EXIT_OK
 
 
+def _scan_dict(n: int, m: int, q_max: int) -> dict:
+    """The h scan up to q_max as a JSON dict.
+
+    The dict fails if any h(q) numerator is too long to print.  The one at
+    the largest prime power is checked first, so such a scan fails before
+    it runs.
+    """
+    top = next((q for q in range(q_max, 1, -1) if prime_power_base(q)), None)
+    if top is not None:
+        check_scan_digits(h_integrality(n, m, top).numerator, n, m, q_max)
+    return scan_report_dict(scan_core_threshold(n, m, q_max))
+
+
 def cmd_scan(args) -> int:
-    rep = scan_core_threshold(args.n, args.m, args.q_max)
-    data = {"params": {"n": args.n, "m": args.m}, "qbinom": {"scan": scan_report_dict(rep)}}
+    scan = _scan_dict(args.n, args.m, args.q_max)
     if args.format == "text":
-        nonint = sum(1 for e in rep.entries if not e.is_integer)
+        nonint = sum(1 for e in scan["entries"] if not e["is_integer"])
         sys.stdout.write(
             f"h integrality scan for (n={args.n}, m={args.m}) up to q = {args.q_max}: "
-            f"{nonint}/{len(rep.entries)} prime powers non-integral; "
-            f"largest integral q = {rep.largest_integer_q}\n"
+            f"{nonint}/{len(scan['entries'])} prime powers non-integral; "
+            f"largest integral q = {scan['largest_integer_q']}\n"
         )
     else:
-        _emit(data)
+        _emit({"params": {"n": args.n, "m": args.m}, "qbinom": {"scan": scan}})
     return EXIT_OK
 
 

@@ -1,9 +1,11 @@
 """Default resource bounds and the exception raised when one is exceeded.
 
-All bounds are configuration, not hard constants: every operation that
-enforces one accepts an override, and the CLI exposes them as flags.  The
-defaults target desk-scale experiments (the interesting instances have a
-few dozen to a few thousand vertices).
+Most bounds are defaults, not hard constants: the operation that enforces
+one accepts an override, and the CLI exposes the vertex, clique and search
+bounds as flags (--max-vertices, --brute-bound).  MAX_QBINOM_DEGREE is the
+exception, a fixed cap of the qbinom command with neither.  The defaults
+target desk-scale experiments (the interesting instances have a few dozen
+to a few thousand vertices).
 """
 
 import sys

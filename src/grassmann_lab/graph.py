@@ -46,6 +46,7 @@ from .subspaces import (
     enumerate_subspaces,
     hyperplane_positions,
     vector_mask,
+    vector_masks,
     vector_spans,
 )
 
@@ -198,7 +199,10 @@ def top(G: GrassmannGraph, Q: Subspace) -> MaximalClique:
     """
     if Q.dim != G.m + 1:
         raise ValueError(f"top centre must have dimension {G.m + 1}, got {Q.dim}")
-    mq = vector_mask(Q)
+    return _top(G, Q, vector_mask(Q))
+
+
+def _top(G: GrassmannGraph, Q: Subspace, mq: int) -> MaximalClique:
     members = tuple(i for i, mv in enumerate(G.masks) if mv & mq == mv)
     return MaximalClique("top", Q, mq, members, _to_bitset(members))
 
@@ -214,15 +218,16 @@ def star_catalog(G: GrassmannGraph) -> list[MaximalClique]:
     """Every star, read off the hyperplane groups by its centre's mask."""
     _, buckets = _star_buckets(G.vertices)
     out = []
-    for P in enumerate_subspaces(G.spec, G.n, G.m - 1):
-        mp = vector_mask(P)
+    centres = enumerate_subspaces(G.spec, G.n, G.m - 1)
+    for P, mp in zip(centres, vector_masks(centres)):
         members = tuple(buckets[mp])
         out.append(MaximalClique("star", P, mp, members, _to_bitset(members)))
     return out
 
 
 def top_catalog(G: GrassmannGraph) -> list[MaximalClique]:
-    return [top(G, Q) for Q in enumerate_subspaces(G.spec, G.n, G.m + 1)]
+    centres = enumerate_subspaces(G.spec, G.n, G.m + 1)
+    return [_top(G, Q, mq) for Q, mq in zip(centres, vector_masks(centres))]
 
 
 def all_maximal_cliques_bruteforce(

@@ -211,10 +211,12 @@ def gaussian_binomial_poly(n: int, m: int) -> IntPolynomial:
     Dividing by q^i - 1 runs from the top down: the quotient's
     coefficients obey quo[k-i] = c[k] + quo[k], which in place is
     c[k-i] += c[k]; then c[i:] is the quotient and c[:i] the remainder,
-    which must vanish.
+    which must vanish.  [n,m]_q = [n,n-m]_q, so it builds the one with
+    fewer factors.
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
+    m = min(m, n - m)
     c = [1]
     for i in range(1, m + 1):
         t = n + 1 - i

@@ -3,12 +3,17 @@
 Matrices are rendered as arrays of digit strings (one string per row,
 0-9 then a-z per entry), which keeps dumps diffable and language
 neutral.  Reports are plain dicts built in a fixed order, so identical
-configurations always serialize to identical bytes.
+configurations always serialize to identical bytes.  to_json writes them
+as exactly json.dumps(data, indent=2) would, but without the pure-Python
+encoder's generator step per element.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .config import check_decimal_digits
 from .coreness import CorenessReport
@@ -16,7 +21,7 @@ from .field import make_field
 from .fixture import FixtureReport
 from .graph import DualReport, GrassmannGraph, LemmaReport, bits
 from .qpoly import HReport, IntPolynomial, ScanReport
-from .subspaces import Subspace, subspace_from_digits, vector_mask
+from .subspaces import Subspace, subspace_from_digits, vector_masks
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -64,7 +69,7 @@ def graph_from_json_dict(data: dict) -> GrassmannGraph:
         adjacency[i] |= 1 << j
         adjacency[j] |= 1 << i
     index = {v.basis.rows: i for i, v in enumerate(vertices)}
-    masks = tuple(vector_mask(v) for v in vertices)
+    masks = tuple(vector_masks(vertices))
     return GrassmannGraph(spec, n, m, vertices, tuple(adjacency), masks, index)
 
 
@@ -201,10 +206,14 @@ def h_report_dict(rep: HReport) -> dict:
     }
 
 
+def check_scan_digits(numerator: int, n: int, m: int, q_max: int) -> None:
+    """Raise BoundExceeded if an h(q) numerator of the scan up to q_max is too long to print."""
+    check_decimal_digits(numerator, f"h(q) for (n={n}, m={m}) up to q = {q_max}")
+
+
 def scan_report_dict(rep: ScanReport) -> dict:
     # every h(q) is at least 1, so no denominator outgrows its numerator
-    biggest = max((e.numerator for e in rep.entries), default=0)
-    check_decimal_digits(biggest, f"h(q) for (n={rep.n}, m={rep.m}) up to q = {rep.q_max}")
+    check_scan_digits(max((e.numerator for e in rep.entries), default=0), rep.n, rep.m, rep.q_max)
     return {
         "n": rep.n,
         "m": rep.m,
@@ -221,3 +230,55 @@ def scan_report_dict(rep: ScanReport) -> dict:
             for e in rep.entries
         ],
     }
+
+
+def to_json(data) -> str:
+    """Exactly json.dumps(data, indent=2), built without its per-element generators.
+
+    With an indent, json.dumps runs the pure-Python encoder, which is one
+    generator step per element; a 248,031-edge dump spends most of its time
+    there.  Containers of exact dicts, lists, tuples, strs and ints are
+    written here (a list of equal-length int rows as one %-template);
+    everything else goes to json.dumps itself.  The input must be a tree.
+    """
+    return _json(data, "\n")
+
+
+def _json(o, nl: str) -> str:
+    """The indent-2 JSON of o, whose own line starts with the newline nl."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    inner = nl + "  "
+    sep = "," + inner
+    if t is dict:
+        if not o:
+            return "{}"
+        if all(type(k) is str for k in o):
+            items = (encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in o.items())
+            return "{" + inner + sep.join(items) + nl + "}"
+    elif t is list or t is tuple:
+        if not o:
+            return "[]"
+        types = set(map(type, o))
+        if types == {int}:
+            return "[" + inner + sep.join(map(int.__repr__, o)) + nl + "]"
+        if types == {str}:
+            return "[" + inner + sep.join(map(encode_basestring_ascii, o)) + nl + "]"
+        if types <= {list, tuple}:
+            widths = set(map(len, o))
+            flat = tuple(chain.from_iterable(o))
+            if len(widths) == 1 and flat and set(map(type, flat)) == {int}:
+                cell = inner + "  "
+                row = "[" + cell + ("," + cell).join(["%d"] * len(o[0])) + inner + "]"
+                return ("[" + inner + sep.join([row] * len(o)) + nl + "]") % flat
+        return "[" + inner + sep.join([_json(x, inner) for x in o]) + nl + "]"
+    return json.dumps(o, indent=2).replace("\n", nl)

@@ -228,13 +228,15 @@ def _coefficient_digits(spec: FieldSpec, col: tuple[int, ...]) -> list[int]:
     return vals
 
 
+def vector_masks(spaces: Iterable[Subspace]) -> list[int]:
+    """vector_mask of each subspace, sharing vector_spans' digits across the batch."""
+    return [sum(1 << v for v in span) for span in vector_spans(spaces)]
+
+
 def vector_mask(S: Subspace) -> int:
     """Bitmask over all q^n coordinate vectors with the members of S set.
 
     Bit i is set when the vector with code i (see vector_spans) lies in S.
     Intersection dimensions then come from popcounts of ANDed masks.
     """
-    mask = 0
-    for v in next(vector_spans((S,))):
-        mask |= 1 << v
-    return mask
+    return vector_masks((S,))[0]

@@ -5,9 +5,10 @@ import pytest
 
 from grassmann_lab import cli, coreness, graph
 from grassmann_lab.cli import main
-from grassmann_lab.config import MAX_QBINOM_DEGREE
+from grassmann_lab.config import MAX_QBINOM_DEGREE, BoundExceeded
 from grassmann_lab.fixture import default_fixture_path
-from grassmann_lab.report import graph_from_json_dict, graph_to_json_dict
+from grassmann_lab.qpoly import scan_core_threshold
+from grassmann_lab.report import graph_from_json_dict, graph_to_json_dict, scan_report_dict
 
 
 def run(capsys, *argv):
@@ -260,6 +261,36 @@ def test_integers_past_the_str_digit_limit_exit_2(capsys, command):
 def test_huge_integers_that_are_never_printed_pass(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert code == 0 and out and err == ""
+
+
+@pytest.mark.skipif(
+    not 0 < STR_DIGIT_LIMIT <= 4300,
+    reason="h at the largest prime power passes the default 4300-digit int-to-str limit",
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        "qbinom --n 80 --m 40 --q-max 2048",
+        "qbinom --n 80 --m 40 --q-max 2048 --format text",
+        "scan --n 200 --m 100 --q-max 4",
+        "scan --n 200 --m 100 --q-max 4 --format text",
+    ],
+)
+def test_scans_past_the_str_digit_limit_fail_before_scanning(capsys, monkeypatch, command):
+    n, m, q_max = (int(a) for a in command.split()[2:7:2])
+    # the message the report check gives once the whole scan has run
+    with pytest.raises(BoundExceeded) as exc:
+        scan_report_dict(scan_core_threshold(n, m, q_max))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return scan_core_threshold(*args)
+
+    monkeypatch.setattr(cli, "scan_core_threshold", counted)
+    code, out, err = run(capsys, *command.split())
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+    assert calls == []
 
 
 def test_qbinom_caps_the_degree_of_the_h_report_before_building(capsys, monkeypatch):

@@ -104,7 +104,7 @@ def test_knuth_wilf_product_matches_polynomial():
 
 
 def test_gaussian_symmetry():
-    for n in range(13):
+    for n in range(15):
         for m in range(n + 1):
             assert gaussian_binomial_poly(n, m) == gaussian_binomial_poly(n, n - m)
 

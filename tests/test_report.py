@@ -1,0 +1,149 @@
+"""The indent-2 JSON emitter and the JSON reload."""
+
+import json
+import math
+import random
+from collections import OrderedDict
+from enum import IntEnum
+
+import pytest
+from test_golden import FIXTURE, GOLDEN
+
+from grassmann_lab import build_graph, cli, make_field
+from grassmann_lab.report import graph_from_json_dict, graph_to_json_dict, to_json
+
+
+class Colour(IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+def _is_json_command(command):
+    if "--format" in command:
+        return "--format json" in command
+    return not command.startswith("build")
+
+
+def test_to_json_matches_json_dumps_on_every_golden_payload(capsys, monkeypatch):
+    payloads = []
+
+    def checked(data):
+        out = to_json(data)
+        assert out == json.dumps(data, indent=2)
+        payloads.append(data)
+        return out
+
+    monkeypatch.setattr(cli, "to_json", checked)
+    for command, code, _ in GOLDEN:
+        argv = [FIXTURE if a == "FIXTURE" else a for a in command.split()]
+        assert cli.main(argv) == code
+    capsys.readouterr()
+    assert len(payloads) == sum(map(_is_json_command, (g[0] for g in GOLDEN)))
+
+
+HAND_PICKED = [
+    {},
+    [],
+    (),
+    "",
+    0,
+    -7,
+    10**40,
+    [[]],
+    [{}],
+    {"a": []},
+    {"a": {}},
+    [[], [[]], {"b": [{}]}],
+    [True, 1],
+    [1, True],
+    [[1, True]],
+    [[1, 2], [3]],
+    [[1, 2], [3, 4]],
+    [(1, 2), [3, 4]],
+    ((5, 6), (7, 8)),
+    [[1], ["a"]],
+    [["a", "b"], ["c", "d"]],
+    [[[1, 2]], [[3, 4]]],
+    [1, "a"],
+    ["a", 1, None],
+    [None, False, True],
+    [1.5, -0.0, 1e300, float("nan"), float("inf"), -float("inf")],
+    [[1.0, 2.0]],
+    {"x": math.nan},
+    {1: "int key", 2.5: "float key", True: "bool key", None: "none key"},
+    {"s": 1, 3: 4},
+    {"nested": {1: [1, 2]}},
+    "café ☃ \U0001d11e",
+    ["tab\t", "new\nline", "nul\x00", "quote\" back\\slash", "\x7f\x1f"],
+    {"é\n": "☃"},
+    Colour.RED,
+    [Colour.RED, Colour.BLUE],
+    [[Colour.RED, 2], [3, 4]],
+    {"k": Colour.BLUE},
+    {Colour.RED: "enum key"},
+    OrderedDict([("b", 1), ("a", [1, 2])]),
+    [OrderedDict(), OrderedDict([("z", None)])],
+    {"rows": [[0, 1], [0, 2], [1, 2]], "flat": [3, 4], "names": ["p", "q"]},
+]
+
+
+@pytest.mark.parametrize("data", HAND_PICKED, ids=[repr(d)[:40] for d in HAND_PICKED])
+def test_to_json_matches_json_dumps_on_hand_picked_cases(data):
+    assert to_json(data) == json.dumps(data, indent=2)
+
+
+_ALPHABET = "ab \t\n\"\\\x00\x1f\x7fé☃\U0001d11e"
+
+
+def _random_scalar(rng):
+    return rng.choice(
+        [
+            lambda: rng.randint(-(10**20), 10**20),
+            lambda: rng.randint(-3, 3),
+            lambda: rng.choice([0.5, -2.25, 1e-7, float("nan"), float("inf")]),
+            lambda: rng.choice([True, False, None]),
+            lambda: "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 4))),
+            lambda: rng.choice(list(Colour)),
+        ]
+    )()
+
+
+def _random_tree(rng, depth):
+    kind = rng.randrange(6) if depth else 0
+    if kind == 0:
+        return _random_scalar(rng)
+    size = rng.randint(0, 4)
+    if kind == 1:
+        return [_random_tree(rng, depth - 1) for _ in range(size)]
+    if kind == 2:
+        return tuple(_random_tree(rng, depth - 1) for _ in range(size))
+    if kind == 3:  # rows: equal widths unless a ragged or non-int entry slips in
+        width = rng.randint(0, 3)
+        rows = [[rng.randint(-9, 99) for _ in range(width)] for _ in range(size)]
+        if rows and rng.random() < 0.3:
+            rows[rng.randrange(len(rows))].append(_random_scalar(rng))
+        return rows
+    keys = [
+        rng.choice(["k", "key", "é", "\n", ""]) + str(i)
+        if rng.random() < 0.9
+        else rng.choice([i, 1.5, True, None])
+        for i in range(size)
+    ]
+    if kind == 4:
+        return {k: _random_tree(rng, depth - 1) for k in keys}
+    return OrderedDict((k, _random_tree(rng, depth - 1)) for k in keys)
+
+
+def test_to_json_matches_json_dumps_on_random_trees():
+    rng = random.Random(20141)
+    for _ in range(400):
+        data = _random_tree(rng, 4)
+        assert to_json(data) == json.dumps(data, indent=2), data
+
+
+@pytest.mark.parametrize("p, n, m", [(2, 4, 2), (3, 4, 2), (2, 6, 4)])
+def test_reloaded_masks_equal_the_built_masks(p, n, m):
+    G = build_graph(make_field(p, 1), n, m)
+    H = graph_from_json_dict(json.loads(json.dumps(graph_to_json_dict(G))))
+    assert H.masks == G.masks
+    assert H.adjacency == G.adjacency and H.index == G.index
