@@ -15,7 +15,9 @@ from .arith import prime_power_base
 from .config import (
     BUILD_BOUND,
     CLIQUE_ENUM_BOUND,
+    MAX_FIELD_SIZE,
     MAX_QBINOM_DEGREE,
+    MAX_SCAN_WORK,
     SEARCH_BOUND,
     BoundExceeded,
     check_decimal_digits,
@@ -69,6 +71,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _field_for(q: int):
+    if q > MAX_FIELD_SIZE:  # before factoring q, which takes up to sqrt(q) trial divisions
+        raise ValueError(f"field too large: q = {q} > {MAX_FIELD_SIZE}")
     pe = prime_power_base(q)
     if pe is None:
         raise ValueError(f"--q must be a prime power, got {q}")
@@ -166,6 +170,14 @@ def cmd_qbinom(args) -> int:
             f"Gaussian binomial too large for the h report: [{args.n},{args.m}]_q has "
             f"degree {degree} > {MAX_QBINOM_DEGREE}"
         )
+    if args.at is not None and prime_power_base(args.at) is None:
+        raise ValueError(f"--at must be a prime power, got {args.at}")
+    if with_h and args.at is not None:
+        h_at = h_integrality(args.n, args.m, args.at)
+        if not isinstance(h_at, int):
+            check_decimal_digits(h_at.numerator, f"h({args.at}) for (n={args.n}, m={args.m})")
+    if with_h and args.q_max is not None:
+        _check_scan(args.n, args.m, args.q_max)
     poly = gaussian_binomial_poly(args.n, args.m)
     exps = knuth_wilf_exponents(args.n, args.m)
     data = {
@@ -176,25 +188,17 @@ def cmd_qbinom(args) -> int:
         },
     }
     if args.at is not None:
-        if prime_power_base(args.at) is None:
-            raise ValueError(f"--at must be a prime power, got {args.at}")
         value_at = gaussian_binomial_int(args.n, args.m, args.at)
         data["qbinom"]["value_at"] = {"q": args.at, "value": value_at}
     if with_h:
         hrep = h_report(args.n, args.m)
         data["qbinom"]["h"] = h_report_dict(hrep)
         if args.at is not None:
-            value = h_integrality(args.n, args.m, args.at)
-            if isinstance(value, int):
-                data["qbinom"]["h"]["value_at"] = {"q": args.at, "value": value}
-            else:
-                check_decimal_digits(value.numerator, f"h({args.at}) for (n={args.n}, m={args.m})")
-                data["qbinom"]["h"]["value_at"] = {
-                    "q": args.at,
-                    "value": f"{value.numerator}/{value.denominator}",
-                }
+            value = h_at if isinstance(h_at, int) else f"{h_at.numerator}/{h_at.denominator}"
+            data["qbinom"]["h"]["value_at"] = {"q": args.at, "value": value}
         if args.q_max is not None:
-            data["qbinom"]["scan"] = _scan_dict(args.n, args.m, args.q_max)
+            scan = scan_core_threshold(args.n, args.m, args.q_max)
+            data["qbinom"]["scan"] = scan_report_dict(scan)
     if args.format == "text":
         lines = [f"[{args.n},{args.m}]_q = {poly}"]
         lines.append(
@@ -215,21 +219,28 @@ def cmd_qbinom(args) -> int:
     return EXIT_OK
 
 
-def _scan_dict(n: int, m: int, q_max: int) -> dict:
-    """The h scan up to q_max as a JSON dict.
+def _check_scan(n: int, m: int, q_max: int) -> None:
+    """Fail the h scan up to q_max before it runs.
 
-    The dict fails if any h(q) numerator is too long to print.  The one at
-    the largest prime power is checked first, so such a scan fails before
-    it runs.
+    The scan's work m(n-m) * q_max may not pass MAX_SCAN_WORK.  Its report
+    fails if any h(q) numerator is too long to print, so the one at the
+    largest prime power is checked here.
     """
+    if not (2 <= m and 2 * m <= n):
+        raise ValueError("need 4 <= 2m <= n")
+    if m * (n - m) * q_max > MAX_SCAN_WORK:
+        raise BoundExceeded(
+            f"scan too long: m(n-m) * q_max may be at most {MAX_SCAN_WORK}, so q_max at most "
+            f"{MAX_SCAN_WORK // (m * (n - m))} for (n={n}, m={m}), got {q_max}"
+        )
     top = next((q for q in range(q_max, 1, -1) if prime_power_base(q)), None)
     if top is not None:
         check_scan_digits(h_integrality(n, m, top).numerator, n, m, q_max)
-    return scan_report_dict(scan_core_threshold(n, m, q_max))
 
 
 def cmd_scan(args) -> int:
-    scan = _scan_dict(args.n, args.m, args.q_max)
+    _check_scan(args.n, args.m, args.q_max)
+    scan = scan_report_dict(scan_core_threshold(args.n, args.m, args.q_max))
     if args.format == "text":
         nonint = sum(1 for e in scan["entries"] if not e["is_integer"])
         sys.stdout.write(

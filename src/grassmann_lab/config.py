@@ -2,10 +2,10 @@
 
 Most bounds are defaults, not hard constants: the operation that enforces
 one accepts an override, and the CLI exposes the vertex, clique and search
-bounds as flags (--max-vertices, --brute-bound).  MAX_QBINOM_DEGREE is the
-exception, a fixed cap of the qbinom command with neither.  The defaults
-target desk-scale experiments (the interesting instances have a few dozen
-to a few thousand vertices).
+bounds as flags (--max-vertices, --brute-bound).  MAX_QBINOM_DEGREE and
+MAX_SCAN_WORK are the exceptions, fixed caps of the qbinom and scan
+commands with neither.  The defaults target desk-scale experiments (the
+interesting instances have a few dozen to a few thousand vertices).
 """
 
 import sys
@@ -44,10 +44,19 @@ SEARCH_NODE_BUDGET = 500_000
 COLOUR_NODE_BUDGET = 200_000
 
 # Cap on the degree m(n-m) of [n choose m]_q when `qbinom` runs the h
-# report (4 <= 2m <= n).  The report's dense cyclotomic products grow with
-# the square of the degree; at the cap, [160,80] and [243,30] take
-# 2.5-3.6 s each on one Xeon core.
+# report (4 <= 2m <= n).  The report's dense cross-check [n,m]_q * g ==
+# f * omega and its divmod(f, g) grow with the square of the degree and are
+# the largest part of it: at the cap, `qbinom` on [160,80], [243,30] and
+# [650,10] takes 0.4-0.6 s on one Xeon core, 0.15, 0.25 and 0.64 s of it in
+# those two steps.
 MAX_QBINOM_DEGREE = 6400
+
+# Cap on the work m(n-m) * q_max of an h integrality scan (`scan`, and
+# `qbinom --q-max`), checked before the scan runs.  The digits the scan
+# prints grow as that product, since the logs of the prime powers up to
+# q_max sum to about q_max.  The slowest scan below the cap,
+# `scan --n 4 --m 2 --q-max 2500000` as JSON, takes 2.2 s on one Xeon core.
+MAX_SCAN_WORK = 10**7
 
 
 class BoundExceeded(ValueError):

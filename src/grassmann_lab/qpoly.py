@@ -3,12 +3,10 @@
 Everything here is exact: coefficients are arbitrary-precision ints and
 every division is checked.  The central objects are
 
-  * cyclotomic polynomials, built by exact division of x^t - 1,
-  * Gaussian binomials as polynomials in q and as evaluated integers;
-    the polynomial is built on a plain coefficient list, where each
-    factor q^t - 1 is one shift-and-subtract and each exact division
-    by q^i - 1 is the top-down recurrence quo[k-i] = c[k] + quo[k],
-    so a factor costs O(degree) rather than a dense product,
+  * products of factors (q^d - 1)^(+-1), built one factor at a time on a
+    coefficient list at O(degree) per factor; cyclotomic polynomials and
+    their products are built as such, since q^d - 1 = prod_{t | d} Phi_t,
+  * Gaussian binomials as polynomials in q and as evaluated integers,
   * their cyclotomic factorization via floor-sum exponents,
   * the ratio h(q) = (vertex count of the Grassmann graph) / (clique
     number), split into a numerator/denominator pair of cyclotomic
@@ -20,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .arith import prime_power_base, prime_powers_upto
@@ -185,50 +182,49 @@ def x_power_minus_one(t: int) -> IntPolynomial:
     return IntPolynomial([-1] + [0] * (t - 1) + [1])
 
 
-@lru_cache(maxsize=None)
-def cyclotomic(t: int) -> IntPolynomial:
-    """The t-th cyclotomic polynomial.
+def _qd_product(steps) -> IntPolynomial:
+    """The product of (q^d - 1)^s over the steps (d, s), s = +1 or -1, in order.
 
-    Computed by exact division: divide q^t - 1 by the cyclotomic
-    polynomials of all proper divisors of t.  Monic with integer
-    coefficients by construction.
+    Works on one coefficient list c, constant term first.  Multiplying by
+    q^d - 1 shifts c up by d places and subtracts c.  Dividing by q^d - 1
+    runs from the top down: the quotient's coefficients obey
+    quo[k-d] = c[k] + quo[k], which in place is c[k-d] += c[k]; then c[d:]
+    is the quotient and c[:d] the remainder, which must vanish.
     """
+    c = [1]
+    for d, s in steps:
+        if s > 0:
+            c = [0] * d + c
+            for k in range(len(c) - d):
+                c[k] -= c[k + d]
+            continue
+        for k in range(len(c) - 1, d - 1, -1):
+            c[k - d] += c[k]
+        if any(c[:d]):
+            raise ValueError(f"q^{d} - 1 does not divide the partial product")
+        c = c[d:]
+    return IntPolynomial(c)
+
+
+def cyclotomic(t: int) -> IntPolynomial:
+    """The t-th cyclotomic polynomial, monic with integer coefficients."""
     if t < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    poly = x_power_minus_one(t)
-    for d in range(1, t):
-        if t % d == 0:
-            poly = poly.exact_div(cyclotomic(d))
-    return poly
+    return CycloFactorization({t: 1}).expand()
 
 
 def gaussian_binomial_poly(n: int, m: int) -> IntPolynomial:
     """[n choose m]_q as a polynomial in q, degree m(n-m).
 
-    Product of (q^(n+1-i) - 1)/(q^i - 1) for i = 1..m on one coefficient
-    list c, constant term first, so every intermediate stays a polynomial.
-    Multiplying by q^t - 1 shifts c up by t places and subtracts c.
-    Dividing by q^i - 1 runs from the top down: the quotient's
-    coefficients obey quo[k-i] = c[k] + quo[k], which in place is
-    c[k-i] += c[k]; then c[i:] is the quotient and c[:i] the remainder,
-    which must vanish.  [n,m]_q = [n,n-m]_q, so it builds the one with
-    fewer factors.
+    Product of (q^(n+1-i) - 1)/(q^i - 1) for i = 1..m, interleaving each
+    multiplication with its division so every intermediate stays a
+    polynomial.  [n,m]_q = [n,n-m]_q, so it builds the one with fewer
+    factors.
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     m = min(m, n - m)
-    c = [1]
-    for i in range(1, m + 1):
-        t = n + 1 - i
-        c = [0] * t + c
-        for k in range(len(c) - t):
-            c[k] -= c[k + t]
-        for k in range(len(c) - 1, i - 1, -1):
-            c[k - i] += c[k]
-        if any(c[:i]):
-            raise ValueError(f"q^{i} - 1 does not divide the partial product")
-        c = c[i:]
-    return IntPolynomial(c)
+    return _qd_product(step for i in range(1, m + 1) for step in ((n + 1 - i, 1), (i, -1)))
 
 
 def gaussian_binomial_int(n: int, m: int, q: int) -> int:
@@ -257,16 +253,24 @@ class CycloFactorization:
     exponents: dict[int, int] = field(default_factory=dict)
 
     def split(self) -> tuple[IntPolynomial, IntPolynomial]:
-        """(numerator, denominator) as monic polynomials."""
-        num = ONE
-        den = ONE
-        for t in sorted(self.exponents):
-            e = self.exponents[t]
-            if e > 0:
-                num = num * cyclotomic(t) ** e
-            elif e < 0:
-                den = den * cyclotomic(t) ** (-e)
-        return num, den
+        """(numerator, denominator) as monic polynomials.
+
+        Each side is built as powers c_d of q^d - 1: q^d - 1 = prod_{t | d}
+        Phi_t, so each exponent e_t is the sum of c_d over the multiples d of
+        t, solved from the largest t down.  The multiplications run first, so
+        every division is exact.
+        """
+        sides = []
+        for sign in (1, -1):
+            e = {t: sign * x for t, x in self.exponents.items() if sign * x > 0}
+            top = max(e, default=0)
+            c = [0] * (top + 1)
+            for t in range(top, 0, -1):
+                c[t] = e.get(t, 0) - sum(c[2 * t :: t])
+            steps = [(d, 1) for d, k in enumerate(c) for _ in range(k)]
+            steps += [(d, -1) for d, k in enumerate(c) for _ in range(-k)]
+            sides.append(_qd_product(steps))
+        return sides[0], sides[1]
 
     def expand(self) -> IntPolynomial:
         """The product as a single polynomial; requires no negative exponents."""
@@ -306,7 +310,7 @@ def omega_poly(n: int, m: int) -> IntPolynomial:
     (q^(n-m+1) - 1)/(q - 1) when n >= 2m (stars are maximum cliques),
     (q^(m+1) - 1)/(q - 1) otherwise (tops are).
     """
-    return x_power_minus_one(_omega_exponent(n, m)).exact_div(x_power_minus_one(1))
+    return _qd_product([(_omega_exponent(n, m), 1), (1, -1)])
 
 
 def omega_int(n: int, m: int, q: int) -> int:

@@ -6,7 +6,8 @@ brute-force span enumeration, Grassmann adjacency from a popcount test on
 every pair of vertex masks, and field properties from exhaustive loops.
 The search kernels are the straightforward recursive versions of the
 library's iterative, bitset-driven ones, and the q-polynomial references
-at the end are the dense polynomial product and the Fraction-based scan.
+at the end are the dense polynomial products, the recursive cyclotomic
+division and the Fraction-based scan.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
@@ -410,6 +412,36 @@ def gaussian_binomial_poly(n: int, m: int) -> IntPolynomial:
     for i in range(1, m + 1):
         result = (result * x_power_minus_one(n + 1 - i)).exact_div(x_power_minus_one(i))
     return result
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(t: int) -> IntPolynomial:
+    """The t-th cyclotomic polynomial.
+
+    Computed by exact division: divide q^t - 1 by the cyclotomic
+    polynomials of all proper divisors of t.  Monic with integer
+    coefficients by construction.
+    """
+    if t < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    poly = x_power_minus_one(t)
+    for d in range(1, t):
+        if t % d == 0:
+            poly = poly.exact_div(cyclotomic(d))
+    return poly
+
+
+def cyclo_split(exponents: dict[int, int]) -> tuple[IntPolynomial, IntPolynomial]:
+    """(numerator, denominator) of prod Phi_t^e_t as dense products of powers."""
+    num = ONE
+    den = ONE
+    for t in sorted(exponents):
+        e = exponents[t]
+        if e > 0:
+            num = num * cyclotomic(t) ** e
+        elif e < 0:
+            den = den * cyclotomic(t) ** (-e)
+    return num, den
 
 
 def scan_core_threshold(n: int, m: int, q_max: int) -> ScanReport:

@@ -3,9 +3,9 @@ import sys
 
 import pytest
 
-from grassmann_lab import cli, coreness, graph
+from grassmann_lab import cli, coreness, graph, qpoly
 from grassmann_lab.cli import main
-from grassmann_lab.config import MAX_QBINOM_DEGREE, BoundExceeded
+from grassmann_lab.config import MAX_FIELD_SIZE, MAX_QBINOM_DEGREE, MAX_SCAN_WORK, BoundExceeded
 from grassmann_lab.fixture import default_fixture_path
 from grassmann_lab.qpoly import scan_core_threshold
 from grassmann_lab.report import graph_from_json_dict, graph_to_json_dict, scan_report_dict
@@ -287,10 +287,72 @@ def test_scans_past_the_str_digit_limit_fail_before_scanning(capsys, monkeypatch
         calls.append(args)
         return scan_core_threshold(*args)
 
+    def refuse(*args):
+        raise AssertionError("polynomial built for a scan that cannot be printed")
+
     monkeypatch.setattr(cli, "scan_core_threshold", counted)
+    monkeypatch.setattr(cli, "h_report", refuse)
+    monkeypatch.setattr(cli, "gaussian_binomial_poly", refuse)
     code, out, err = run(capsys, *command.split())
     assert (code, out, err) == (2, "", f"error: {exc.value}\n")
     assert calls == []
+
+
+def test_qbinom_checks_at_before_the_scan(capsys):
+    code, out, err = run(capsys, *"qbinom --n 80 --m 40 --at 6 --q-max 2048".split())
+    assert (code, out, err) == (3, "", "error: --at must be a prime power, got 6\n")
+
+
+def _refuse_scanning(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scan started above the work cap")
+
+    monkeypatch.setattr(cli, "scan_core_threshold", refuse)
+    monkeypatch.setattr(cli, "prime_power_base", refuse)
+    monkeypatch.setattr(cli, "gaussian_binomial_poly", refuse)
+    monkeypatch.setattr(qpoly, "prime_powers_upto", refuse)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["scan --n 5 --m 2 --q-max 3000000", "qbinom --n 8 --m 3 --q-max 1000000 --format text"],
+)
+def test_scans_past_the_work_cap_exit_2_before_scanning(capsys, monkeypatch, command):
+    _refuse_scanning(monkeypatch)
+    code, out, err = run(capsys, *command.split())
+    n, m, q_max = (int(a) for a in command.split()[2:7:2])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: scan too long: m(n-m) * q_max may be at most {MAX_SCAN_WORK}, so q_max at "
+        f"most {MAX_SCAN_WORK // (m * (n - m))} for (n={n}, m={m}), got {q_max}\n"
+    )
+
+
+def test_scan_work_cap_boundary(capsys, monkeypatch):
+    # m(n-m) * q_max = 6 * 64 = 384 for (5, 2) up to 64
+    monkeypatch.setattr(cli, "MAX_SCAN_WORK", 384)
+    assert run(capsys, *"scan --n 5 --m 2 --q-max 64".split())[0] == 0
+    _refuse_scanning(monkeypatch)
+    monkeypatch.setattr(cli, "MAX_SCAN_WORK", 383)
+    code, _, err = run(capsys, *"scan --n 5 --m 2 --q-max 64".split())
+    assert code == 2 and "q_max at most 63 for (n=5, m=2), got 64" in err
+
+
+def test_scan_rejects_shapes_without_h_before_the_work_cap(capsys, monkeypatch):
+    _refuse_scanning(monkeypatch)
+    code, out, err = run(capsys, *"scan --n 7 --m 4 --q-max 100000000".split())
+    assert (code, out, err) == (3, "", "error: need 4 <= 2m <= n\n")
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_fields_past_the_size_cap_exit_3_before_factoring(capsys, monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("q factored above the field size cap")
+
+    monkeypatch.setattr(cli, "prime_power_base", refuse)
+    q = 100000000000031
+    code, out, err = run(capsys, command, "--q", str(q), "--n", "2", "--m", "1")
+    assert (code, out, err) == (3, "", f"error: field too large: q = {q} > {MAX_FIELD_SIZE}\n")
 
 
 def test_qbinom_caps_the_degree_of_the_h_report_before_building(capsys, monkeypatch):

@@ -111,6 +111,16 @@ GOLDEN = [
         0,
         "4fdf1a0db2617919b8a547103137e8ae4b6e400a2c71247f8aa3a949418efc81",
     ),
+    (
+        "qbinom --n 33 --m 12",
+        0,
+        "51180aec8d4a522eccbd5d6e2170c8372308526da1c10e7e7f991bee7cd22db7",
+    ),
+    (
+        "qbinom --n 243 --m 30 --format text",
+        0,
+        "79ba4e75feb1a90701f0e0ac6a01444c56222a2f614f15c1f744d474e8357ee9",
+    ),
 ]
 
 

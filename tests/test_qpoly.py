@@ -17,7 +17,7 @@ from grassmann_lab import (
     qpoly,
     scan_core_threshold,
 )
-from grassmann_lab.qpoly import ONE, IntPolynomial, Q, x_power_minus_one
+from grassmann_lab.qpoly import ONE, IntPolynomial, Q, h_exponents, x_power_minus_one
 
 
 def test_polynomial_arithmetic_basics():
@@ -54,7 +54,7 @@ def test_cyclotomic_small_values():
     assert cyclotomic(2).coeffs == (1, 1)
     assert cyclotomic(3).coeffs == (1, 1, 1)
     assert cyclotomic(4).coeffs == (1, 0, 1)
-    # divide q^6-1 by the proper-divisor factors, independently of the cache
+    # divide q^6-1 by the proper-divisor factors, independently of the kernel
     q6 = x_power_minus_one(6)
     rest = cyclotomic(1) * cyclotomic(2) * cyclotomic(3)
     assert q6.exact_div(rest).coeffs == (1, -1, 1)
@@ -247,15 +247,46 @@ def test_scan_matches_the_fraction_reference():
     assert scan_core_threshold(8, 3, 200000) == oracles.scan_core_threshold(8, 3, 200000)
 
 
+def test_cyclotomic_matches_the_recursive_division():
+    for t in range(1, 301):
+        assert cyclotomic(t) == oracles.cyclotomic(t), t
+    assert -2 in cyclotomic(105).coeffs
+
+
+def test_qd_kernel_refuses_an_inexact_division():
+    assert qpoly._qd_product([(6, 1), (1, 1), (2, -1), (3, -1)]) == IntPolynomial((1, -1, 1))
+    for steps in ([(1, -1)], [(2, 1), (3, -1)], [(4, 1), (3, -1)]):
+        with pytest.raises(ValueError, match="does not divide the partial product"):
+            qpoly._qd_product(steps)
+
+
+def test_split_matches_the_dense_products():
+    shapes = [(n, m) for n in range(4, 41) for m in range(2, n // 2 + 1)] + [(80, 40)]
+    for n, m in shapes:
+        exps = h_exponents(n, m)
+        assert exps.split() == oracles.cyclo_split(exps.exponents), (n, m)
+    for n in range(31):
+        for m in range(n + 1):
+            exps = knuth_wilf_exponents(n, m)
+            assert exps.split() == oracles.cyclo_split(exps.exponents), (n, m)
+
+
 def test_binomial_and_scan_kernels_stay_sparse(monkeypatch):
-    """Neither kernel may fall back on dense polynomial products or a Fraction per q."""
+    """No q-polynomial kernel may fall back on dense polynomial products or a
+    Fraction per q."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense path taken")
 
     monkeypatch.setattr(IntPolynomial, "__mul__", refuse)
+    monkeypatch.setattr(IntPolynomial, "__pow__", refuse)
     monkeypatch.setattr(IntPolynomial, "__divmod__", refuse)
     monkeypatch.setattr(qpoly, "Fraction", refuse)
     assert gaussian_binomial_poly(80, 40).degree == 1600
     rep = scan_core_threshold(8, 3, 5000)
     assert rep.entries and rep.largest_integer_q is None
+    assert cyclotomic(105).degree == 48
+    assert omega_poly(9, 3).coeffs == (1,) * 7
+    f, g = h_exponents(80, 40).split()
+    assert f.is_monic() and g.is_monic()
+    assert knuth_wilf_exponents(30, 12).expand().degree == 12 * 18
