@@ -17,6 +17,7 @@ from .config import (
     CLIQUE_ENUM_BOUND,
     MAX_FIELD_SIZE,
     MAX_QBINOM_DEGREE,
+    MAX_QBINOM_WORK,
     MAX_SCAN_WORK,
     SEARCH_BOUND,
     BoundExceeded,
@@ -172,6 +173,11 @@ def cmd_qbinom(args) -> int:
         )
     if args.at is not None and prime_power_base(args.at) is None:
         raise ValueError(f"--at must be a prime power, got {args.at}")
+    if max(0, min(args.m, args.n - args.m)) * degree > MAX_QBINOM_WORK:
+        raise BoundExceeded(
+            f"Gaussian binomial too large to build: min(m, n-m) * m(n-m) may be at most "
+            f"{MAX_QBINOM_WORK}, got [{args.n},{args.m}]_q"
+        )
     if with_h and args.at is not None:
         h_at = h_integrality(args.n, args.m, args.at)
         if not isinstance(h_at, int):

@@ -1,11 +1,12 @@
-"""Default resource bounds and the exception raised when one is exceeded.
+"""Resource bounds and the exception raised when one is exceeded.
 
-Most bounds are defaults, not hard constants: the operation that enforces
-one accepts an override, and the CLI exposes the vertex, clique and search
-bounds as flags (--max-vertices, --brute-bound).  MAX_QBINOM_DEGREE and
-MAX_SCAN_WORK are the exceptions, fixed caps of the qbinom and scan
-commands with neither.  The defaults target desk-scale experiments (the
-interesting instances have a few dozen to a few thousand vertices).
+BUILD_BOUND, CLIQUE_ENUM_BOUND, SEARCH_BOUND and the two node budgets are
+defaults: the operation that enforces one accepts an override, and the
+CLI exposes the vertex, clique and search bounds as flags
+(--max-vertices, --brute-bound).  The field-size caps, ENUM_BOUND and the
+qbinom and scan caps are fixed constants with neither.  The defaults
+target desk-scale experiments (the interesting instances have a few dozen
+to a few thousand vertices).
 """
 
 import sys
@@ -50,6 +51,13 @@ COLOUR_NODE_BUDGET = 200_000
 # [650,10] takes 0.4-0.6 s on one Xeon core, 0.15, 0.25 and 0.64 s of it in
 # those two steps.
 MAX_QBINOM_DEGREE = 6400
+
+# Cap on the work min(m, n-m) * m(n-m) of building [n choose m]_q in
+# `qbinom`, for every shape, checked before any polynomial or value is
+# built: the kernel makes min(m, n-m) passes over up to m(n-m) + 1
+# coefficients, about 0.22 us per unit on one Xeon core.  Just below the
+# cap, `qbinom --n 401 --m 201` (8.04e6 units) takes 1.8 s.
+MAX_QBINOM_WORK = 10**7
 
 # Cap on the work m(n-m) * q_max of an h integrality scan (`scan`, and
 # `qbinom --q-max`), checked before the scan runs.  The digits the scan

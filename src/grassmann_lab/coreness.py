@@ -13,16 +13,18 @@ bound on the complement only when the two differ.  Tie-breaking is
 always by smallest vertex id, so witnesses are reproducible.
 
 A graph in this family is a core exactly when its chromatic number
-exceeds its clique number; in particular a non-integral vertex/clique
-ratio already certifies a core.  When an omega-colouring exists the graph
-is not a core, and composing the colouring with a maximum clique yields
-an explicit witness endomorphism.  One structural shortcut is used
-throughout: a star (or, when n < 2m, a top) is a maximum clique by the
-size formulas, so searches can be seeded without any branch and bound.
+exceeds its clique number (every endomorphism is an automorphism or a
+colouring), and CorenessReport.verdict reads that off the bounds on chi.
+core_test's stages only tighten those bounds.  Its alpha search runs
+last, when no omega-colouring turned up: one gives alpha, and composed
+with a maximum clique it is a witness endomorphism.  A star (or, when
+n < 2m, a top) is a maximum clique by the size formulas, so searches are
+seeded without any branch and bound.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -421,9 +423,8 @@ class CorenessReport:
     m: int
     num_vertices: int
     omega: int
-    alpha: object = None  # int, or (lower, upper)
-    chi: object = None  # int, or (lower, upper)
-    verdict: str = "undetermined"
+    alpha: object  # int, or (lower, upper)
+    chi: object  # int, or (lower, upper)
     integrality_value: Fraction | int | None = None
     evidence: list[str] = field(default_factory=list)
     witness: Endomorphism | None = None
@@ -432,6 +433,13 @@ class CorenessReport:
     @property
     def chi_lower(self) -> int:
         return self.chi if isinstance(self.chi, int) else self.chi[0]
+
+    @property
+    def verdict(self) -> str:
+        """Core when chi > omega or the graph is complete; not-core when chi = omega."""
+        if self.num_vertices == self.omega or self.chi_lower > self.omega:
+            return "core"
+        return "not-core" if self.chi == self.omega else "undetermined"
 
 
 def core_test(
@@ -444,50 +452,43 @@ def core_test(
 ) -> CorenessReport:
     """Decide core / not-core / undetermined for J_q(n, m).
 
-    Cascade: (1) a non-integral vertex/clique ratio proves a core;
-    (2) within the search bound, an omega-colouring found by exact search
-    proves not-a-core and is returned as a witness endomorphism onto a
-    star, while an exhausted search proving chi > omega proves a core;
-    (3) a chi lower bound above omega proves a core; otherwise the
-    verdict stays undetermined with all computed bounds attached.
+    Cascade: alpha and chi start at (1, |V|//omega) and (omega, |V|), and
+    each stage only tightens them and adds its evidence.  (1) m = 1 is the
+    complete graph; (2) a non-integral |V|/omega gives chi > omega; (3) past
+    the search bound chi stays open; (4) branch and bound confirms omega,
+    and the clique-seeded colouring walk at k = omega finds an
+    omega-colouring (chi = omega, and a witness onto a star), refutes one
+    (chi > omega), or runs out of budget; (5) only then does the alpha
+    search run, raising chi to at least ceil(|V|/alpha).
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    p_e = _validated_prime_power(q)
-    if m == 1:
-        nv = gaussian_binomial_int(n, 1, q)
-        rep = CorenessReport(q, n, m, nv, omega=nv, alpha=1, chi=nv, verdict="core")
-        rep.evidence.append("complete graph: every endomorphism permutes the vertices")
-        return rep
+    p_e = prime_power_base(q)
+    if p_e is None:
+        raise ValueError(f"{q} is not a prime power")
     if not 2 * m <= n:
         raise ValueError("need 2m <= n (the graph is isomorphic to its complement-dimension twin)")
 
     nv = gaussian_binomial_int(n, m, q)
     omega = omega_int(n, m, q)
-    rep = CorenessReport(q, n, m, nv, omega=omega)
+    rep = CorenessReport(q, n, m, nv, omega, alpha=(1, nv // omega), chi=(omega, nv))
+    if m == 1:
+        rep.alpha, rep.chi = 1, nv
+        rep.evidence.append("complete graph: every endomorphism permutes the vertices")
+        return rep
 
     value = h_integrality(n, m, q)
     rep.integrality_value = value
     # the evidence below prints h(q) = |V|/omega, and |V| past the search bound
-    ratio = f"|V|/omega for J_{q}({n},{m})"
+    check_decimal_digits(value.numerator, f"|V|/omega for J_{q}({n},{m})")
     if isinstance(value, Fraction):
-        check_decimal_digits(value.numerator, ratio)
-        rep.verdict = "core"
         rep.chi = (omega + 1, nv)
-        rep.alpha = (1, nv // omega)
-        rep.evidence.append(
-            f"|V|/omega = {value.numerator}/{value.denominator} is not an integer, "
-            "so the graph is a core"
-        )
+        rep.evidence.append(f"|V|/omega = {value} is not an integer, so the graph is a core")
         return rep
-    check_decimal_digits(value, ratio)
     rep.evidence.append(f"|V|/omega = {value} is an integer; integrality test inconclusive")
 
     if nv > search_bound:
         check_decimal_digits(nv, f"the vertex count of J_{q}({n},{m})")
-        rep.verdict = "undetermined"
-        rep.alpha = (1, nv // omega)
-        rep.chi = (omega, nv)
         rep.evidence.append(
             f"graph exceeds the exact-search bound ({nv} > {search_bound}); "
             "chromatic number left open"
@@ -495,7 +496,7 @@ def core_test(
         return rep
 
     spec = make_field(*p_e)
-    G = build_graph(spec, n, m, max_vertices=max(search_bound, nv))
+    G = build_graph(spec, n, m, max_vertices=search_bound)
     clique = structural_max_clique(G)  # a star, since 2m <= n
     try:
         omega_exact(G, bound=search_bound, node_budget=clique_node_budget)
@@ -504,14 +505,16 @@ def core_test(
         rep.evidence.append(
             "clique branch and bound hit its node budget; clique number taken from the formula"
         )
-    rep.alpha, chi_low = _alpha_and_chi_floor(G, omega, search_bound, clique_node_budget)
 
     chi_lo, chi_hi, colouring = _colour_walk(G, clique, omega, omega + 1, node_budget)
     if colouring is not None:
         rep.chi = omega
+        # no independent set beats |V|/omega (clique-coclique), so the largest class is alpha
+        rep.alpha = max(Counter(colouring).values())
+        if rep.alpha * omega != nv:
+            raise AssertionError(f"an {omega}-colouring's largest class is not |V|/omega")
         rep.witness = build_colouring_endomorphism(G, colouring, clique)
         rep.witness_class = classify_endomorphism(G, rep.witness)
-        rep.verdict = "not-core"
         rep.evidence.append(
             f"found a proper {omega}-colouring; composing it with a maximum clique "
             "gives a non-injective endomorphism"
@@ -521,23 +524,17 @@ def core_test(
             "consistent with the pseudo-core dichotomy (every endomorphism is an "
             "automorphism or a colouring)"
         )
-    elif chi_lo == chi_hi:
+        return rep
+    if chi_lo == chi_hi:
         rep.chi = (omega + 1, nv)
-        rep.verdict = "core"
         rep.evidence.append(
             f"exhaustive search proves no {omega}-colouring exists, so chi > omega"
         )
     else:
-        rep.verdict = "core" if chi_low > omega else "undetermined"
-        rep.chi = (chi_low, nv)
         rep.evidence.append("colouring search budget exhausted before a decision")
-        if rep.verdict == "core":
-            rep.evidence.append(f"chi >= {chi_low} > omega = {omega} proves a core")
+
+    rep.alpha, chi_low = _alpha_and_chi_floor(G, omega, search_bound, clique_node_budget)
+    if chi_low > rep.chi_lower:
+        rep.chi = (chi_low, nv)
+        rep.evidence.append(f"chi >= {chi_low} > omega = {omega} proves a core")
     return rep
-
-
-def _validated_prime_power(q: int) -> tuple[int, int]:
-    pe = prime_power_base(q)
-    if pe is None:
-        raise ValueError(f"{q} is not a prime power")
-    return pe

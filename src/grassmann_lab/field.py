@@ -120,11 +120,12 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree e over Z_p.
 
     Candidates (a0, ..., a_{e-1}, 1) are scanned in lexicographic order of
-    the low-degree coefficients.
+    the low-degree coefficients.  Those with a0 = 0, which come first, are
+    divisible by x, so the scan starts at a0 = 1.
     """
     if e == 1:
         return (0, 1)
-    for lower in product(range(p), repeat=e):
+    for lower in product(range(1, p), *[range(p)] * (e - 1)):
         coeffs = list(lower) + [1]
         if _is_irreducible(p, coeffs):
             return tuple(coeffs)
@@ -267,17 +268,17 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, e={self.e}, q={self.q})"
 
 
-def make_field(p: int, e: int, max_q: int = MAX_FIELD_SIZE) -> FieldSpec:
+def make_field(p: int, e: int) -> FieldSpec:
     """Construct GF(p^e) deterministically.
 
     Raises ValueError("not prime") for composite p and
-    ValueError("field too large") when p^e exceeds the bound.
+    ValueError("field too large") when p^e exceeds MAX_FIELD_SIZE.
     """
     if not is_prime(p):
         raise ValueError(f"not prime: {p}")
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
     q = p**e
-    if q > max_q:
-        raise ValueError(f"field too large: {p}^{e} = {q} > {max_q}")
+    if q > MAX_FIELD_SIZE:
+        raise ValueError(f"field too large: {p}^{e} = {q} > {MAX_FIELD_SIZE}")
     return FieldSpec(p=p, e=e, modulus=_smallest_irreducible(p, e), q=q)

@@ -117,7 +117,6 @@ def build_graph(
     n: int,
     m: int,
     max_vertices: int = BUILD_BOUND,
-    max_q: int = MAX_GRAPH_FIELD,
 ) -> GrassmannGraph:
     """Build J_q(n, m), with adjacency as the union of each vertex's stars.
 
@@ -127,8 +126,8 @@ def build_graph(
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    if spec.q > max_q:
-        raise BoundExceeded(f"field too large for graph building: q={spec.q} > {max_q}")
+    if spec.q > MAX_GRAPH_FIELD:
+        raise BoundExceeded(f"field too large for graph building: q={spec.q} > {MAX_GRAPH_FIELD}")
     count = gaussian_binomial_int(n, m, spec.q)
     if count > max_vertices:
         check_decimal_digits(count, f"the vertex count of J_{spec.q}({n},{m})")

@@ -228,9 +228,14 @@ def gaussian_binomial_poly(n: int, m: int) -> IntPolynomial:
 
 
 def gaussian_binomial_int(n: int, m: int, q: int) -> int:
-    """[n choose m]_q evaluated at an integer q, exactly."""
+    """[n choose m]_q evaluated at an integer q, exactly.
+
+    [n,m]_q = [n,n-m]_q, so it multiplies min(m, n-m) factor pairs.
+    """
     if m < 0 or m > n:
         return 0
+    if 2 * m > n:  # cheaper than min() in the scans, which call this per prime power
+        m = n - m
     num = 1
     den = 1
     for i in range(1, m + 1):

@@ -88,9 +88,7 @@ def sort_key(S: Subspace):
     return (pivots, free)
 
 
-def enumerate_subspaces(
-    spec: FieldSpec, n: int, k: int, bound: int = ENUM_BOUND
-) -> list[Subspace]:
+def enumerate_subspaces(spec: FieldSpec, n: int, k: int) -> list[Subspace]:
     """All k-dimensional subspaces of GF(q)^n, each exactly once.
 
     Iterates over pivot-column patterns and fills the free positions with
@@ -103,10 +101,10 @@ def enumerate_subspaces(
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     total = gaussian_binomial_int(n, k, spec.q)
-    if total > bound:
+    if total > ENUM_BOUND:
         check_decimal_digits(total, f"[{n} choose {k}]_{spec.q}")
         raise BoundExceeded(
-            f"enumeration too large: [{n} choose {k}]_{spec.q} = {total} > {bound}"
+            f"enumeration too large: [{n} choose {k}]_{spec.q} = {total} > {ENUM_BOUND}"
         )
     elems = spec.elements_in_order
     out: list[Subspace] = []

@@ -5,7 +5,13 @@ import pytest
 
 from grassmann_lab import cli, coreness, graph, qpoly
 from grassmann_lab.cli import main
-from grassmann_lab.config import MAX_FIELD_SIZE, MAX_QBINOM_DEGREE, MAX_SCAN_WORK, BoundExceeded
+from grassmann_lab.config import (
+    MAX_FIELD_SIZE,
+    MAX_QBINOM_DEGREE,
+    MAX_QBINOM_WORK,
+    MAX_SCAN_WORK,
+    BoundExceeded,
+)
 from grassmann_lab.fixture import default_fixture_path
 from grassmann_lab.qpoly import scan_core_threshold
 from grassmann_lab.report import graph_from_json_dict, graph_to_json_dict, scan_report_dict
@@ -355,6 +361,14 @@ def test_fields_past_the_size_cap_exit_3_before_factoring(capsys, monkeypatch, c
     assert (code, out, err) == (3, "", f"error: field too large: q = {q} > {MAX_FIELD_SIZE}\n")
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_the_largest_field_reaches_the_graph_field_cap_at_once(capsys, command):
+    # finding the degree-20 modulus of GF(2^20) skips the 2^19 candidates divisible by x
+    code, out, err = run(capsys, command, "--q", str(MAX_FIELD_SIZE), "--n", "2", "--m", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: field too large for graph building: q={MAX_FIELD_SIZE} > 16\n"
+
+
 def test_qbinom_caps_the_degree_of_the_h_report_before_building(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("polynomial built above the cap")
@@ -380,6 +394,33 @@ def test_qbinom_without_an_h_report_is_not_capped(capsys, monkeypatch):
     assert run(capsys, "qbinom", "--n", "10000", "--m", "1")[0] == 0
     monkeypatch.setattr(cli, "MAX_QBINOM_DEGREE", 0)
     assert run(capsys, "qbinom", "--n", "8", "--m", "5")[0] == 0
+
+
+def test_qbinom_caps_the_work_of_every_shape_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Gaussian binomial built above the work cap")
+
+    monkeypatch.setattr(cli, "gaussian_binomial_poly", refuse)
+    monkeypatch.setattr(cli, "gaussian_binomial_int", refuse)
+    # min(301, 300) * 301 * 300 = 27,090,000, and 2m > n runs no h report
+    code, out, err = run(capsys, "qbinom", "--n", "601", "--m", "301", "--at", "2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: Gaussian binomial too large to build: min(m, n-m) * m(n-m) may be at most "
+        f"{MAX_QBINOM_WORK}, got [601,301]_q\n"
+    )
+    # the --at check keeps its precedence
+    code, _, err = run(capsys, "qbinom", "--n", "601", "--m", "301", "--at", "6")
+    assert (code, err) == (3, "error: --at must be a prime power, got 6\n")
+
+
+def test_qbinom_work_cap_boundary(capsys, monkeypatch):
+    # min(5, 3) * 5 * 3 = 45 for [8,5]
+    monkeypatch.setattr(cli, "MAX_QBINOM_WORK", 45)
+    assert run(capsys, *"qbinom --n 8 --m 5".split())[0] == 0
+    monkeypatch.setattr(cli, "MAX_QBINOM_WORK", 44)
+    code, out, err = run(capsys, *"qbinom --n 8 --m 5".split())
+    assert (code, out) == (2, "") and "got [8,5]_q" in err
 
 
 def test_witness_revalidates_from_json(capsys, j242):

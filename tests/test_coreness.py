@@ -178,6 +178,26 @@ def test_core_test_j242():
     assert rep.chi_lower >= max(rep.omega, -(-rep.num_vertices // rep.alpha))
 
 
+def test_core_test_reads_alpha_off_the_omega_colouring(monkeypatch):
+    # an omega-colouring's classes are independent sets of |V|/omega
+    # vertices each, the clique-coclique bound, so no alpha search runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("an alpha search ran although an omega-colouring was found")
+
+    monkeypatch.setattr(coreness, "alpha_exact", refuse)
+    monkeypatch.setattr(coreness, "_greedy_independent", refuse)
+    assert core_test(4, 2, 2).alpha == 5
+    assert core_test(4, 2, 3).alpha == 10
+
+
+def test_core_test_checks_the_largest_colour_class(monkeypatch):
+    # a colouring whose largest class is not |V|/omega contradicts the
+    # clique-coclique bound; the check raises even under python -O
+    monkeypatch.setattr(coreness, "find_colouring", lambda adj, nv, *args: [0] * nv)
+    with pytest.raises(AssertionError, match="largest class"):
+        core_test(4, 2, 2)
+
+
 def test_core_test_odd_ambient_is_core():
     rep = core_test(5, 2, 2)
     assert rep.verdict == "core"
@@ -208,11 +228,16 @@ def test_core_test_keeps_vertex_counts_past_the_str_digit_limit():
     assert rep.num_vertices == rep.omega == 2**20000 - 1
 
 
-def test_core_test_validates_inputs():
-    with pytest.raises(ValueError):
-        core_test(5, 2, 6)  # not a prime power
-    with pytest.raises(ValueError):
-        core_test(3, 2, 2)  # 2m > n
+def test_core_test_validates_inputs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("core_test computed before validating its input")
+
+    monkeypatch.setattr(coreness, "gaussian_binomial_int", refuse)
+    monkeypatch.setattr(coreness, "omega_int", refuse)
+    # m < 1; not a prime power; 2m > n, also for m = 1
+    for n, m, q in ((4, 0, 2), (5, 2, 6), (3, 2, 2), (1, 1, 2)):
+        with pytest.raises(ValueError):
+            core_test(n, m, q)
 
 
 def test_search_bound_errors(j252):

@@ -1,8 +1,9 @@
 from bisect import bisect_right
+from itertools import product
 
 import pytest
 
-from grassmann_lab import make_field
+from grassmann_lab import field, make_field
 from grassmann_lab.arith import prime_power_base, prime_powers_upto
 from oracles import check_field_axioms
 
@@ -50,6 +51,30 @@ def test_make_field_rejects_composite_and_oversized():
         make_field(4, 1)
     with pytest.raises(ValueError, match="field too large"):
         make_field(2, 21)
+
+
+def test_modulus_search_skips_candidates_divisible_by_x(monkeypatch):
+    constants = []
+    real = field._is_irreducible
+
+    def spy(p, coeffs):
+        constants.append(coeffs[0])
+        return real(p, coeffs)
+
+    monkeypatch.setattr(field, "_is_irreducible", spy)
+    modulus = field._smallest_irreducible.__wrapped__(3, 4)  # past the cache
+    assert constants and 0 not in constants
+    assert modulus == (1, 0, 1, 1, 1)  # x^4 + x^3 + x^2 + 1, as the full scan finds
+
+
+def test_modulus_is_the_first_irreducible_of_the_full_scan():
+    for q in prime_powers_upto(256):
+        p, e = prime_power_base(q)
+        if e >= 2:
+            first = next(
+                c + (1,) for c in product(range(p), repeat=e) if field._is_irreducible(p, [*c, 1])
+            )
+            assert make_field(p, e).modulus == first
 
 
 def test_make_field_deterministic():

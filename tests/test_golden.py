@@ -4,8 +4,11 @@ import hashlib
 
 import pytest
 
+from grassmann_lab import coreness
 from grassmann_lab.cli import main
+from grassmann_lab.config import SearchBudgetExceeded
 from grassmann_lab.fixture import default_fixture_path
+from grassmann_lab.report import coreness_report_dict, to_json
 
 FIXTURE = str(default_fixture_path())
 
@@ -130,3 +133,89 @@ def test_stdout_matches_the_pinned_digest(capsys, command, code, digest):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _no_colouring(*args, **kwargs):
+    return None
+
+
+def _colouring_budget_out(*args, **kwargs):
+    raise SearchBudgetExceeded("colouring search exceeded its budget")
+
+
+def _alpha_four(*args, **kwargs):
+    return 4
+
+
+# (exit, (n, m, q), core_test keywords, coreness names to patch, sha256 of the JSON report)
+CORE_TEST_EXITS = [
+    (
+        "complete graph",
+        (4, 1, 2),
+        {},
+        {},
+        "225be2833a69912abbf1e274988cfcd0af6d29eace4bb23a20b9bd2b1c59045d",
+    ),
+    (
+        "non-integral h",
+        (5, 2, 2),
+        {},
+        {},
+        "4908b720e63a6f0174f4777c8008fdb86c98c52fc38c7ac2de0ee16d7f8f00f4",
+    ),
+    (
+        "past the search bound",
+        (6, 3, 2),
+        {},
+        {},
+        "f170a1563a654e6eac62c8f5b41c6a2ee08aadfa04157494baa3baa499c355bf",
+    ),
+    (
+        "omega-colouring found, q = 2",
+        (4, 2, 2),
+        {},
+        {},
+        "c5e6f8c41e89ccaba3ee08a2b416aa038a1af6c432a3883705f7f8fca8f6d50c",
+    ),
+    (
+        "omega-colouring found, q = 3",
+        (4, 2, 3),
+        {},
+        {},
+        "7b9d0a8d5189685759532a44dd68244cfb912d0c0cec3f4a476625c81774f836",
+    ),
+    (
+        "both budgets out",
+        (4, 2, 2),
+        {"node_budget": 1, "clique_node_budget": 1},
+        {},
+        "91a27f44da290677b1bd125a1da07faf8aa4f5df068f17138fcef7df51d64f14",
+    ),
+    (
+        "no omega-colouring exists",
+        (4, 2, 2),
+        {},
+        {"find_colouring": _no_colouring},
+        "b420383c06cb8a4997f1f3706ace233dce7983fd70c49c55cf43979789caa0c6",
+    ),
+    (
+        "the alpha floor proves a core",
+        (4, 2, 2),
+        {},
+        {"find_colouring": _colouring_budget_out, "alpha_exact": _alpha_four},
+        "e66c561162b244856bce8529843fe076f4f46a677f83920da863405902a65f9f",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "exit_, args, kwargs, patches, digest", CORE_TEST_EXITS, ids=[e[0] for e in CORE_TEST_EXITS]
+)
+def test_core_test_exit_matches_the_pinned_digest(
+    monkeypatch, exit_, args, kwargs, patches, digest
+):
+    for name, replacement in patches.items():
+        monkeypatch.setattr(coreness, name, replacement)
+    rep = coreness.core_test(*args, **kwargs)
+    data = to_json(coreness_report_dict(rep))
+    assert hashlib.sha256(data.encode()).hexdigest() == digest

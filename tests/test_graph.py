@@ -357,7 +357,7 @@ def test_build_rejects_big_fields():
 
     f25 = make_field(5, 2)
     with pytest.raises(BoundExceeded):
-        build_graph(f25, 3, 1, max_q=16)
+        build_graph(f25, 3, 1)
 
 
 def test_catalog_counts(j252):

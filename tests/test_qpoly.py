@@ -90,6 +90,18 @@ def test_gaussian_binomial_int_values():
     assert gaussian_binomial_int(8, 3, 2) == 97155
 
 
+def test_gaussian_binomial_int_is_symmetric_and_obeys_q_pascal():
+    # [n,m]_q = [n-1,m-1]_q + q^m [n-1,m]_q
+    for q in (2, 3, 4, 5, 7):
+        row = [1]
+        for n in range(31):
+            if n:
+                row = [1] + [row[m - 1] + q**m * row[m] for m in range(1, n)] + [1]
+            for m in range(n + 1):
+                assert gaussian_binomial_int(n, m, q) == row[m]
+                assert gaussian_binomial_int(n, n - m, q) == row[m]
+
+
 def test_knuth_wilf_small_cases():
     assert knuth_wilf_exponents(2, 1).exponents == {2: 1}
     assert knuth_wilf_exponents(4, 2).exponents == {3: 1, 4: 1}

@@ -63,7 +63,7 @@ def test_enumeration_canonical_and_duplicate_free(f2, f3, f4):
 
 def test_enumeration_bound(f2):
     with pytest.raises(BoundExceeded, match="enumeration too large"):
-        enumerate_subspaces(f2, 10, 5, bound=10**6)
+        enumerate_subspaces(f2, 10, 5)
 
 
 def test_canonicalize_fixed_points_and_invariance(f3):
