@@ -2,8 +2,8 @@
 
 Commands: build, verify, coreness, qbinom, scan.  All reports go to
 stdout as UTF-8; errors go to stderr.  Exit codes: 0 all checks pass or
-report produced, 1 a verification check failed, 2 a resource bound was
-hit, 3 invalid input.
+report produced, 1 a verification check or an internal self-check
+failed, 2 a resource bound was hit, 3 invalid input.
 """
 
 from __future__ import annotations
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except (AssertionError, ArithmeticError) as exc:  # an internal self-check failed
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

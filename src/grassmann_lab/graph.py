@@ -2,31 +2,31 @@
 
 Vertices are the m-dimensional subspaces of GF(q)^n in canonical
 enumeration order; two are adjacent when their intersection has
-dimension m-1, that is, when they share an (m-1)-space.  So the stars
-(all m-spaces over one (m-1)-space) cover every edge, and a vertex's
-neighbourhood is the union of its [m,1]_q stars less the vertex itself:
-the builder groups the vertices by the masks of their hyperplanes, one
-group per star, and ORs each vertex's groups, in one pass over the
-vertices with no test of vertex pairs.  Adjacency is stored as one int
-bitset per vertex, which keeps pair queries, clique enumeration, and the
-exhaustive lemma checks cheap at desk scale.
+dimension m-1, that is, when they share an (m-1)-space.  Each vertex is
+keyed by the bitmask of its member vectors (subspaces.vector_mask), and
+every lookup of a subspace in the graph goes through G.index, from mask
+to vertex id.  Adjacency is stored as one int bitset per vertex, which
+keeps pair queries, clique enumeration, and the exhaustive lemma checks
+cheap at desk scale.
 
 The maximal cliques of these graphs are exactly the stars (all m-spaces
 over a fixed (m-1)-space) and the tops (all m-spaces inside a fixed
-(m+1)-space).  A graph builds both catalogs once, on first use, and keeps
-them as G.stars and G.tops, each clique with its centre's vector mask; the
-census, the lemma and duality checks and the clique seed all read them,
-and brute force re-discovers them for verification.
-
-A subspace is the set of its vectors, so the vertex masks also decide
-the lattice relations the clique checks need: containment is a subset
-test on masks, and dim(A intersect B) = log_q |mask(A) & mask(B)|.  Star
-and top membership and the four lemma predicates are read off the masks,
-with no Gaussian elimination.
+(m+1)-space): one incidence, "is a hyperplane of", read at two levels.
+One helper groups k-spaces by the masks of their hyperplanes.  On the
+vertices each group is a star, and a vertex's neighbourhood is the union
+of its [m,1]_q stars less itself, so the builder tests no vertex pairs;
+on the (m+1)-spaces the group under a vertex's mask lists its tops.  A
+graph builds both catalogs once, on first use, as G.stars and G.tops,
+each clique with its centre's vector mask; the census, the lemma and
+duality checks and the clique seed all read them, and brute force
+re-discovers them for verification.  Masks also give the lattice
+relations the lemma checks need, with no Gaussian elimination: containment
+is a subset test, and dim(A intersect B) = log_q |mask(A) & mask(B)|.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal
@@ -79,14 +79,20 @@ class GrassmannGraph:
     vertices: tuple[Subspace, ...]
     adjacency: tuple[int, ...]
     masks: tuple[int, ...]
-    index: dict
 
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Vertex id by vector mask."""
+        return {mask: i for i, mask in enumerate(self.masks)}
+
     def vertex_id(self, S: Subspace) -> int:
-        return self.index[S.basis.rows]
+        if S.spec != self.spec or S.ambient != self.n:  # its mask would code other vectors
+            raise KeyError(S)
+        return self.index[vector_mask(S)]
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.adjacency[i] >> j & 1)
@@ -122,7 +128,7 @@ def build_graph(
 
     Each vertex carries the bitmask of its member vectors.  Two vertices
     are adjacent iff they share an (m-1)-space, so adjacency[v] is the OR
-    of the stars through v, less v; the stars come from _star_buckets.
+    of the stars through v, less v; the stars come from _hyperplane_groups.
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
@@ -135,35 +141,35 @@ def build_graph(
             f"enumeration too large: J_{spec.q}({n},{m}) has {count} vertices > {max_vertices}"
         )
     vertices = tuple(enumerate_subspaces(spec, n, m))
-    masks, buckets = _star_buckets(vertices)
+    masks, groups = _hyperplane_groups(vertices)
     adjacency = [0] * count
-    for members in buckets.values():
+    for members in groups.values():
         clique = _to_bitset(members)
         for v in members:
             adjacency[v] |= clique
     adjacency = tuple(a ^ (1 << v) for v, a in enumerate(adjacency))
-    index = {v.basis.rows: i for i, v in enumerate(vertices)}
-    return GrassmannGraph(spec, n, m, vertices, adjacency, tuple(masks), index)
+    return GrassmannGraph(spec, n, m, vertices, adjacency, tuple(masks))
 
 
-def _star_buckets(vertices: tuple[Subspace, ...]) -> tuple[list[int], dict[int, list[int]]]:
-    """The vector mask of each m-space, and its ids grouped by hyperplane.
+def _hyperplane_groups(spaces: Sequence[Subspace]) -> tuple[list[int], dict[int, list[int]]]:
+    """The vector mask of each k-space, and the space ids grouped by hyperplane.
 
-    A hyperplane of a vertex is the OR of one fixed set of span positions
-    (subspaces.hyperplane_positions), so one span per vertex gives its mask
-    and all its [m,1]_q hyperplane masks.  Each group, keyed by the mask of
-    its (m-1)-space and holding ids in ascending order, is one star.
+    A hyperplane of a space is the OR of one fixed set of span positions
+    (subspaces.hyperplane_positions), so one span per space gives its mask
+    and all its [k,1]_q hyperplane masks.  Each group is keyed by the mask
+    of a (k-1)-space and holds the ids of the spaces over it, ascending:
+    on the vertices it is one star, and on the (m+1)-spaces it lists the
+    tops through one vertex.
     """
-    spec = vertices[0].spec
-    planes = hyperplane_positions(spec, vertices[0].dim)
+    planes = hyperplane_positions(spaces[0].spec, spaces[0].dim)
     masks = []
-    buckets: dict[int, list[int]] = {}
-    for i, span in enumerate(vector_spans(vertices)):
+    groups: dict[int, list[int]] = {}
+    for i, span in enumerate(vector_spans(spaces)):
         vecs = [1 << v for v in span]
         masks.append(sum(vecs))
         for plane in planes:
-            buckets.setdefault(sum(map(vecs.__getitem__, plane)), []).append(i)
-    return masks, buckets
+            groups.setdefault(sum(map(vecs.__getitem__, plane)), []).append(i)
+    return masks, groups
 
 
 @dataclass(frozen=True)
@@ -180,30 +186,19 @@ class MaximalClique:
 
 
 def star(G: GrassmannGraph, P: Subspace) -> MaximalClique:
-    """All vertices containing the (m-1)-dimensional centre P.
-
-    Vertex v is a member iff mask(P) & mask(v) == mask(P).
-    """
-    if P.dim != G.m - 1:
-        raise ValueError(f"star centre must have dimension {G.m - 1}, got {P.dim}")
+    """The entry of G.stars over the (m-1)-dimensional centre P."""
+    if (P.spec, P.ambient, P.dim) != (G.spec, G.n, G.m - 1):
+        raise ValueError(f"star centre must be a {G.m - 1}-space of GF(q)^{G.n}, got {P!r}")
     mp = vector_mask(P)
-    members = tuple(i for i, mv in enumerate(G.masks) if mp & mv == mp)
-    return MaximalClique("star", P, mp, members, _to_bitset(members))
+    return next(c for c in G.stars if c.center_mask == mp)
 
 
 def top(G: GrassmannGraph, Q: Subspace) -> MaximalClique:
-    """All vertices contained in the (m+1)-dimensional centre Q.
-
-    Vertex v is a member iff mask(v) & mask(Q) == mask(v).
-    """
-    if Q.dim != G.m + 1:
-        raise ValueError(f"top centre must have dimension {G.m + 1}, got {Q.dim}")
-    return _top(G, Q, vector_mask(Q))
-
-
-def _top(G: GrassmannGraph, Q: Subspace, mq: int) -> MaximalClique:
-    members = tuple(i for i, mv in enumerate(G.masks) if mv & mq == mv)
-    return MaximalClique("top", Q, mq, members, _to_bitset(members))
+    """The entry of G.tops over the (m+1)-dimensional centre Q."""
+    if (Q.spec, Q.ambient, Q.dim) != (G.spec, G.n, G.m + 1):
+        raise ValueError(f"top centre must be a {G.m + 1}-space of GF(q)^{G.n}, got {Q!r}")
+    mq = vector_mask(Q)
+    return next(c for c in G.tops if c.center_mask == mq)
 
 
 def _to_bitset(ids) -> int:
@@ -214,19 +209,27 @@ def _to_bitset(ids) -> int:
 
 
 def star_catalog(G: GrassmannGraph) -> list[MaximalClique]:
-    """Every star, read off the hyperplane groups by its centre's mask."""
-    _, buckets = _star_buckets(G.vertices)
-    out = []
+    """Every star: the vertices' hyperplane group under its centre's mask."""
+    _, groups = _hyperplane_groups(G.vertices)
     centres = enumerate_subspaces(G.spec, G.n, G.m - 1)
-    for P, mp in zip(centres, vector_masks(centres)):
-        members = tuple(buckets[mp])
-        out.append(MaximalClique("star", P, mp, members, _to_bitset(members)))
-    return out
+    return [
+        MaximalClique("star", P, mp, tuple(groups[mp]), _to_bitset(groups[mp]))
+        for P, mp in zip(centres, vector_masks(centres))
+    ]
 
 
 def top_catalog(G: GrassmannGraph) -> list[MaximalClique]:
+    """Every top: each vertex, in order, joins the centres grouped under its mask."""
     centres = enumerate_subspaces(G.spec, G.n, G.m + 1)
-    return [_top(G, Q, mq) for Q, mq in zip(centres, vector_masks(centres))]
+    masks, groups = _hyperplane_groups(centres)
+    members: list[list[int]] = [[] for _ in centres]
+    for v, mv in enumerate(G.masks):
+        for t in groups[mv]:
+            members[t].append(v)
+    return [
+        MaximalClique("top", Q, mq, tuple(mt), _to_bitset(mt))
+        for Q, mq, mt in zip(centres, masks, members)
+    ]
 
 
 def all_maximal_cliques_bruteforce(
@@ -427,14 +430,14 @@ def dual_permutation(G: GrassmannGraph) -> list[int]:
     """Vertex permutation induced by the orthogonal complement."""
     if G.n != 2 * G.m:
         raise ValueError("duality requires n = 2m")
-    return [G.vertex_id(dual_complement(v)) for v in G.vertices]
+    return [G.index[mask] for mask in vector_masks(map(dual_complement, G.vertices))]
 
 
 def dual_map_check(G: GrassmannGraph) -> DualReport:
     """Check the complement map on the vertices and on the clique catalogs.
 
     The dual clique of each star or top is looked up in G.tops or G.stars
-    by its centre's RREF rows, not rebuilt.
+    by the vector mask of the dual centre, not rebuilt.
     """
     report = DualReport()
     perm = dual_permutation(G)
@@ -460,10 +463,11 @@ def dual_map_check(G: GrassmannGraph) -> DualReport:
         ("star-to-top", "stars_to_tops", G.stars, G.tops),
         ("top-to-star", "tops_to_stars", G.tops, G.stars),
     ):
-        by_centre = {c.center.basis.rows: c.bitset for c in duals}
-        for c in cliques:
+        by_centre = {c.center_mask: c.bitset for c in duals}
+        dual_masks = vector_masks(dual_complement(c.center) for c in cliques)
+        for c, mask in zip(cliques, dual_masks):
             image = _to_bitset(perm[v] for v in c.members)
-            if image != by_centre.get(dual_complement(c.center).basis.rows):
+            if image != by_centre.get(mask):
                 setattr(report, flag, False)
                 report.counterexamples.append({"check": check, "center": c.center.basis.rows})
 

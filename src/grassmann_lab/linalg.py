@@ -43,12 +43,8 @@ def matrix(spec: FieldSpec, rows, cols: int | None = None) -> FqMatrix:
     return FqMatrix(spec, rs, cols)
 
 
-def _eliminate(spec: FieldSpec, rows: list[list[int]], reduce_up: bool):
-    """In-place Gaussian elimination; returns pivot column list.
-
-    With reduce_up the result is the RREF (pivots 1, zeros above and
-    below); without it only the echelon profile needed for rank.
-    """
+def _eliminate(spec: FieldSpec, rows: list[list[int]]):
+    """In-place Gauss-Jordan elimination to RREF; returns pivot column list."""
     mul, add, neg, inv = spec.mul, spec.add, spec.neg, spec.inv
     nrows = len(rows)
     cols = len(rows[0]) if rows else 0
@@ -68,12 +64,9 @@ def _eliminate(spec: FieldSpec, rows: list[list[int]], reduce_up: bool):
         if lead != 1:
             s = inv(lead)
             rows[r] = row = [mul(s, x) for x in row]
-        rng = range(nrows) if reduce_up else range(r + 1, nrows)
-        for i in rng:
-            if i == r:
-                continue
+        for i in range(nrows):
             t = rows[i][c]
-            if t:
+            if t and i != r:
                 nt = neg(t)
                 ri = rows[i]
                 rows[i] = [add(ri[j], mul(nt, row[j])) for j in range(cols)]
@@ -89,14 +82,13 @@ def rref(M: FqMatrix) -> tuple[FqMatrix, int, list[int]]:
     and R is its unique canonical basis.
     """
     rows = [list(r) for r in M.rows]
-    pivots = _eliminate(M.spec, rows, reduce_up=True)
+    pivots = _eliminate(M.spec, rows)
     rank = len(pivots)
     return matrix(M.spec, rows[:rank], M.cols), rank, pivots
 
 
 def rank(M: FqMatrix) -> int:
-    rows = [list(r) for r in M.rows]
-    return len(_eliminate(M.spec, rows, reduce_up=False))
+    return rref(M)[1]
 
 
 def stack(X: FqMatrix, Y: FqMatrix) -> FqMatrix:
@@ -128,7 +120,8 @@ def null_space(M: FqMatrix) -> FqMatrix:
             v[pc] = spec.neg(R.rows[i][j])
         rows.append(v)
     K, krank, _ = rref(matrix(spec, rows, M.cols))
-    assert krank == M.cols - rk
+    if krank != M.cols - rk:
+        raise AssertionError("null space dimension disagrees with the rank")
     return K
 
 

@@ -350,27 +350,20 @@ class HReport:
 def h_exponents(n: int, m: int) -> CycloFactorization:
     """Cyclotomic exponents of h(q) = [n,m]_q / omega(n, m), n >= 2m.
 
-    For j in [2, n-m+1] the exponent is
-    floor(n/j) - floor(m/j) - floor((n-m+1)/j), which lies in {-1, 0, 1}
-    (it can reach +1, e.g. j = 4 for (n, m) = (8, 3)); for j in
-    [n-m+2, n] it is floor(n/j) - floor(m/j) - floor((n-m)/j), in {0, 1}.
-    In particular, when an i >= 2 divides both m and n-m+1, the exponent
-    at j = i is exactly -1.
+    omega = (q^(n-m+1) - 1)/(q - 1) is the product of Phi_t over the
+    divisors t >= 2 of n-m+1, so h has the Knuth-Wilf exponents of [n,m]_q
+    less one at each such t.  They lie in {-1, 0, 1} (+1 occurs, e.g. at
+    t = 4 for (n, m) = (8, 3)).  In particular, when an i >= 2 divides
+    both m and n-m+1, the exponent at i is exactly -1.
     """
-    exps = {}
-    for j in range(2, n - m + 2):
-        e = n // j - m // j - (n - m + 1) // j
+    exps = dict(knuth_wilf_exponents(n, m).exponents)
+    for t in range(2, n - m + 2):
+        if (n - m + 1) % t == 0:
+            exps[t] = exps.get(t, 0) - 1
+    for t, e in exps.items():
         if not -1 <= e <= 1:
-            raise ArithmeticError(f"exponent {e} out of range at j={j}")
-        if e:
-            exps[j] = e
-    for j in range(n - m + 2, n + 1):
-        e = n // j - m // j - (n - m) // j
-        if not 0 <= e <= 1:
-            raise ArithmeticError(f"exponent {e} out of range at j={j}")
-        if e:
-            exps[j] = e
-    return CycloFactorization(exps)
+            raise ArithmeticError(f"exponent {e} out of range at t={t}")
+    return CycloFactorization({t: e for t, e in exps.items() if e})
 
 
 def h_report(n: int, m: int) -> HReport:

@@ -68,9 +68,8 @@ def graph_from_json_dict(data: dict) -> GrassmannGraph:
     for i, j in data["edges"]:
         adjacency[i] |= 1 << j
         adjacency[j] |= 1 << i
-    index = {v.basis.rows: i for i, v in enumerate(vertices)}
     masks = tuple(vector_masks(vertices))
-    return GrassmannGraph(spec, n, m, vertices, tuple(adjacency), masks, index)
+    return GrassmannGraph(spec, n, m, vertices, tuple(adjacency), masks)
 
 
 def graph_to_dot(G: GrassmannGraph) -> str:

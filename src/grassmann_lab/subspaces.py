@@ -126,7 +126,8 @@ def enumerate_subspaces(spec: FieldSpec, n: int, k: int) -> list[Subspace]:
                 rows[i][j] = v
             B = FqMatrix(spec, tuple(tuple(r) for r in rows), n)
             out.append(Subspace(spec, n, k, B))
-    assert len(out) == total
+    if len(out) != total:
+        raise AssertionError("subspace count disagrees with the Gaussian binomial")
     return out
 
 
@@ -164,7 +165,8 @@ def intersect(S: Subspace, T: Subspace) -> Subspace:
     if not rows:
         return zero_subspace(S.spec, S.ambient)
     result = canonicalize(matrix(S.spec, rows, S.ambient))
-    assert result.dim == S.dim + T.dim - rank(stacked)
+    if result.dim != S.dim + T.dim - rank(stacked):
+        raise AssertionError("intersection dimension disagrees with the rank")
     return result
 
 

@@ -177,6 +177,30 @@ def test_missing_fixture_exits_3_before_the_search(capsys, monkeypatch, tmp_path
     assert err == f"error: cannot read fixture: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+@pytest.mark.parametrize(
+    "target, exc, command, code",
+    [
+        ("h_report", ArithmeticError, "qbinom --n 8 --m 3", 1),
+        ("core_test", AssertionError, "coreness --q 2 --n 4 --m 2", 1),
+        ("h_report", ZeroDivisionError, "qbinom --n 8 --m 3", 3),
+    ],
+)
+def test_failed_self_checks_print_one_error_line(
+    capsys, monkeypatch, target, exc, command, code
+):
+    # exit 1 for a failed check, but a ZeroDivisionError still means invalid input
+    def broken(*args, **kwargs):
+        raise exc("self-check tripped")
+
+    monkeypatch.setattr(cli, target, broken)
+    assert main(command.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if code == 1:
+        assert captured.err == f"error: {exc.__name__}: self-check tripped\n"
+
+
 def test_coreness_core_case(capsys):
     code, out, _ = run(capsys, "coreness", "--q", "2", "--n", "5", "--m", "2")
     assert code == 0

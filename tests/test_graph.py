@@ -142,8 +142,11 @@ def test_top_members_inside_centre(j242):
 
 @pytest.mark.parametrize(
     "p, e, n, m",
-    [(2, 1, 4, 2), (3, 1, 4, 2), (2, 2, 4, 2), (2, 1, 5, 2), (2, 1, 5, 3)],
-    ids=["j242", "j342", "j442", "j252", "j253"],
+    [
+        (2, 1, 4, 2), (3, 1, 4, 2), (2, 2, 4, 2), (2, 1, 5, 2), (2, 1, 5, 3),
+        (2, 1, 3, 1), (2, 1, 4, 3), (2, 2, 3, 2),
+    ],
+    ids=["j242", "j342", "j442", "j252", "j253", "j231", "j243", "j432"],
 )
 def test_star_and_top_members_match_contains(p, e, n, m):
     # the mask catalogs against containment decided on RREF bases
@@ -160,6 +163,35 @@ def test_star_and_top_members_match_contains(p, e, n, m):
         assert c.bitset == sum(1 << v for v in members)
         for v in members:
             assert (G.adjacency[v] | 1 << v) & c.bitset == c.bitset
+    if m in (1, n - 1):  # K_V: one star (m = 1) or one top (m = n-1) holds every vertex
+        (whole,) = G.stars if m == 1 else G.tops
+        assert whole.members == tuple(range(G.num_vertices))
+
+
+def test_star_and_top_return_the_catalog_entries(j242, j252):
+    for G in (j242, j252):
+        stars = enumerate_subspaces(G.spec, G.n, G.m - 1)
+        tops = enumerate_subspaces(G.spec, G.n, G.m + 1)
+        assert len(G.stars) == len(stars) and len(G.tops) == len(tops)
+        for P, s in zip(stars, G.stars):
+            assert star(G, P) is s
+        for Q, t in zip(tops, G.tops):
+            assert top(G, Q) is t
+
+
+@pytest.mark.parametrize(
+    "p, e, n, m", [(2, 1, 4, 2), (2, 2, 4, 2), (2, 1, 5, 3)], ids=["j242", "j442", "j253"]
+)
+def test_vertex_ids_go_by_mask(p, e, n, m):
+    G = build_graph(make_field(p, e), n, m)
+    assert len(G.index) == G.num_vertices
+    for i, v in enumerate(G.vertices):
+        assert G.vertex_id(v) == i
+    # the first m-space of GF(q)^(n-1) has the mask of vertex 0, but is no vertex
+    with pytest.raises(KeyError):
+        G.vertex_id(enumerate_subspaces(G.spec, n - 1, m)[0])
+    with pytest.raises(KeyError):
+        G.vertex_id(enumerate_subspaces(make_field(3, 1), n, m)[0])
 
 
 def test_star_top_wrong_centre_dim(j242):
@@ -167,6 +199,12 @@ def test_star_top_wrong_centre_dim(j242):
         star(j242, j242.vertices[0])
     with pytest.raises(ValueError):
         top(j242, j242.vertices[0])
+    # centres of the right dimension in another space name no clique of j242
+    for F, n in ((j242.spec, 3), (make_field(3, 1), 4)):
+        with pytest.raises(ValueError):
+            star(j242, enumerate_subspaces(F, n, 1)[0])
+        with pytest.raises(ValueError):
+            top(j242, enumerate_subspaces(F, n, 3)[0])
 
 
 def test_bruteforce_cliques_j242(j242):

@@ -1,5 +1,5 @@
 """Every module of the package uses each name it imports and each private
-function it defines."""
+function it defines, and no module relies on an assert statement."""
 
 import ast
 from pathlib import Path
@@ -8,9 +8,8 @@ import pytest
 
 import grassmann_lab
 
-MODULES = sorted(
-    p for p in Path(grassmann_lab.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted(Path(grassmann_lab.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported_names(tree):
@@ -45,3 +44,11 @@ def test_every_private_function_is_used(path):
         if not any(isinstance(node, ast.Name) and node.id == name for node in outside):
             unused.append(name)
     assert unused == [], f"{path.name} defines private functions it never calls: {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_assert_statements(path):
+    # python -O strips assert statements; a self-check raises AssertionError itself
+    tree = ast.parse(path.read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} has assert statements on lines {lines}"

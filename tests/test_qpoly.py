@@ -179,6 +179,20 @@ def test_h_report_contract_over_range():
             assert rep.applicable == (gcd(m, n - m + 1) >= 2)
 
 
+def test_h_exponents_match_the_floor_sums():
+    # the exponent of Phi_j in [n,m]_q / omega, written out as floor sums:
+    # floor(n/j) - floor(m/j) - floor((n-m+1)/j) for j <= n-m+1, and
+    # floor(n/j) - floor(m/j) - floor((n-m)/j) above
+    for n in range(4, 301):
+        for m in range(2, n // 2 + 1):
+            expected = {}
+            for j in range(2, n + 1):
+                rest = n - m + 1 if j <= n - m + 1 else n - m
+                if e := n // j - m // j - rest // j:
+                    expected[j] = e
+            assert h_exponents(n, m).exponents == expected, (n, m)
+
+
 def test_h_report_preconditions():
     with pytest.raises(ValueError):
         h_report(4, 1)
