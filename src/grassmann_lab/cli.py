@@ -3,12 +3,14 @@
 Commands: build, verify, coreness, qbinom, scan.  All reports go to
 stdout as UTF-8; errors go to stderr.  Exit codes: 0 all checks pass or
 report produced, 1 a verification check or an internal self-check
-failed, 2 a resource bound was hit, 3 invalid input.
+failed, or another unexpected exception was raised, 2 a resource bound
+was hit, 3 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .arith import prime_power_base
@@ -259,7 +261,9 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process; it names the command, main() looks it up."""
     parser = _Parser(prog="grassmann-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -272,20 +276,17 @@ def _build_parser() -> _Parser:
     common_graph(p)
     p.add_argument("--format", choices=["json", "text", "dot"], default="text")
     p.add_argument("--max-vertices", type=int, default=BUILD_BOUND)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="exhaustively verify clique structure")
     common_graph(p)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--brute-bound", type=int, default=CLIQUE_ENUM_BOUND)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("coreness", help="core / not-core / undetermined verdict")
     common_graph(p)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--fixture", type=str, default=None, help="fixture file to verify")
     p.add_argument("--brute-bound", type=int, default=SEARCH_BOUND)
-    p.set_defaults(func=cmd_coreness)
 
     p = sub.add_parser("qbinom", help="Gaussian binomial factorization and h report")
     p.add_argument("--n", type=int, required=True)
@@ -293,30 +294,29 @@ def _build_parser() -> _Parser:
     p.add_argument("--at", type=int, default=None, help="evaluate at this prime power")
     p.add_argument("--q-max", type=int, default=None, help="also scan integrality up to here")
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=cmd_qbinom)
 
     p = sub.add_parser("scan", help="integrality scan of h over prime powers")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--q-max", type=int, required=True)
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=cmd_scan)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # by name at call time, so a command replaced in this module's namespace is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (AssertionError, ArithmeticError) as exc:  # an internal self-check failed
+    except Exception as exc:  # a failed self-check or any other internal fault
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

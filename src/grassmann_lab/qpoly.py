@@ -234,8 +234,7 @@ def gaussian_binomial_int(n: int, m: int, q: int) -> int:
     """
     if m < 0 or m > n:
         return 0
-    if 2 * m > n:  # cheaper than min() in the scans, which call this per prime power
-        m = n - m
+    m = min(m, n - m)
     num = 1
     den = 1
     for i in range(1, m + 1):
@@ -410,9 +409,22 @@ def h_integrality(n: int, m: int, q: int):
 
 
 def _h_parts(n: int, m: int, q: int) -> tuple[int, int]:
-    """h(q) in lowest terms as (numerator, denominator), one gcd per q."""
-    num = gaussian_binomial_int(n, m, q)
-    den = omega_int(n, m, q)
+    """h(q) in lowest terms as (numerator, denominator), for 4 <= 2m <= n.
+
+    omega = (q^(n-m+1) - 1)/(q - 1) cancels the i = m factor of the
+    numerator of [n,m]_q = prod_{i=1..m} (q^(n+1-i) - 1)/(q^i - 1), and its
+    q - 1 cancels the i = 1 factor of the denominator, so
+    h(q) = prod_{i=1..m-1} (q^(n+1-i) - 1) / prod_{i=2..m} (q^i - 1): two
+    products of m - 1 factors and one gcd, with no exact division to check.
+    """
+    num = den = 1
+    top = q ** (n + 2 - m)
+    bottom = q
+    for _ in range(m - 1):
+        bottom *= q
+        num *= top - 1
+        den *= bottom - 1
+        top *= q
     g = gcd(num, den)
     return num // g, den // g
 

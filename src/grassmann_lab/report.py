@@ -14,6 +14,7 @@ import json
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .config import check_decimal_digits
 from .coreness import CorenessReport
@@ -237,7 +238,8 @@ def to_json(data) -> str:
     With an indent, json.dumps runs the pure-Python encoder, which is one
     generator step per element; a 248,031-edge dump spends most of its time
     there.  Containers of exact dicts, lists, tuples, strs and ints are
-    written here (a list of equal-length int rows as one %-template);
+    written here (a list of equal-length int rows, or of records with one
+    key order and one exact scalar type per key, as one %-template);
     everything else goes to json.dumps itself.  The input must be a tree.
     """
     return _json(data, "\n")
@@ -279,5 +281,47 @@ def _json(o, nl: str) -> str:
                 cell = inner + "  "
                 row = "[" + cell + ("," + cell).join(["%d"] * len(o[0])) + inner + "]"
                 return ("[" + inner + sep.join([row] * len(o)) + nl + "]") % flat
+        if types == {dict}:
+            records = _records(o, inner)
+            if records is not None:
+                return "[" + inner + records + nl + "]"
         return "[" + inner + sep.join([_json(x, inner) for x in o]) + nl + "]"
     return json.dumps(o, indent=2).replace("\n", nl)
+
+
+# The record template's cell, and the conversion its values need, per exact scalar type
+_CELLS = {
+    int: ("%d", None),
+    str: ("%s", encode_basestring_ascii),
+    bool: ("%s", ("false", "true").__getitem__),
+}
+
+
+def _records(o, inner: str) -> str | None:
+    """The dicts of the list o, joined as _json joins list items, from one %-template.
+
+    Every dict must have the first one's str keys, in its order, and each
+    key's values must share one exact type among int, str and bool;
+    otherwise None.  The first dict's types are checked before anything
+    else, so a list whose first record holds a container (a graph's vertex
+    list) costs one look and builds no column.
+    """
+    keys = tuple(o[0])
+    kinds = [type(v) for v in o[0].values()]
+    if not keys or not all(type(k) is str for k in keys) or not all(t in _CELLS for t in kinds):
+        return None
+    if not all(map(keys.__eq__, map(tuple, o))):
+        return None
+    if any(set(map(type, map(itemgetter(k), o))) != {t} for k, t in zip(keys, kinds)):
+        return None
+    cell = inner + "  "
+    fields = (
+        encode_basestring_ascii(k).replace("%", "%%") + ": " + _CELLS[t][0]
+        for k, t in zip(keys, kinds)
+    )
+    record = "{" + cell + ("," + cell).join(fields) + inner + "}"
+    columns = []
+    for k, t in zip(keys, kinds):
+        column, convert = map(itemgetter(k), o), _CELLS[t][1]
+        columns.append(column if convert is None else map(convert, column))
+    return ("," + inner).join([record] * len(o)) % tuple(chain.from_iterable(zip(*columns)))

@@ -183,6 +183,8 @@ def test_missing_fixture_exits_3_before_the_search(capsys, monkeypatch, tmp_path
         ("h_report", ArithmeticError, "qbinom --n 8 --m 3", 1),
         ("core_test", AssertionError, "coreness --q 2 --n 4 --m 2", 1),
         ("h_report", ZeroDivisionError, "qbinom --n 8 --m 3", 3),
+        ("scan_core_threshold", KeyError, "scan --n 8 --m 3 --q-max 16", 1),
+        ("build_graph", TypeError, "build --q 2 --n 4 --m 2", 1),
     ],
 )
 def test_failed_self_checks_print_one_error_line(
@@ -198,7 +200,43 @@ def test_failed_self_checks_print_one_error_line(
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     if code == 1:
-        assert captured.err == f"error: {exc.__name__}: self-check tripped\n"
+        assert captured.err == f"error: {exc.__name__}: {exc('self-check tripped')}\n"
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupts_and_exits_propagate(monkeypatch, exc):
+    def interrupted(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr(cli, "scan_core_threshold", interrupted)
+    with pytest.raises(exc):
+        main("scan --n 8 --m 3 --q-max 16".split())
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(capsys):
+    valid = "qbinom --n 8 --m 3 --at 4".split()
+    cli._build_parser.cache_clear()
+    first = run(capsys, *valid)
+    assert first[0] == 0
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["qbinom", "--n", "8", "--m", "x"])
+    assert exit_info.value.code == 3
+    capsys.readouterr()
+    assert run(capsys, *valid) == first
+    code, out, _ = run(capsys, *"qbinom --n 8 --m 3 --q-max 16".split())
+    assert code == 0 and "scan" in json.loads(out)["qbinom"]
+    code, out, _ = run(capsys, *"qbinom --n 8 --m 3".split())
+    assert code == 0 and "scan" not in json.loads(out)["qbinom"]
+    assert cli._build_parser() is parser
+
+
+def test_commands_are_looked_up_when_called(capsys, monkeypatch):
+    seen = []
+    cli._build_parser()  # cached before the command is replaced
+    monkeypatch.setattr(cli, "cmd_scan", lambda args: seen.append(args.q_max) or 0)
+    assert main("scan --n 8 --m 3 --q-max 16".split()) == 0
+    assert seen == [16] and capsys.readouterr().out == ""
 
 
 def test_coreness_core_case(capsys):

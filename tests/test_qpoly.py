@@ -273,6 +273,19 @@ def test_scan_matches_the_fraction_reference():
     assert scan_core_threshold(8, 3, 200000) == oracles.scan_core_threshold(8, 3, 200000)
 
 
+def test_h_kernel_matches_the_fraction_off_the_scanned_grid():
+    shapes = [(80, 40), (243, 30), (650, 10)]
+    for n, m in shapes:
+        for q in (2, 3, 2048, 2**20):
+            want = Fraction(gaussian_binomial_int(n, m, q), omega_int(n, m, q))
+            assert qpoly._h_parts(n, m, q) == (want.numerator, want.denominator), (n, m, q)
+    for n in range(4, 41):
+        for m in range(2, n // 2 + 1):
+            for q in range(2, 65):
+                want = Fraction(gaussian_binomial_int(n, m, q), omega_int(n, m, q))
+                assert qpoly._h_parts(n, m, q) == (want.numerator, want.denominator), (n, m, q)
+
+
 def test_cyclotomic_matches_the_recursive_division():
     for t in range(1, 301):
         assert cyclotomic(t) == oracles.cyclotomic(t), t

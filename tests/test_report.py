@@ -9,8 +9,13 @@ from enum import IntEnum
 import pytest
 from test_golden import FIXTURE, GOLDEN
 
-from grassmann_lab import build_graph, cli, make_field
-from grassmann_lab.report import graph_from_json_dict, graph_to_json_dict, to_json
+from grassmann_lab import build_graph, cli, make_field, report, scan_core_threshold
+from grassmann_lab.report import (
+    graph_from_json_dict,
+    graph_to_json_dict,
+    scan_report_dict,
+    to_json,
+)
 
 
 class Colour(IntEnum):
@@ -84,12 +89,41 @@ HAND_PICKED = [
     OrderedDict([("b", 1), ("a", [1, 2])]),
     [OrderedDict(), OrderedDict([("z", None)])],
     {"rows": [[0, 1], [0, 2], [1, 2]], "flat": [3, 4], "names": ["p", "q"]},
+    # lists of records: the template, and every way out of it
+    [{"q": 2, "is_integer": False, "value": "31/3"}, {"q": 4, "is_integer": True, "value": "5"}],
+    [{"ok": True}, {"ok": False}],
+    [{"a": 1}, {"a": True}],
+    [{"a": True, "b": "x"}, {"a": 0, "b": "y"}],
+    [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+    [{"a": 1}, {"a": 1, "b": 2}],
+    [{"a": 1, "b": 2}, {"a": 1}],
+    [{"a": 1}, {1: 1}],
+    [{1: "x"}, {1: "y"}],
+    [{"k": Colour.RED}, {"k": 2}],
+    [{"k": 2}, {"k": Colour.RED}],
+    [{"k": 1.5}, {"k": 2.5}],
+    [{"k": [1, 2]}, {"k": [3]}],
+    [{"k": None}, {"k": None}],
+    [{"id": 0, "matrix": ["10", "01"]}, {"id": 1, "matrix": ["11", "01"]}],
+    [{"q": 2, "value": "7/3"}],
+    [{"a": 1}, {}],
+    [{}, {"a": 1}],
+    [{"%d": 1, "%%s": "%s", "é\n": "☃"}, {"%d": -2, "%%s": "%d", "é\n": ""}],
+    [OrderedDict([("a", 1)]), OrderedDict([("a", 2)])],
+    {"entries": [{"q": 2, "big": 10**40}, {"q": 3, "big": -(10**40)}]},
 ]
 
 
 @pytest.mark.parametrize("data", HAND_PICKED, ids=[repr(d)[:40] for d in HAND_PICKED])
 def test_to_json_matches_json_dumps_on_hand_picked_cases(data):
     assert to_json(data) == json.dumps(data, indent=2)
+
+
+def test_scan_entries_take_the_record_template_and_vertex_lists_do_not():
+    entries = scan_report_dict(scan_core_threshold(8, 3, 64))["entries"]
+    assert report._records(entries, "\n    ") is not None
+    vertices = graph_to_json_dict(build_graph(make_field(2, 1), 4, 2))["vertices"]
+    assert report._records(vertices, "\n    ") is None
 
 
 _ALPHABET = "ab \t\n\"\\\x00\x1f\x7fé☃\U0001d11e"
