@@ -23,24 +23,18 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power_base(q: int) -> tuple[int, int] | None:
-    """Return (p, e) with q = p^e and p prime, or None if q is not a prime power."""
+    """Return (p, e) with q = p^e and p prime, or None if q is not a prime power.
+
+    p is the smallest divisor of q above 1, so it is prime.
+    """
     if q < 2:
         return None
-    p = q
-    for d in range(2, q + 1):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
+    while q % p == 0:
+        q //= p
         e += 1
-    if rest != 1:
-        return None
-    return (p, e) if is_prime(p) else None
+    return (p, e) if q == 1 else None
 
 
 def prime_powers_upto(limit: int) -> list[int]:
@@ -65,17 +59,3 @@ def prime_powers_upto(limit: int) -> list[int]:
                 pk *= p
     return list(compress(range(limit + 1), power))
 
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out

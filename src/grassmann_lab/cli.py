@@ -73,9 +73,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID)
 
 
-def _field_for(q: int):
+def _check_field_size(q: int) -> None:
     if q > MAX_FIELD_SIZE:  # before factoring q, which takes up to sqrt(q) trial divisions
         raise ValueError(f"field too large: q = {q} > {MAX_FIELD_SIZE}")
+
+
+def _field_for(q: int):
+    _check_field_size(q)
     pe = prime_power_base(q)
     if pe is None:
         raise ValueError(f"--q must be a prime power, got {q}")
@@ -141,6 +145,7 @@ def cmd_coreness(args) -> int:
             fx = load_fixture(args.fixture)
         except OSError as exc:
             raise ValueError(f"cannot read fixture: {exc}") from exc
+    _check_field_size(args.q)
     rep = core_test(args.n, args.m, args.q, search_bound=args.brute_bound)
     fxrep = None
     if fx is not None:
@@ -173,8 +178,10 @@ def cmd_qbinom(args) -> int:
             f"Gaussian binomial too large for the h report: [{args.n},{args.m}]_q has "
             f"degree {degree} > {MAX_QBINOM_DEGREE}"
         )
-    if args.at is not None and prime_power_base(args.at) is None:
-        raise ValueError(f"--at must be a prime power, got {args.at}")
+    if args.at is not None:
+        _check_field_size(args.at)
+        if prime_power_base(args.at) is None:
+            raise ValueError(f"--at must be a prime power, got {args.at}")
     if max(0, min(args.m, args.n - args.m)) * degree > MAX_QBINOM_WORK:
         raise BoundExceeded(
             f"Gaussian binomial too large to build: min(m, n-m) * m(n-m) may be at most "

@@ -6,7 +6,10 @@ CLI exposes the vertex, clique and search bounds as flags
 (--max-vertices, --brute-bound).  The field-size caps, ENUM_BOUND and the
 qbinom and scan caps are fixed constants with neither.  The defaults
 target desk-scale experiments (the interesting instances have a few dozen
-to a few thousand vertices).
+to a few thousand vertices).  A `--q` or `qbinom --at` is checked against
+MAX_FIELD_SIZE before it is factored, since factoring takes up to sqrt(q)
+trial divisions; the prime powers a scan factors are bounded by
+MAX_SCAN_WORK.
 """
 
 import sys
@@ -80,7 +83,8 @@ def check_decimal_digits(value: int, what: str) -> None:
     3.10.7 have no such limit.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and abs(value) >= 10**limit:
+    # a value of at most 3 * limit bits is below 2^(3 limit) < 10^limit
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
         raise BoundExceeded(
             f"{what} has more than {limit} decimal digits, "
             "the interpreter's limit for int-to-str conversion"

@@ -4,8 +4,13 @@ A field element is a plain int in [0, q) encoding its polynomial-basis
 coefficient vector (c0, c1, ..., c_{e-1}) as c0 + c1*p + ... + c_{e-1}*p^(e-1);
 for a prime field (e = 1) that is just the residue mod p.  The modulus is
 the lexicographically smallest monic irreducible polynomial of degree e
-over Z_p, comparing coefficient tuples low degree first, so make_field is
-deterministic: the same (p, e) always yields the same field.
+over Z_p, comparing coefficient tuples low degree first and testing each
+candidate by trial division, so make_field is deterministic: the same
+(p, e) always yields the same field.  A prime field's modulus is x, under
+which polynomial arithmetic is arithmetic mod p.
+
+Each operation has one definition, on coefficient vectors; fields with
+q <= FIELD_TABLE_LIMIT tabulate it once and look it up.
 
 Note the element *ordering* used for canonical enumerations compares
 coefficient vectors low degree first, which differs from plain int order
@@ -14,24 +19,21 @@ once e > 1; FieldSpec.elements_in_order supplies it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .arith import is_prime, prime_factors
+from .arith import is_prime
 from .config import FIELD_TABLE_LIMIT, MAX_FIELD_SIZE
 
 
 # -- polynomial helpers over Z_p (coefficient lists, low degree first) --
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
+def _poly_mul_mod(
+    a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int
+) -> list[int]:
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ca in enumerate(a):
         if ca:
@@ -40,7 +42,8 @@ def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> lis
     return _poly_mod(out, modulus, p)
 
 
-def _poly_mod(a: list[int], modulus: list[int], p: int) -> list[int]:
+def _poly_mod(a: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
+    """a mod a monic modulus, with trailing zeros trimmed ([] when it divides a)."""
     a = list(a)
     d = len(modulus) - 1
     for i in range(len(a) - 1, d - 1, -1):
@@ -49,70 +52,25 @@ def _poly_mod(a: list[int], modulus: list[int], p: int) -> list[int]:
             a[i] = 0
             for j in range(d):
                 a[i - d + j] = (a[i - d + j] - c * modulus[j]) % p
-    return _poly_trim(a)
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        # reduce a mod b
-        inv_lead = pow(b[-1], p - 2, p)
-        d = len(b) - 1
-        for i in range(len(a) - 1, d - 1, -1):
-            c = a[i]
-            if c:
-                t = c * inv_lead % p
-                for j in range(len(b)):
-                    a[i - d + j] = (a[i - d + j] - t * b[j]) % p
-        _poly_trim(a)
-        a, b = b, a
+    while a and a[-1] == 0:
+        a.pop()
     return a
 
 
-def _x_pow_q_mod(p: int, k: int, modulus: list[int]) -> list[int]:
-    """x^(p^k) reduced mod the given monic polynomial, by repeated squaring."""
-    result = [0, 1]  # x
-    for _ in range(k):
-        acc = [1]
-        base = result
-        exp = p
-        while exp:
-            if exp & 1:
-                acc = _poly_mul_mod(acc, base, modulus, p)
-            base = _poly_mul_mod(base, base, modulus, p)
-            exp >>= 1
-        result = acc
-    return result
-
-
 def _is_irreducible(p: int, coeffs: list[int]) -> bool:
-    """Irreducibility of a monic polynomial over Z_p.
+    """Irreducibility of a monic polynomial over Z_p, by trial division.
 
-    Degree <= 3: equivalent to having no roots (any factorization would
-    include a linear factor).  Higher degree: x^(p^e) = x mod f together
-    with gcd(x^(p^(e/d)) - x, f) = 1 for every prime d | e.
+    A reducible monic polynomial of degree e has a monic factor of degree
+    at most e/2, so it is enough to try every monic divisor of degree
+    1..e//2.  There are fewer than 2 p^(e/2) of them, at most 2048 for
+    p^e <= MAX_FIELD_SIZE.
     """
     e = len(coeffs) - 1
-    if e == 1:
-        return True
-    if e <= 3:
-        for a in range(p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * a + c) % p
-            if acc == 0:
-                return False
-        return True
-    xqe = _x_pow_q_mod(p, e, coeffs)
-    if _poly_trim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xqe + [0, 0])]):
-        return False
-    for d in prime_factors(e):
-        xqk = _x_pow_q_mod(p, e // d, coeffs)
-        diff = _poly_trim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xqk + [0, 0])])
-        g = _poly_gcd(coeffs, diff, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
+    return all(
+        _poly_mod(coeffs, (*lower, 1), p)
+        for d in range(1, e // 2 + 1)
+        for lower in product(range(p), repeat=d)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -188,37 +146,14 @@ class FieldSpec:
         return add, neg, mul, inv
 
     def _add_slow(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        shift = 1
-        for _ in range(self.e):
-            out += (a % p + b % p) % p * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
+        return self.from_coeffs(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
 
     def _neg_slow(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        shift = 1
-        for _ in range(self.e):
-            out += (-(a % p)) % p * shift
-            a //= p
-            shift *= p
-        return out
+        return self.from_coeffs(-c for c in self.coeffs(a))
 
     def _mul_slow(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
-        pa = list(self.coeffs(a))
-        pb = list(self.coeffs(b))
-        prod = _poly_mul_mod(pa, pb, list(self.modulus), self.p)
-        return self.from_coeffs(prod + [0] * (self.e - len(prod)))
+        prod = _poly_mul_mod(self.coeffs(a), self.coeffs(b), self.modulus, self.p)
+        return self.from_coeffs(prod)
 
     def add(self, a: int, b: int) -> int:
         t = self._tables
@@ -239,18 +174,7 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
         t = self._tables
-        if t:
-            return t[3][a]
-        # a^(q-2) by square-and-multiply
-        result = 1
-        base = a
-        exp = self.q - 2
-        while exp:
-            if exp & 1:
-                result = self._mul_slow(result, base)
-            base = self._mul_slow(base, base)
-            exp >>= 1
-        return result
+        return t[3][a] if t else self.pow(a, self.q - 2)
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:

@@ -11,6 +11,7 @@ from grassmann_lab.config import (
     MAX_QBINOM_WORK,
     MAX_SCAN_WORK,
     BoundExceeded,
+    check_decimal_digits,
 )
 from grassmann_lab.fixture import default_fixture_path
 from grassmann_lab.qpoly import scan_core_threshold
@@ -319,6 +320,16 @@ def test_integers_past_the_str_digit_limit_exit_2(capsys, command):
     assert sys.get_int_max_str_digits() == STR_DIGIT_LIMIT
 
 
+@pytest.mark.skipif(not STR_DIGIT_LIMIT, reason="the interpreter has no int-to-str limit")
+def test_the_digit_check_passes_exactly_the_printable_integers():
+    largest = 10**STR_DIGIT_LIMIT - 1
+    check_decimal_digits(largest, "x")
+    check_decimal_digits(-largest, "x")
+    for value in (largest + 1, -largest - 1):
+        with pytest.raises(BoundExceeded, match=f"more than {STR_DIGIT_LIMIT} decimal digits"):
+            check_decimal_digits(value, "x")
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -412,14 +423,16 @@ def test_scan_rejects_shapes_without_h_before_the_work_cap(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "error: need 4 <= 2m <= n\n")
 
 
-@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("command", ["build", "verify", "coreness", "qbinom"])
 def test_fields_past_the_size_cap_exit_3_before_factoring(capsys, monkeypatch, command):
     def refuse(*args):
         raise AssertionError("q factored above the field size cap")
 
     monkeypatch.setattr(cli, "prime_power_base", refuse)
+    monkeypatch.setattr(coreness, "prime_power_base", refuse)
     q = 100000000000031
-    code, out, err = run(capsys, command, "--q", str(q), "--n", "2", "--m", "1")
+    flag = "--at" if command == "qbinom" else "--q"
+    code, out, err = run(capsys, command, flag, str(q), "--n", "4", "--m", "2")
     assert (code, out, err) == (3, "", f"error: field too large: q = {q} > {MAX_FIELD_SIZE}\n")
 
 

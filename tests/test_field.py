@@ -1,10 +1,13 @@
+import hashlib
+import random
 from bisect import bisect_right
 from itertools import product
 
 import pytest
 
 from grassmann_lab import field, make_field
-from grassmann_lab.arith import prime_power_base, prime_powers_upto
+from grassmann_lab.arith import is_prime, prime_power_base, prime_powers_upto
+from grassmann_lab.config import FIELD_TABLE_LIMIT, MAX_FIELD_SIZE
 from oracles import check_field_axioms
 
 
@@ -77,6 +80,24 @@ def test_modulus_is_the_first_irreducible_of_the_full_scan():
             assert make_field(p, e).modulus == first
 
 
+def test_moduli_of_every_extension_field_are_pinned():
+    # sha256 of the moduli for every q = p^e <= MAX_FIELD_SIZE with e >= 2,
+    # ascending in q, recorded with another irreducibility test (Rabin's,
+    # and a root test for e <= 3)
+    fields = sorted(
+        (p**e, p, e)
+        for p in range(2, 1025)
+        if is_prime(p)
+        for e in range(2, 21)
+        if p**e <= MAX_FIELD_SIZE
+    )
+    moduli = [make_field(p, e).modulus for _, p, e in fields]
+    assert len(moduli) == 242
+    assert hashlib.sha256(repr(moduli).encode()).hexdigest() == (
+        "3e05087d1fa7a4e7cb94bdab8b4419f18fb732fe4b9a6f37ed39efc94bd77da8"
+    )
+
+
 def test_make_field_deterministic():
     a = make_field(3, 2)
     b = make_field(3, 2)
@@ -98,6 +119,20 @@ def test_field_axioms_exhaustive_up_to_64():
     for q in prime_powers_upto(64):
         p, e = prime_power_base(q)
         check_field_axioms(make_field(p, e))
+
+
+@pytest.mark.parametrize(
+    "q, expected",
+    [
+        (1000003, (1000003, 1)),
+        (1009**2, (1009, 2)),
+        (2**20, (2, 20)),
+        (3**12, (3, 12)),
+        (2 * 1000003, None),
+    ],
+)
+def test_prime_power_base_past_the_sieve_range(q, expected):
+    assert prime_power_base(q) == expected
 
 
 def test_prime_power_sieve_matches_trial_division():
@@ -124,3 +159,19 @@ def test_large_field_without_tables():
     a = f.from_coeffs((1, 0, 1) + (0,) * 6)
     assert f.mul(a, f.inv(a)) == 1
     assert f.sub(a, a) == 0
+    # seeded samples of the field axioms on a prime field and four extensions
+    for p, e in [(257, 1), (17, 2), (2, 9), (3, 6), (2, 10)]:
+        f = make_field(p, e)
+        assert f.q > FIELD_TABLE_LIMIT and f._tables is None
+        rng = random.Random(f.q)
+        for _ in range(60):
+            a, b, c = (rng.randrange(f.q) for _ in range(3))
+            assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+            assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+            assert f.mul(f.add(a, b), c) == f.add(f.mul(a, c), f.mul(b, c))
+            assert f.add(a, f.neg(a)) == 0
+            assert f.add(f.sub(a, b), b) == a
+            if a:
+                assert f.pow(a, f.q - 1) == 1
+                assert f.mul(a, f.inv(a)) == 1
+
