@@ -24,6 +24,7 @@ from .config import (
     SEARCH_BOUND,
     BoundExceeded,
     check_decimal_digits,
+    check_power_digits,
 )
 from .coreness import core_test
 from .field import make_field
@@ -106,11 +107,12 @@ def cmd_verify(args) -> int:
     spec = _field_for(args.q)
     # the lemma checks compare every pair of star and top centres; build_graph
     # rejects m outside 1..n-1 as invalid input
+    what = f"the star and top centre count of J_{args.q}({args.n},{args.m})"
+    if 1 <= args.m < args.n:  # at least [n,m-1]_q >= q^((m-1)(n-m+1))
+        check_power_digits(args.q, (args.m - 1) * (args.n - args.m + 1), what)
     centres = sum(gaussian_binomial_int(args.n, k, args.q) for k in (args.m - 1, args.m + 1))
     if 1 <= args.m < args.n and centres > args.brute_bound:
-        check_decimal_digits(
-            centres, f"the star and top centre count of J_{args.q}({args.n},{args.m})"
-        )
+        check_decimal_digits(centres, what)
         raise BoundExceeded(
             f"clique catalogs too large for the lemma checks: J_{args.q}({args.n},{args.m}) "
             f"has {centres} star and top centres > {args.brute_bound}"
@@ -193,6 +195,9 @@ def cmd_qbinom(args) -> int:
             check_decimal_digits(h_at.numerator, f"h({args.at}) for (n={args.n}, m={args.m})")
     if with_h and args.q_max is not None:
         _check_scan(args.n, args.m, args.q_max)
+    what_at = f"[{args.n},{args.m}]_q at q = {args.at}"
+    if args.at is not None and args.format == "json":  # [n,m]_q >= q^(m(n-m))
+        check_power_digits(args.at, degree, what_at)
     poly = gaussian_binomial_poly(args.n, args.m)
     exps = knuth_wilf_exponents(args.n, args.m)
     data = {
@@ -229,7 +234,7 @@ def cmd_qbinom(args) -> int:
         sys.stdout.write("\n".join(lines) + "\n")
     else:
         if args.at is not None:  # h(q) there is no larger
-            check_decimal_digits(value_at, f"[{args.n},{args.m}]_q at q = {args.at}")
+            check_decimal_digits(value_at, what_at)
         _emit(data)
     return EXIT_OK
 

@@ -34,14 +34,12 @@ BUILD_BOUND = 5000
 # compare every pair of centres.
 CLIQUE_ENUM_BOUND = 2000
 
-# Cap for exact omega/alpha/chi search; J_2(6,3) at 1395 vertices is
+# Cap for exact omega/chi search; J_2(6,3) at 1395 vertices is
 # deliberately above it, so its coreness stays "undetermined" by default.
 SEARCH_BOUND = 1000
 
-# Node budget for the clique/independence branch and bound.  Clique
-# searches on desk-scale instances need a few hundred nodes; the
-# independence search runs only when a greedy set falls short of the
-# |V|/omega cap, and there it can use the whole budget (J_2(5,2) does).
+# Node budget for the clique branch and bound, the only search that uses
+# it.  Clique searches on desk-scale instances need a few hundred nodes.
 SEARCH_NODE_BUDGET = 500_000
 
 # Node budget for the backtracking colouring search.
@@ -89,6 +87,18 @@ def check_decimal_digits(value: int, what: str) -> None:
             f"{what} has more than {limit} decimal digits, "
             "the interpreter's limit for int-to-str conversion"
         )
+
+
+def check_power_digits(q: int, k: int, what: str) -> None:
+    """check_decimal_digits for a value of at least q^k, before it is computed.
+
+    q^k >= 2^((bit_length(q) - 1) k), and 2^b >= 10^limit once
+    3b >= 10 limit, since log2(10) < 10/3; so this raises only when the
+    exact check on the value would.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and 3 * (q.bit_length() - 1) * k >= 10 * limit:
+        check_decimal_digits(10**limit, what)  # the smallest value past the limit
 
 
 class SearchBudgetExceeded(RuntimeError):

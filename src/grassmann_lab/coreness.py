@@ -1,4 +1,4 @@
-"""Exact clique/independence/chromatic computations and coreness verdicts.
+"""Exact clique and chromatic searches, independence bounds and coreness verdicts.
 
 The solvers are deliberately small: a Tomita-style branch-and-bound with a
 greedy colour bound for maximum clique, and a clique-seeded DSATUR
@@ -7,17 +7,16 @@ per-saturation-level bitsets and reads free colours off per-colour
 neighbourhood bitsets.  Both run on explicit stacks, so no search depth
 touches the interpreter's recursion limit, and both carry node budgets;
 on exhaustion the coreness verdict degrades to an honest "undetermined",
-never a hang.  The independence number first compares a greedy
-independent set with the free |V|/omega cap and runs the branch and
-bound on the complement only when the two differ.  Tie-breaking is
-always by smallest vertex id, so witnesses are reproducible.
+never a hang.  The independence number is bracketed by a greedy
+independent set and the free |V|/omega cap, with no search.  Tie-breaking
+is always by smallest vertex id, so witnesses are reproducible.
 
 A graph in this family is a core exactly when its chromatic number
 exceeds its clique number (every endomorphism is an automorphism or a
 colouring), and CorenessReport.verdict reads that off the bounds on chi.
-core_test's stages only tighten those bounds.  Its alpha search runs
-last, when no omega-colouring turned up: one gives alpha, and composed
-with a maximum clique it is a witness endomorphism.  A star (or, when
+core_test's stages only tighten those bounds.  An omega-colouring gives
+alpha, and composed with a maximum clique it is a witness endomorphism;
+when none turns up, alpha keeps its bracket.  A star (or, when
 n < 2m, a top) is a maximum clique by the size formulas, so searches are
 seeded without any branch and bound.
 """
@@ -36,6 +35,7 @@ from .config import (
     BoundExceeded,
     SearchBudgetExceeded,
     check_decimal_digits,
+    check_power_digits,
 )
 from .field import make_field
 from .graph import GrassmannGraph, bits, build_graph
@@ -131,33 +131,18 @@ def structural_max_clique(G: GrassmannGraph) -> list[int]:
     return list((G.stars if G.n >= 2 * G.m else G.tops)[0].members)
 
 
-def _complement(adj, nv: int) -> list[int]:
-    full = (1 << nv) - 1
-    return [full & ~adj[i] & ~(1 << i) for i in range(nv)]
-
-
-def alpha_exact(
-    G: GrassmannGraph, bound: int = SEARCH_BOUND, node_budget: int = SEARCH_NODE_BUDGET
-):
-    """Independence number, exactly when the search is affordable.
+def alpha_exact(G: GrassmannGraph):
+    """Independence number when it is free, else the pair (lower, upper).
 
     A greedy independent set and the |V| // omega cap (the vertex-transitive
     inequality |V|/alpha >= omega rearranged) bracket alpha; when they
-    meet, that is alpha, with no search.  Otherwise the branch and bound
-    runs on the complement; over the vertex bound, or when it exhausts its
-    node budget, returns the pair (greedy, cap) instead.
+    meet, that is alpha.  For 2m <= n an independent set at the cap is a
+    q-Steiner system S_q[m-1, m, n], so no search is run for one.
     """
     nv = G.num_vertices
     greedy = len(_greedy_independent(G.adjacency, nv))
     upper = nv // omega_int(G.n, G.m, G.spec.q)
-    if greedy == upper:
-        return greedy
-    if nv <= bound:
-        try:
-            return len(max_clique_bitset(_complement(G.adjacency, nv), nv, node_budget))
-        except SearchBudgetExceeded:
-            pass
-    return greedy, upper
+    return greedy if greedy == upper else (greedy, upper)
 
 
 def _greedy_independent(adj, nv: int) -> list[int]:
@@ -275,13 +260,6 @@ def dsatur_upper_bound(adj, nv: int, seed=()) -> tuple[int, list[int]]:
     return max(colours) + 1, colours
 
 
-def _alpha_and_chi_floor(G: GrassmannGraph, omega: int, bound: int, node_budget: int):
-    """(alpha, max(omega, ceil(|V|/alpha))), with alpha's upper end when it is a pair."""
-    alpha = alpha_exact(G, bound, node_budget)
-    alpha_hi = alpha if isinstance(alpha, int) else alpha[1]
-    return alpha, max(omega, -(-G.num_vertices // alpha_hi))
-
-
 def _colour_walk(G: GrassmannGraph, clique, lower: int, upper: int, node_budget: int):
     """Try k = lower .. upper-1 colours, seeded with the clique; (lo, hi, table).
 
@@ -307,16 +285,17 @@ def chi_exact(
 ):
     """Chromatic number: exact int when the search closes, else (lo, hi).
 
-    The lower bound is max(omega, ceil(|V|/alpha)); the upper bound comes
-    from a supplied colouring or clique-seeded DSATUR; the colouring walk
-    that core_test runs at k = omega closes the gap here from the lower
-    bound up.
+    The lower bound is max(omega, ceil(|V|/(|V| // omega))), as alpha is at
+    most |V| // omega; the upper bound comes from a supplied colouring or
+    clique-seeded DSATUR; the colouring walk that core_test runs at
+    k = omega closes the gap here from the lower bound up.
     """
     nv = G.num_vertices
     if nv > bound:
         return omega_int(G.n, G.m, G.spec.q), nv
     clique = structural_max_clique(G)
-    _, lower = _alpha_and_chi_floor(G, len(clique), bound, SEARCH_NODE_BUDGET)
+    omega = len(clique)
+    lower = max(omega, -(-nv // (nv // omega)))
     if known_colouring is not None:
         upper = max(known_colouring) + 1
         validate_colouring(G.adjacency, known_colouring, upper)
@@ -458,8 +437,9 @@ def core_test(
     the search bound chi stays open; (4) branch and bound confirms omega,
     and the clique-seeded colouring walk at k = omega finds an
     omega-colouring (chi = omega, and a witness onto a star), refutes one
-    (chi > omega), or runs out of budget; (5) only then does the alpha
-    search run, raising chi to at least ceil(|V|/alpha).
+    (chi > omega), or runs out of budget; (5) without an omega-colouring,
+    alpha keeps its free bracket (greedy, |V|/omega), which cannot raise chi
+    past omega since |V|/omega is then an integer.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -468,6 +448,8 @@ def core_test(
         raise ValueError(f"{q} is not a prime power")
     if not 2 * m <= n:
         raise ValueError("need 2m <= n (the graph is isomorphic to its complement-dimension twin)")
+    if m > 1:  # h's numerator is at least h > q^((m-1)(n-m))/2 >= q^((m-1)(n-m)-1)
+        check_power_digits(q, (m - 1) * (n - m) - 1, f"|V|/omega for J_{q}({n},{m})")
 
     nv = gaussian_binomial_int(n, m, q)
     omega = omega_int(n, m, q)
@@ -532,9 +514,5 @@ def core_test(
         )
     else:
         rep.evidence.append("colouring search budget exhausted before a decision")
-
-    rep.alpha, chi_low = _alpha_and_chi_floor(G, omega, search_bound, clique_node_budget)
-    if chi_low > rep.chi_lower:
-        rep.chi = (chi_low, nv)
-        rep.evidence.append(f"chi >= {chi_low} > omega = {omega} proves a core")
+    rep.alpha = alpha_exact(G)
     return rep

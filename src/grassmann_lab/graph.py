@@ -37,6 +37,7 @@ from .config import (
     MAX_GRAPH_FIELD,
     BoundExceeded,
     check_decimal_digits,
+    check_power_digits,
 )
 from .field import FieldSpec
 from .qpoly import gaussian_binomial_int
@@ -134,9 +135,12 @@ def build_graph(
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     if spec.q > MAX_GRAPH_FIELD:
         raise BoundExceeded(f"field too large for graph building: q={spec.q} > {MAX_GRAPH_FIELD}")
+    what = f"the vertex count of J_{spec.q}({n},{m})"
+    # [n,m]_q >= q^(m(n-m)); a count too long to print exceeds any parsed max_vertices
+    check_power_digits(spec.q, m * (n - m), what)
     count = gaussian_binomial_int(n, m, spec.q)
     if count > max_vertices:
-        check_decimal_digits(count, f"the vertex count of J_{spec.q}({n},{m})")
+        check_decimal_digits(count, what)
         raise BoundExceeded(
             f"enumeration too large: J_{spec.q}({n},{m}) has {count} vertices > {max_vertices}"
         )

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .arith import prime_power_base, prime_powers_upto
 
@@ -429,8 +430,7 @@ def _h_parts(n: int, m: int, q: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     q: int
     is_integer: bool
     numerator: int

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from grassmann_lab import cli, coreness, graph, qpoly
+from grassmann_lab import cli, coreness, graph, qpoly, subspaces
 from grassmann_lab.cli import main
 from grassmann_lab.config import (
     MAX_FIELD_SIZE,
@@ -318,6 +318,44 @@ def test_integers_past_the_str_digit_limit_exit_2(capsys, command):
     assert f"more than {STR_DIGIT_LIMIT} decimal digits" in err
     assert "set_int_max_str_digits" not in err
     assert sys.get_int_max_str_digits() == STR_DIGIT_LIMIT
+
+
+# (command, the value its error names): a lower bound from the shape alone puts each past
+# the limit, so none is evaluated
+SHAPE_BOUND_COMMANDS = [
+    ("build --q 2 --n 2000 --m 1000", "the vertex count of J_2(2000,1000)"),
+    ("coreness --q 2 --n 2000 --m 1000", "|V|/omega for J_2(2000,1000)"),
+    ("coreness --q 1048573 --n 430 --m 215", "|V|/omega for J_1048573(430,215)"),
+    ("qbinom --n 430 --m 216 --at 1048573", "[430,216]_q at q = 1048573"),
+    ("build --q 2 --n 5000 --m 2500", "the vertex count of J_2(5000,2500)"),
+    ("verify --q 2 --n 5000 --m 2500", "the star and top centre count of J_2(5000,2500)"),
+    ("coreness --q 2 --n 5000 --m 2500", "|V|/omega for J_2(5000,2500)"),
+]
+
+
+@pytest.mark.skipif(
+    not 0 < STR_DIGIT_LIMIT <= 4300,
+    reason="the shape bounds pass the default 4300-digit int-to-str limit",
+)
+@pytest.mark.parametrize(
+    "command, what", SHAPE_BOUND_COMMANDS, ids=[c for c, _ in SHAPE_BOUND_COMMANDS]
+)
+def test_shapes_past_the_str_digit_limit_exit_2_before_evaluating(
+    capsys, monkeypatch, command, what
+):
+    def refuse(*args):
+        raise AssertionError("a value was evaluated although its shape is past the digit limit")
+
+    for module in (cli, coreness, graph, subspaces):
+        monkeypatch.setattr(module, "gaussian_binomial_int", refuse)
+    for module in (cli, coreness):
+        monkeypatch.setattr(module, "h_integrality", refuse)
+    code, out, err = run(capsys, *command.split())
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {what} has more than {STR_DIGIT_LIMIT} decimal digits, "
+        "the interpreter's limit for int-to-str conversion\n"
+    )
 
 
 @pytest.mark.skipif(not STR_DIGIT_LIMIT, reason="the interpreter has no int-to-str limit")

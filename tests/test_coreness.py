@@ -13,13 +13,16 @@ from grassmann_lab import (
     classify_endomorphism,
     core_test,
     enumerate_subspaces,
+    make_field,
     omega_exact,
     star,
     validate_endomorphism,
 )
 from grassmann_lab import coreness
+from grassmann_lab.arith import prime_power_base
 from grassmann_lab.config import (
     COLOUR_NODE_BUDGET,
+    SEARCH_BOUND,
     SEARCH_NODE_BUDGET,
     BoundExceeded,
     SearchBudgetExceeded,
@@ -48,25 +51,38 @@ def test_alpha_exact(j242, f2):
     assert alpha_exact(complete) == 1
 
 
-def test_alpha_bounds_when_over_budget(j252):
-    lo, hi = alpha_exact(j252, bound=10)
-    assert 1 <= lo <= hi
-    assert hi == 155 // 15
+def _refuse_clique_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("alpha ran a clique search")
+
+    monkeypatch.setattr(coreness, "max_clique_bitset", refuse)
 
 
-def test_alpha_degrades_to_bounds_on_node_budget(monkeypatch, j242, j252):
-    # greedy already meets the |V|/omega cap on J_2(4,2), so it is exact
-    assert alpha_exact(j242, node_budget=1) == 5
-    calls = []
+def test_alpha_is_the_free_bracket_without_a_search(monkeypatch, j242, j252):
+    _refuse_clique_search(monkeypatch)
+    assert alpha_exact(j242) == 5  # greedy meets the |V|/omega cap
+    assert alpha_exact(j252) == (7, 10)  # greedy finds 7 < 155 // 15
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return max_clique_bitset(*args, **kwargs)
 
-    monkeypatch.setattr(coreness, "max_clique_bitset", spy)
-    # greedy finds 7 < 155 // 15 = 10, so the search runs, and exhausts
-    assert alpha_exact(j252, node_budget=1) == (7, 10)
-    assert len(calls) == 1
+# alpha_exact on every J_q(n,m) with 4 <= 2m <= n and at most SEARCH_BOUND vertices
+ALPHA_PINS = [
+    (2, 4, 2, 5),
+    (2, 5, 2, (7, 10)),
+    (2, 6, 2, 21),
+    (3, 4, 2, 10),
+    (4, 4, 2, 17),
+    (5, 4, 2, 26),
+]
+
+
+@pytest.mark.parametrize(
+    "q, n, m, alpha", ALPHA_PINS, ids=[f"J_{q}({n},{m})" for q, n, m, _ in ALPHA_PINS]
+)
+def test_alpha_pins_within_the_search_bound(monkeypatch, q, n, m, alpha):
+    G = build_graph(make_field(*prime_power_base(q)), n, m)
+    assert G.num_vertices <= SEARCH_BOUND
+    _refuse_clique_search(monkeypatch)
+    assert alpha_exact(G) == alpha
 
 
 def test_omega_raises_on_node_budget(j252):
@@ -85,6 +101,11 @@ def test_core_test_degrades_honestly_with_tiny_budgets():
 
 def test_chi_exact_plain(j242):
     assert chi_exact(j242) == 7
+
+
+def test_chi_exact_starts_from_the_free_floor(j252):
+    # ceil(155 / (155 // 15)) = 16; DSATUR colours J_2(5,2) with 20
+    assert chi_exact(j252) == (16, 20)
 
 
 def test_chi_exact_with_fixture_colouring(j242):
@@ -293,7 +314,8 @@ def test_kernels_match_references_on_grassmann_graphs(name, request):
     for k in (omega - 1, omega):
         _assert_same_searches(adj, nv, k, clique[:k], colour_budgets)
     assert dsatur_upper_bound(adj, nv, clique) == oracles.dsatur_upper_bound(adj, nv, clique)
-    complement = coreness._complement(adj, nv)
+    full = (1 << nv) - 1
+    complement = [full & ~adj[i] & ~(1 << i) for i in range(nv)]
     for graph in (adj, complement):
         for budget in clique_budgets:
             expected = _outcome(oracles.max_clique_bitset, graph, nv, node_budget=budget)
@@ -348,9 +370,6 @@ def test_searches_leave_the_recursion_limit_alone(monkeypatch):
 
 
 def test_alpha_takes_the_greedy_path_at_the_cap(monkeypatch, j242, j342):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the branch and bound ran although greedy meets the cap")
-
-    monkeypatch.setattr(coreness, "max_clique_bitset", refuse)
+    _refuse_clique_search(monkeypatch)
     assert alpha_exact(j242) == 5
     assert alpha_exact(j342) == 10

@@ -6,7 +6,6 @@ import pytest
 
 from grassmann_lab import coreness
 from grassmann_lab.cli import main
-from grassmann_lab.config import SearchBudgetExceeded
 from grassmann_lab.fixture import default_fixture_path
 from grassmann_lab.report import coreness_report_dict, to_json
 
@@ -28,6 +27,11 @@ GOLDEN = [
         "coreness --q 2 --n 5 --m 2",
         0,
         "cbd8c971984b4a6040b787c2b7effef4d85f20b8c2ef1c860c60095e18aaf25a",
+    ),
+    (
+        "coreness --q 2 --n 6 --m 3 --brute-bound 2000",
+        0,
+        "c2f2c4af2fa62f9e9179209e4bd4cca972ebc014ae5b914849c23ae6bb941918",
     ),
     (
         "coreness --q 2 --n 7 --m 3",
@@ -139,14 +143,6 @@ def _no_colouring(*args, **kwargs):
     return None
 
 
-def _colouring_budget_out(*args, **kwargs):
-    raise SearchBudgetExceeded("colouring search exceeded its budget")
-
-
-def _alpha_four(*args, **kwargs):
-    return 4
-
-
 # (exit, (n, m, q), core_test keywords, coreness names to patch, sha256 of the JSON report)
 CORE_TEST_EXITS = [
     (
@@ -197,13 +193,6 @@ CORE_TEST_EXITS = [
         {},
         {"find_colouring": _no_colouring},
         "b420383c06cb8a4997f1f3706ace233dce7983fd70c49c55cf43979789caa0c6",
-    ),
-    (
-        "the alpha floor proves a core",
-        (4, 2, 2),
-        {},
-        {"find_colouring": _colouring_budget_out, "alpha_exact": _alpha_four},
-        "e66c561162b244856bce8529843fe076f4f46a677f83920da863405902a65f9f",
     ),
 ]
 
