@@ -58,7 +58,15 @@ def _refuse_clique_search(monkeypatch):
     monkeypatch.setattr(coreness, "max_clique_bitset", refuse)
 
 
-def test_alpha_is_the_free_bracket_without_a_search(monkeypatch, j242, j252):
+def test_alpha_bounds_when_over_budget(monkeypatch, j252):
+    # no q-Steiner system search is run: alpha is bracketed for free
+    _refuse_clique_search(monkeypatch)
+    lo, hi = alpha_exact(j252)
+    assert 1 <= lo <= hi
+    assert hi == 155 // 15
+
+
+def test_alpha_degrades_to_bounds_on_node_budget(monkeypatch, j242, j252):
     _refuse_clique_search(monkeypatch)
     assert alpha_exact(j242) == 5  # greedy meets the |V|/omega cap
     assert alpha_exact(j252) == (7, 10)  # greedy finds 7 < 155 // 15
