@@ -6,22 +6,6 @@ from itertools import compress
 from math import isqrt
 
 
-def is_prime(n: int) -> bool:
-    """Primality by trial division; ample for the supported field sizes."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def prime_power_base(q: int) -> tuple[int, int] | None:
     """Return (p, e) with q = p^e and p prime, or None if q is not a prime power.
 

@@ -110,13 +110,13 @@ def cmd_verify(args) -> int:
     what = f"the star and top centre count of J_{args.q}({args.n},{args.m})"
     if 1 <= args.m < args.n:  # at least [n,m-1]_q >= q^((m-1)(n-m+1))
         check_power_digits(args.q, (args.m - 1) * (args.n - args.m + 1), what)
-    centres = sum(gaussian_binomial_int(args.n, k, args.q) for k in (args.m - 1, args.m + 1))
-    if 1 <= args.m < args.n and centres > args.brute_bound:
-        check_decimal_digits(centres, what)
-        raise BoundExceeded(
-            f"clique catalogs too large for the lemma checks: J_{args.q}({args.n},{args.m}) "
-            f"has {centres} star and top centres > {args.brute_bound}"
-        )
+        centres = sum(gaussian_binomial_int(args.n, k, args.q) for k in (args.m - 1, args.m + 1))
+        if centres > args.brute_bound:
+            check_decimal_digits(centres, what)
+            raise BoundExceeded(
+                f"clique catalogs too large for the lemma checks: J_{args.q}({args.n},{args.m}) "
+                f"has {centres} star and top centres > {args.brute_bound}"
+            )
     G = build_graph(spec, args.n, args.m, max_vertices=args.brute_bound)
     cliques = all_maximal_cliques_bruteforce(G, bound=args.brute_bound)
     census = classify_maximal_cliques(G, cliques)
@@ -200,6 +200,20 @@ def cmd_qbinom(args) -> int:
         check_power_digits(args.at, degree, what_at)
     poly = gaussian_binomial_poly(args.n, args.m)
     exps = knuth_wilf_exponents(args.n, args.m)
+    if args.format == "text":  # prints no value at --at and no scan
+        lines = [f"[{args.n},{args.m}]_q = {poly}"]
+        lines.append(
+            "cyclotomic exponents: "
+            + " ".join(f"Phi_{t}^{e}" for t, e in sorted(exps.exponents.items()))
+        )
+        if with_h:
+            hrep = h_report(args.n, args.m)
+            lines.append(
+                f"h = f/g with f = {hrep.f}, g = {hrep.g}, "
+                f"r = {hrep.r}, applicable = {hrep.applicable}"
+            )
+        sys.stdout.write("\n".join(lines) + "\n")
+        return EXIT_OK
     data = {
         "params": {"n": args.n, "m": args.m},
         "qbinom": {
@@ -211,31 +225,16 @@ def cmd_qbinom(args) -> int:
         value_at = gaussian_binomial_int(args.n, args.m, args.at)
         data["qbinom"]["value_at"] = {"q": args.at, "value": value_at}
     if with_h:
-        hrep = h_report(args.n, args.m)
-        data["qbinom"]["h"] = h_report_dict(hrep)
+        data["qbinom"]["h"] = h_report_dict(h_report(args.n, args.m))
         if args.at is not None:
             value = h_at if isinstance(h_at, int) else f"{h_at.numerator}/{h_at.denominator}"
             data["qbinom"]["h"]["value_at"] = {"q": args.at, "value": value}
         if args.q_max is not None:
             scan = scan_core_threshold(args.n, args.m, args.q_max)
             data["qbinom"]["scan"] = scan_report_dict(scan)
-    if args.format == "text":
-        lines = [f"[{args.n},{args.m}]_q = {poly}"]
-        lines.append(
-            "cyclotomic exponents: "
-            + " ".join(f"Phi_{t}^{e}" for t, e in sorted(exps.exponents.items()))
-        )
-        if "h" in data["qbinom"]:
-            h = data["qbinom"]["h"]
-            lines.append(
-                f"h = f/g with f = {h['f']['text']}, g = {h['g']['text']}, "
-                f"r = {h['r']['text']}, applicable = {h['applicable']}"
-            )
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        if args.at is not None:  # h(q) there is no larger
-            check_decimal_digits(value_at, what_at)
-        _emit(data)
+    if args.at is not None:  # h(q) there is no larger
+        check_decimal_digits(value_at, what_at)
+    _emit(data)
     return EXIT_OK
 
 
@@ -260,16 +259,16 @@ def _check_scan(n: int, m: int, q_max: int) -> None:
 
 def cmd_scan(args) -> int:
     _check_scan(args.n, args.m, args.q_max)
-    scan = scan_report_dict(scan_core_threshold(args.n, args.m, args.q_max))
+    scan = scan_core_threshold(args.n, args.m, args.q_max)
     if args.format == "text":
-        nonint = sum(1 for e in scan["entries"] if not e["is_integer"])
+        nonint = sum(not e.is_integer for e in scan.entries)
         sys.stdout.write(
             f"h integrality scan for (n={args.n}, m={args.m}) up to q = {args.q_max}: "
-            f"{nonint}/{len(scan['entries'])} prime powers non-integral; "
-            f"largest integral q = {scan['largest_integer_q']}\n"
+            f"{nonint}/{len(scan.entries)} prime powers non-integral; "
+            f"largest integral q = {scan.largest_integer_q}\n"
         )
     else:
-        _emit({"params": {"n": args.n, "m": args.m}, "qbinom": {"scan": scan}})
+        _emit({"params": {"n": args.n, "m": args.m}, "qbinom": {"scan": scan_report_dict(scan)}})
     return EXIT_OK
 
 

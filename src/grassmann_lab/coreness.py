@@ -38,7 +38,7 @@ from .config import (
     check_power_digits,
 )
 from .field import make_field
-from .graph import GrassmannGraph, bits, build_graph
+from .graph import GrassmannGraph, bits, build_graph, map_bitset
 from .qpoly import gaussian_binomial_int, h_integrality, omega_int
 
 
@@ -134,25 +134,17 @@ def structural_max_clique(G: GrassmannGraph) -> list[int]:
 def alpha_exact(G: GrassmannGraph):
     """Independence number when it is free, else the pair (lower, upper).
 
-    A greedy independent set and the |V| // omega cap (the vertex-transitive
-    inequality |V|/alpha >= omega rearranged) bracket alpha; when they
-    meet, that is alpha.  For 2m <= n an independent set at the cap is a
-    q-Steiner system S_q[m-1, m, n], so no search is run for one.
+    A greedy independent set (the first class of _greedy_colour_order:
+    lowest vertex first, its neighbours dropped) and the |V| // omega cap
+    (the vertex-transitive inequality |V|/alpha >= omega rearranged)
+    bracket alpha; when they meet, that is alpha.  For 2m <= n an
+    independent set at the cap is a q-Steiner system S_q[m-1, m, n], so
+    no search is run for one.
     """
     nv = G.num_vertices
-    greedy = len(_greedy_independent(G.adjacency, nv))
+    greedy = sum(c == 1 for _, c in _greedy_colour_order(G.adjacency, (1 << nv) - 1))
     upper = nv // omega_int(G.n, G.m, G.spec.q)
     return greedy if greedy == upper else (greedy, upper)
-
-
-def _greedy_independent(adj, nv: int) -> list[int]:
-    out = []
-    remaining = (1 << nv) - 1
-    while remaining:
-        v = (remaining & -remaining).bit_length() - 1
-        out.append(v)
-        remaining &= ~(adj[v] | (1 << v))
-    return out
 
 
 # -- colouring search -------------------------------------------------
@@ -193,7 +185,7 @@ def find_colouring(
     rank = [0] * nv
     for r, v in enumerate(order):
         rank[v] = r
-    nadj = [sum(1 << rank[u] for u in bits(adj[v])) for v in order]
+    nadj = [map_bitset(rank, adj[v]) for v in order]
     colours = [-1] * nv  # by relabelled vertex
     seen = [0] * k
     uncoloured = (1 << nv) - 1
@@ -323,15 +315,24 @@ class Endomorphism:
 
 
 def validate_endomorphism(G: GrassmannGraph, mapping) -> Endomorphism:
-    """Check edge preservation; raises with a witness edge on failure."""
+    """Check that every value is a vertex id and every edge maps to an edge.
+
+    Vertex i passes iff the image of its higher neighbours lies in
+    adjacency[mapping[i]], which lacks mapping[i], so collapsed edges fail
+    too; the error names the first broken edge (i, j).
+    """
     mapping = tuple(mapping)
-    if len(mapping) != G.num_vertices:
+    nv = G.num_vertices
+    if len(mapping) != nv:
         raise ValueError("mapping length differs from vertex count")
-    for i in range(G.num_vertices):
-        fi = mapping[i]
-        for j in bits(G.adjacency[i] >> (i + 1) << (i + 1)):
-            if fi == mapping[j] or not G.adjacent(fi, mapping[j]):
-                raise ValueError(f"not an endomorphism: edge ({i}, {j}) breaks under the map")
+    for f in mapping:
+        if not (isinstance(f, int) and 0 <= f < nv):
+            raise ValueError(f"not a vertex map: image {f!r} is not a vertex id in 0..{nv - 1}")
+    for i, fi in enumerate(mapping):
+        higher = G.adjacency[i] >> (i + 1) << (i + 1)
+        if map_bitset(mapping, higher) & ~G.adjacency[fi]:
+            j = next(j for j in bits(higher) if not G.adjacent(fi, mapping[j]))
+            raise ValueError(f"not an endomorphism: edge ({i}, {j}) breaks under the map")
     return Endomorphism(G, mapping)
 
 
@@ -371,18 +372,11 @@ def classify_endomorphism(G: GrassmannGraph, e: Endomorphism) -> str:
     or an invalid input map rather than a real third class).
     """
     validate_endomorphism(G, e.mapping)
-    mapping = e.mapping
-    if e.is_injective():
-        iso = True
-        for i in range(G.num_vertices):
-            image = 0
-            for j in bits(G.adjacency[i]):
-                image |= 1 << mapping[j]
-            if image != G.adjacency[mapping[i]]:
-                iso = False
-                break
-        if iso:
-            return "automorphism"
+    adj = G.adjacency
+    if e.is_injective() and all(
+        map_bitset(e.mapping, adj[i]) == adj[fi] for i, fi in enumerate(e.mapping)
+    ):
+        return "automorphism"
     img = sorted(e.image())
     omega = omega_int(G.n, G.m, G.spec.q)
     if len(img) == omega and all(

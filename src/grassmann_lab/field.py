@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .arith import is_prime
+from .arith import prime_power_base
 from .config import FIELD_TABLE_LIMIT, MAX_FIELD_SIZE
 
 
@@ -195,10 +195,11 @@ class FieldSpec:
 def make_field(p: int, e: int) -> FieldSpec:
     """Construct GF(p^e) deterministically.
 
-    Raises ValueError("not prime") for composite p and
+    Raises ValueError("not prime") unless p is prime (its smallest divisor
+    above 1, which prime_power_base finds, is p itself) and
     ValueError("field too large") when p^e exceeds MAX_FIELD_SIZE.
     """
-    if not is_prime(p):
+    if prime_power_base(p) != (p, 1):
         raise ValueError(f"not prime: {p}")
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")

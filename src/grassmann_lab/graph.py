@@ -212,6 +212,11 @@ def _to_bitset(ids) -> int:
     return out
 
 
+def map_bitset(mapping: Sequence[int], x: int) -> int:
+    """The image {mapping[v] : v in x} of the vertex bitset x, as a bitset."""
+    return _to_bitset(map(mapping.__getitem__, bits(x)))
+
+
 def star_catalog(G: GrassmannGraph) -> list[MaximalClique]:
     """Every star: the vertices' hyperplane group under its centre's mask."""
     _, groups = _hyperplane_groups(G.vertices)
@@ -458,8 +463,7 @@ def dual_map_check(G: GrassmannGraph) -> DualReport:
 
     adj = G.adjacency
     for i in range(nv):
-        image = _to_bitset(perm[j] for j in bits(adj[i]))
-        if image != adj[perm[i]]:
+        if map_bitset(perm, adj[i]) != adj[perm[i]]:
             report.preserves_adjacency = False
             report.counterexamples.append({"check": "adjacency", "vertex": i})
 
@@ -470,8 +474,7 @@ def dual_map_check(G: GrassmannGraph) -> DualReport:
         by_centre = {c.center_mask: c.bitset for c in duals}
         dual_masks = vector_masks(dual_complement(c.center) for c in cliques)
         for c, mask in zip(cliques, dual_masks):
-            image = _to_bitset(perm[v] for v in c.members)
-            if image != by_centre.get(mask):
+            if map_bitset(perm, c.bitset) != by_centre.get(mask):
                 setattr(report, flag, False)
                 report.counterexamples.append({"check": check, "center": c.center.basis.rows})
 

@@ -135,8 +135,6 @@ def census_dict(census) -> dict:
 
 
 def _value_or_bounds(v):
-    if v is None:
-        return None
     if isinstance(v, tuple):
         return {"lower": v[0], "upper": v[1]}
     return v

@@ -420,6 +420,62 @@ def test_qbinom_checks_at_before_the_scan(capsys):
     assert (code, out, err) == (3, "", "error: --at must be a prime power, got 6\n")
 
 
+@pytest.mark.parametrize(
+    "command, refused",
+    [
+        (
+            "qbinom --n 8 --m 3 --at 2 --q-max 16 --format text",
+            ("gaussian_binomial_int", "scan_core_threshold"),
+        ),
+        (
+            "qbinom --n 24 --m 12 --at 2048 --q-max 2048 --format text",
+            ("gaussian_binomial_int", "scan_core_threshold"),
+        ),
+        ("scan --n 8 --m 3 --q-max 2000 --format text", ("scan_report_dict",)),
+    ],
+)
+def test_text_reports_evaluate_only_what_they_print(capsys, monkeypatch, command, refused):
+    expected = run(capsys, *command.split())
+
+    def refuse(*args):
+        raise AssertionError("a text report evaluated what it does not print")
+
+    for name in refused:
+        monkeypatch.setattr(cli, name, refuse)
+    assert run(capsys, *command.split()) == expected
+    assert expected[0] == 0
+
+
+@pytest.mark.parametrize(
+    "command, code, error",
+    [
+        ("qbinom --n 8 --m 3 --at 6 --q-max 16", 3, "--at must be a prime power, got 6"),
+        pytest.param(
+            "qbinom --n 80 --m 40 --q-max 2048",
+            2,
+            "h(q) for (n=80, m=40) up to q = 2048 has more than",
+            marks=pytest.mark.skipif(
+                not 0 < STR_DIGIT_LIMIT <= 4300, reason="needs the int-to-str digit limit"
+            ),
+        ),
+    ],
+)
+def test_text_qbinom_still_checks_at_and_q_max(capsys, command, code, error):
+    got, out, err = run(capsys, *command.split(), "--format", "text")
+    assert (got, out) == (code, "")
+    assert err.startswith(f"error: {error}")
+
+
+@pytest.mark.parametrize("m", [0, 4, 5])
+def test_verify_counts_no_centres_for_m_outside_1_to_n_minus_1(capsys, monkeypatch, m):
+    def refuse(*args):
+        raise AssertionError("centres counted for an invalid m")
+
+    monkeypatch.setattr(cli, "gaussian_binomial_int", refuse)
+    code, out, err = run(capsys, *f"verify --q 2 --n 4 --m {m}".split())
+    assert (code, out, err) == (3, "", f"error: need 1 <= m < n, got m={m}, n=4\n")
+
+
 def _refuse_scanning(monkeypatch):
     def refuse(*args):
         raise AssertionError("scan started above the work cap")

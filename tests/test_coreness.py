@@ -193,6 +193,31 @@ def test_constant_map_is_rejected(j242):
         validate_endomorphism(j242, [0] * 35)
 
 
+def test_validate_endomorphism_rejects_values_that_are_not_vertex_ids(f2):
+    triangle = build_graph(f2, 2, 1)  # J_2(2,1) = K_3
+    for mapping, bad in (([-1, 1, 0], "-1"), ([3, 1, 0], "3"), ([0, None, 1], "None")):
+        with pytest.raises(ValueError, match=rf"image {bad} is not a vertex id in 0\.\.2"):
+            validate_endomorphism(triangle, mapping)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_validate_endomorphism_names_the_first_broken_edge(j242, seed):
+    # the edge named is the first (i, j), i < j, in vertex order whose ends
+    # collapse or land on a non-edge
+    rng = random.Random(seed)
+    mapping = list(dual_permutation(j242))
+    for _ in range(seed % 4 + 1):
+        mapping[rng.randrange(35)] = rng.randrange(35)
+    broken = [
+        (i, j)
+        for i in range(35)
+        for j in range(i + 1, 35)
+        if j242.adjacent(i, j) and not j242.adjacent(mapping[i], mapping[j])
+    ]
+    with pytest.raises(ValueError, match=rf"edge \({broken[0][0]}, {broken[0][1]}\) breaks"):
+        validate_endomorphism(j242, mapping)
+
+
 def test_core_test_j242():
     rep = core_test(4, 2, 2)
     assert rep.verdict == "not-core"
@@ -214,7 +239,6 @@ def test_core_test_reads_alpha_off_the_omega_colouring(monkeypatch):
         raise AssertionError("an alpha search ran although an omega-colouring was found")
 
     monkeypatch.setattr(coreness, "alpha_exact", refuse)
-    monkeypatch.setattr(coreness, "_greedy_independent", refuse)
     assert core_test(4, 2, 2).alpha == 5
     assert core_test(4, 2, 3).alpha == 10
 

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from grassmann_lab import field, make_field
-from grassmann_lab.arith import is_prime, prime_power_base, prime_powers_upto
+from grassmann_lab.arith import prime_power_base, prime_powers_upto
 from grassmann_lab.config import FIELD_TABLE_LIMIT, MAX_FIELD_SIZE
 from oracles import check_field_axioms
 
@@ -87,7 +87,7 @@ def test_moduli_of_every_extension_field_are_pinned():
     fields = sorted(
         (p**e, p, e)
         for p in range(2, 1025)
-        if is_prime(p)
+        if prime_power_base(p) == (p, 1)
         for e in range(2, 21)
         if p**e <= MAX_FIELD_SIZE
     )

@@ -128,6 +128,21 @@ GOLDEN = [
         0,
         "79ba4e75feb1a90701f0e0ac6a01444c56222a2f614f15c1f744d474e8357ee9",
     ),
+    (
+        "qbinom --n 8 --m 3 --at 2 --q-max 16 --format text",
+        0,
+        "40e4aa9eb91a5c9deced0ebec605ecf640a53597d286915d50ed2c4a34ff10cd",
+    ),
+    (
+        "qbinom --n 24 --m 12 --at 2048 --q-max 2048 --format text",
+        0,
+        "97e3a8c2e11c03518de3ef9295f8c9aca8ad8014d769fb03bc0eee045961f31f",
+    ),
+    (
+        "scan --n 8 --m 3 --q-max 20000 --format text",
+        0,
+        "4e11b301e44161b2338ed319547c3a74a6571c57b3004c748d5c37d2bf11defc",
+    ),
 ]
 
 

@@ -20,7 +20,7 @@ from grassmann_lab import (
     verify_clique_lemmas,
 )
 from grassmann_lab.config import BoundExceeded
-from grassmann_lab.graph import bits, dual_permutation
+from grassmann_lab.graph import bits, dual_permutation, map_bitset
 from grassmann_lab.linalg import matrix, stack_rank
 from grassmann_lab.subspaces import canonicalize, contains
 from oracles import (
@@ -30,6 +30,13 @@ from oracles import (
     mask_by_enumeration,
     pairwise_adjacency,
 )
+
+
+def test_map_bitset_is_the_image_of_the_set():
+    mapping = [3, 0, 3, 5, 1]
+    assert map_bitset(mapping, 0) == 0
+    assert map_bitset(mapping, 0b10101) == 1 << 3 | 1 << 1  # 0 and 2 share an image
+    assert map_bitset(mapping, 0b01010) == 1 << 0 | 1 << 5
 
 
 def test_vertex_counts(j242, j252, j342):
