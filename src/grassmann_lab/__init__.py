@@ -12,7 +12,6 @@ from .coreness import (
     Endomorphism,
     alpha_exact,
     build_colouring_endomorphism,
-    chi_exact,
     classify_endomorphism,
     core_test,
     omega_exact,

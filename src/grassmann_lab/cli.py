@@ -108,8 +108,9 @@ def cmd_verify(args) -> int:
     # the lemma checks compare every pair of star and top centres; build_graph
     # rejects m outside 1..n-1 as invalid input
     what = f"the star and top centre count of J_{args.q}({args.n},{args.m})"
-    if 1 <= args.m < args.n:  # at least [n,m-1]_q >= q^((m-1)(n-m+1))
-        check_power_digits(args.q, (args.m - 1) * (args.n - args.m + 1), what)
+    if 1 <= args.m < args.n:  # at least [n,k]_q >= q^(k(n-k)) for k = m-1 and m+1
+        power = max((args.m - 1) * (args.n - args.m + 1), (args.m + 1) * (args.n - args.m - 1))
+        check_power_digits(args.q, power, what)
         centres = sum(gaussian_binomial_int(args.n, k, args.q) for k in (args.m - 1, args.m + 1))
         if centres > args.brute_bound:
             check_decimal_digits(centres, what)

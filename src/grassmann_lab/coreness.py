@@ -1,23 +1,26 @@
-"""Exact clique and chromatic searches, independence bounds and coreness verdicts.
+"""Exact clique and colouring searches, independence bounds and coreness verdicts.
 
 The solvers are deliberately small: a Tomita-style branch-and-bound with a
 greedy colour bound for maximum clique, and a clique-seeded DSATUR
 backtracking search for colourings that picks its next vertex from
 per-saturation-level bitsets and reads free colours off per-colour
 neighbourhood bitsets.  Both run on explicit stacks, so no search depth
-touches the interpreter's recursion limit, and both carry node budgets;
-on exhaustion the coreness verdict degrades to an honest "undetermined",
-never a hang.  The independence number is bracketed by a greedy
-independent set and the free |V|/omega cap, with no search.  Tie-breaking
-is always by smallest vertex id, so witnesses are reproducible.
+touches the interpreter's recursion limit, and both stop at the same node
+budget (config.NODE_BUDGET unless the caller passes one); on exhaustion
+the coreness verdict degrades to an honest "undetermined", never a hang.
+The independence number is bracketed by a greedy independent set and the
+free |V|/omega cap, with no search.  Tie-breaking is always by smallest
+vertex id, so witnesses are reproducible.
 
 A graph in this family is a core exactly when its chromatic number
 exceeds its clique number (every endomorphism is an automorphism or a
-colouring), and CorenessReport.verdict reads that off the bounds on chi.
-core_test's stages only tighten those bounds.  An omega-colouring gives
-alpha, and composed with a maximum clique it is a witness endomorphism;
-when none turns up, alpha keeps its bracket.  A star (or, when
-n < 2m, a top) is a maximum clique by the size formulas, so searches are
+colouring), so core_test asks one question, whether an omega-colouring
+exists, and is the only caller of the colouring search, once, at
+k = omega.  CorenessReport.verdict reads the answer off the bounds on chi,
+which core_test's stages only tighten.  An omega-colouring gives alpha,
+and composed with a maximum clique it is a witness endomorphism; when
+none turns up, alpha keeps its bracket.  A star (or, when n < 2m, a top)
+is a maximum clique by the size formulas, so the colouring search is
 seeded without any branch and bound.
 """
 
@@ -29,9 +32,8 @@ from fractions import Fraction
 
 from .arith import prime_power_base
 from .config import (
-    COLOUR_NODE_BUDGET,
+    NODE_BUDGET,
     SEARCH_BOUND,
-    SEARCH_NODE_BUDGET,
     BoundExceeded,
     SearchBudgetExceeded,
     check_decimal_digits,
@@ -106,7 +108,7 @@ def max_clique_bitset(adj, nv: int, node_budget: int | None = None) -> list[int]
 
 
 def omega_exact(
-    G: GrassmannGraph, bound: int = SEARCH_BOUND, node_budget: int = SEARCH_NODE_BUDGET
+    G: GrassmannGraph, bound: int = SEARCH_BOUND, node_budget: int = NODE_BUDGET
 ) -> int:
     """Clique number by branch and bound; must agree with the size formula."""
     if G.num_vertices > bound:
@@ -164,7 +166,7 @@ def find_colouring(
     nv: int,
     k: int,
     seed=(),
-    node_budget: int = COLOUR_NODE_BUDGET,
+    node_budget: int = NODE_BUDGET,
 ) -> list[int] | None:
     """Search for a proper k-colouring by DSATUR-ordered backtracking.
 
@@ -239,62 +241,6 @@ def find_colouring(
     table = [colours[rank[v]] for v in range(nv)]
     validate_colouring(adj, table, k)
     return table
-
-
-def dsatur_upper_bound(adj, nv: int, seed=()) -> tuple[int, list[int]]:
-    """Greedy DSATUR colouring (no backtracking); (colour count, table).
-
-    With nv colours the first descent of find_colouring never dead-ends
-    and gives each vertex its smallest free colour, which is exactly
-    greedy DSATUR.
-    """
-    colours = find_colouring(adj, nv, nv, seed, node_budget=nv)
-    return max(colours) + 1, colours
-
-
-def _colour_walk(G: GrassmannGraph, clique, lower: int, upper: int, node_budget: int):
-    """Try k = lower .. upper-1 colours, seeded with the clique; (lo, hi, table).
-
-    (k, k, table) when a k-colouring turns up; (upper, upper, None) when
-    every k is refuted; (k, upper, None) when the search at k runs out of
-    its node budget.
-    """
-    for k in range(lower, upper):
-        try:
-            table = find_colouring(G.adjacency, G.num_vertices, k, clique, node_budget)
-        except SearchBudgetExceeded:
-            return k, upper, None
-        if table is not None:
-            return k, k, table
-    return upper, upper, None
-
-
-def chi_exact(
-    G: GrassmannGraph,
-    known_colouring=None,
-    bound: int = SEARCH_BOUND,
-    node_budget: int = COLOUR_NODE_BUDGET,
-):
-    """Chromatic number: exact int when the search closes, else (lo, hi).
-
-    The lower bound is max(omega, ceil(|V|/(|V| // omega))), as alpha is at
-    most |V| // omega; the upper bound comes from a supplied colouring or
-    clique-seeded DSATUR; the colouring walk that core_test runs at
-    k = omega closes the gap here from the lower bound up.
-    """
-    nv = G.num_vertices
-    if nv > bound:
-        return omega_int(G.n, G.m, G.spec.q), nv
-    clique = structural_max_clique(G)
-    omega = len(clique)
-    lower = max(omega, -(-nv // (nv // omega)))
-    if known_colouring is not None:
-        upper = max(known_colouring) + 1
-        validate_colouring(G.adjacency, known_colouring, upper)
-    else:
-        upper, _ = dsatur_upper_bound(G.adjacency, nv, seed=clique)
-    lo, hi, _ = _colour_walk(G, clique, lower, upper, node_budget)
-    return lo if lo == hi else (lo, hi)
 
 
 # -- endomorphisms ---------------------------------------------------
@@ -420,8 +366,7 @@ def core_test(
     m: int,
     q: int,
     search_bound: int = SEARCH_BOUND,
-    node_budget: int = COLOUR_NODE_BUDGET,
-    clique_node_budget: int = SEARCH_NODE_BUDGET,
+    node_budget: int = NODE_BUDGET,
 ) -> CorenessReport:
     """Decide core / not-core / undetermined for J_q(n, m).
 
@@ -429,11 +374,12 @@ def core_test(
     each stage only tightens them and adds its evidence.  (1) m = 1 is the
     complete graph; (2) a non-integral |V|/omega gives chi > omega; (3) past
     the search bound chi stays open; (4) branch and bound confirms omega,
-    and the clique-seeded colouring walk at k = omega finds an
+    and the clique-seeded colouring search at k = omega finds an
     omega-colouring (chi = omega, and a witness onto a star), refutes one
-    (chi > omega), or runs out of budget; (5) without an omega-colouring,
-    alpha keeps its free bracket (greedy, |V|/omega), which cannot raise chi
-    past omega since |V|/omega is then an integer.
+    (chi > omega), or runs out of budget, node_budget bounding each of the
+    two searches; (5) without an omega-colouring, alpha keeps its free
+    bracket (greedy, |V|/omega), which cannot raise chi past omega since
+    |V|/omega is then an integer.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -475,38 +421,41 @@ def core_test(
     G = build_graph(spec, n, m, max_vertices=search_bound)
     clique = structural_max_clique(G)  # a star, since 2m <= n
     try:
-        omega_exact(G, bound=search_bound, node_budget=clique_node_budget)
+        omega_exact(G, bound=search_bound, node_budget=node_budget)
         rep.evidence.append(f"branch and bound confirms clique number {omega}")
     except SearchBudgetExceeded:
         rep.evidence.append(
             "clique branch and bound hit its node budget; clique number taken from the formula"
         )
 
-    chi_lo, chi_hi, colouring = _colour_walk(G, clique, omega, omega + 1, node_budget)
-    if colouring is not None:
-        rep.chi = omega
-        # no independent set beats |V|/omega (clique-coclique), so the largest class is alpha
-        rep.alpha = max(Counter(colouring).values())
-        if rep.alpha * omega != nv:
-            raise AssertionError(f"an {omega}-colouring's largest class is not |V|/omega")
-        rep.witness = build_colouring_endomorphism(G, colouring, clique)
-        rep.witness_class = classify_endomorphism(G, rep.witness)
-        rep.evidence.append(
-            f"found a proper {omega}-colouring; composing it with a maximum clique "
-            "gives a non-injective endomorphism"
-        )
-        rep.evidence.append(
-            f"witness endomorphism classified as '{rep.witness_class}' with image a star; "
-            "consistent with the pseudo-core dichotomy (every endomorphism is an "
-            "automorphism or a colouring)"
-        )
-        return rep
-    if chi_lo == chi_hi:
-        rep.chi = (omega + 1, nv)
-        rep.evidence.append(
-            f"exhaustive search proves no {omega}-colouring exists, so chi > omega"
-        )
-    else:
+    try:
+        colouring = find_colouring(G.adjacency, nv, omega, clique, node_budget)
+        if colouring is None:
+            rep.chi = (omega + 1, nv)
+            rep.evidence.append(
+                f"exhaustive search proves no {omega}-colouring exists, so chi > omega"
+            )
+    except SearchBudgetExceeded:
+        colouring = None
         rep.evidence.append("colouring search budget exhausted before a decision")
-    rep.alpha = alpha_exact(G)
+    if colouring is None:
+        rep.alpha = alpha_exact(G)
+        return rep
+
+    rep.chi = omega
+    # no independent set beats |V|/omega (clique-coclique), so the largest class is alpha
+    rep.alpha = max(Counter(colouring).values())
+    if rep.alpha * omega != nv:
+        raise AssertionError(f"an {omega}-colouring's largest class is not |V|/omega")
+    rep.witness = build_colouring_endomorphism(G, colouring, clique)
+    rep.witness_class = classify_endomorphism(G, rep.witness)
+    rep.evidence.append(
+        f"found a proper {omega}-colouring; composing it with a maximum clique "
+        "gives a non-injective endomorphism"
+    )
+    rep.evidence.append(
+        f"witness endomorphism classified as '{rep.witness_class}' with image a star; "
+        "consistent with the pseudo-core dichotomy (every endomorphism is an "
+        "automorphism or a colouring)"
+    )
     return rep

@@ -20,7 +20,7 @@ from itertools import combinations, product
 from math import gcd
 
 from grassmann_lab.arith import prime_powers_upto
-from grassmann_lab.config import COLOUR_NODE_BUDGET, SearchBudgetExceeded
+from grassmann_lab.config import NODE_BUDGET, SearchBudgetExceeded
 from grassmann_lab.coreness import validate_colouring
 from grassmann_lab.graph import bits
 from grassmann_lab.qpoly import (
@@ -261,7 +261,7 @@ def find_colouring(
     nv: int,
     k: int,
     seed=(),
-    node_budget: int = COLOUR_NODE_BUDGET,
+    node_budget: int = NODE_BUDGET,
 ) -> list[int] | None:
     """Search for a proper k-colouring by DSATUR-ordered backtracking.
 

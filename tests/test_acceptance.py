@@ -14,7 +14,6 @@ from grassmann_lab import (
     all_maximal_cliques_bruteforce,
     alpha_exact,
     build_graph,
-    chi_exact,
     classify_endomorphism,
     classify_maximal_cliques,
     core_test,
@@ -94,10 +93,10 @@ def test_criterion_4_j242_reproduction(j242):
         assert fxrep.ok
         assert fxrep.chi_upper == 7
         assert omega_exact(j242) == 7
-        assert chi_exact(j242) == 7
         assert alpha_exact(j242) == 5
 
         rep = core_test(4, 2, 2)
+        assert rep.chi == 7
         assert rep.verdict == "not-core"
         endo = rep.witness
         assert endo is not None and not endo.is_injective()

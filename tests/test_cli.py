@@ -330,6 +330,10 @@ SHAPE_BOUND_COMMANDS = [
     ("build --q 2 --n 5000 --m 2500", "the vertex count of J_2(5000,2500)"),
     ("verify --q 2 --n 5000 --m 2500", "the star and top centre count of J_2(5000,2500)"),
     ("coreness --q 2 --n 5000 --m 2500", "|V|/omega for J_2(5000,2500)"),
+    (
+        "verify --q 1048573 --n 1000000 --m 1",
+        "the star and top centre count of J_1048573(1000000,1)",
+    ),
 ]
 
 

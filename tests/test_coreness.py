@@ -9,7 +9,6 @@ from grassmann_lab import (
     alpha_exact,
     build_colouring_endomorphism,
     build_graph,
-    chi_exact,
     classify_endomorphism,
     core_test,
     enumerate_subspaces,
@@ -21,15 +20,13 @@ from grassmann_lab import (
 from grassmann_lab import coreness
 from grassmann_lab.arith import prime_power_base
 from grassmann_lab.config import (
-    COLOUR_NODE_BUDGET,
+    NODE_BUDGET,
     SEARCH_BOUND,
-    SEARCH_NODE_BUDGET,
     BoundExceeded,
     SearchBudgetExceeded,
 )
 from grassmann_lab.coreness import (
     Endomorphism,
-    dsatur_upper_bound,
     find_colouring,
     max_clique_bitset,
     structural_max_clique,
@@ -100,44 +97,28 @@ def test_omega_raises_on_node_budget(j252):
         omega_exact(j252, node_budget=1)
 
 
+# the integral-h graphs within SEARCH_BOUND that no golden digest pins; the
+# goldens pin "branch and bound confirms clique number" for J_2(4,2),
+# J_3(4,2) and J_2(6,3)
+CLIQUE_BUDGET_PINS = [(4, 4, 2, 21), (5, 4, 2, 31), (2, 6, 2, 31)]
+
+
+@pytest.mark.parametrize(
+    "q, n, m, omega",
+    CLIQUE_BUDGET_PINS,
+    ids=[f"J_{q}({n},{m})" for q, n, m, _ in CLIQUE_BUDGET_PINS],
+)
+def test_clique_search_completes_within_the_default_budget(q, n, m, omega):
+    G = build_graph(make_field(*prime_power_base(q)), n, m)
+    assert G.num_vertices <= SEARCH_BOUND
+    assert omega_exact(G) == omega
+
+
 def test_core_test_degrades_honestly_with_tiny_budgets():
-    rep = core_test(4, 2, 2, node_budget=1, clique_node_budget=1)
+    rep = core_test(4, 2, 2, node_budget=1)
     assert rep.verdict == "undetermined"
     assert rep.chi == (7, 35)
     assert any("budget" in e for e in rep.evidence)
-
-
-def test_chi_exact_plain(j242):
-    assert chi_exact(j242) == 7
-
-
-def test_chi_exact_starts_from_the_free_floor(j252):
-    # ceil(155 / (155 // 15)) = 16; DSATUR colours J_2(5,2) with 20
-    assert chi_exact(j252) == (16, 20)
-
-
-def test_chi_exact_with_fixture_colouring(j242):
-    colours = fixture_colouring(j242, load_fixture())
-    assert chi_exact(j242, known_colouring=colours) == 7
-
-
-def test_chi_complete_graph(f2):
-    complete = build_graph(f2, 3, 1)
-    assert chi_exact(complete) == 7
-
-
-def test_chi_bound_chain(j242):
-    # chromatic >= |V|/alpha >= omega on these vertex-transitive graphs
-    chi = chi_exact(j242)
-    alpha = alpha_exact(j242)
-    omega = omega_exact(j242)
-    assert chi >= -(-j242.num_vertices // alpha) >= omega
-
-
-def test_chi_exact_agrees_with_core_test(j242, j342):
-    # both run the same clique-seeded colouring walk
-    for G in (j242, j342):
-        assert chi_exact(G) == core_test(G.n, G.m, G.spec.q).chi
 
 
 def test_find_colouring_rejects_impossible(j242):
@@ -271,7 +252,7 @@ def test_core_test_undetermined_beyond_bounds():
 def test_core_test_complete_graph():
     rep = core_test(4, 1, 2)
     assert rep.verdict == "core"
-    assert rep.omega == rep.num_vertices == 15
+    assert rep.omega == rep.num_vertices == rep.chi == 15
 
 
 def test_core_test_keeps_vertex_counts_past_the_str_digit_limit():
@@ -339,17 +320,18 @@ def test_kernels_match_references_on_grassmann_graphs(name, request):
     G = request.getfixturevalue(name)
     adj, nv = G.adjacency, G.num_vertices
     slow = name == "j442"  # its full searches take seconds in the references
-    colour_budgets = (1, 50, 1000) if slow else (1, 50, 1000, COLOUR_NODE_BUDGET)
-    clique_budgets = (1, 50, 1000) if slow else (1, 50, 1000, SEARCH_NODE_BUDGET)
+    budgets = (1, 50, 1000) if slow else (1, 50, 1000, NODE_BUDGET)
     clique = structural_max_clique(G)
     omega = len(clique)
     for k in (omega - 1, omega):
-        _assert_same_searches(adj, nv, k, clique[:k], colour_budgets)
-    assert dsatur_upper_bound(adj, nv, clique) == oracles.dsatur_upper_bound(adj, nv, clique)
+        _assert_same_searches(adj, nv, k, clique[:k], budgets)
+    # at k = |V| with budget |V|, the first descent is greedy DSATUR
+    greedy = find_colouring(adj, nv, nv, clique, node_budget=nv)
+    assert greedy == oracles.dsatur_upper_bound(adj, nv, clique)[1]
     full = (1 << nv) - 1
     complement = [full & ~adj[i] & ~(1 << i) for i in range(nv)]
     for graph in (adj, complement):
-        for budget in clique_budgets:
+        for budget in budgets:
             expected = _outcome(oracles.max_clique_bitset, graph, nv, node_budget=budget)
             assert _outcome(max_clique_bitset, graph, nv, node_budget=budget) == expected
 
@@ -376,12 +358,12 @@ def test_kernels_match_references_on_random_graphs(graph_seed):
         oracles.max_clique_bitset, adj, nv
     )
     for seed in ((), clique):
-        upper = oracles.dsatur_upper_bound(adj, nv, seed)
-        assert dsatur_upper_bound(adj, nv, seed) == upper
+        upper, greedy = oracles.dsatur_upper_bound(adj, nv, seed)
+        assert find_colouring(adj, nv, nv, seed, node_budget=nv) == greedy
         # unseeded searches below chi explore every colour permutation and
         # take seconds to exhaust the default budget, so they stop at 1000
-        budgets = (1, 50, 1000, COLOUR_NODE_BUDGET) if seed else (1, 50, 1000)
-        for k in range(len(clique) - 1, upper[0] + 1):
+        budgets = (1, 50, 1000, NODE_BUDGET) if seed else (1, 50, 1000)
+        for k in range(len(clique) - 1, upper + 1):
             _assert_same_searches(adj, nv, k, seed[:k], budgets)
             assert _nodes_used(find_colouring, adj, nv, k, seed[:k]) == _nodes_used(
                 oracles.find_colouring, adj, nv, k, seed[:k]

@@ -198,7 +198,7 @@ CORE_TEST_EXITS = [
     (
         "both budgets out",
         (4, 2, 2),
-        {"node_budget": 1, "clique_node_budget": 1},
+        {"node_budget": 1},
         {},
         "91a27f44da290677b1bd125a1da07faf8aa4f5df068f17138fcef7df51d64f14",
     ),
