@@ -22,12 +22,12 @@ from .fixture import J242Fixture, load_fixture, verify_fixture_partition
 from .graph import (
     GrassmannGraph,
     MaximalClique,
-    all_maximal_cliques_bruteforce,
     build_graph,
     classify_maximal_cliques,
     dual_map_check,
     star,
     star_catalog,
+    symmetry_certificate,
     top,
     top_catalog,
     verify_clique_lemmas,

@@ -30,7 +30,6 @@ from .coreness import core_test
 from .field import make_field
 from .fixture import load_fixture, verify_fixture_partition
 from .graph import (
-    all_maximal_cliques_bruteforce,
     build_graph,
     classify_maximal_cliques,
     dual_map_check,
@@ -119,8 +118,7 @@ def cmd_verify(args) -> int:
                 f"has {centres} star and top centres > {args.brute_bound}"
             )
     G = build_graph(spec, args.n, args.m, max_vertices=args.brute_bound)
-    cliques = all_maximal_cliques_bruteforce(G, bound=args.brute_bound)
-    census = classify_maximal_cliques(G, cliques)
+    census = classify_maximal_cliques(G, bound=args.brute_bound)
     lemmas = verify_clique_lemmas(G)
     dual = dual_map_check(G) if G.n == 2 * G.m else None
     ok = census.ok and lemmas.ok and (dual is None or dual.ok)

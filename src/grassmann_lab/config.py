@@ -29,9 +29,10 @@ ENUM_BOUND = 10**6
 # Cap on graph vertex count at build time.
 BUILD_BOUND = 5000
 
-# Cap for exhaustive maximal-clique enumeration (Bron-Kerbosch).  `verify`
-# also caps the star plus top centre count with it, since the lemma checks
-# compare every pair of centres.
+# Cap for maximal-clique enumeration (Bron-Kerbosch).  `verify` also caps
+# the star plus top centre count with it: the symmetry certificate maps
+# every centre, and without a certified generator the lemma checks compare
+# every pair of centres.
 CLIQUE_ENUM_BOUND = 2000
 
 # Cap for exact omega/chi search; J_2(6,3) at 1395 vertices is

@@ -392,7 +392,7 @@ def core_test(
         check_power_digits(q, (m - 1) * (n - m) - 1, f"|V|/omega for J_{q}({n},{m})")
 
     nv = gaussian_binomial_int(n, m, q)
-    omega = omega_int(n, m, q)
+    omega = nv if m == 1 else omega_int(n, m, q)  # [n,1]_q: one star holds every vertex
     rep = CorenessReport(q, n, m, nv, omega, alpha=(1, nv // omega), chi=(omega, nv))
     if m == 1:
         rep.alpha, rep.chi = 1, nv

@@ -18,15 +18,23 @@ of its [m,1]_q stars less itself, so the builder tests no vertex pairs;
 on the (m+1)-spaces the group under a vertex's mask lists its tops.  A
 graph builds both catalogs once, on first use, as G.stars and G.tops,
 each clique with its centre's vector mask; the census, the lemma and
-duality checks and the clique seed all read them, and brute force
-re-discovers them for verification.  Masks also give the lattice
-relations the lemma checks need, with no Gaussian elimination: containment
-is a subset test, and dim(A intersect B) = log_q |mask(A) & mask(B)|.
+duality checks and the clique seed all read them.  Masks also give the
+lattice relations the lemma checks need, with no Gaussian elimination:
+containment is a subset test, and dim(A intersect B) = log_q |mask(A) &
+mask(B)|.
+
+GL(n, q) acts on all of this.  G.symmetry certifies a few generators as
+automorphisms on G's own data (adjacency bitsets and catalogs), so the
+census re-discovers the maximal cliques by Bron-Kerbosch through one
+vertex per orbit only, and the lemma checks pair one clique per orbit
+with its whole family.  A generator that fails a check is left out, and
+with none certified every orbit is a single element: the census then
+enumerates every maximal clique and the lemma checks visit every pair.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal
@@ -43,6 +51,7 @@ from .field import FieldSpec
 from .qpoly import gaussian_binomial_int
 from .subspaces import (
     Subspace,
+    _row_span,
     dual_complement,
     enumerate_subspaces,
     hyperplane_positions,
@@ -117,6 +126,11 @@ class GrassmannGraph:
     def tops(self) -> list[MaximalClique]:
         """Every top, in centre enumeration order; built once, on first use."""
         return top_catalog(self)
+
+    @cached_property
+    def symmetry(self) -> Symmetry:
+        """The certified automorphisms and their orbits; built once, on first use."""
+        return symmetry_certificate(self)
 
 
 def build_graph(
@@ -214,7 +228,22 @@ def _to_bitset(ids) -> int:
 
 def map_bitset(mapping: Sequence[int], x: int) -> int:
     """The image {mapping[v] : v in x} of the vertex bitset x, as a bitset."""
-    return _to_bitset(map(mapping.__getitem__, bits(x)))
+    return _images(mapping, (x,))[0]
+
+
+def _images(mapping: Sequence[int], xs: Iterable[int]) -> list[int]:
+    """map_bitset of each bitset in xs.
+
+    Private, so callers that map every vertex or every clique record no
+    per-layer trace span per set.
+    """
+    get = mapping.__getitem__
+    return [_to_bitset(map(get, bits(x))) for x in xs]
+
+
+def _adjacency_breaks(adj: Sequence[int], perm: Sequence[int]) -> list[int]:
+    """The vertices i with map_bitset(perm, adj[i]) != adj[perm[i]], ascending."""
+    return [i for i, img in enumerate(_images(perm, adj)) if img != adj[perm[i]]]
 
 
 def star_catalog(G: GrassmannGraph) -> list[MaximalClique]:
@@ -241,30 +270,124 @@ def top_catalog(G: GrassmannGraph) -> list[MaximalClique]:
     ]
 
 
-def all_maximal_cliques_bruteforce(
-    G: GrassmannGraph, bound: int = CLIQUE_ENUM_BOUND
-) -> list[tuple[int, ...]]:
-    """Every maximal clique, by pivoting Bron-Kerbosch over the bitsets.
+@dataclass(frozen=True)
+class Symmetry:
+    """Automorphisms of a graph, certified on its data, and their orbits.
 
-    The search starts from one root node, P = every vertex, and pivots
-    there as at every node, so no ordering pass comes first; results are
-    returned as sorted member tuples in a deterministic order.  Nodes are
-    frames [P, X, branches left] on an explicit stack, and R holds the
-    vertex each open node below the root branched on, so no clique size
-    touches the interpreter's recursion limit.
+    perms holds the vertex permutation of each certified generator.  Each
+    orbit list gives every vertex, star or top (by catalog index) the
+    least member of its orbit under the group the generators span, so the
+    orbit representatives are the i with orbit[i] == i.
     """
-    nv = G.num_vertices
-    if nv > bound:
-        raise BoundExceeded(f"graph too large for clique enumeration: {nv} > {bound}")
-    adj = G.adjacency
-    out: list[tuple[int, ...]] = []
-    R: list[int] = []
+
+    perms: tuple[list[int], ...]
+    vertex_orbit: list[int]
+    star_orbit: list[int]
+    top_orbit: list[int]
+
+
+def symmetry_certificate(G: GrassmannGraph) -> Symmetry:
+    """The generators of GL(n, q) that pass the certificate on G, and their orbits.
+
+    The generators act on row vectors as x -> x.A: the transvection
+    x0 += x1, the cyclic coordinate shift and, for q > 2, x0 *= a
+    primitive element.  A permutes the q^n vector codes (its row span,
+    subspaces._row_span), and a vertex goes to the vertex whose mask is the
+    image of its mask.  A is certified only when
+    - the vector map and the vertex map are bijections;
+    - map_bitset(P, adj[i]) == adj[P[i]] for every vertex i;
+    - each star and each top goes onto the catalog clique over the image
+      of its centre mask.
+    A certified map is an automorphism that permutes each catalog and
+    preserves every mask relation the lemma checks read, so nothing rests
+    on the theorem that GL(n, q) acts.  A generator that fails is left out.
+    """
+    found: tuple[list[list[int]], ...] = ([], [], [])
+    for rows in _generator_rows(G.spec, G.n):
+        certified = _certify(G, _row_span(G.spec, rows, {}))
+        if certified is not None:
+            for perms, perm in zip(found, certified):
+                perms.append(perm)
+    vertex, star, top = found
+    return Symmetry(
+        tuple(vertex),
+        _orbits(G.num_vertices, vertex),
+        _orbits(len(G.stars), star),
+        _orbits(len(G.tops), top),
+    )
+
+
+def _generator_rows(spec: FieldSpec, n: int) -> list[list[list[int]]]:
+    """The rows of each generator A in symmetry_certificate."""
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    transvection = [row[:] for row in eye]
+    transvection[1][0] = 1  # x.A has x0 + x1 in coordinate 0
+    gens = [transvection, eye[1:] + eye[:1]]  # row i = e_{i+1}: coordinate j gets x_{j-1}
+    q = spec.q
+    if q > 2:  # a primitive element: its powers are every nonzero element
+        scale = [row[:] for row in eye]
+        scale[0][0] = next(
+            a for a in range(2, q) if len({spec.pow(a, k) for k in range(q)}) == q - 1
+        )
+        gens.append(scale)
+    return gens
+
+
+def _certify(G: GrassmannGraph, f: list[int]) -> list[list[int]] | None:
+    """The vertex, star and top permutations of the vector map f, or None.
+
+    None when any check of symmetry_certificate fails.
+    """
+    if sorted(f) != list(range(len(f))):
+        return None
+    perm = [G.index.get(mask) for mask in _images(f, G.masks)]
+    if None in perm or len(set(perm)) != len(perm) or _adjacency_breaks(G.adjacency, perm):
+        return None
+    out = [perm]
+    for fam in (G.stars, G.tops):
+        by_centre = {c.center_mask: k for k, c in enumerate(fam)}
+        to = [by_centre.get(mask) for mask in _images(f, [c.center_mask for c in fam])]
+        if None in to:
+            return None
+        images = _images(perm, [c.bitset for c in fam])
+        if any(img != fam[k].bitset for img, k in zip(images, to)):
+            return None
+        out.append(to)
+    return out
+
+
+def _orbits(size: int, perms: Sequence[Sequence[int]]) -> list[int]:
+    """The least member of each element's orbit under the group perms span."""
+    orbit = [-1] * size
+    for r in range(size):
+        if orbit[r] >= 0:
+            continue
+        orbit[r] = r
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            for p in perms:
+                y = p[x]
+                if orbit[y] < 0:
+                    orbit[y] = r
+                    stack.append(y)
+    return orbit
+
+
+def _maximal_cliques_through(adj: Sequence[int], v: int, done: int = 0) -> list[int]:
+    """Every maximal clique that holds v and no vertex of done, as bitsets.
+
+    Pivoting Bron-Kerbosch from one root node, R = {v}, P = N(v) less done
+    and X = N(v) within done.  Nodes are frames [R, P, X, branches left]
+    on an explicit stack, so no clique size touches the interpreter's
+    recursion limit.
+    """
+    out: list[int] = []
     stack: list[list[int]] = []
 
-    def enter(P: int, X: int):
+    def enter(R: int, P: int, X: int):
         if not P and not X:
-            out.append(tuple(sorted(R)))
-            R.pop()
+            out.append(R)
             return
         # pivot: the first u in P | X with the most candidates; none beats |P|
         best_u, best_cnt = -1, -1
@@ -275,29 +398,57 @@ def all_maximal_cliques_bruteforce(
                 best_u, best_cnt = u, c
                 if c == full:
                     break
-        stack.append([P, X, P & ~adj[best_u]])
+        stack.append([R, P, X, P & ~adj[best_u]])
 
-    enter((1 << nv) - 1, 0)
+    enter(1 << v, adj[v] & ~done, adj[v] & done)
     while stack:
         frame = stack[-1]
-        P, X, todo = frame
+        R, P, X, todo = frame
         if not todo:
             stack.pop()
-            if stack:
-                R.pop()
             continue
         wb = todo & -todo  # branches in ascending vertex order
         w = wb.bit_length() - 1
-        frame[:] = P ^ wb, X | wb, todo ^ wb
-        R.append(w)
-        enter(P & adj[w], X & adj[w])
-    out.sort()
+        frame[1:] = P ^ wb, X | wb, todo ^ wb
+        enter(R | wb, P & adj[w], X & adj[w])
     return out
+
+
+def _maximal_clique_bitsets(G: GrassmannGraph) -> set[int]:
+    """Every maximal clique of G, from one vertex per orbit of G.symmetry.
+
+    Each maximal clique is the image of one through a representative, and
+    a clique through a representative is found from the first one it
+    holds.  A matched clique's images are the catalog entries in its
+    catalog orbit; an unmatched one is closed under the vertex maps.
+    """
+    sym = G.symmetry
+    catalog = G.stars + G.tops
+    index = {c.bitset: k for k, c in enumerate(catalog)}
+    orbit = sym.star_orbit + [len(G.stars) + t for t in sym.top_orbit]
+    hit: set[int] = set()
+    unmatched: set[int] = set()
+    done = 0
+    for v, r in enumerate(sym.vertex_orbit):
+        if r != v:
+            continue
+        for c in _maximal_cliques_through(G.adjacency, v, done):
+            k = index.get(c)
+            if k is None:
+                unmatched.add(c)
+            else:
+                hit.add(orbit[k])
+        done |= 1 << v
+    frontier = list(unmatched)
+    while frontier:
+        frontier = list({y for p in sym.perms for y in _images(p, frontier)} - unmatched)
+        unmatched.update(frontier)
+    return {c.bitset for c, o in zip(catalog, orbit) if o in hit} | unmatched
 
 
 @dataclass
 class CliqueCensus:
-    """Brute-force maximal cliques matched against the star/top catalog."""
+    """Maximal cliques matched against the star/top catalog."""
 
     total: int
     star_count: int
@@ -312,15 +463,31 @@ class CliqueCensus:
 
 
 def classify_maximal_cliques(
-    G: GrassmannGraph, cliques: list[tuple[int, ...]] | None = None
+    G: GrassmannGraph,
+    cliques: list[tuple[int, ...]] | None = None,
+    bound: int = CLIQUE_ENUM_BOUND,
 ) -> CliqueCensus:
+    """Match the maximal cliques of G, or the given member tuples, to the catalog.
+
+    Without a clique list the census finds every maximal clique by
+    Bron-Kerbosch through one vertex per orbit of G.symmetry, closed under
+    the certified group; on every built graph the group is transitive, so
+    that is one search of N(0).  Unmatched cliques are listed as sorted
+    member tuples, in order.
+    """
     if cliques is None:
-        cliques = all_maximal_cliques_bruteforce(G)
+        if G.num_vertices > bound:
+            raise BoundExceeded(
+                f"graph too large for clique enumeration: {G.num_vertices} > {bound}"
+            )
+        sets = list(_maximal_clique_bitsets(G))
+    else:
+        sets = [_to_bitset(members) for members in cliques]
     catalog = {c.bitset: c.kind for c in G.stars + G.tops}
-    kinds = [catalog.get(_to_bitset(members)) for members in cliques]
-    unmatched = [members for members, kind in zip(cliques, kinds) if kind is None]
+    kinds = [catalog.get(c) for c in sets]
+    unmatched = sorted(tuple(bits(c)) for c, kind in zip(sets, kinds) if kind is None)
     stars, tops = kinds.count("star"), kinds.count("top")
-    return CliqueCensus(len(cliques), stars, tops, G.stars[0].size, G.tops[0].size, unmatched)
+    return CliqueCensus(len(sets), stars, tops, G.stars[0].size, G.tops[0].size, unmatched)
 
 
 @dataclass
@@ -350,24 +517,29 @@ class LemmaReport:
 
 
 def verify_clique_lemmas(G: GrassmannGraph) -> LemmaReport:
-    """Check the four structural facts over all relevant clique pairs.
+    """Check the four structural facts on one clique per orbit of G.symmetry.
 
-    Each star-top pair is visited once, and each pair of stars and each
-    pair of tops is visited once for both the pairwise and the meet
-    check.  Centre relations come from vector masks: incidence is a
-    subset test, dim(A intersect B) is log_q |mask(A) & mask(B)|, the
-    span A + B of two star centres is the one vertex whose mask covers
-    both masks, and the intersection of two top centres is the one vertex
-    whose mask is the AND of theirs.
+    Each star representative is paired with every top, and each star or
+    top representative with every later clique of its kind, once for both
+    the pairwise and the meet check.  A certified automorphism carries
+    each pair to one such pair and keeps every fact below, so this covers
+    all pairs; with no generator certified every clique is its own
+    representative, and the loops visit every pair once, in index order.
+    Centre relations come from vector masks: incidence is a subset test,
+    dim(A intersect B) is log_q |mask(A) & mask(B)|, the span A + B of two
+    star centres is the one vertex whose mask covers both masks, and the
+    intersection of two top centres is the one vertex whose mask is the
+    AND of theirs.
     """
     report = LemmaReport(q=G.spec.q)
     stars = G.stars
     tops = G.tops
+    sym = G.symmetry
     q = G.spec.q
     m = G.m
     masks = G.masks
 
-    for s in stars:
+    for s in (stars[i] for i, r in enumerate(sym.star_orbit) if r == i):
         ms = s.center_mask
         for t in tops:
             common = (s.bitset & t.bitset).bit_count()
@@ -381,12 +553,16 @@ def verify_clique_lemmas(G: GrassmannGraph) -> LemmaReport:
     # one pass per family: two cliques share at most one vertex, and they
     # share one exactly when their centres meet in dimension meet_dim, in
     # the vertex whose mask is_meet accepts; dim(A intersect B) = m-2 makes
-    # A + B an m-space, so the star meet covers both centres
-    for fam_name, check, flag, fam, meet_dim, is_meet in (
-        ("stars", "star-meet", "star_meet_ok", stars, m - 2, lambda v, a, b: v & (a | b) == a | b),
-        ("tops", "top-meet", "top_meet_ok", tops, m, lambda v, a, b: v == a & b),
+    # A + B an m-space, so the star meet covers both centres.  A pair {a, b}
+    # whose orbit minima are r <= s has an image {r, b'} with b' >= s >= r
+    # (move a onto r), so the pairs (r, j > r) cover every pair.
+    for fam_name, check, flag, fam, orbit, meet_dim, is_meet in (
+        ("stars", "star-meet", "star_meet_ok", stars, sym.star_orbit, m - 2,
+         lambda v, a, b: v & (a | b) == a | b),
+        ("tops", "top-meet", "top_meet_ok", tops, sym.top_orbit, m,
+         lambda v, a, b: v == a & b),
     ):
-        for i in range(len(fam)):
+        for i in (i for i, r in enumerate(orbit) if r == i):
             ma = fam[i].center_mask
             bi = fam[i].bitset
             for j in range(i + 1, len(fam)):
@@ -461,11 +637,9 @@ def dual_map_check(G: GrassmannGraph) -> DualReport:
             report.involution = False
             report.counterexamples.append({"check": "involution", "vertex": i})
 
-    adj = G.adjacency
-    for i in range(nv):
-        if map_bitset(perm, adj[i]) != adj[perm[i]]:
-            report.preserves_adjacency = False
-            report.counterexamples.append({"check": "adjacency", "vertex": i})
+    for i in _adjacency_breaks(G.adjacency, perm):
+        report.preserves_adjacency = False
+        report.counterexamples.append({"check": "adjacency", "vertex": i})
 
     for check, flag, cliques, duals in (
         ("star-to-top", "stars_to_tops", G.stars, G.tops),
@@ -473,8 +647,9 @@ def dual_map_check(G: GrassmannGraph) -> DualReport:
     ):
         by_centre = {c.center_mask: c.bitset for c in duals}
         dual_masks = vector_masks(dual_complement(c.center) for c in cliques)
-        for c, mask in zip(cliques, dual_masks):
-            if map_bitset(perm, c.bitset) != by_centre.get(mask):
+        images = _images(perm, [c.bitset for c in cliques])
+        for c, mask, img in zip(cliques, dual_masks, images):
+            if img != by_centre.get(mask):
                 setattr(report, flag, False)
                 report.counterexamples.append({"check": check, "center": c.center.basis.rows})
 

@@ -182,23 +182,33 @@ def vector_spans(spaces: Iterable[Subspace]) -> Iterator[list[int]]:
     """The encoded members of each subspace, in coefficient order.
 
     A vector (v0, ..., v_{n-1}) is encoded as v0 + v1*q + ... + v_{n-1}*q^(n-1).
-    Position c_0 + c_1*q + ... + c_{k-1}*q^(k-1) of a span, for field
-    elements c_i, holds the code of sum_i c_i * row_i of the RREF basis, so
-    coordinate j of that vector is c . (column j).  A span is thus the sum
-    over the columns of their coefficient digits times q^j; the spaces share
+    Position c_0 + c_1*q + ... + c_{k-1}*q^(k-1) of a span holds the code of
+    sum_i c_i * row_i of the RREF basis (see _row_span).  The spaces share
     one field, and the digits of each distinct (j, column) are computed once.
     """
     digits: dict[tuple[int, tuple[int, ...]], list[int]] = {}
     for S in spaces:
-        q = S.spec.q
-        terms = []
-        for j, col in enumerate(zip(*S.basis.rows)):
-            if any(col):
-                d = digits.get((j, col))
-                if d is None:
-                    d = digits[j, col] = [x * q**j for x in _coefficient_digits(S.spec, col)]
-                terms.append(d)
-        yield list(map(sum, zip(*terms))) if terms else [0]
+        yield _row_span(S.spec, S.basis.rows, digits)
+
+
+def _row_span(spec: FieldSpec, rows, digits: dict) -> list[int]:
+    """The code of c . rows for every coefficient vector c, in coefficient order.
+
+    Coordinate j of c . rows is c . (column j), so the codes are the sum
+    over the columns of their coefficient digits times q^j.  digits caches
+    those terms by (j, column) across calls over one field.  For an
+    invertible n x n matrix the result is the permutation of the q^n
+    vector codes that the matrix induces, x -> x . rows.
+    """
+    q = spec.q
+    terms = []
+    for j, col in enumerate(zip(*rows)):
+        if any(col):
+            d = digits.get((j, col))
+            if d is None:
+                d = digits[j, col] = [x * q**j for x in _coefficient_digits(spec, col)]
+            terms.append(d)
+    return list(map(sum, zip(*terms))) if terms else [0] * q ** len(rows)
 
 
 def hyperplane_positions(spec: FieldSpec, k: int) -> list[list[int]]:

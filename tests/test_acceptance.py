@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import gcd
 
 from grassmann_lab import (
-    all_maximal_cliques_bruteforce,
     alpha_exact,
     build_graph,
     classify_endomorphism,
@@ -35,7 +34,7 @@ from grassmann_lab.fixture import load_fixture
 from grassmann_lab.graph import dual_permutation
 from grassmann_lab.linalg import stack_rank
 from grassmann_lab.qpoly import ONE, x_power_minus_one
-from oracles import bfs_distances, check_field_axioms
+from oracles import all_maximal_cliques, bfs_distances, check_field_axioms
 
 
 @contextmanager
@@ -67,13 +66,16 @@ def test_criterion_1_vertex_counts():
 
 def test_criterion_2_star_top_classification(j242, j252):
     with criterion(2, "star/top classification by brute force", 5.0):
-        census = classify_maximal_cliques(j242, all_maximal_cliques_bruteforce(j242))
+        census = classify_maximal_cliques(j242)
+        assert census == classify_maximal_cliques(
+            j242, all_maximal_cliques(j242.adjacency, j242.num_vertices)
+        )
         assert census.total == 30
         assert census.star_count == 15 and census.top_count == 15
         assert census.star_size == 7 and census.top_size == 7
         assert census.unmatched == []
 
-        census = classify_maximal_cliques(j252, all_maximal_cliques_bruteforce(j252))
+        census = classify_maximal_cliques(j252)
         assert census.total == 31 + 155
         assert census.star_count == 31 and census.star_size == 15
         assert census.top_count == 155 and census.top_size == 7

@@ -224,6 +224,17 @@ def test_core_test_reads_alpha_off_the_omega_colouring(monkeypatch):
     assert core_test(4, 2, 3).alpha == 10
 
 
+def test_core_test_evaluates_n_choose_1_once_at_m_equal_one(monkeypatch):
+    # omega = [n,1]_q = |V| on the complete graph; omega_int would evaluate it again
+    def refuse(*args):
+        raise AssertionError("omega_int evaluated [n,1]_q a second time")
+
+    monkeypatch.setattr(coreness, "omega_int", refuse)
+    rep = core_test(4, 1, 2)
+    assert rep.num_vertices == rep.omega == 15
+    assert rep.verdict == "core" and rep.alpha == 1 and rep.chi == 15
+
+
 def test_core_test_checks_the_largest_colour_class(monkeypatch):
     # a colouring whose largest class is not |V|/omega contradicts the
     # clique-coclique bound; the check raises even under python -O

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from grassmann_lab import coreness
+from grassmann_lab import graph as graph_module
 from grassmann_lab.cli import main
 from grassmann_lab.fixture import default_fixture_path
 from grassmann_lab.report import coreness_report_dict, to_json
@@ -150,6 +151,27 @@ GOLDEN = [
 def test_stdout_matches_the_pinned_digest(capsys, command, code, digest):
     argv = [FIXTURE if a == "FIXTURE" else a for a in command.split()]
     assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command, code, digest",
+    [g for g in GOLDEN if g[0].startswith("verify")],
+    ids=[g[0] for g in GOLDEN if g[0].startswith("verify")],
+)
+def test_verify_digest_holds_with_a_broken_generator(capsys, monkeypatch, command, code, digest):
+    # x.A with row 0 of A equal to row 1 is singular: the certificate leaves
+    # it out and the real generators still decide the orbits
+    rows = graph_module._generator_rows
+
+    def with_singular(spec, n):
+        singular = [[int(i == j) for j in range(n)] for i in range(n)]
+        singular[0] = singular[1][:]
+        return rows(spec, n) + [singular]
+
+    monkeypatch.setattr(graph_module, "_generator_rows", with_singular)
+    assert main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -7,7 +7,6 @@ import pytest
 
 import grassmann_lab.graph as graph_module
 from grassmann_lab import (
-    all_maximal_cliques_bruteforce,
     build_graph,
     classify_maximal_cliques,
     dual_map_check,
@@ -15,12 +14,19 @@ from grassmann_lab import (
     make_field,
     star,
     star_catalog,
+    symmetry_certificate,
     top,
     top_catalog,
     verify_clique_lemmas,
 )
 from grassmann_lab.config import BoundExceeded
-from grassmann_lab.graph import bits, dual_permutation, map_bitset
+from grassmann_lab.graph import (
+    _adjacency_breaks,
+    _maximal_cliques_through,
+    bits,
+    dual_permutation,
+    map_bitset,
+)
 from grassmann_lab.linalg import matrix, stack_rank
 from grassmann_lab.subspaces import canonicalize, contains
 from oracles import (
@@ -214,26 +220,30 @@ def test_star_top_wrong_centre_dim(j242):
             top(j242, enumerate_subspaces(F, n, 3)[0])
 
 
+def _through(adj, v, done=0):
+    return sorted(tuple(bits(c)) for c in _maximal_cliques_through(adj, v, done))
+
+
 def test_bruteforce_cliques_j242(j242):
-    cliques = all_maximal_cliques_bruteforce(j242)
-    census = classify_maximal_cliques(j242, cliques)
+    census = classify_maximal_cliques(j242)
     assert census.total == 30
-    assert census.star_count == 15 and census.top_count == 15
-    assert census.star_size == 7 and census.top_size == 7
+    assert census.star_count == 15 and census.star_size == 7
+    assert census.top_count == 15 and census.top_size == 7
     assert census.unmatched == []
-    for members in cliques:
-        assert len(members) == 7
-        # really a clique, and maximal: nobody outside is adjacent to all
-        for a in members:
-            for b in members:
-                if a < b:
-                    assert j242.adjacent(a, b)
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        for outside in range(35):
-            if not mask >> outside & 1:
-                assert (j242.adjacency[outside] & mask) != mask
+    for v in range(35):
+        cliques = _through(j242.adjacency, v)
+        assert len(cliques) == 6  # the 3 stars and 3 tops through a line of PG(3,2)
+        for members in cliques:
+            assert v in members and len(members) == 7
+            # really a clique, and maximal: nobody outside is adjacent to all
+            for a in members:
+                for b in members:
+                    if a < b:
+                        assert j242.adjacent(a, b)
+            mask = sum(1 << u for u in members)
+            for outside in range(35):
+                if not mask >> outside & 1:
+                    assert (j242.adjacency[outside] & mask) != mask
 
 
 def test_bruteforce_cliques_j252(j252):
@@ -253,13 +263,14 @@ def test_bruteforce_cliques_j342(j342):
 
 
 def test_bruteforce_cliques_match_the_recursive_reference(j242, j252, j342):
+    # the cliques through v are the reference's cliques holding v
     for G in (j242, j252, j342):
         expected = all_maximal_cliques(G.adjacency, G.num_vertices)
-        assert all_maximal_cliques_bruteforce(G) == expected
+        for v in range(0, G.num_vertices, 7):
+            assert _through(G.adjacency, v) == [c for c in expected if v in c]
 
 
-@pytest.mark.parametrize("graph_seed", range(12))
-def test_bruteforce_cliques_match_the_reference_on_random_graphs(graph_seed):
+def _random_graph(graph_seed):
     rng = random.Random(graph_seed)
     nv = rng.randint(1, 40)
     p = rng.uniform(0.1, 0.9)
@@ -269,8 +280,20 @@ def test_bruteforce_cliques_match_the_reference_on_random_graphs(graph_seed):
             if rng.random() < p:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    G = SimpleNamespace(num_vertices=nv, adjacency=adj)
-    assert all_maximal_cliques_bruteforce(G) == all_maximal_cliques(adj, nv)
+    return nv, adj
+
+
+@pytest.mark.parametrize("graph_seed", range(12))
+def test_bruteforce_cliques_match_the_reference_on_random_graphs(graph_seed):
+    nv, adj = _random_graph(graph_seed)
+    expected = all_maximal_cliques(adj, nv)
+    found, done = [], 0
+    for v in range(nv):
+        assert _through(adj, v) == [c for c in expected if v in c]
+        # the cliques whose least vertex is v: each maximal clique once
+        found += _through(adj, v, done)
+        done |= 1 << v
+    assert sorted(found) == expected
 
 
 def test_bruteforce_cliques_leave_the_recursion_limit_alone(f2, monkeypatch):
@@ -279,12 +302,108 @@ def test_bruteforce_cliques_leave_the_recursion_limit_alone(f2, monkeypatch):
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     G = build_graph(f2, 10, 1)  # complete on 1023 vertices: one frame per vertex
-    assert all_maximal_cliques_bruteforce(G) == [tuple(range(1023))]
+    assert _maximal_cliques_through(G.adjacency, 0) == [(1 << 1023) - 1]
 
 
 def test_bruteforce_bound(j242):
     with pytest.raises(BoundExceeded):
-        all_maximal_cliques_bruteforce(j242, bound=10)
+        classify_maximal_cliques(j242, bound=10)
+
+
+@pytest.mark.parametrize(
+    "p, e, n, m",
+    [(2, 1, 2, 1), (2, 1, 4, 1), (2, 1, 4, 2), (2, 1, 5, 2), (3, 1, 4, 2), (2, 2, 4, 2),
+     (2, 1, 6, 3)],
+    ids=["j221", "j241", "j242", "j252", "j342", "j442", "j263"],
+)
+def test_symmetry_is_certified_and_transitive(p, e, n, m):
+    G = build_graph(make_field(p, e), n, m)
+    sym = G.symmetry
+    assert len(sym.perms) == (2 if p**e == 2 else 3)  # every generator passes
+    for orbit in (sym.vertex_orbit, sym.star_orbit, sym.top_orbit):
+        assert set(orbit) == {0}
+    for perm in sym.perms:
+        assert sorted(perm) == list(range(G.num_vertices))
+        assert _adjacency_breaks(G.adjacency, perm) == []
+    reference = all_maximal_cliques(G.adjacency, G.num_vertices)
+    assert classify_maximal_cliques(G) == classify_maximal_cliques(G, reference)
+
+
+def test_symmetry_rejects_a_singular_generator(f2, monkeypatch):
+    # x -> (0, x0 + x1, x2, x3) is singular; the two real generators stay
+    rows = graph_module._generator_rows
+    singular = [[0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    monkeypatch.setattr(graph_module, "_generator_rows", lambda spec, n: rows(spec, n) + [singular])
+    G = build_graph(f2, 4, 2)
+    assert len(G.symmetry.perms) == 2
+    assert set(G.symmetry.vertex_orbit) == {0}
+
+
+def test_symmetry_rejects_a_vertex_map_with_two_vertices_swapped(j242):
+    # an index that swaps two ids composes every induced vertex map with
+    # that swap, which breaks adjacency; the census and the lemma checks
+    # then run over every vertex and every pair
+    G = replace(j242)
+    G.__dict__["index"] = {mask: {0: 1, 1: 0}.get(i, i) for i, mask in enumerate(j242.masks)}
+    swap = [1, 0, *range(2, 35)]
+    assert _adjacency_breaks(G.adjacency, swap)
+    sym = symmetry_certificate(G)
+    assert sym.perms == ()
+    assert sym.vertex_orbit == list(range(35)) and sym.top_orbit == list(range(15))
+    G.__dict__["symmetry"] = sym
+    assert classify_maximal_cliques(G) == classify_maximal_cliques(j242)
+    assert verify_clique_lemmas(G) == verify_clique_lemmas(j242)
+
+
+def test_symmetry_rejects_generators_on_a_corrupted_catalog(j242, monkeypatch):
+    # every star claims the next star's centre: no generator carries the
+    # catalog onto itself
+    stars = star_catalog(j242)
+    rotated = [
+        replace(s, center=nxt.center, center_mask=nxt.center_mask)
+        for s, nxt in zip(stars, stars[1:] + stars[:1])
+    ]
+    monkeypatch.setattr(graph_module, "star_catalog", lambda G: rotated)
+    sym = replace(j242).symmetry
+    assert sym.perms == () and sym.star_orbit == list(range(15))
+
+
+def test_census_lists_every_unmatched_clique(j242, monkeypatch):
+    # a top catalog that repeats the stars is still carried onto itself by
+    # every generator, so the census searches through vertex 0 alone and
+    # must close the real tops it finds there under the group
+    fake = [replace(s, kind="top") for s in star_catalog(j242)]
+    monkeypatch.setattr(graph_module, "top_catalog", lambda G: fake)
+    G = replace(j242)
+    assert len(G.symmetry.perms) == 2 and set(G.symmetry.vertex_orbit) == {0}
+    census = classify_maximal_cliques(G)
+    assert census == classify_maximal_cliques(G, all_maximal_cliques(G.adjacency, 35))
+    assert census.total == 30 and census.top_count == 15 and len(census.unmatched) == 15
+
+
+def test_lemma_pairs_cover_every_pair_under_a_smaller_group(f2, monkeypatch):
+    # with the cyclic shift alone the orbits are not transitive.  Any two
+    # points of PG(3,2) span a line and any two planes meet in one, so
+    # every pair of stars and every pair of tops shares one vertex, and a
+    # dimension that never matches turns each visited pair into a
+    # counterexample.  Closed under the shift, the visited pairs must be
+    # all pairs.
+    rows = graph_module._generator_rows
+    monkeypatch.setattr(graph_module, "_generator_rows", lambda spec, n: rows(spec, n)[1:])
+    G = build_graph(f2, 4, 2)
+    (perm,) = G.symmetry.perms
+    assert len(set(G.symmetry.star_orbit)) > 1 and len(set(G.symmetry.top_orbit)) > 1
+    monkeypatch.setattr(graph_module, "_subspace_dim", lambda size, q: -1)
+    report = verify_clique_lemmas(G)
+    for check, fam in (("star-meet", G.stars), ("top-meet", G.tops)):
+        index = {c.bitset: k for k, c in enumerate(fam)}
+        to = [index[map_bitset(perm, c.bitset)] for c in fam]
+        seen = {frozenset(c["pair"]) for c in report.counterexamples if c["check"] == check}
+        frontier = seen
+        while frontier:
+            frontier = {frozenset(to[k] for k in pair) for pair in frontier} - seen
+            seen |= frontier
+        assert len(seen) == len(fam) * (len(fam) - 1) // 2
 
 
 def test_clique_lemmas_pass(j242, j252, j342):
