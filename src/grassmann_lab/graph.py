@@ -20,11 +20,14 @@ graph builds both catalogs once, on first use, as G.stars and G.tops,
 each clique with its centre's vector mask; the census, the lemma and
 duality checks and the clique seed all read them.  Masks also give the
 lattice relations the lemma checks need, with no Gaussian elimination:
-containment is a subset test, and dim(A intersect B) = log_q |mask(A) &
-mask(B)|.
+containment is a subset test, dim(A intersect B) = log_q |mask(A) &
+mask(B)|, and mask(W^perp) is the AND of G.complements over W's members.
 
-GL(n, q) acts on all of this.  G.symmetry certifies a few generators as
-automorphisms on G's own data (adjacency bitsets and catalogs), so the
+GL(n, q), and the orthogonal complement when n = 2m, act through the
+catalogs: once G.clique_adjacency finds adjacency is "share a star" (or
+"share a top"), a vertex bijection carrying the stars onto the stars, or
+stars and tops onto each other, preserves adjacency, with no row mapped.
+G.symmetry certifies a few generators on G's own data that way, so the
 census re-discovers the maximal cliques by Bron-Kerbosch through one
 vertex per orbit only, and the lemma checks pair one clique per orbit
 with its whole family.  A generator that fails a check is left out, and
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Literal
 
 from .config import (
@@ -131,6 +134,30 @@ class GrassmannGraph:
     def symmetry(self) -> Symmetry:
         """The certified automorphisms and their orbits; built once, on first use."""
         return symmetry_certificate(self)
+
+    @cached_property
+    def clique_adjacency(self) -> tuple[bool, ...]:
+        """Whether adjacency is "share a star", and "share a top": for every v,
+        adjacency[v] is the OR of that family's cliques through v, less v."""
+        out = []
+        for fam in (self.stars, self.tops):
+            through = [[] for _ in self.adjacency]  # references: no union bitset per vertex
+            for c in fam:
+                for v in c.members:
+                    through[v].append(c.bitset)
+            rows = enumerate(zip(through, self.adjacency))
+            out.append(all(reduce(int.__or__, cs, 0) & ~(1 << v) == a for v, (cs, a) in rows))
+        return tuple(out)
+
+    @cached_property
+    def complements(self) -> list[int]:
+        """mask(x^perp) at each nonzero vector code x, one dual_complement per point."""
+        points = enumerate_subspaces(self.spec, self.n, 1)
+        table = [0] * self.spec.q**self.n  # entry 0, the zero vector, is unused
+        for span, perp in zip(vector_spans(points), vector_masks(map(dual_complement, points))):
+            for x in span[1:]:  # x^perp depends only on <x>
+                table[x] = perp
+        return table
 
 
 def build_graph(
@@ -246,6 +273,15 @@ def _adjacency_breaks(adj: Sequence[int], perm: Sequence[int]) -> list[int]:
     return [i for i, img in enumerate(_images(perm, adj)) if img != adj[perm[i]]]
 
 
+def _carried(perm: Sequence[int], fam, onto, centres) -> list[int | None]:
+    """Per clique of fam, the index of the clique of onto over its image centre
+    (centres, in fam's order), or None when there is none or perm misses it."""
+    by_centre = {c.center_mask: k for k, c in enumerate(onto)}
+    to = [by_centre.get(mask) for mask in centres]
+    images = _images(perm, [c.bitset for c in fam])
+    return [None if k is None or img != onto[k].bitset else k for img, k in zip(images, to)]
+
+
 def star_catalog(G: GrassmannGraph) -> list[MaximalClique]:
     """Every star: the vertices' hyperplane group under its centre's mask."""
     _, groups = _hyperplane_groups(G.vertices)
@@ -294,16 +330,18 @@ def symmetry_certificate(G: GrassmannGraph) -> Symmetry:
     primitive element.  A permutes the q^n vector codes (its row span,
     subspaces._row_span), and a vertex goes to the vertex whose mask is the
     image of its mask.  A is certified only when
+    - G.clique_adjacency says adjacency is "share a star";
     - the vector map and the vertex map are bijections;
-    - map_bitset(P, adj[i]) == adj[P[i]] for every vertex i;
     - each star and each top goes onto the catalog clique over the image
       of its centre mask.
-    A certified map is an automorphism that permutes each catalog and
-    preserves every mask relation the lemma checks read, so nothing rests
-    on the theorem that GL(n, q) acts.  A generator that fails is left out.
+    A vertex bijection that carries every star onto a star permutes the
+    stars, so under the first check it preserves adjacency both ways, and
+    a certified map is an automorphism that permutes each catalog and
+    preserves every mask relation the lemma checks read: nothing rests on
+    the theorem that GL(n, q) acts.  A generator that fails is left out.
     """
     found: tuple[list[list[int]], ...] = ([], [], [])
-    for rows in _generator_rows(G.spec, G.n):
+    for rows in _generator_rows(G.spec, G.n) if G.clique_adjacency[0] else ():
         certified = _certify(G, _row_span(G.spec, rows, {}))
         if certified is not None:
             for perms, perm in zip(found, certified):
@@ -341,16 +379,12 @@ def _certify(G: GrassmannGraph, f: list[int]) -> list[list[int]] | None:
     if sorted(f) != list(range(len(f))):
         return None
     perm = [G.index.get(mask) for mask in _images(f, G.masks)]
-    if None in perm or len(set(perm)) != len(perm) or _adjacency_breaks(G.adjacency, perm):
+    if None in perm or len(set(perm)) != len(perm):
         return None
     out = [perm]
     for fam in (G.stars, G.tops):
-        by_centre = {c.center_mask: k for k, c in enumerate(fam)}
-        to = [by_centre.get(mask) for mask in _images(f, [c.center_mask for c in fam])]
+        to = _carried(perm, fam, fam, _images(f, [c.center_mask for c in fam]))
         if None in to:
-            return None
-        images = _images(perm, [c.bitset for c in fam])
-        if any(img != fam[k].bitset for img, k in zip(images, to)):
             return None
         out.append(to)
     return out
@@ -611,18 +645,33 @@ class DualReport:
         )
 
 
+def _complement(table: Sequence[int], mask: int) -> int:
+    """mask(W^perp) from mask(W): the AND of x^perp over the nonzero x in W."""
+    out = (1 << len(table)) - 1
+    for x in bits(mask & ~1):
+        out &= table[x]
+    return out
+
+
 def dual_permutation(G: GrassmannGraph) -> list[int]:
-    """Vertex permutation induced by the orthogonal complement."""
+    """Vertex permutation induced by the orthogonal complement, taken from masks.
+
+    W^perp holds the vectors orthogonal to every member of W, so its mask
+    is the AND of G.complements over W's nonzero codes: no elimination.
+    """
     if G.n != 2 * G.m:
         raise ValueError("duality requires n = 2m")
-    return [G.index[mask] for mask in vector_masks(map(dual_complement, G.vertices))]
+    return [G.index[_complement(G.complements, mask)] for mask in G.masks]
 
 
 def dual_map_check(G: GrassmannGraph) -> DualReport:
     """Check the complement map on the vertices and on the clique catalogs.
 
     The dual clique of each star or top is looked up in G.tops or G.stars
-    by the vector mask of the dual centre, not rebuilt.
+    by the mask of the dual centre, taken from G.complements, not rebuilt.
+    If the map carries the stars onto the tops and the tops onto the
+    stars, and G.clique_adjacency holds for both, it preserves adjacency;
+    only otherwise are the adjacency rows mapped, to name the vertices.
     """
     report = DualReport()
     perm = dual_permutation(G)
@@ -637,20 +686,20 @@ def dual_map_check(G: GrassmannGraph) -> DualReport:
             report.involution = False
             report.counterexamples.append({"check": "involution", "vertex": i})
 
-    for i in _adjacency_breaks(G.adjacency, perm):
-        report.preserves_adjacency = False
-        report.counterexamples.append({"check": "adjacency", "vertex": i})
-
+    misses = []
     for check, flag, cliques, duals in (
         ("star-to-top", "stars_to_tops", G.stars, G.tops),
         ("top-to-star", "tops_to_stars", G.tops, G.stars),
     ):
-        by_centre = {c.center_mask: c.bitset for c in duals}
-        dual_masks = vector_masks(dual_complement(c.center) for c in cliques)
-        images = _images(perm, [c.bitset for c in cliques])
-        for c, mask, img in zip(cliques, dual_masks, images):
-            if img != by_centre.get(mask):
+        centres = [_complement(G.complements, c.center_mask) for c in cliques]
+        for c, k in zip(cliques, _carried(perm, cliques, duals, centres)):
+            if k is None:
                 setattr(report, flag, False)
-                report.counterexamples.append({"check": check, "center": c.center.basis.rows})
+                misses.append({"check": check, "center": c.center.basis.rows})
 
+    if not (report.stars_to_tops and report.tops_to_stars and all(G.clique_adjacency)):
+        for i in _adjacency_breaks(G.adjacency, perm):
+            report.preserves_adjacency = False
+            report.counterexamples.append({"check": "adjacency", "vertex": i})
+    report.counterexamples += misses
     return report

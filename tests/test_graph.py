@@ -22,13 +22,20 @@ from grassmann_lab import (
 from grassmann_lab.config import BoundExceeded
 from grassmann_lab.graph import (
     _adjacency_breaks,
+    _complement,
     _maximal_cliques_through,
     bits,
     dual_permutation,
     map_bitset,
 )
 from grassmann_lab.linalg import matrix, stack_rank
-from grassmann_lab.subspaces import canonicalize, contains
+from grassmann_lab.subspaces import (
+    canonicalize,
+    contains,
+    dual_complement,
+    vector_mask,
+    vector_masks,
+)
 from oracles import (
     all_maximal_cliques,
     bfs_distances,
@@ -504,6 +511,67 @@ def test_dual_map_check_names_centres_a_coordinate_swap_moves(j242, monkeypatch)
             if _swap_first_coordinates(C).basis.rows != C.basis.rows
         ]
         assert moved and named[check] == moved
+
+
+@pytest.mark.parametrize(
+    "p, e, n, m",
+    [(2, 1, 2, 1), (2, 1, 4, 2), (3, 1, 4, 2), (2, 2, 4, 2), (2, 1, 6, 3)],
+    ids=["j221", "j242", "j342", "j442", "j263"],
+)
+def test_complement_masks_match_elimination(p, e, n, m):
+    # the AND of the point complements against dual_complement's null space
+    G = build_graph(make_field(p, e), n, m)
+    for spaces in (G.vertices, [c.center for c in G.stars], [c.center for c in G.tops]):
+        by_masks = [_complement(G.complements, mask) for mask in vector_masks(spaces)]
+        assert by_masks == vector_masks(map(dual_complement, spaces))
+    by_rref = vector_masks(map(dual_complement, G.vertices))
+    assert dual_permutation(G) == [G.index[mask] for mask in by_rref]
+
+
+def test_adjacency_that_is_not_the_star_relation_certifies_nothing(j242):
+    # one edge removed from both rows: the catalogs still map onto
+    # themselves, but no catalog map can certify adjacency any more
+    u, w = 0, next(bits(j242.adjacency[0]))
+    adj = list(j242.adjacency)
+    adj[u] ^= 1 << w
+    adj[w] ^= 1 << u
+    G = replace(j242, adjacency=tuple(adj))
+    assert G.clique_adjacency == (False, False)
+    sym = symmetry_certificate(G)
+    assert sym.perms == ()
+    assert sym.vertex_orbit == list(range(35))
+    assert sym.star_orbit == sym.top_orbit == list(range(15))
+    assert classify_maximal_cliques(G) == classify_maximal_cliques(
+        G, all_maximal_cliques(G.adjacency, 35)
+    )
+    report = dual_map_check(G)
+    breaks = _adjacency_breaks(G.adjacency, dual_permutation(G))
+    assert breaks and not report.preserves_adjacency
+    assert report.bijection and report.involution
+    assert report.stars_to_tops and report.tops_to_stars
+    assert report.counterexamples == [{"check": "adjacency", "vertex": i} for i in breaks]
+
+
+def test_dual_map_check_maps_rows_when_the_tops_are_not_the_adjacency(j242, monkeypatch):
+    # a vertex swap that is no automorphism, over a top catalog made of the
+    # swapped stars at the dual centres: it carries the stars onto the tops
+    # and back, and only the top relation shows that it breaks adjacency
+    swap = [1, 0, *range(2, 35)]
+    stars = {s.center_mask: s for s in star_catalog(j242)}
+    fake = []
+    for t in top_catalog(j242):
+        img = map_bitset(swap, stars[vector_mask(dual_complement(t.center))].bitset)
+        fake.append(replace(t, members=tuple(bits(img)), bitset=img))
+    monkeypatch.setattr(graph_module, "top_catalog", lambda G: fake)
+    monkeypatch.setattr(graph_module, "dual_permutation", lambda G: swap)
+    G = replace(j242)
+    assert G.clique_adjacency == (True, False)
+    report = dual_map_check(G)
+    assert report.bijection and report.involution
+    assert report.stars_to_tops and report.tops_to_stars
+    breaks = _adjacency_breaks(G.adjacency, swap)
+    assert breaks and not report.preserves_adjacency
+    assert report.counterexamples == [{"check": "adjacency", "vertex": i} for i in breaks]
 
 
 def test_dual_map_requires_n_twice_m(j252):
