@@ -3,11 +3,13 @@
 The solvers are deliberately small: a Tomita-style branch-and-bound with a
 greedy colour bound for maximum clique, and a clique-seeded DSATUR
 backtracking search for colourings that picks its next vertex from
-per-saturation-level bitsets and reads free colours off per-colour
-neighbourhood bitsets.  Both run on explicit stacks, so no search depth
-touches the interpreter's recursion limit, and both stop at the same node
-budget (config.NODE_BUDGET unless the caller passes one); on exhaustion
-the coreness verdict degrades to an honest "undetermined", never a hang.
+per-saturation-level bitsets, tests a colour by one AND of its
+neighbourhood bitset with the vertex's bit, and backtracks at once from a
+vertex that sees all k colours.  Both run on explicit stacks, so no search
+depth touches the interpreter's recursion limit, and both stop at the same
+node budget (config.NODE_BUDGET unless the caller passes one); on
+exhaustion the coreness verdict degrades to an honest "undetermined",
+never a hang.
 The independence number is bracketed by a greedy independent set and the
 free |V|/omega cap, with no search.  Tie-breaking is always by smallest
 vertex id, so witnesses are reproducible.
@@ -174,12 +176,13 @@ def find_colouring(
     removes all colour symmetry.  The next vertex is the uncoloured one of
     highest saturation, then degree, then smallest id: once vertices are
     relabelled by (-degree, id), the lowest bit of the highest non-empty
-    saturation level.  Colour c is free at v when v is not in seen[c], the
-    union of the neighbourhoods of colour c.  Backtracking keeps one frame
-    per coloured vertex on an explicit stack, holding what it takes to undo
-    that colouring; each colour tried is a node.  Returns the colour table,
-    or None when the exhaustive search proves no k-colouring exists;
-    raises SearchBudgetExceeded when the node budget runs out first.
+    saturation level.  Colour c is free at v when seen[c], the union of the
+    neighbourhoods of colour c, misses vb = 1 << v; a vertex at saturation k
+    is a dead end and backtracks with no colour scan.  Backtracking keeps one
+    frame per coloured vertex on an explicit stack, holding its colour and
+    what it takes to undo it; each colour tried is a node.  Returns the
+    colour table, or None when the exhaustive search proves no k-colouring
+    exists; raises SearchBudgetExceeded when the node budget runs out first.
     """
     if len(seed) > k:
         return None
@@ -188,57 +191,63 @@ def find_colouring(
     for r, v in enumerate(order):
         rank[v] = r
     nadj = [map_bitset(rank, adj[v]) for v in order]
-    colours = [-1] * nv  # by relabelled vertex
-    seen = [0] * k
+    seen = [0] * (k + 1)  # seen[k] stays 0, so every colour scan stops by k
     uncoloured = (1 << nv) - 1
-    level = [0] * (k + 1)  # uncoloured vertices by saturation
-    level[0] = uncoloured
-
-    def assign(v: int, c: int, s: int, top: int):
-        """Colour v, of saturation s, with c; no level above top is occupied."""
-        nonlocal uncoloured
-        uncoloured ^= 1 << v
-        level[s] ^= 1 << v
-        colours[v] = c
-        newly = nadj[v] & uncoloured & ~seen[c]  # these now see c: one level up
-        seen[c] |= nadj[v]
-        while newly:
-            moved = level[top] & newly
-            if moved:
-                level[top] ^= moved
-                level[top + 1] |= moved
-                newly ^= moved
-            top -= 1
-
     for c, v in enumerate(seed):
         v = rank[v]
-        assign(v, c, sum(seen[d] >> v & 1 for d in range(c)), c)
-    stack = []  # per coloured vertex: (v, c, top, seen[c], level[:top + 2]) before it
+        seen[c] = nadj[v]
+        uncoloured ^= 1 << v
+    sat = [0] * nv
+    for row in seen:
+        for u in bits(row & uncoloured):
+            sat[u] += 1
+    level = [0] * (k + 1)  # uncoloured vertices by saturation
+    for u in bits(uncoloured):
+        level[sat[u]] |= 1 << u
+    stack = []  # per coloured vertex: (v, 1 << v, c, top, seen[c], level[:top + 2]) before it
     nodes = 0
     top = len(seed)  # no saturation level above this one is occupied
     while uncoloured:
         while not level[top]:
             top -= 1
-        x = level[top]
-        v, c = (x & -x).bit_length() - 1, 0  # at level k no colour is free
+        vb = level[top] & -level[top]
+        v = vb.bit_length() - 1
+        c = 0 if top < k else k  # at level k no colour is free: backtrack at once
         while True:
-            while c < k and seen[c] >> v & 1:
+            while seen[c] & vb:
                 c += 1
             if c < k:
                 break
             if not stack:
                 return None
-            v, c, top, seen[c], levels = stack.pop()
-            level[: top + 2] = levels  # assign(v, c) changed no level above top + 1
-            uncoloured |= 1 << v
+            v, vb, c, top, seen[c], levels = stack.pop()
+            level[: top + 2] = levels  # colouring v changed no level above top + 1
+            uncoloured |= vb
             c += 1
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(f"colouring search exceeded {node_budget} nodes")
-        stack.append((v, c, top, seen[c], level[: top + 2]))
-        assign(v, c, top, top)
+        s = seen[c]
+        stack.append((v, vb, c, top, s, level[: top + 2]))
+        uncoloured ^= vb
+        level[top] ^= vb
+        row = nadj[v]
+        seen[c] = s | row
+        newly = row & uncoloured & ~s  # these now see c: one level up
+        t = top
+        while newly:
+            moved = level[t] & newly
+            if moved:
+                level[t] ^= moved
+                level[t + 1] |= moved
+                newly ^= moved
+            t -= 1
         top += 1
-    table = [colours[rank[v]] for v in range(nv)]
+    table = [-1] * nv
+    for c, v in enumerate(seed):
+        table[v] = c
+    for v, _, c, *_ in stack:
+        table[order[v]] = c
     validate_colouring(adj, table, k)
     return table
 

@@ -10,7 +10,8 @@ candidate by trial division, so make_field is deterministic: the same
 which polynomial arithmetic is arithmetic mod p.
 
 Each operation has one definition, on coefficient vectors; fields with
-q <= FIELD_TABLE_LIMIT tabulate it once and look it up.
+q <= FIELD_TABLE_LIMIT tabulate it once and look it up.  The mul and inv
+tables come from the logarithms of a primitive element: O(q) slow products.
 
 Note the element *ordering* used for canonical enumerations compares
 coefficient vectors low degree first, which differs from plain int order
@@ -128,21 +129,24 @@ class FieldSpec:
 
     @cached_property
     def _tables(self):
+        """add and neg entry by entry; a * b = g^(log a + log b) for the first primitive g."""
         if self.q > FIELD_TABLE_LIMIT:
             return None
         q = self.q
         add = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
         neg = [self._neg_slow(a) for a in range(q)]
-        mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                raise AssertionError(f"element {a} has no inverse; modulus not irreducible?")
+        for g in range(1, q):
+            exp = [1]  # g^0, g^1, ... up to the first power equal to 1
+            while len(exp) < q and (x := self._mul_slow(exp[-1], g)) != 1:
+                exp.append(x)
+            if len(exp) == q - 1:
+                break
+        else:
+            raise AssertionError(f"GF({q}) has no primitive element; modulus not irreducible?")
+        log = {x: i for i, x in enumerate(exp)}
+        exp += exp  # g^(i + j) without reducing i + j mod q - 1
+        mul = [[0] * q] + [[0] + [exp[log[a] + log[b]] for b in range(1, q)] for a in range(1, q)]
+        inv = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
         return add, neg, mul, inv
 
     def _add_slow(self, a: int, b: int) -> int:

@@ -126,6 +126,49 @@ def test_find_colouring_rejects_impossible(j242):
     assert find_colouring(j242.adjacency, 35, 6, seed=clique[:6]) is None
 
 
+@pytest.mark.parametrize("name, nodes", [("j242", 28), ("j342", 7586)])
+def test_omega_colouring_search_decides_within_pinned_nodes(name, nodes, request):
+    # the node count pins the search tree: any change to it fails here fast
+    G = request.getfixturevalue(name)
+    clique = structural_max_clique(G)
+    args = (G.adjacency, G.num_vertices, len(clique), clique)
+    with pytest.raises(SearchBudgetExceeded):
+        find_colouring(*args, node_budget=nodes - 1)
+    assert find_colouring(*args, node_budget=nodes) is not None
+
+
+def _graph(nv, edges):
+    adj = [0] * nv
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+REFUTED_COLOURINGS = {
+    "K_5 at k = 4": (_graph(5, [(i, j) for j in range(5) for i in range(j)]), 5, 4),
+    "C_7 at k = 2": (_graph(7, [(i, (i + 1) % 7) for i in range(7)]), 7, 2),
+    "Petersen at k = 2": (
+        _graph(
+            10,
+            [(i, (i + 1) % 5) for i in range(5)]
+            + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+        ),
+        10,
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("adj, nv, k", REFUTED_COLOURINGS.values(), ids=REFUTED_COLOURINGS)
+def test_refuting_searches_match_the_reference_at_every_budget(adj, nv, k):
+    nodes = _nodes_used(oracles.find_colouring, adj, nv, k, ())
+    assert nodes > 1  # a real search, not the len(seed) > k early return
+    assert oracles.find_colouring(adj, nv, k, node_budget=nodes) is None
+    _assert_same_searches(adj, nv, k, (), range(1, nodes + 2))
+
+
 def test_colouring_endomorphism_from_fixture(j242):
     colours = fixture_colouring(j242, load_fixture())
     centre = enumerate_subspaces(j242.spec, 4, 1)[0]

@@ -121,6 +121,32 @@ def test_field_axioms_exhaustive_up_to_64():
         check_field_axioms(make_field(p, e))
 
 
+def test_op_tables_match_the_slow_path_up_to_64():
+    for q in prime_powers_upto(64):
+        f = make_field(*prime_power_base(q))
+        add, neg, mul, inv = f._tables
+        for a in range(q):
+            assert neg[a] == f._neg_slow(a)
+            assert add[a] == [f._add_slow(a, b) for b in range(q)]
+            assert mul[a] == [f._mul_slow(a, b) for b in range(q)]
+            if a:
+                assert f._mul_slow(a, inv[a]) == 1
+
+
+@pytest.mark.parametrize("p, e", [(2, 8), (3, 5)])
+def test_op_tables_match_the_slow_path_near_the_table_limit(p, e):
+    f = make_field(p, e)
+    assert f.q <= FIELD_TABLE_LIMIT and f._tables is not None
+    rng = random.Random(f.q)
+    for _ in range(2000):
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        assert f.add(a, b) == f._add_slow(a, b)
+        assert f.neg(a) == f._neg_slow(a)
+        assert f.mul(a, b) == f._mul_slow(a, b)
+        if a:
+            assert f._mul_slow(a, f.inv(a)) == 1
+
+
 @pytest.mark.parametrize(
     "q, expected",
     [
