@@ -50,7 +50,7 @@ from .report import (
     dual_report_dict,
     fixture_report_dict,
     graph_to_dot,
-    graph_to_json_dict,
+    graph_to_json,
     graph_to_text,
     h_report_dict,
     lemma_report_dict,
@@ -94,7 +94,7 @@ def cmd_build(args) -> int:
     spec = _field_for(args.q)
     G = build_graph(spec, args.n, args.m, max_vertices=args.max_vertices)
     if args.format == "json":
-        _emit(graph_to_json_dict(G))
+        sys.stdout.write(graph_to_json(G) + "\n")
     elif args.format == "dot":
         sys.stdout.write(graph_to_dot(G))
     else:
@@ -147,6 +147,8 @@ def cmd_coreness(args) -> int:
         except OSError as exc:
             raise ValueError(f"cannot read fixture: {exc}") from exc
     _check_field_size(args.q)
+    if args.m == 1 and args.format == "json" and prime_power_base(args.q):  # |V| >= q^(n-1)
+        check_power_digits(args.q, args.n - 1, f"the vertex count of J_{args.q}({args.n},1)")
     rep = core_test(args.n, args.m, args.q, search_bound=args.brute_bound)
     fxrep = None
     if fx is not None:

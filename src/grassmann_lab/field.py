@@ -10,8 +10,8 @@ candidate by trial division, so make_field is deterministic: the same
 which polynomial arithmetic is arithmetic mod p.
 
 Each operation has one definition, on coefficient vectors; fields with
-q <= FIELD_TABLE_LIMIT tabulate it once and look it up.  The mul and inv
-tables come from the logarithms of a primitive element: O(q) slow products.
+q <= FIELD_TABLE_LIMIT tabulate it once and look it up.  The tables come
+from the logarithms of a primitive element: O(q) slow operations.
 
 Note the element *ordering* used for canonical enumerations compares
 coefficient vectors low degree first, which differs from plain int order
@@ -129,11 +129,10 @@ class FieldSpec:
 
     @cached_property
     def _tables(self):
-        """add and neg entry by entry; a * b = g^(log a + log b) for the first primitive g."""
+        """Tables from logs to the first primitive g: ab = g^(log a + log b), a + b = a(1 + b/a)."""
         if self.q > FIELD_TABLE_LIMIT:
             return None
         q = self.q
-        add = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
         neg = [self._neg_slow(a) for a in range(q)]
         for g in range(1, q):
             exp = [1]  # g^0, g^1, ... up to the first power equal to 1
@@ -144,9 +143,13 @@ class FieldSpec:
         else:
             raise AssertionError(f"GF({q}) has no primitive element; modulus not irreducible?")
         log = {x: i for i, x in enumerate(exp)}
+        one_plus = [self._add_slow(1, x) for x in exp]  # 1 + g^k, a negative k taken mod q - 1
         exp += exp  # g^(i + j) without reducing i + j mod q - 1
-        mul = [[0] * q] + [[0] + [exp[log[a] + log[b]] for b in range(1, q)] for a in range(1, q)]
-        inv = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
+        logs = [log[b] for b in range(1, q)]
+        mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+        add = [[a] + [mul[a][one_plus[lb - la]] for lb in logs] for a, la in enumerate(logs, 1)]
+        add.insert(0, list(range(q)))
+        inv = [0] + [exp[q - 1 - la] for la in logs]
         return add, neg, mul, inv
 
     def _add_slow(self, a: int, b: int) -> int:

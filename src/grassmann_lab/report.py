@@ -5,14 +5,15 @@ Matrices are rendered as arrays of digit strings (one string per row,
 neutral.  Reports are plain dicts built in a fixed order, so identical
 configurations always serialize to identical bytes.  to_json writes them
 as exactly json.dumps(data, indent=2) would, but without the pure-Python
-encoder's generator step per element.
+encoder's generator step per element; graph dumps write their edges
+straight from the adjacency rows, with no list per edge.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -20,21 +21,17 @@ from .config import check_decimal_digits
 from .coreness import CorenessReport
 from .field import make_field
 from .fixture import FixtureReport
-from .graph import DualReport, GrassmannGraph, LemmaReport, bits
+from .graph import DualReport, GrassmannGraph, LemmaReport
 from .qpoly import HReport, IntPolynomial, ScanReport
 from .subspaces import Subspace, subspace_from_digits, vector_masks
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def digit(x: int) -> str:
-    if x >= len(_DIGITS):
-        raise ValueError(f"element {x} too large for single-character rendering")
-    return _DIGITS[x]
-
-
 def matrix_digits(S: Subspace) -> list[str]:
-    return ["".join(digit(x) for x in row) for row in S.basis.rows]
+    if S.spec.q > len(_DIGITS):
+        raise ValueError(f"GF({S.spec.q}) has elements too large for one digit")
+    return ["".join(map(_DIGITS.__getitem__, row)) for row in S.basis.rows]
 
 
 def params_dict(G: GrassmannGraph) -> dict:
@@ -48,16 +45,33 @@ def params_dict(G: GrassmannGraph) -> dict:
     }
 
 
-def graph_to_json_dict(G: GrassmannGraph) -> dict:
-    edges = []
-    for i in range(G.num_vertices):
-        for j in bits(G.adjacency[i] >> (i + 1) << (i + 1)):
-            edges.append([i, j])
-    return {
-        "params": params_dict(G),
-        "vertices": [{"id": i, "matrix": matrix_digits(v)} for i, v in enumerate(G.vertices)],
-        "edges": edges,
-    }
+def graph_to_json(G: GrassmannGraph) -> str:
+    """json.dumps(indent=2) of the params, the vertices and the edges [i, j], i < j, in order.
+
+    The edges are written row by row from the adjacency bitsets, so a
+    248,031-edge dump (J_2(7,2)) builds no list per edge.
+    """
+    vertices = [{"id": i, "matrix": matrix_digits(v)} for i, v in enumerate(G.vertices)]
+    head = to_json({"params": params_dict(G), "vertices": vertices})
+    rows = _edge_rows(G, "[\n      %d,\n      ", "\n    ],\n    [\n      %d,\n      ", "\n    ]")
+    edges = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    return head[:-2] + ',\n  "edges": ' + edges + "\n}"  # head[:-2] drops its closing "\n}"
+
+
+def _edge_rows(G: GrassmannGraph, head: str, sep: str, tail: str) -> list[str]:
+    """head % i, the neighbours j > i joined by sep % i, then tail, per vertex i with such a j.
+
+    The bits of a >> (i + 1), low first and less the top one, split on "1"
+    once each 1 is "10", give the gaps between consecutive neighbours.
+    """
+    labels = list(map(str, range(G.num_vertices)))
+    out = []
+    for i, a in enumerate(G.adjacency):
+        if x := a >> (i + 1):
+            gaps = list(map(len, bin(x)[:2:-1].replace("1", "10").split("1")))
+            gaps[0] += i + 1
+            out.append(head % i + (sep % i).join(map(labels.__getitem__, accumulate(gaps))) + tail)
+    return out
 
 
 def graph_from_json_dict(data: dict) -> GrassmannGraph:
@@ -76,11 +90,8 @@ def graph_from_json_dict(data: dict) -> GrassmannGraph:
 def graph_to_dot(G: GrassmannGraph) -> str:
     lines = ["graph grassmann {"]
     for i, v in enumerate(G.vertices):
-        rows = "/".join(matrix_digits(v))
-        lines.append(f'  v{i} [label="v{i}", tooltip="{rows}"];')
-    for i in range(G.num_vertices):
-        for j in bits(G.adjacency[i] >> (i + 1) << (i + 1)):
-            lines.append(f"  v{i} -- v{j};")
+        lines.append(f'  v{i} [label="v{i}", tooltip="{"/".join(matrix_digits(v))}"];')
+    lines += _edge_rows(G, "  v%d -- v", ";\n  v%d -- v", ";")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -234,11 +245,10 @@ def to_json(data) -> str:
     """Exactly json.dumps(data, indent=2), built without its per-element generators.
 
     With an indent, json.dumps runs the pure-Python encoder, which is one
-    generator step per element; a 248,031-edge dump spends most of its time
-    there.  Containers of exact dicts, lists, tuples, strs and ints are
-    written here (a list of equal-length int rows, or of records with one
-    key order and one exact scalar type per key, as one %-template);
-    everything else goes to json.dumps itself.  The input must be a tree.
+    generator step per element.  Containers of exact dicts, lists, tuples,
+    strs and ints are written here (a list of records with one key order
+    and one exact scalar type per key as one %-template); everything else
+    goes to json.dumps itself.  The input must be a tree.
     """
     return _json(data, "\n")
 
@@ -272,13 +282,6 @@ def _json(o, nl: str) -> str:
             return "[" + inner + sep.join(map(int.__repr__, o)) + nl + "]"
         if types == {str}:
             return "[" + inner + sep.join(map(encode_basestring_ascii, o)) + nl + "]"
-        if types <= {list, tuple}:
-            widths = set(map(len, o))
-            flat = tuple(chain.from_iterable(o))
-            if len(widths) == 1 and flat and set(map(type, flat)) == {int}:
-                cell = inner + "  "
-                row = "[" + cell + ("," + cell).join(["%d"] * len(o[0])) + inner + "]"
-                return ("[" + inner + sep.join([row] * len(o)) + nl + "]") % flat
         if types == {dict}:
             records = _records(o, inner)
             if records is not None:

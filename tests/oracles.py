@@ -3,11 +3,12 @@
 Everything here deliberately avoids the code paths under test: ranks come
 from minor enumeration, distances from BFS, subspace membership from
 brute-force span enumeration, Grassmann adjacency from a popcount test on
-every pair of vertex masks, and field properties from exhaustive loops.
-The search kernels are the straightforward recursive versions of the
-library's iterative, bitset-driven ones, and the q-polynomial references
-at the end are the dense polynomial products, the recursive cyclotomic
-division and the Fraction-based scan.
+every pair of vertex masks, field properties from exhaustive loops, and
+graph dumps from one [i, j] list per edge.  The search kernels are the
+straightforward recursive versions of the library's iterative,
+bitset-driven ones, and the q-polynomial references at the end are the
+dense polynomial products, the recursive cyclotomic division and the
+Fraction-based scan.
 """
 
 from __future__ import annotations
@@ -127,6 +128,38 @@ def pairwise_adjacency(masks, q: int, m: int) -> list[int]:
                 adjacency[j] |= 1 << i
         adjacency[i] = ai
     return adjacency
+
+
+def _digit_rows(S) -> list[str]:
+    return ["".join("0123456789abcdefghijklmnopqrstuvwxyz"[x] for x in row) for row in S.basis.rows]
+
+
+def graph_to_json_dict(G) -> dict:
+    """The graph dump as a dict with one [i, j] list per edge i < j, in (i, j) order."""
+    spec = G.spec
+    return {
+        "params": {
+            "q": spec.q,
+            "p": spec.p,
+            "e": spec.e,
+            "n": G.n,
+            "m": G.m,
+            "vertices": G.num_vertices,
+        },
+        "vertices": [{"id": i, "matrix": _digit_rows(v)} for i, v in enumerate(G.vertices)],
+        "edges": [[i, j] for i in range(G.num_vertices) for j in bits(G.adjacency[i]) if j > i],
+    }
+
+
+def graph_to_dot(G) -> str:
+    """The DOT dump, one line per vertex and then one per edge i < j."""
+    lines = ["graph grassmann {"]
+    for i, v in enumerate(G.vertices):
+        lines.append(f'  v{i} [label="v{i}", tooltip="{"/".join(_digit_rows(v))}"];')
+    for i in range(G.num_vertices):
+        lines.extend(f"  v{i} -- v{j};" for j in bits(G.adjacency[i]) if j > i)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def intersection_dim_by_enumeration(spec, S, T) -> int:

@@ -15,7 +15,7 @@ from grassmann_lab.config import (
 )
 from grassmann_lab.fixture import default_fixture_path
 from grassmann_lab.qpoly import scan_core_threshold
-from grassmann_lab.report import graph_from_json_dict, graph_to_json_dict, scan_report_dict
+from grassmann_lab.report import graph_from_json_dict, graph_to_json, scan_report_dict
 
 
 def run(capsys, *argv):
@@ -35,7 +35,7 @@ def test_build_json(capsys, j242):
     # round-trip: reloading gives identical adjacency bitsets
     G = graph_from_json_dict(data)
     assert G.adjacency == j242.adjacency
-    assert graph_to_json_dict(G) == data
+    assert json.loads(graph_to_json(G)) == data
 
 
 def test_build_dot_triangle(capsys):
@@ -334,6 +334,7 @@ SHAPE_BOUND_COMMANDS = [
         "verify --q 1048573 --n 1000000 --m 1",
         "the star and top centre count of J_1048573(1000000,1)",
     ),
+    ("coreness --q 1048573 --n 1000000 --m 1", "the vertex count of J_1048573(1000000,1)"),
 ]
 
 
@@ -608,7 +609,7 @@ def test_witness_revalidates_from_json(capsys, j242):
 
 
 def test_round_trip_q3(j342):
-    data = graph_to_json_dict(j342)
+    data = json.loads(graph_to_json(j342))
     G = graph_from_json_dict(data)
     assert G.adjacency == j342.adjacency
     assert G.vertices == j342.vertices

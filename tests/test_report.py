@@ -1,4 +1,4 @@
-"""The indent-2 JSON emitter and the JSON reload."""
+"""The indent-2 JSON emitter, the graph writers and the JSON reload."""
 
 import json
 import math
@@ -6,16 +6,20 @@ import random
 from collections import OrderedDict
 from enum import IntEnum
 
+import oracles
 import pytest
 from test_golden import FIXTURE, GOLDEN
 
 from grassmann_lab import build_graph, cli, make_field, report, scan_core_threshold
+from grassmann_lab.linalg import matrix
 from grassmann_lab.report import (
     graph_from_json_dict,
-    graph_to_json_dict,
+    graph_to_dot,
+    graph_to_json,
     scan_report_dict,
     to_json,
 )
+from grassmann_lab.subspaces import canonicalize
 
 
 class Colour(IntEnum):
@@ -30,7 +34,9 @@ def _is_json_command(command):
 
 
 def test_to_json_matches_json_dumps_on_every_golden_payload(capsys, monkeypatch):
+    """Every JSON golden is json.dumps' bytes: to_json's payloads, and the graph dumps."""
     payloads = []
+    dumps = 0
 
     def checked(data):
         out = to_json(data)
@@ -42,8 +48,11 @@ def test_to_json_matches_json_dumps_on_every_golden_payload(capsys, monkeypatch)
     for command, code, _ in GOLDEN:
         argv = [FIXTURE if a == "FIXTURE" else a for a in command.split()]
         assert cli.main(argv) == code
-    capsys.readouterr()
-    assert len(payloads) == sum(map(_is_json_command, (g[0] for g in GOLDEN)))
+        out = capsys.readouterr().out
+        if command.startswith("build") and _is_json_command(command):
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+            dumps += 1
+    assert len(payloads) + dumps == sum(map(_is_json_command, (g[0] for g in GOLDEN)))
 
 
 HAND_PICKED = [
@@ -122,7 +131,7 @@ def test_to_json_matches_json_dumps_on_hand_picked_cases(data):
 def test_scan_entries_take_the_record_template_and_vertex_lists_do_not():
     entries = scan_report_dict(scan_core_threshold(8, 3, 64))["entries"]
     assert report._records(entries, "\n    ") is not None
-    vertices = graph_to_json_dict(build_graph(make_field(2, 1), 4, 2))["vertices"]
+    vertices = json.loads(graph_to_json(build_graph(make_field(2, 1), 4, 2)))["vertices"]
     assert report._records(vertices, "\n    ") is None
 
 
@@ -178,6 +187,33 @@ def test_to_json_matches_json_dumps_on_random_trees():
 @pytest.mark.parametrize("p, n, m", [(2, 4, 2), (3, 4, 2), (2, 6, 4)])
 def test_reloaded_masks_equal_the_built_masks(p, n, m):
     G = build_graph(make_field(p, 1), n, m)
-    H = graph_from_json_dict(json.loads(json.dumps(graph_to_json_dict(G))))
+    H = graph_from_json_dict(json.loads(graph_to_json(G)))
     assert H.masks == G.masks
     assert H.adjacency == G.adjacency and H.index == G.index
+
+
+# (p, e, n, m): K_3, GF(2), GF(3) and GF(4) digits, digits up to f, and the 248,031-edge J_2(7,2)
+DUMPED_GRAPHS = [
+    (2, 1, 2, 1),
+    (2, 1, 4, 2),
+    (3, 1, 4, 2),
+    (2, 2, 4, 2),
+    (2, 1, 6, 3),
+    (2, 4, 3, 1),
+    (2, 1, 7, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "p, e, n, m", DUMPED_GRAPHS, ids=[f"J_{p**e}({n},{m})" for p, e, n, m in DUMPED_GRAPHS]
+)
+def test_graph_writers_match_the_per_edge_oracles(p, e, n, m):
+    G = build_graph(make_field(p, e), n, m)
+    assert graph_to_json(G) == json.dumps(oracles.graph_to_json_dict(G), indent=2)
+    assert graph_to_dot(G) == oracles.graph_to_dot(G)
+
+
+def test_matrix_digits_reject_fields_past_z():
+    assert report.matrix_digits(canonicalize(matrix(make_field(2, 5), [[1, 31]]))) == ["1v"]
+    with pytest.raises(ValueError, match="GF\\(37\\) has elements too large for one digit"):
+        report.matrix_digits(canonicalize(matrix(make_field(37, 1), [[1, 0]])))
