@@ -15,6 +15,7 @@ from .coreness import (
     classify_endomorphism,
     core_test,
     omega_exact,
+    orbit_colouring,
     validate_endomorphism,
 )
 from .field import FieldSpec, make_field
@@ -25,6 +26,7 @@ from .graph import (
     build_graph,
     classify_maximal_cliques,
     dual_map_check,
+    induced_permutation,
     star,
     star_catalog,
     symmetry_certificate,

@@ -40,10 +40,12 @@ CLIQUE_ENUM_BOUND = 2000
 SEARCH_BOUND = 1000
 
 # Node budget for each of the two exact searches: the clique branch and
-# bound (omega_exact) and the backtracking colouring search
-# (find_colouring).  The clique search completes on every integral-h graph
-# up to 4745 vertices within 32,463 nodes (J_8(4,2)); the colouring
-# search on J_4(4,2) exhausts it.
+# bound (omega_exact), and the colouring search, which the orbit search
+# (orbit_colouring) and DSATUR (find_colouring) share, DSATUR getting what
+# the orbit search left.  The clique search completes on every integral-h
+# graph up to 4745 vertices within 32,463 nodes (J_8(4,2)); the orbit
+# search decides J_4(4,2) in 1,684 nodes, where DSATUR alone exhausts
+# the budget.
 NODE_BUDGET = 200_000
 
 # Cap on the degree m(n-m) of [n choose m]_q when `qbinom` runs the h

@@ -1,36 +1,46 @@
 """Exact clique and colouring searches, independence bounds and coreness verdicts.
 
 The solvers are deliberately small: a Tomita-style branch-and-bound with a
-greedy colour bound for maximum clique, and a clique-seeded DSATUR
+greedy colour bound for maximum clique; an exact cover for colourings
+invariant under a certified free cyclic group; and a clique-seeded DSATUR
 backtracking search for colourings that picks its next vertex from
 per-saturation-level bitsets, tests a colour by one AND of its
 neighbourhood bitset with the vertex's bit, and backtracks at once from a
-vertex that sees all k colours.  Both run on explicit stacks, so no search
-depth touches the interpreter's recursion limit, and both stop at the same
-node budget (config.NODE_BUDGET unless the caller passes one); on
-exhaustion the coreness verdict degrades to an honest "undetermined",
-never a hang.
+vertex that sees all k colours.  All run on explicit stacks, so no search
+depth touches the interpreter's recursion limit, and all stop at a node
+budget (config.NODE_BUDGET unless the caller passes one); on exhaustion
+the coreness verdict degrades to an honest "undetermined", never a hang.
 The independence number is bracketed by a greedy independent set and the
 free |V|/omega cap, with no search.  Tie-breaking is always by smallest
-vertex id, so witnesses are reproducible.
+vertex id, and the exact cover's row orders come from string-seeded
+random.Random instances, so witnesses are reproducible.
 
 A graph in this family is a core exactly when its chromatic number
 exceeds its clique number (every endomorphism is an automorphism or a
 colouring), so core_test asks one question, whether an omega-colouring
-exists, and is the only caller of the colouring search, once, at
-k = omega.  CorenessReport.verdict reads the answer off the bounds on chi,
-which core_test's stages only tighten.  An omega-colouring gives alpha,
-and composed with a maximum clique it is a witness endomorphism; when
-none turns up, alpha keeps its bracket.  A star (or, when n < 2m, a top)
-is a maximum clique by the size formulas, so the colouring search is
-seeded without any branch and bound.
+exists.  For 2m <= n each class of one is an S_q[m-1, m, n] system, a
+set of m-spaces that holds every (m-1)-space once (a line spread when
+m = 2).  The orbit search looks first for omega-colourings whose classes
+are the images of r base classes under a cyclic group H of order
+omega/r that acts freely on the vertices, with H = <diag(I, C)> for a
+companion matrix C and its freeness checked on the graph's own vertex
+permutation; DSATUR at k = omega then gets the nodes it left.
+CorenessReport.verdict reads the answer off the bounds on chi, which
+core_test's stages only tighten.  An omega-colouring gives alpha, and
+composed with a maximum clique it is a witness endomorphism; when none
+turns up, alpha keeps its bracket.  A star (or, when n < 2m, a top) is a
+maximum clique by the size formulas, so the colouring search is seeded
+without any branch and bound.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
+from itertools import product
 
 from .arith import prime_power_base
 from .config import (
@@ -41,9 +51,10 @@ from .config import (
     check_decimal_digits,
     check_power_digits,
 )
-from .field import make_field
-from .graph import GrassmannGraph, bits, build_graph, map_bitset
+from .field import FieldSpec, make_field
+from .graph import GrassmannGraph, bits, build_graph, induced_permutation, map_bitset
 from .qpoly import gaussian_binomial_int, h_integrality, omega_int
+from .subspaces import _row_span
 
 
 # -- branch and bound maximum clique --------------------------------
@@ -252,6 +263,211 @@ def find_colouring(
     return table
 
 
+# -- orbit colourings -------------------------------------------------
+
+# The orbit search's restart policy.  Its search times are heavy-tailed,
+# so a restart with a fresh row order beats a deep dive; and each node
+# scans every open item, up to 0.5 ms a node at a few thousand vertices,
+# so the search stops after _RESTARTS restarts and leaves the rest of the
+# shared budget to DSATUR.
+_RESTART_NODES = 4000
+_RESTARTS = 8
+
+
+def _order_mod(q: int, s: int) -> int:
+    """The multiplicative order of q modulo s (q coprime to s)."""
+    d, x = 1, q % s
+    while x != 1:
+        x = x * q % s
+        d += 1
+    return d
+
+
+def _orbit_ids(perm: list[int], s: int, start: int = 0) -> list[int] | None:
+    """Each element's orbit number under the cyclic group perm generates.
+
+    Orbits are numbered by least member, over the elements from start on;
+    None unless perm maps those elements as cycles of length exactly s.
+    """
+    orbit = [-1] * len(perm)
+    orbits = 0
+    for v in range(start, len(perm)):
+        if orbit[v] >= 0:
+            continue
+        u = v
+        for _ in range(s):
+            if orbit[u] >= 0:  # a shorter cycle, or not a permutation
+                return None
+            orbit[u] = orbits
+            u = perm[u]
+        if u != v:
+            return None
+        orbits += 1
+    return orbit
+
+
+def _cyclic_candidate(spec: FieldSpec, n: int, s: int) -> list[list[int]] | None:
+    """The rows of h = diag(I, C) in GL(n, q), with C of order s, or None.
+
+    C is the companion matrix of the first monic f of degree d = ord_s(q)
+    (coefficients low degree first, in int order) under which C permutes
+    the nonzero vectors of GF(q)^d in cycles of length s: then f is
+    irreducible and its root has order s.  None when d > n - 1, so that
+    h would fix no vector, or when no f of degree d qualifies.
+    """
+    q = spec.q
+    d = _order_mod(q, s)
+    if d > n - 1:
+        return None
+    shift = [[int(j == i + 1) for j in range(d)] for i in range(d - 1)]  # e_i -> e_{i+1}
+    for low in product(range(q), repeat=d):
+        C = shift + [[spec.neg(c) for c in low]]  # e_{d-1} -> -(c_0 e_0 + ... + c_{d-1} e_{d-1})
+        if low[0] and _orbit_ids(_row_span(spec, C, {}), s, start=1) is not None:
+            eye = [[int(i == j) for j in range(n)] for i in range(n - d)]
+            return eye + [[0] * (n - d) + row for row in C]
+    return None
+
+
+def _free_cyclic_group(G: GrassmannGraph, s: int) -> tuple[list[int], list[int]] | None:
+    """The vertex permutation of _cyclic_candidate's h and its orbits, or None.
+
+    h is used only when the vertex permutation it induces on G
+    (graph.induced_permutation) is a bijection whose cycles all have
+    length s, so <h> acts freely on the vertices; any other candidate is
+    refused, never trusted.
+    """
+    rows = _cyclic_candidate(G.spec, G.n, s)
+    perm = None if rows is None else induced_permutation(G, rows)
+    orbit = None if perm is None else _orbit_ids(perm, s)
+    return None if orbit is None else (perm, orbit)
+
+
+def _steiner_admissible(n: int, m: int, q: int) -> bool:
+    """Whether an S_q[m-1, m, n] passes its divisibility conditions past |V|/omega.
+
+    The blocks through an i-space, 0 < i < m, number
+    [n-i, m-1-i]_q / [m-i, 1]_q, which must be an integer; i = 0 is
+    |V|/omega itself.  Every condition holds at m = 2.
+    """
+    return all(
+        gaussian_binomial_int(n - i, m - 1 - i, q) % gaussian_binomial_int(m - i, 1, q) == 0
+        for i in range(1, m)
+    )
+
+
+def _exact_cover(rows: list[int], limit: int) -> tuple[list[int] | None, int, bool]:
+    """Rows that cover every item of rows exactly once, rows[0] among them.
+
+    Each row is an int bitset of items.  The search picks the uncovered
+    item with the fewest live rows (the lowest such item on ties) and
+    tries its rows in index order, on an explicit stack; each row tried
+    is a node.  Returns (row indices or None, nodes, cut), where cut says
+    the search stopped after limit nodes rather than deciding.
+    """
+    universe = reduce(int.__or__, rows)
+    item_rows = [0] * universe.bit_length()
+    for j, row in enumerate(rows):
+        for i in bits(row):
+            item_rows[i] |= 1 << j
+    clash = [reduce(int.__or__, map(item_rows.__getitem__, bits(row))) for row in rows]
+    uncovered = universe & ~rows[0]
+    alive = ((1 << len(rows)) - 1) & ~clash[0]
+    chosen = [0]
+    stack = []  # per open choice: (rows left to try, alive, uncovered) before it
+    nodes = 0
+    while uncovered:
+        fewest = len(rows) + 1
+        x = uncovered
+        while x:
+            low = x & -x
+            x ^= low
+            live = item_rows[low.bit_length() - 1] & alive
+            size = live.bit_count()
+            if size < fewest:
+                fewest, cand = size, live
+                if size < 2:
+                    break
+        stack.append((cand, alive, uncovered))
+        chosen.append(0)
+        while not stack[-1][0]:
+            stack.pop()
+            chosen.pop()
+            if not stack:
+                return None, nodes, False
+        cand, alive, uncovered = stack[-1]
+        low = cand & -cand
+        stack[-1] = (cand ^ low, alive, uncovered)
+        if nodes == limit:
+            return None, nodes, True
+        nodes += 1
+        j = chosen[-1] = low.bit_length() - 1
+        alive &= ~clash[j]
+        uncovered &= ~rows[j]
+    return chosen, nodes, False
+
+
+def orbit_colouring(
+    G: GrassmannGraph, node_budget: int = NODE_BUDGET
+) -> tuple[list[int] | None, int, int]:
+    """An omega-colouring of G (2m <= n) invariant under a certified free cyclic H.
+
+    Its classes are S_q[m-1, m, n] systems, so the search is skipped when
+    those fail _steiner_admissible.  H = <h> is the first
+    _free_cyclic_group over the divisors s > 1 of omega, largest first,
+    and r = omega/s.  One vertex per H-orbit is spread over r base classes
+    that each meet every star exactly once: an exact cover whose items are
+    r copies of the stars plus one slot per orbit, and whose rows are the
+    pairs (vertex, base).  Then the images of the bases under H are omega
+    classes that each meet every star once and together hold each vertex
+    once, so vertex h^i(v) of base b takes colour b*s + i.  Vertex 0 sits
+    in base 0 (relabel the bases and apply a power of h to one), and
+    restart j tries the other rows in the order of
+    random.Random(f"{q},{n},{m},{j}"), for at most _RESTART_NODES nodes
+    of node_budget, over at most _RESTARTS restarts.  Returns (colouring
+    or None, |H| or 0 when no search ran, nodes used); None means the
+    nodes ran out or no H-invariant colouring exists, never that no
+    omega-colouring does.
+    """
+    n, m, q = G.n, G.m, G.spec.q
+    if 2 * m > n:
+        raise ValueError("the stars are the maximum cliques only when 2m <= n")
+    k = omega_int(n, m, q)
+    if not _steiner_admissible(n, m, q):
+        return None, 0, 0
+    for s in (s for s in range(k, 1, -1) if k % s == 0):
+        group = _free_cyclic_group(G, s)
+        if group is not None:
+            break
+    else:
+        return None, 0, 0
+    perm, orbit = group
+    r = k // s
+    width = len(G.stars)
+    through = [0] * G.num_vertices
+    for t, c in enumerate(G.stars):
+        for v in c.members:
+            through[v] |= 1 << t
+    slot = r * width
+    pairs = [(v, b) for b in range(r) for v in range(G.num_vertices)][1:]  # (0, 0) is fixed
+    nodes = 0
+    for j in range(_RESTARTS):
+        random.Random(f"{q},{n},{m},{j}").shuffle(order := pairs[:])
+        order.insert(0, (0, 0))
+        rows = [through[v] << b * width | 1 << slot + orbit[v] for v, b in order]
+        chosen, used, cut = _exact_cover(rows, min(_RESTART_NODES, node_budget - nodes))
+        nodes += used
+        if not cut or nodes == node_budget:
+            break
+    if chosen is None:
+        return None, s, nodes
+    colouring = [-1] * G.num_vertices
+    for v, b in map(order.__getitem__, chosen):
+        for i in range(s):
+            colouring[v] = b * s + i
+            v = perm[v]
+    return colouring, s, nodes
+
+
 # -- endomorphisms ---------------------------------------------------
 
 
@@ -346,17 +562,42 @@ def classify_endomorphism(G: GrassmannGraph, e: Endomorphism) -> str:
 
 @dataclass
 class CorenessReport:
+    """What core_test learned about J_q(n, m).
+
+    num_vertices, omega, alpha and chi start at their free values: |V| =
+    [n,m]_q, omega by its formula, alpha in (1, |V|//omega) and chi in
+    (omega, |V|), or alpha = 1 and chi = omega = |V| on the complete graph
+    (m = 1).  Each is evaluated on first read, so a report that prints none
+    of them never evaluates [n,m]_q, and core_test's stages only tighten
+    alpha and chi by assignment.
+    """
+
     q: int
     n: int
     m: int
-    num_vertices: int
-    omega: int
-    alpha: object  # int, or (lower, upper)
-    chi: object  # int, or (lower, upper)
     integrality_value: Fraction | int | None = None
     evidence: list[str] = field(default_factory=list)
     witness: Endomorphism | None = None
     witness_class: str | None = None
+
+    @cached_property
+    def num_vertices(self) -> int:
+        return gaussian_binomial_int(self.n, self.m, self.q)
+
+    @cached_property
+    def omega(self) -> int:
+        # [n,1]_q: one star holds every vertex
+        return self.num_vertices if self.m == 1 else omega_int(self.n, self.m, self.q)
+
+    @cached_property
+    def alpha(self):
+        """int, or (lower, upper)."""
+        return 1 if self.m == 1 else (1, self.num_vertices // self.omega)
+
+    @cached_property
+    def chi(self):
+        """int, or (lower, upper)."""
+        return self.omega if self.m == 1 else (self.omega, self.num_vertices)
 
     @property
     def chi_lower(self) -> int:
@@ -365,7 +606,7 @@ class CorenessReport:
     @property
     def verdict(self) -> str:
         """Core when chi > omega or the graph is complete; not-core when chi = omega."""
-        if self.num_vertices == self.omega or self.chi_lower > self.omega:
+        if self.m == 1 or self.chi_lower > self.omega:
             return "core"
         return "not-core" if self.chi == self.omega else "undetermined"
 
@@ -379,16 +620,22 @@ def core_test(
 ) -> CorenessReport:
     """Decide core / not-core / undetermined for J_q(n, m).
 
-    Cascade: alpha and chi start at (1, |V|//omega) and (omega, |V|), and
+    Cascade: alpha and chi start at their free bounds (CorenessReport), and
     each stage only tightens them and adds its evidence.  (1) m = 1 is the
-    complete graph; (2) a non-integral |V|/omega gives chi > omega; (3) past
-    the search bound chi stays open; (4) branch and bound confirms omega,
-    and the clique-seeded colouring search at k = omega finds an
-    omega-colouring (chi = omega, and a witness onto a star), refutes one
-    (chi > omega), or runs out of budget, node_budget bounding each of the
-    two searches; (5) without an omega-colouring, alpha keeps its free
-    bracket (greedy, |V|/omega), which cannot raise chi past omega since
-    |V|/omega is then an integer.
+    complete graph, decided without evaluating |V|; (2) a non-integral
+    |V|/omega gives chi > omega; (3) past the search bound chi stays open;
+    (4) branch and bound confirms omega, under a node_budget of its own;
+    (5) orbit_colouring looks for an omega-colouring invariant under a
+    certified free cyclic group, and one it finds is the witness (chi =
+    omega, with no evidence line when it finds none); (6) otherwise the
+    clique-seeded DSATUR search at k = omega finds an omega-colouring
+    (chi = omega), refutes one (chi > omega), or runs out of budget.  The
+    orbit search refutes only invariant colourings, so it never raises
+    chi, and it shares node_budget with DSATUR, which gets the nodes it
+    left.  An omega-colouring composed with a star is the witness
+    endomorphism; without one, alpha keeps its free bracket (greedy,
+    |V|/omega), which cannot raise chi past omega since |V|/omega is then
+    an integer.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -400,13 +647,11 @@ def core_test(
     if m > 1:  # h's numerator is at least h > q^((m-1)(n-m))/2 >= q^((m-1)(n-m)-1)
         check_power_digits(q, (m - 1) * (n - m) - 1, f"|V|/omega for J_{q}({n},{m})")
 
-    nv = gaussian_binomial_int(n, m, q)
-    omega = nv if m == 1 else omega_int(n, m, q)  # [n,1]_q: one star holds every vertex
-    rep = CorenessReport(q, n, m, nv, omega, alpha=(1, nv // omega), chi=(omega, nv))
+    rep = CorenessReport(q, n, m)
     if m == 1:
-        rep.alpha, rep.chi = 1, nv
         rep.evidence.append("complete graph: every endomorphism permutes the vertices")
         return rep
+    nv, omega = rep.num_vertices, rep.omega
 
     value = h_integrality(n, m, q)
     rep.integrality_value = value
@@ -437,16 +682,24 @@ def core_test(
             "clique branch and bound hit its node budget; clique number taken from the formula"
         )
 
-    try:
-        colouring = find_colouring(G.adjacency, nv, omega, clique, node_budget)
-        if colouring is None:
-            rep.chi = (omega + 1, nv)
-            rep.evidence.append(
-                f"exhaustive search proves no {omega}-colouring exists, so chi > omega"
-            )
-    except SearchBudgetExceeded:
-        colouring = None
-        rep.evidence.append("colouring search budget exhausted before a decision")
+    colouring, order, nodes = orbit_colouring(G, node_budget)
+    if colouring is not None:
+        rep.evidence.append(
+            f"orbit search found a {omega}-colouring invariant under a certified free "
+            f"cyclic group H (|H| = {order}, base classes r = {omega // order}, "
+            f"nodes {nodes} of {node_budget})"
+        )
+    else:
+        try:  # DSATUR gets the nodes the orbit search left
+            colouring = find_colouring(G.adjacency, nv, omega, clique, node_budget - nodes)
+        except SearchBudgetExceeded:
+            rep.evidence.append("colouring search budget exhausted before a decision")
+        else:
+            if colouring is None:
+                rep.chi = (omega + 1, nv)
+                rep.evidence.append(
+                    f"exhaustive search proves no {omega}-colouring exists, so chi > omega"
+                )
     if colouring is None:
         rep.alpha = alpha_exact(G)
         return rep

@@ -342,7 +342,7 @@ def symmetry_certificate(G: GrassmannGraph) -> Symmetry:
     """
     found: tuple[list[list[int]], ...] = ([], [], [])
     for rows in _generator_rows(G.spec, G.n) if G.clique_adjacency[0] else ():
-        certified = _certify(G, _row_span(G.spec, rows, {}))
+        certified = _certify(G, rows)
         if certified is not None:
             for perms, perm in zip(found, certified):
                 perms.append(perm)
@@ -371,16 +371,31 @@ def _generator_rows(spec: FieldSpec, n: int) -> list[list[list[int]]]:
     return gens
 
 
-def _certify(G: GrassmannGraph, f: list[int]) -> list[list[int]] | None:
-    """The vertex, star and top permutations of the vector map f, or None.
+def induced_permutation(G: GrassmannGraph, rows: Sequence[Sequence[int]]) -> list[int] | None:
+    """The vertex permutation of x -> x.A, A given by its rows, or None.
 
-    None when any check of symmetry_certificate fails.
+    A permutes the q^n vector codes (subspaces._row_span), and vertex v goes
+    to the vertex whose mask is the image of v's mask.  None when the vector
+    map or the vertex map is not a bijection.
     """
+    f = _row_span(G.spec, rows, {})
     if sorted(f) != list(range(len(f))):
         return None
     perm = [G.index.get(mask) for mask in _images(f, G.masks)]
     if None in perm or len(set(perm)) != len(perm):
         return None
+    return perm
+
+
+def _certify(G: GrassmannGraph, rows: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """The vertex, star and top permutations of x -> x.A, or None.
+
+    None when any check of symmetry_certificate fails.
+    """
+    perm = induced_permutation(G, rows)
+    if perm is None:
+        return None
+    f = _row_span(G.spec, rows, {})
     out = [perm]
     for fam in (G.stars, G.tops):
         to = _carried(perm, fam, fam, _images(f, [c.center_mask for c in fam]))

@@ -75,16 +75,21 @@ def _edge_rows(G: GrassmannGraph, head: str, sep: str, tail: str) -> list[str]:
 
 
 def graph_from_json_dict(data: dict) -> GrassmannGraph:
-    """Rebuild a graph from a dump; adjacency comes from the edge list."""
+    """Rebuild a graph from a dump; adjacency comes from the edge list.
+
+    Each row gathers its neighbours as bits of a little-endian byte string
+    and becomes an int once, not once per edge.
+    """
     p, e, n, m = (data["params"][k] for k in ("p", "e", "n", "m"))
     spec = make_field(p, e)
     vertices = tuple(subspace_from_digits(spec, v["matrix"]) for v in data["vertices"])
-    adjacency = [0] * len(vertices)
+    rows = [bytearray((len(vertices) + 7) >> 3) for _ in vertices]
     for i, j in data["edges"]:
-        adjacency[i] |= 1 << j
-        adjacency[j] |= 1 << i
+        rows[i][j >> 3] |= 1 << (j & 7)
+        rows[j][i >> 3] |= 1 << (i & 7)
+    adjacency = tuple(int.from_bytes(row, "little") for row in rows)
     masks = tuple(vector_masks(vertices))
-    return GrassmannGraph(spec, n, m, vertices, tuple(adjacency), masks)
+    return GrassmannGraph(spec, n, m, vertices, adjacency, masks)
 
 
 def graph_to_dot(G: GrassmannGraph) -> str:

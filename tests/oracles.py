@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: ranks come
 from minor enumeration, distances from BFS, subspace membership from
 brute-force span enumeration, Grassmann adjacency from a popcount test on
-every pair of vertex masks, field properties from exhaustive loops, and
+every pair of vertex masks, colour classes checked against every star
+from those masks, field properties from exhaustive loops, and
 graph dumps from one [i, j] list per edge.  The search kernels are the
 straightforward recursive versions of the library's iterative,
 bitset-driven ones, and the q-polynomial references at the end are the
@@ -33,6 +34,7 @@ from grassmann_lab.qpoly import (
     omega_int,
     x_power_minus_one,
 )
+from grassmann_lab.subspaces import enumerate_subspaces
 
 
 def bfs_distances(adjacency, source: int) -> list[int]:
@@ -128,6 +130,25 @@ def pairwise_adjacency(masks, q: int, m: int) -> list[int]:
                 adjacency[j] |= 1 << i
         adjacency[i] = ai
     return adjacency
+
+
+
+def classes_meet_every_star_once(G, colouring) -> bool:
+    """Whether each colour class holds exactly one vertex through every (m-1)-space.
+
+    From vector masks alone, no adjacency: every mask comes from span
+    enumeration, and an (m-1)-space P lies in a vertex when P's mask is a
+    subset of the vertex's.
+    """
+    centres = [mask_by_enumeration(G.spec, P) for P in enumerate_subspaces(G.spec, G.n, G.m - 1)]
+    classes: dict[int, list[int]] = {}
+    for S, c in zip(G.vertices, colouring):
+        classes.setdefault(c, []).append(mask_by_enumeration(G.spec, S))
+    return all(
+        sum(not P & ~mask for mask in members) == 1
+        for members in classes.values()
+        for P in centres
+    )
 
 
 def _digit_rows(S) -> list[str]:

@@ -385,6 +385,20 @@ def test_huge_integers_that_are_never_printed_pass(capsys, command):
     assert code == 0 and out and err == ""
 
 
+def test_text_coreness_at_m_equal_one_never_evaluates_the_vertex_count(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("[n,1]_q was evaluated although text output prints no |V|")
+
+    for module in (cli, coreness, graph, qpoly, subspaces):
+        monkeypatch.setattr(module, "gaussian_binomial_int", refuse)
+    code, out, err = run(capsys, *"coreness --q 1048573 --n 1000000 --m 1 --format text".split())
+    assert (code, err) == (0, "")
+    assert out == (
+        "J_1048573(1000000,1): verdict core; "
+        "complete graph: every endomorphism permutes the vertices\n"
+    )
+
+
 @pytest.mark.skipif(
     not 0 < STR_DIGIT_LIMIT <= 4300,
     reason="h at the largest prime power passes the default 4300-digit int-to-str limit",

@@ -29,10 +29,11 @@ from grassmann_lab.coreness import (
     Endomorphism,
     find_colouring,
     max_clique_bitset,
+    orbit_colouring,
     structural_max_clique,
 )
 from grassmann_lab.fixture import fixture_colouring, load_fixture
-from grassmann_lab.graph import dual_permutation
+from grassmann_lab.graph import dual_permutation, induced_permutation
 
 
 def test_omega_exact(j242, j252, j342):
@@ -281,7 +282,14 @@ def test_core_test_evaluates_n_choose_1_once_at_m_equal_one(monkeypatch):
 def test_core_test_checks_the_largest_colour_class(monkeypatch):
     # a colouring whose largest class is not |V|/omega contradicts the
     # clique-coclique bound; the check raises even under python -O
+    monkeypatch.setattr(coreness, "orbit_colouring", lambda G, budget: (None, 0, 0))
     monkeypatch.setattr(coreness, "find_colouring", lambda adj, nv, *args: [0] * nv)
+    with pytest.raises(AssertionError, match="largest class"):
+        core_test(4, 2, 2)
+
+
+def test_core_test_checks_the_orbit_colourings_largest_class(monkeypatch):
+    monkeypatch.setattr(coreness, "orbit_colouring", lambda G, budget: ([0] * 35, 7, 1))
     with pytest.raises(AssertionError, match="largest class"):
         core_test(4, 2, 2)
 
@@ -441,3 +449,82 @@ def test_alpha_takes_the_greedy_path_at_the_cap(monkeypatch, j242, j342):
     _refuse_clique_search(monkeypatch)
     assert alpha_exact(j242) == 5
     assert alpha_exact(j342) == 10
+
+
+# -- the orbit search ------------------------------------------------------
+
+# (q, n, m, |H|, r): graphs the orbit search decides before DSATUR runs
+ORBIT_DECIDED = [(4, 4, 2, 7, 3), (2, 6, 2, 31, 1)]
+
+
+@pytest.mark.parametrize(
+    "q, n, m, order, r", ORBIT_DECIDED, ids=[f"J_{c[0]}({c[1]},{c[2]})" for c in ORBIT_DECIDED]
+)
+def test_orbit_search_decides_not_core(monkeypatch, q, n, m, order, r):
+    def refuse(*args):
+        raise AssertionError("DSATUR ran although the orbit search found a colouring")
+
+    monkeypatch.setattr(coreness, "find_colouring", refuse)
+    rep = core_test(n, m, q)
+    assert rep.verdict == "not-core" and rep.chi == rep.omega
+    assert any(f"(|H| = {order}, base classes r = {r}, nodes" in e for e in rep.evidence)
+    G = rep.witness.graph
+    witness = validate_endomorphism(G, list(rep.witness.mapping))
+    assert classify_endomorphism(G, witness) == "colouring"
+    # the witness's fibres are the colour classes
+    assert oracles.classes_meet_every_star_once(G, witness.mapping)
+
+
+def test_star_cover_oracle_rejects_a_moved_vertex(j242):
+    colouring, _, _ = orbit_colouring(j242)
+    assert oracles.classes_meet_every_star_once(j242, colouring)
+    moved = list(colouring)
+    moved[0] = (moved[0] + 1) % 7
+    assert not oracles.classes_meet_every_star_once(j242, moved)
+
+
+def test_orbit_search_decides_j442_within_pinned_nodes(j442):
+    # the node count pins the seeded row orders and the search tree
+    colouring, order, nodes = orbit_colouring(j442, node_budget=1684)
+    assert colouring is not None and (order, nodes) == (7, 1684)
+    assert orbit_colouring(j442, node_budget=1683) == (None, 7, 1683)
+
+
+def test_orbit_search_refutes_only_invariant_colourings(monkeypatch, j342):
+    # J_3(4,2) has no colouring invariant under its |H| = 13 group, yet it
+    # has a 13-colouring; DSATUR gets the nodes the orbit search left
+    assert orbit_colouring(j342) == (None, 13, 196)
+    budgets = []
+
+    def out_of_budget(adj, nv, k, seed, node_budget):
+        budgets.append(node_budget)
+        raise SearchBudgetExceeded("out")
+
+    monkeypatch.setattr(coreness, "find_colouring", out_of_budget)
+    rep = core_test(4, 2, 3)
+    assert budgets == [NODE_BUDGET - 196]
+    assert rep.verdict == "undetermined" and rep.chi == (13, 130)
+
+
+def test_free_group_check_refuses_the_order_21_candidate(f4, j442):
+    rows = coreness._cyclic_candidate(f4, 4, 21)
+    perm = induced_permutation(j442, rows)
+    assert sorted(perm) == list(range(j442.num_vertices))
+    # h^7 = diag(1, C^7) with C^7 scalar fixes the 21 lines of the plane
+    # x_0 = 0 and the 21 lines through e_0, so <h> does not act freely
+    power = list(range(j442.num_vertices))
+    for _ in range(7):
+        power = [perm[v] for v in power]
+    assert sum(v == u for v, u in enumerate(power)) == 42
+    assert coreness._free_cyclic_group(j442, 21) is None
+    _, orbit = coreness._free_cyclic_group(j442, 7)
+    assert max(orbit) + 1 == 51
+
+
+def test_orbit_search_skips_inadmissible_steiner_systems(monkeypatch, f2):
+    # an S_2[2,3,6] would have [5,1]_2 / [2,1]_2 = 31/3 blocks through a point
+    assert not coreness._steiner_admissible(6, 3, 2)
+    assert coreness._steiner_admissible(7, 3, 2)
+    assert all(coreness._steiner_admissible(n, 2, q) for n in (4, 6, 8) for q in (2, 3, 4))
+    monkeypatch.setattr(coreness, "_free_cyclic_group", lambda G, s: pytest.fail("searched"))
+    assert orbit_colouring(build_graph(f2, 6, 3)) == (None, 0, 0)
