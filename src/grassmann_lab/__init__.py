@@ -1,8 +1,8 @@
 """Exact toolkit for Grassmann graphs over finite fields.
 
 Builds J_q(n, m), verifies its maximal-clique structure (stars and tops)
-exhaustively, analyses coreness through exact clique/colouring search and
-the integrality of the vertex/clique ratio, and provides the cyclotomic
+exhaustively, analyses coreness through exact colouring search and the
+integrality of the vertex/clique ratio, and provides the cyclotomic
 factorization machinery behind that ratio.
 """
 
@@ -14,7 +14,6 @@ from .coreness import (
     build_colouring_endomorphism,
     classify_endomorphism,
     core_test,
-    omega_exact,
     orbit_colouring,
     validate_endomorphism,
 )

@@ -35,17 +35,16 @@ BUILD_BOUND = 5000
 # every pair of centres.
 CLIQUE_ENUM_BOUND = 2000
 
-# Cap for exact omega/chi search; J_2(6,3) at 1395 vertices is
-# deliberately above it, so its coreness stays "undetermined" by default.
+# Cap for the exact chi search in `coreness`, and for the clique census
+# that certifies omega when that search refutes an omega-colouring;
+# J_2(6,3) at 1395 vertices is deliberately above it, so its coreness
+# stays "undetermined" by default.
 SEARCH_BOUND = 1000
 
-# Node budget for each of the two exact searches: the clique branch and
-# bound (omega_exact), and the colouring search, which the orbit search
+# Node budget for the colouring search, which the orbit search
 # (orbit_colouring) and DSATUR (find_colouring) share, DSATUR getting what
-# the orbit search left.  The clique search completes on every integral-h
-# graph up to 4745 vertices within 32,463 nodes (J_8(4,2)); the orbit
-# search decides J_4(4,2) in 1,684 nodes, where DSATUR alone exhausts
-# the budget.
+# the orbit search left.  The orbit search decides J_4(4,2) in 1,684
+# nodes, where DSATUR alone exhausts the budget.
 NODE_BUDGET = 200_000
 
 # Cap on the degree m(n-m) of [n choose m]_q when `qbinom` runs the h

@@ -1,19 +1,18 @@
-"""Exact clique and colouring searches, independence bounds and coreness verdicts.
+"""Exact colouring searches, independence bounds and coreness verdicts.
 
-The solvers are deliberately small: a Tomita-style branch-and-bound with a
-greedy colour bound for maximum clique; an exact cover for colourings
-invariant under a certified free cyclic group; and a clique-seeded DSATUR
+The solvers are deliberately small: an exact cover for colourings
+invariant under a certified free cyclic group, and a star-seeded DSATUR
 backtracking search for colourings that picks its next vertex from
 per-saturation-level bitsets, tests a colour by one AND of its
 neighbourhood bitset with the vertex's bit, and backtracks at once from a
-vertex that sees all k colours.  All run on explicit stacks, so no search
-depth touches the interpreter's recursion limit, and all stop at a node
-budget (config.NODE_BUDGET unless the caller passes one); on exhaustion
-the coreness verdict degrades to an honest "undetermined", never a hang.
-The independence number is bracketed by a greedy independent set and the
-free |V|/omega cap, with no search.  Tie-breaking is always by smallest
-vertex id, and the exact cover's row orders come from string-seeded
-random.Random instances, so witnesses are reproducible.
+vertex that sees all k colours.  Both run on explicit stacks, so no search
+depth touches the interpreter's recursion limit, and both stop at one
+shared node budget (config.NODE_BUDGET unless the caller passes one); on
+exhaustion the coreness verdict degrades to an honest "undetermined",
+never a hang.  The independence number is bracketed by a greedy
+independent set and the free |V|/omega cap, with no search.  Tie-breaking
+is always by smallest vertex id, and the exact cover's row orders come
+from string-seeded random.Random instances, so witnesses are reproducible.
 
 A graph in this family is a core exactly when its chromatic number
 exceeds its clique number (every endomorphism is an automorphism or a
@@ -28,9 +27,10 @@ permutation; DSATUR at k = omega then gets the nodes it left.
 CorenessReport.verdict reads the answer off the bounds on chi, which
 core_test's stages only tighten.  An omega-colouring gives alpha, and
 composed with a maximum clique it is a witness endomorphism; when none
-turns up, alpha keeps its bracket.  A star (or, when n < 2m, a top) is a
-maximum clique by the size formulas, so the colouring search is seeded
-without any branch and bound.
+turns up, alpha keeps its bracket.  For 2m <= n the star G.stars[0] is a
+maximum clique, so the colouring search is seeded with no clique search:
+a found colouring certifies the clique number by itself, and a refuted
+one only after the census of maximal cliques has.
 """
 
 from __future__ import annotations
@@ -46,118 +46,41 @@ from .arith import prime_power_base
 from .config import (
     NODE_BUDGET,
     SEARCH_BOUND,
-    BoundExceeded,
     SearchBudgetExceeded,
     check_decimal_digits,
     check_power_digits,
 )
 from .field import FieldSpec, make_field
-from .graph import GrassmannGraph, bits, build_graph, induced_permutation, map_bitset
+from .graph import (
+    GrassmannGraph,
+    bits,
+    build_graph,
+    classify_maximal_cliques,
+    induced_permutation,
+    map_bitset,
+)
 from .qpoly import gaussian_binomial_int, h_integrality, omega_int
 from .subspaces import _row_span
 
 
-# -- branch and bound maximum clique --------------------------------
-
-
-def _greedy_colour_order(adj, P: int) -> list[tuple[int, int]]:
-    """Greedy colour classes of the candidate set; (vertex, colour)."""
-    order = []
-    uncoloured = P
-    colour = 0
-    while uncoloured:
-        colour += 1
-        avail = uncoloured
-        while avail:
-            v = (avail & -avail).bit_length() - 1
-            order.append((v, colour))
-            vb = 1 << v
-            uncoloured ^= vb
-            avail = (avail ^ vb) & ~adj[v]
-    return order
-
-
-def max_clique_bitset(adj, nv: int, node_budget: int | None = None) -> list[int]:
-    """A maximum clique of the graph given as per-vertex bitsets.
-
-    Each search node greedily colours its candidate set P and branches on
-    its vertices in reverse colouring order until the colour bound cannot
-    beat the best clique.  Nodes are frames [branch order, P] on an
-    explicit stack, and R holds the vertex each open child branched on.
-    Raises SearchBudgetExceeded when a node budget is given and exhausted.
-    """
-    best: list[int] = []
-    R: list[int] = []
-    stack: list[list] = []
-    nodes = 0
-
-    def enter(P: int):
-        nonlocal nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise SearchBudgetExceeded(f"clique search exceeded {node_budget} nodes")
-        stack.append([_greedy_colour_order(adj, P), P])
-
-    enter((1 << nv) - 1)
-    while stack:
-        frame = stack[-1]
-        order = frame[0]
-        if order and len(R) + order[-1][1] > len(best):
-            v = order.pop()[0]
-            R.append(v)
-            newP = frame[1] & adj[v]
-            frame[1] ^= 1 << v
-            if newP:
-                enter(newP)
-                continue
-            if len(R) > len(best):
-                best = R[:]
-            R.pop()
-            continue
-        stack.pop()  # branches exhausted or bounded away
-        if stack:
-            R.pop()
-    return sorted(best)
-
-
-def omega_exact(
-    G: GrassmannGraph, bound: int = SEARCH_BOUND, node_budget: int = NODE_BUDGET
-) -> int:
-    """Clique number by branch and bound; must agree with the size formula."""
-    if G.num_vertices > bound:
-        raise BoundExceeded(f"graph too large for exact search: {G.num_vertices} > {bound}")
-    clique = max_clique_bitset(G.adjacency, G.num_vertices, node_budget)
-    expected = omega_int(G.n, G.m, G.spec.q)
-    if len(clique) != expected:
-        raise AssertionError(
-            f"brute-force clique number {len(clique)} != formula value {expected}"
-        )
-    return len(clique)
-
-
-def structural_max_clique(G: GrassmannGraph) -> list[int]:
-    """A maximum clique read off the graph's catalogs, no search.
-
-    The star over the canonically first (m-1)-space has clique-number
-    size when n >= 2m; otherwise the top inside the first (m+1)-space
-    does.  Both are the first entries of G.stars and G.tops, which are
-    built once per graph and shared with the structure checks.
-    """
-    return list((G.stars if G.n >= 2 * G.m else G.tops)[0].members)
+# -- independence bounds ----------------------------------------------
 
 
 def alpha_exact(G: GrassmannGraph):
     """Independence number when it is free, else the pair (lower, upper).
 
-    A greedy independent set (the first class of _greedy_colour_order:
-    lowest vertex first, its neighbours dropped) and the |V| // omega cap
-    (the vertex-transitive inequality |V|/alpha >= omega rearranged)
-    bracket alpha; when they meet, that is alpha.  For 2m <= n an
-    independent set at the cap is a q-Steiner system S_q[m-1, m, n], so
-    no search is run for one.
+    A greedy independent set (lowest vertex first, its neighbours
+    dropped) and the |V| // omega cap (the vertex-transitive inequality
+    |V|/alpha >= omega rearranged) bracket alpha; when they meet, that is
+    alpha.  For 2m <= n an independent set at the cap is a q-Steiner
+    system S_q[m-1, m, n], so no search is run for one.
     """
     nv = G.num_vertices
-    greedy = sum(c == 1 for _, c in _greedy_colour_order(G.adjacency, (1 << nv) - 1))
+    greedy, avail = 0, (1 << nv) - 1
+    while avail:
+        low = avail & -avail
+        avail = (avail ^ low) & ~G.adjacency[low.bit_length() - 1]
+        greedy += 1
     upper = nv // omega_int(G.n, G.m, G.spec.q)
     return greedy if greedy == upper else (greedy, upper)
 
@@ -624,15 +547,20 @@ def core_test(
     each stage only tightens them and adds its evidence.  (1) m = 1 is the
     complete graph, decided without evaluating |V|; (2) a non-integral
     |V|/omega gives chi > omega; (3) past the search bound chi stays open;
-    (4) branch and bound confirms omega, under a node_budget of its own;
-    (5) orbit_colouring looks for an omega-colouring invariant under a
+    (4) orbit_colouring looks for an omega-colouring invariant under a
     certified free cyclic group, and one it finds is the witness (chi =
-    omega, with no evidence line when it finds none); (6) otherwise the
-    clique-seeded DSATUR search at k = omega finds an omega-colouring
+    omega, with no evidence line when it finds none); (5) otherwise the
+    star-seeded DSATUR search at k = omega finds an omega-colouring
     (chi = omega), refutes one (chi > omega), or runs out of budget.  The
     orbit search refutes only invariant colourings, so it never raises
     chi, and it shares node_budget with DSATUR, which gets the nodes it
-    left.  An omega-colouring composed with a star is the witness
+    left.  Each decided verdict certifies the clique number itself: a
+    proper omega-colouring bounds every clique by omega, which the star
+    G.stars[0] attains; a refutation is accepted only once the census of
+    maximal cliques (graph.classify_maximal_cliques) finds every one a
+    star or a top, the largest of omega vertices.  When the budget runs
+    out, the star alone bounds chi below by omega.  An omega-colouring
+    composed with the star is the witness
     endomorphism; without one, alpha keeps its free bracket (greedy,
     |V|/omega), which cannot raise chi past omega since |V|/omega is then
     an integer.
@@ -673,14 +601,7 @@ def core_test(
 
     spec = make_field(*p_e)
     G = build_graph(spec, n, m, max_vertices=search_bound)
-    clique = structural_max_clique(G)  # a star, since 2m <= n
-    try:
-        omega_exact(G, bound=search_bound, node_budget=node_budget)
-        rep.evidence.append(f"branch and bound confirms clique number {omega}")
-    except SearchBudgetExceeded:
-        rep.evidence.append(
-            "clique branch and bound hit its node budget; clique number taken from the formula"
-        )
+    clique = G.stars[0].members  # omega vertices, since 2m <= n
 
     colouring, order, nodes = orbit_colouring(G, node_budget)
     if colouring is not None:
@@ -696,6 +617,13 @@ def core_test(
             rep.evidence.append("colouring search budget exhausted before a decision")
         else:
             if colouring is None:
+                census = classify_maximal_cliques(G, bound=search_bound)
+                if not census.ok or max(census.star_size, census.top_size) != omega:
+                    raise AssertionError(f"the clique census does not certify omega = {omega}")
+                rep.evidence.append(
+                    f"clique census: all {census.total} maximal cliques are stars or tops, "
+                    f"the largest of {omega} vertices, so the clique number is {omega}"
+                )
                 rep.chi = (omega + 1, nv)
                 rep.evidence.append(
                     f"exhaustive search proves no {omega}-colouring exists, so chi > omega"
@@ -712,8 +640,8 @@ def core_test(
     rep.witness = build_colouring_endomorphism(G, colouring, clique)
     rep.witness_class = classify_endomorphism(G, rep.witness)
     rep.evidence.append(
-        f"found a proper {omega}-colouring; composing it with a maximum clique "
-        "gives a non-injective endomorphism"
+        f"found a proper {omega}-colouring, so no clique beats the star's {omega} vertices; "
+        "composing the colouring with that maximum clique gives a non-injective endomorphism"
     )
     rep.evidence.append(
         f"witness endomorphism classified as '{rep.witness_class}' with image a star; "

@@ -113,13 +113,6 @@ class GrassmannGraph:
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
 
-    def intersection_dim(self, i: int, j: int) -> int:
-        return _subspace_dim((self.masks[i] & self.masks[j]).bit_count(), self.spec.q)
-
-    def distance(self, i: int, j: int) -> int:
-        """m - dim(X intersect Y); equals the path distance."""
-        return self.m - self.intersection_dim(i, j)
-
     @cached_property
     def stars(self) -> list[MaximalClique]:
         """Every star, in centre enumeration order; built once, on first use."""

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the library.
 
 Everything here deliberately avoids the code paths under test: ranks come
-from minor enumeration, distances from BFS, subspace membership from
+from minor enumeration, distances from BFS (and the formula it is checked
+against from common mask vectors), subspace membership from
 brute-force span enumeration, Grassmann adjacency from a popcount test on
 every pair of vertex masks, colour classes checked against every star
 from those masks, field properties from exhaustive loops, and
@@ -193,6 +194,16 @@ def intersection_dim_by_enumeration(spec, S, T) -> int:
         d += 1
     assert spec.q**d == common, "common vectors do not form a subspace"
     return d
+
+
+def distance_by_masks(G, i: int, j: int) -> int:
+    """m - dim(X intersect Y), the path distance in J_q(n, m), from common mask vectors."""
+    common = (G.masks[i] & G.masks[j]).bit_count()
+    d = 0
+    while G.spec.q**d < common:
+        d += 1
+    assert G.spec.q**d == common, "common vectors do not form a subspace"
+    return G.m - d
 
 
 def is_rref(rows) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -10,10 +11,11 @@ from grassmann_lab import (
     build_colouring_endomorphism,
     build_graph,
     classify_endomorphism,
+    classify_maximal_cliques,
     core_test,
     enumerate_subspaces,
     make_field,
-    omega_exact,
+    omega_int,
     star,
     validate_endomorphism,
 )
@@ -28,18 +30,10 @@ from grassmann_lab.config import (
 from grassmann_lab.coreness import (
     Endomorphism,
     find_colouring,
-    max_clique_bitset,
     orbit_colouring,
-    structural_max_clique,
 )
 from grassmann_lab.fixture import fixture_colouring, load_fixture
 from grassmann_lab.graph import dual_permutation, induced_permutation
-
-
-def test_omega_exact(j242, j252, j342):
-    assert omega_exact(j242) == 7
-    assert omega_exact(j252) == 15
-    assert omega_exact(j342) == 13
 
 
 def test_alpha_exact(j242, f2):
@@ -49,23 +43,14 @@ def test_alpha_exact(j242, f2):
     assert alpha_exact(complete) == 1
 
 
-def _refuse_clique_search(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("alpha ran a clique search")
-
-    monkeypatch.setattr(coreness, "max_clique_bitset", refuse)
-
-
-def test_alpha_bounds_when_over_budget(monkeypatch, j252):
+def test_alpha_bounds_when_over_budget(j252):
     # no q-Steiner system search is run: alpha is bracketed for free
-    _refuse_clique_search(monkeypatch)
     lo, hi = alpha_exact(j252)
     assert 1 <= lo <= hi
     assert hi == 155 // 15
 
 
-def test_alpha_degrades_to_bounds_on_node_budget(monkeypatch, j242, j252):
-    _refuse_clique_search(monkeypatch)
+def test_alpha_degrades_to_bounds_on_node_budget(j242, j252):
     assert alpha_exact(j242) == 5  # greedy meets the |V|/omega cap
     assert alpha_exact(j252) == (7, 10)  # greedy finds 7 < 155 // 15
 
@@ -84,35 +69,25 @@ ALPHA_PINS = [
 @pytest.mark.parametrize(
     "q, n, m, alpha", ALPHA_PINS, ids=[f"J_{q}({n},{m})" for q, n, m, _ in ALPHA_PINS]
 )
-def test_alpha_pins_within_the_search_bound(monkeypatch, q, n, m, alpha):
+def test_alpha_pins_within_the_search_bound(q, n, m, alpha):
     G = build_graph(make_field(*prime_power_base(q)), n, m)
     assert G.num_vertices <= SEARCH_BOUND
-    _refuse_clique_search(monkeypatch)
     assert alpha_exact(G) == alpha
 
 
-def test_omega_raises_on_node_budget(j252):
-    from grassmann_lab.config import SearchBudgetExceeded
-
-    with pytest.raises(SearchBudgetExceeded):
-        omega_exact(j252, node_budget=1)
-
-
-# the integral-h graphs within SEARCH_BOUND that no golden digest pins; the
-# goldens pin "branch and bound confirms clique number" for J_2(4,2),
-# J_3(4,2) and J_2(6,3)
-CLIQUE_BUDGET_PINS = [(4, 4, 2, 21), (5, 4, 2, 31), (2, 6, 2, 31)]
+# the ALPHA_PINS shapes, and J_2(6,3) past the search bound at n = 2m
+CLIQUE_NUMBER_SHAPES = [(q, n, m) for q, n, m, _ in ALPHA_PINS] + [(2, 6, 3)]
 
 
 @pytest.mark.parametrize(
-    "q, n, m, omega",
-    CLIQUE_BUDGET_PINS,
-    ids=[f"J_{q}({n},{m})" for q, n, m, _ in CLIQUE_BUDGET_PINS],
+    "q, n, m", CLIQUE_NUMBER_SHAPES, ids=[f"J_{q}({n},{m})" for q, n, m in CLIQUE_NUMBER_SHAPES]
 )
-def test_clique_search_completes_within_the_default_budget(q, n, m, omega):
+def test_clique_number_formula_matches_exhaustive_search(q, n, m):
+    # core_test seeds its searches with G.stars[0] and takes omega from the
+    # formula; the reference branch and bound checks both exhaustively
     G = build_graph(make_field(*prime_power_base(q)), n, m)
-    assert G.num_vertices <= SEARCH_BOUND
-    assert omega_exact(G) == omega
+    clique = oracles.max_clique_bitset(G.adjacency, G.num_vertices)
+    assert len(clique) == omega_int(n, m, q) == G.stars[0].size
 
 
 def test_core_test_degrades_honestly_with_tiny_budgets():
@@ -123,7 +98,7 @@ def test_core_test_degrades_honestly_with_tiny_budgets():
 
 
 def test_find_colouring_rejects_impossible(j242):
-    clique = structural_max_clique(j242)
+    clique = j242.stars[0].members
     assert find_colouring(j242.adjacency, 35, 6, seed=clique[:6]) is None
 
 
@@ -131,7 +106,7 @@ def test_find_colouring_rejects_impossible(j242):
 def test_omega_colouring_search_decides_within_pinned_nodes(name, nodes, request):
     # the node count pins the search tree: any change to it fails here fast
     G = request.getfixturevalue(name)
-    clique = structural_max_clique(G)
+    clique = G.stars[0].members
     args = (G.adjacency, G.num_vertices, len(clique), clique)
     with pytest.raises(SearchBudgetExceeded):
         find_colouring(*args, node_budget=nodes - 1)
@@ -294,6 +269,54 @@ def test_core_test_checks_the_orbit_colourings_largest_class(monkeypatch):
         core_test(4, 2, 2)
 
 
+def test_found_colourings_need_no_clique_census(monkeypatch):
+    # the colouring bounds every clique by the star's omega vertices
+    def refuse(*args, **kwargs):
+        raise AssertionError("the clique census ran although a colouring was found")
+
+    monkeypatch.setattr(coreness, "classify_maximal_cliques", refuse)
+    for q in (4, 3):  # the orbit stage decides J_4(4,2), DSATUR J_3(4,2)
+        rep = core_test(4, 2, q)
+        assert rep.verdict == "not-core"
+        assert any("no clique beats the star's" in e for e in rep.evidence)
+
+
+def _refute_every_colouring(monkeypatch):
+    monkeypatch.setattr(coreness, "orbit_colouring", lambda G, budget: (None, 0, 0))
+    monkeypatch.setattr(coreness, "find_colouring", lambda *args: None)
+
+
+def test_a_refuted_colouring_runs_the_clique_census_once(monkeypatch):
+    _refute_every_colouring(monkeypatch)
+    calls = []
+
+    def census(G, bound):
+        calls.append(bound)
+        return classify_maximal_cliques(G, bound=bound)
+
+    monkeypatch.setattr(coreness, "classify_maximal_cliques", census)
+    rep = core_test(4, 2, 2, search_bound=500)
+    assert calls == [500]
+    assert rep.verdict == "core" and rep.chi == (8, 35)
+    assert any(e.startswith("clique census: all 30 maximal cliques") for e in rep.evidence)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"unmatched": [(0, 1)]}, {"star_size": 8}, {"top_size": 8}],
+    ids=["unmatched clique", "star size", "top size"],
+)
+def test_a_census_that_does_not_certify_omega_raises(monkeypatch, change):
+    _refute_every_colouring(monkeypatch)
+
+    def census(G, bound):
+        return dataclasses.replace(classify_maximal_cliques(G, bound=bound), **change)
+
+    monkeypatch.setattr(coreness, "classify_maximal_cliques", census)
+    with pytest.raises(AssertionError, match="census does not certify omega = 7"):
+        core_test(4, 2, 2)
+
+
 def test_core_test_odd_ambient_is_core():
     rep = core_test(5, 2, 2)
     assert rep.verdict == "core"
@@ -337,8 +360,9 @@ def test_core_test_validates_inputs(monkeypatch):
 
 
 def test_search_bound_errors(j252):
+    # the census core_test runs under its search bound
     with pytest.raises(BoundExceeded):
-        omega_exact(j252, bound=10)
+        classify_maximal_cliques(j252, bound=10)
 
 
 # -- the iterative kernels against the recursive references -----------------
@@ -383,19 +407,13 @@ def test_kernels_match_references_on_grassmann_graphs(name, request):
     adj, nv = G.adjacency, G.num_vertices
     slow = name == "j442"  # its full searches take seconds in the references
     budgets = (1, 50, 1000) if slow else (1, 50, 1000, NODE_BUDGET)
-    clique = structural_max_clique(G)
+    clique = G.stars[0].members
     omega = len(clique)
     for k in (omega - 1, omega):
         _assert_same_searches(adj, nv, k, clique[:k], budgets)
     # at k = |V| with budget |V|, the first descent is greedy DSATUR
     greedy = find_colouring(adj, nv, nv, clique, node_budget=nv)
     assert greedy == oracles.dsatur_upper_bound(adj, nv, clique)[1]
-    full = (1 << nv) - 1
-    complement = [full & ~adj[i] & ~(1 << i) for i in range(nv)]
-    for graph in (adj, complement):
-        for budget in budgets:
-            expected = _outcome(oracles.max_clique_bitset, graph, nv, node_budget=budget)
-            assert _outcome(max_clique_bitset, graph, nv, node_budget=budget) == expected
 
 
 def _random_graph(rng, nv, p):
@@ -415,10 +433,6 @@ def test_kernels_match_references_on_random_graphs(graph_seed):
     nv = rng.randint(8, 60)
     adj = _random_graph(rng, nv, rng.uniform(0.1, 0.6))
     clique = oracles.max_clique_bitset(adj, nv)
-    assert max_clique_bitset(adj, nv) == clique
-    assert _nodes_used(max_clique_bitset, adj, nv) == _nodes_used(
-        oracles.max_clique_bitset, adj, nv
-    )
     for seed in ((), clique):
         upper, greedy = oracles.dsatur_upper_bound(adj, nv, seed)
         assert find_colouring(adj, nv, nv, seed, node_budget=nv) == greedy
@@ -437,16 +451,12 @@ def test_searches_leave_the_recursion_limit_alone(monkeypatch):
         raise AssertionError("a search changed the interpreter's recursion limit")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-    nv = 1200  # one search frame per vertex, deeper than the default limit
-    full = (1 << nv) - 1
-    assert max_clique_bitset([full ^ (1 << i) for i in range(nv)], nv) == list(range(nv))
-    nv = 3000
+    nv = 3000  # one search frame per vertex, deeper than the default limit
     path = [(1 << (i - 1) if i else 0) | (1 << (i + 1) if i + 1 < nv else 0) for i in range(nv)]
     assert find_colouring(path, nv, 2) == [(i + 1) % 2 for i in range(nv)]
 
 
-def test_alpha_takes_the_greedy_path_at_the_cap(monkeypatch, j242, j342):
-    _refuse_clique_search(monkeypatch)
+def test_alpha_takes_the_greedy_path_at_the_cap(j242, j342):
     assert alpha_exact(j242) == 5
     assert alpha_exact(j342) == 10
 

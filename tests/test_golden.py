@@ -17,12 +17,12 @@ GOLDEN = [
     (
         "coreness --q 2 --n 4 --m 2 --fixture FIXTURE",
         0,
-        "d68e141f5e3a8c4c50e9c5f853b6f2f414743f6092128804d454d77426aeda10",
+        "5bb14ac8b3b1cda5649dd6b4a4936f3ee1e0a61907a32b4ecee3791b4f4eb46d",
     ),
     (
         "coreness --q 3 --n 4 --m 2",
         0,
-        "b4777cb541d4c6b20c2c8417cde127b9059ea82ad31888c01b979613e9420b15",
+        "f7ae82bc4811646270e076e2399ba8c346b46b5e105a2905d72449c6b2910314",
     ),
     (
         "coreness --q 2 --n 5 --m 2",
@@ -32,7 +32,7 @@ GOLDEN = [
     (
         "coreness --q 2 --n 6 --m 3 --brute-bound 2000",
         0,
-        "c2f2c4af2fa62f9e9179209e4bd4cca972ebc014ae5b914849c23ae6bb941918",
+        "68c1b97b2adf25816a4d4f2964c227810ae0bdd04a70738d142797f5abea4f12",
     ),
     (
         "coreness --q 2 --n 7 --m 3",
@@ -212,28 +212,28 @@ CORE_TEST_EXITS = [
         (4, 2, 2),
         {},
         {},
-        "27565c04220d066616ce4971170232d59a93468b17a43979ac5d7615ca4e3a4d",
+        "7276a135cf2fe2ea2cf9f58db925984b4bf82995bcc95e53ed704937750344bd",
     ),
     (
         "omega-colouring found, q = 3",
         (4, 2, 3),
         {},
         {},
-        "7b9d0a8d5189685759532a44dd68244cfb912d0c0cec3f4a476625c81774f836",
+        "a457870d7a8943a881411e3b4a56f10a0da05382c8d4e0491d3a01d8dafa942f",
     ),
     (
         "both budgets out",
         (4, 2, 2),
         {"node_budget": 1},
         {},
-        "91a27f44da290677b1bd125a1da07faf8aa4f5df068f17138fcef7df51d64f14",
+        "e6743d349d915c022ce68477309dbf0b91d917716d0052e53d61938ec537b947",
     ),
     (
         "no omega-colouring exists",
         (4, 2, 2),
         {},
         {"orbit_colouring": _no_orbit_colouring, "find_colouring": _no_colouring},
-        "b420383c06cb8a4997f1f3706ace233dce7983fd70c49c55cf43979789caa0c6",
+        "14b2ea9bfe9b2be2f5e11706a908091c0875f1b250d029bf785c91829e113156",
     ),
 ]
 
