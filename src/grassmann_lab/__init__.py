@@ -26,14 +26,12 @@ from .graph import (
     classify_maximal_cliques,
     dual_map_check,
     induced_permutation,
-    star,
     star_catalog,
     symmetry_certificate,
-    top,
     top_catalog,
     verify_clique_lemmas,
 )
-from .linalg import FqMatrix, matrix, rank, rref, stack_rank
+from .linalg import FqMatrix, matrix, rref
 from .qpoly import (
     CycloFactorization,
     HReport,
@@ -48,14 +46,7 @@ from .qpoly import (
     omega_poly,
     scan_core_threshold,
 )
-from .subspaces import (
-    Subspace,
-    canonicalize,
-    dual_complement,
-    enumerate_subspaces,
-    intersect,
-    join,
-)
+from .subspaces import Subspace, canonicalize, dual_complement, enumerate_subspaces
 
 __version__ = "0.1.0"
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 from importlib import resources
 from pathlib import Path
 
-from .graph import GrassmannGraph
-from .linalg import stack_rank
+from .graph import GrassmannGraph, _subspace_dim
 from .subspaces import subspace_from_digits
 
 
@@ -133,8 +132,8 @@ def verify_fixture_partition(G: GrassmannGraph, fx: J242Fixture) -> FixtureRepor
                             "check": "independence",
                             "set": name,
                             "pair": (la, lb),
-                            "stacked_rank": stack_rank(
-                                subspaces[la].basis, subspaces[lb].basis
+                            "stacked_rank": 2 * G.m - _subspace_dim(
+                                (G.masks[ids[la]] & G.masks[ids[lb]]).bit_count(), spec.q
                             ),
                         }
                     )
@@ -142,15 +141,3 @@ def verify_fixture_partition(G: GrassmannGraph, fx: J242Fixture) -> FixtureRepor
     if report.ok:
         report.chi_upper = len(fx.sets)
     return report
-
-
-def fixture_colouring(G: GrassmannGraph, fx: J242Fixture) -> list[int]:
-    """Colour table induced by the fixture sets (set k -> colour k)."""
-    report = verify_fixture_partition(G, fx)
-    if not report.ok:
-        raise ValueError("fixture does not verify; no colouring induced")
-    colours = [-1] * G.num_vertices
-    for c, name in enumerate(sorted(fx.sets, key=lambda s: (len(s), s))):
-        for label in fx.sets[name]:
-            colours[report.label_to_vertex[label]] = c
-    return colours

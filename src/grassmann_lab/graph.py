@@ -223,22 +223,6 @@ class MaximalClique:
         return len(self.members)
 
 
-def star(G: GrassmannGraph, P: Subspace) -> MaximalClique:
-    """The entry of G.stars over the (m-1)-dimensional centre P."""
-    if (P.spec, P.ambient, P.dim) != (G.spec, G.n, G.m - 1):
-        raise ValueError(f"star centre must be a {G.m - 1}-space of GF(q)^{G.n}, got {P!r}")
-    mp = vector_mask(P)
-    return next(c for c in G.stars if c.center_mask == mp)
-
-
-def top(G: GrassmannGraph, Q: Subspace) -> MaximalClique:
-    """The entry of G.tops over the (m+1)-dimensional centre Q."""
-    if (Q.spec, Q.ambient, Q.dim) != (G.spec, G.n, G.m + 1):
-        raise ValueError(f"top centre must be a {G.m + 1}-space of GF(q)^{G.n}, got {Q!r}")
-    mq = vector_mask(Q)
-    return next(c for c in G.tops if c.center_mask == mq)
-
-
 def _to_bitset(ids) -> int:
     out = 0
     for i in ids:

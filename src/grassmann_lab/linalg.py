@@ -1,4 +1,4 @@
-"""Dense matrices over GF(q): reduced row echelon form, rank, kernels.
+"""Dense matrices over GF(q): reduced row echelon form and null spaces.
 
 Rows are tuples of field elements (ints).  The reduced row echelon form
 here always drops zero rows, so it is the canonical representative of a
@@ -87,25 +87,6 @@ def rref(M: FqMatrix) -> tuple[FqMatrix, int, list[int]]:
     return matrix(M.spec, rows[:rank], M.cols), rank, pivots
 
 
-def rank(M: FqMatrix) -> int:
-    return rref(M)[1]
-
-
-def stack(X: FqMatrix, Y: FqMatrix) -> FqMatrix:
-    if X.spec != Y.spec or X.cols != Y.cols:
-        raise ValueError("matrices live over different spaces")
-    return FqMatrix(X.spec, X.rows + Y.rows, X.cols)
-
-
-def stack_rank(X: FqMatrix, Y: FqMatrix) -> int:
-    """Rank of the vertical concatenation = dim of the row-space join."""
-    return rank(stack(X, Y))
-
-
-def transpose(M: FqMatrix) -> FqMatrix:
-    return FqMatrix(M.spec, tuple(zip(*M.rows)) if M.rows else (), max(M.nrows, 1))
-
-
 def null_space(M: FqMatrix) -> FqMatrix:
     """Canonical basis of the right kernel {v : M v^T = 0}."""
     spec = M.spec
@@ -123,39 +104,3 @@ def null_space(M: FqMatrix) -> FqMatrix:
     if krank != M.cols - rk:
         raise AssertionError("null space dimension disagrees with the rank")
     return K
-
-
-def left_kernel(M: FqMatrix) -> FqMatrix:
-    """Canonical basis of {a : a M = 0}."""
-    spec = M.spec
-    if M.nrows == 0:
-        return matrix(spec, [], 1)
-    return null_space(transpose(M))
-
-
-def mat_vec(M: FqMatrix, v) -> tuple[int, ...]:
-    """v M for a row vector v of length nrows."""
-    spec = M.spec
-    out = [0] * M.cols
-    for c, row in zip(v, M.rows):
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] = spec.add(out[j], spec.mul(c, x))
-    return tuple(out)
-
-
-def reduce_vector(R: FqMatrix, pivots: list[int], v) -> tuple[int, ...]:
-    """Residue of v after elimination against an RREF basis.
-
-    Zero residue iff v lies in the row space.
-    """
-    spec = R.spec
-    out = list(v)
-    for i, pc in enumerate(pivots):
-        c = out[pc]
-        if c:
-            nc = spec.neg(c)
-            row = R.rows[i]
-            out = [spec.add(out[j], spec.mul(nc, row[j])) for j in range(len(out))]
-    return tuple(out)

@@ -178,11 +178,6 @@ ONE = IntPolynomial((1,))
 Q = IntPolynomial((0, 1))
 
 
-def x_power_minus_one(t: int) -> IntPolynomial:
-    """q^t - 1."""
-    return IntPolynomial([-1] + [0] * (t - 1) + [1])
-
-
 def _qd_product(steps) -> IntPolynomial:
     """The product of (q^d - 1)^s over the steps (d, s), s = +1 or -1, in order.
 

@@ -1,10 +1,11 @@
-"""Canonical subspaces of GF(q)^n, their enumeration, and lattice operations.
+"""Canonical subspaces of GF(q)^n, their enumeration, spans and vector masks.
 
 A subspace is identified with the unique RREF basis matrix of its row
 space, so subspace equality is bit-equality.  Enumeration is ordered by
 (pivot-column set, free-entry values read row-major), with field elements
-compared by coefficient vector; the order is deterministic and matches
-the sort key exposed by sort_key().
+compared by coefficient vector; the order is deterministic.  Lattice
+relations (containment, intersection dimensions) are read off vector
+masks: see vector_mask.
 """
 
 from __future__ import annotations
@@ -15,17 +16,7 @@ from itertools import combinations, product
 
 from .config import ENUM_BOUND, BoundExceeded, check_decimal_digits
 from .field import FieldSpec
-from .linalg import (
-    FqMatrix,
-    left_kernel,
-    mat_vec,
-    matrix,
-    null_space,
-    rank,
-    reduce_vector,
-    rref,
-    stack,
-)
+from .linalg import FqMatrix, matrix, null_space, rref
 from .qpoly import gaussian_binomial_int
 
 
@@ -53,39 +44,6 @@ def subspace_from_digits(spec: FieldSpec, rows) -> Subspace:
     The fixture file and the JSON graph dumps write matrices this way.
     """
     return canonicalize(matrix(spec, [[int(ch, 36) for ch in row] for row in rows]))
-
-
-def zero_subspace(spec: FieldSpec, n: int) -> Subspace:
-    return Subspace(spec, n, 0, matrix(spec, [], n))
-
-
-def full_subspace(spec: FieldSpec, n: int) -> Subspace:
-    eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return Subspace(spec, n, n, matrix(spec, eye, n))
-
-
-def _pivot_cols(S: Subspace) -> tuple[int, ...]:
-    out = []
-    for row in S.basis.rows:
-        for j, x in enumerate(row):
-            if x:
-                out.append(j)
-                break
-    return tuple(out)
-
-
-def sort_key(S: Subspace):
-    """(pivot columns, free entries row-major by coefficient order)."""
-    pivots = _pivot_cols(S)
-    pivot_set = set(pivots)
-    coeffs = S.spec.coeffs
-    free = tuple(
-        coeffs(x)
-        for i, row in enumerate(S.basis.rows)
-        for j, x in enumerate(row)
-        if j not in pivot_set and j > pivots[i]
-    )
-    return (pivots, free)
 
 
 def enumerate_subspaces(spec: FieldSpec, n: int, k: int) -> list[Subspace]:
@@ -131,49 +89,8 @@ def enumerate_subspaces(spec: FieldSpec, n: int, k: int) -> list[Subspace]:
     return out
 
 
-def contains(S: Subspace, T: Subspace) -> bool:
-    """T <= S as subspaces."""
-    if S.spec != T.spec or S.ambient != T.ambient:
-        raise ValueError("subspaces of different ambient spaces")
-    pivots = list(_pivot_cols(S))
-    for row in T.basis.rows:
-        if any(reduce_vector(S.basis, pivots, row)):
-            return False
-    return True
-
-
-def join(S: Subspace, T: Subspace) -> Subspace:
-    """Smallest subspace containing both: the row space of the stack."""
-    if S.spec != T.spec or S.ambient != T.ambient:
-        raise ValueError("subspaces of different ambient spaces")
-    return canonicalize(stack(S.basis, T.basis))
-
-
-def intersect(S: Subspace, T: Subspace) -> Subspace:
-    """S intersect T via the left kernel of the stacked basis.
-
-    A dependency a*S + b*T = 0 yields the intersection vector a*S, and
-    all intersection vectors arise this way.
-    """
-    if S.spec != T.spec or S.ambient != T.ambient:
-        raise ValueError("subspaces of different ambient spaces")
-    if S.dim == 0 or T.dim == 0:
-        return zero_subspace(S.spec, S.ambient)
-    stacked = stack(S.basis, T.basis)
-    K = left_kernel(stacked)
-    rows = [mat_vec(S.basis, kr[: S.dim]) for kr in K.rows]
-    if not rows:
-        return zero_subspace(S.spec, S.ambient)
-    result = canonicalize(matrix(S.spec, rows, S.ambient))
-    if result.dim != S.dim + T.dim - rank(stacked):
-        raise AssertionError("intersection dimension disagrees with the rank")
-    return result
-
-
 def dual_complement(W: Subspace) -> Subspace:
     """All vectors orthogonal to W under the standard bilinear form."""
-    if W.dim == 0:
-        return full_subspace(W.spec, W.ambient)
     K = null_space(W.basis)
     return Subspace(W.spec, W.ambient, K.nrows, K)
 

@@ -1,12 +1,14 @@
 """Independent reference implementations used to check the library.
 
-Everything here deliberately avoids the code paths under test: ranks come
-from minor enumeration, distances from BFS (and the formula it is checked
-against from common mask vectors), subspace membership from
-brute-force span enumeration, Grassmann adjacency from a popcount test on
-every pair of vertex masks, colour classes checked against every star
-from those masks, field properties from exhaustive loops, and
-graph dumps from one [i, j] list per edge.  The search kernels are the
+Everything here deliberately avoids the code paths under test: ranks
+come from minor enumeration, distances from BFS (and the formula it is
+checked against from common mask vectors), subspace membership and
+containment from brute-force span enumeration, the fixture colouring
+from the spans of its raw rows, the enumeration order from a key read
+off the RREF bases, Grassmann adjacency from a popcount test on every
+pair of vertex masks, colour classes checked against every star from
+those masks, field properties from exhaustive loops, and graph dumps
+from one [i, j] list per edge.  The search kernels are the
 straightforward recursive versions of the library's iterative,
 bitset-driven ones, and the q-polynomial references at the end are the
 dense polynomial products, the recursive cyclotomic division and the
@@ -33,7 +35,6 @@ from grassmann_lab.qpoly import (
     ScanReport,
     gaussian_binomial_int,
     omega_int,
-    x_power_minus_one,
 )
 from grassmann_lab.subspaces import enumerate_subspaces
 
@@ -107,8 +108,12 @@ def span_vectors(spec, rows, n: int) -> frozenset:
 
 def mask_by_enumeration(spec, S) -> int:
     """The vector mask of S: bit sum_j v_j q^j for every member v of its span."""
+    return _span_mask(spec, S.basis.rows, S.ambient)
+
+
+def _span_mask(spec, rows, n: int) -> int:
     mask = 0
-    for v in span_vectors(spec, S.basis.rows, S.ambient):
+    for v in span_vectors(spec, rows, n):
         mask |= 1 << sum(x * spec.q**j for j, x in enumerate(v))
     return mask
 
@@ -150,6 +155,18 @@ def classes_meet_every_star_once(G, colouring) -> bool:
         for members in classes.values()
         for P in centres
     )
+
+
+def fixture_colouring(G, fx) -> list[int]:
+    """The colour table of the fixture sets: the k-th set in (length, name) order
+    has colour k.  Each label goes to the vertex whose mask is the enumerated
+    span of its raw matrix rows, with no canonical form and no fixture check."""
+    colours = [-1] * G.num_vertices
+    for c, name in enumerate(sorted(fx.sets, key=lambda s: (len(s), s))):
+        for label in fx.sets[name]:
+            rows = [[int(ch, 36) for ch in row] for row in fx.matrices[label]]
+            colours[G.index[_span_mask(G.spec, rows, G.n)]] = c
+    return colours
 
 
 def _digit_rows(S) -> list[str]:
@@ -224,6 +241,20 @@ def is_rref(rows) -> bool:
             if r != i and row[p] != 0:
                 return False
     return True
+
+
+def enumeration_key(S):
+    """(pivot columns, free entries row-major by coefficient vector) of an RREF
+    basis: enumerate_subspaces lists each level in ascending order of this key."""
+    rows = S.basis.rows
+    pivots = tuple(next(j for j, x in enumerate(row) if x) for row in rows)
+    free = tuple(
+        S.spec.coeffs(x)
+        for row, p in zip(rows, pivots)
+        for j, x in enumerate(row)
+        if j > p and j not in pivots
+    )
+    return pivots, free
 
 
 def check_field_axioms(spec) -> None:
@@ -462,6 +493,11 @@ def all_maximal_cliques(adj, nv: int) -> list[tuple[int, ...]]:
 
 
 # -- q-polynomials ------------------------------------------------------
+
+
+def x_power_minus_one(t: int) -> IntPolynomial:
+    """q^t - 1."""
+    return IntPolynomial([-1] + [0] * (t - 1) + [1])
 
 
 def gaussian_binomial_poly(n: int, m: int) -> IntPolynomial:

@@ -8,7 +8,9 @@ to see the lines as they appear.
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import and_
 
 from grassmann_lab import (
     alpha_exact,
@@ -31,9 +33,15 @@ from grassmann_lab import (
 from grassmann_lab.arith import prime_power_base, prime_powers_upto
 from grassmann_lab.fixture import load_fixture
 from grassmann_lab.graph import dual_permutation
-from grassmann_lab.linalg import stack_rank
-from grassmann_lab.qpoly import ONE, x_power_minus_one
-from oracles import all_maximal_cliques, bfs_distances, check_field_axioms, distance_by_masks
+from grassmann_lab.linalg import matrix, rref
+from grassmann_lab.qpoly import ONE
+from oracles import (
+    all_maximal_cliques,
+    bfs_distances,
+    check_field_axioms,
+    distance_by_masks,
+    x_power_minus_one,
+)
 
 
 @contextmanager
@@ -102,14 +110,11 @@ def test_criterion_4_j242_reproduction(j242):
         assert endo is not None and not endo.is_injective()
         validate_endomorphism(endo.graph, endo.mapping)
         assert classify_endomorphism(endo.graph, endo) == "colouring"
-        # the image is a star: every image vertex contains a common line
-        from grassmann_lab.subspaces import intersect
-
+        # the image is a star: every image vertex contains a common line,
+        # so the AND of the image masks holds exactly q = 2 vectors
         img = sorted(endo.image())
-        common = endo.graph.vertices[img[0]]
-        for v in img[1:]:
-            common = intersect(common, endo.graph.vertices[v])
-        assert common.dim == 1 and len(img) == 7
+        common = reduce(and_, (endo.graph.masks[v] for v in img))
+        assert common.bit_count() == 2 and len(img) == 7
 
 
 def test_criterion_5_odd_ambient_cores():
@@ -170,9 +175,10 @@ def test_criterion_9_cross_implementation(j242, j252, j342):
     with criterion(9, "cross-implementation consistency", 60.0):
         for G in (j242, j252, j342):
             for i in range(G.num_vertices):
-                vi = G.vertices[i].basis
+                vi = G.vertices[i].basis.rows
                 for j in range(i + 1, G.num_vertices):
-                    by_rank = stack_rank(vi, G.vertices[j].basis) == G.m + 1
+                    stacked = matrix(G.spec, vi + G.vertices[j].basis.rows)
+                    by_rank = rref(stacked)[1] == G.m + 1
                     assert G.adjacent(i, j) == by_rank
             for src in range(G.num_vertices):
                 dist = bfs_distances(G.adjacency, src)

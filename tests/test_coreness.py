@@ -13,10 +13,8 @@ from grassmann_lab import (
     classify_endomorphism,
     classify_maximal_cliques,
     core_test,
-    enumerate_subspaces,
     make_field,
     omega_int,
-    star,
     validate_endomorphism,
 )
 from grassmann_lab import coreness
@@ -32,7 +30,7 @@ from grassmann_lab.coreness import (
     find_colouring,
     orbit_colouring,
 )
-from grassmann_lab.fixture import fixture_colouring, load_fixture
+from grassmann_lab.fixture import load_fixture
 from grassmann_lab.graph import dual_permutation, induced_permutation
 
 
@@ -146,9 +144,8 @@ def test_refuting_searches_match_the_reference_at_every_budget(adj, nv, k):
 
 
 def test_colouring_endomorphism_from_fixture(j242):
-    colours = fixture_colouring(j242, load_fixture())
-    centre = enumerate_subspaces(j242.spec, 4, 1)[0]
-    target = star(j242, centre)
+    colours = oracles.fixture_colouring(j242, load_fixture())
+    target = j242.stars[0]  # the star over the first line
     endo = build_colouring_endomorphism(j242, colours, list(target.members))
     assert not endo.is_injective()
     assert endo.image() == set(target.members)
@@ -156,7 +153,7 @@ def test_colouring_endomorphism_from_fixture(j242):
 
 
 def test_colouring_endomorphism_rejects_bad_inputs(j242):
-    colours = fixture_colouring(j242, load_fixture())
+    colours = oracles.fixture_colouring(j242, load_fixture())
     with pytest.raises(ValueError, match="clique size"):
         build_colouring_endomorphism(j242, colours, [0, 1, 2])
     not_clique = [0, 1, 2, 3, 4, 5, 34]

@@ -3,13 +3,9 @@ import hashlib
 import pytest
 
 from grassmann_lab import verify_fixture_partition
-from grassmann_lab.fixture import (
-    J242Fixture,
-    default_fixture_path,
-    fixture_colouring,
-    load_fixture,
-)
+from grassmann_lab.fixture import J242Fixture, default_fixture_path, load_fixture
 from grassmann_lab.subspaces import subspace_from_digits
+from oracles import fixture_colouring
 
 # transcription is frozen; any edit to the data file must be deliberate
 FIXTURE_SHA256 = "42794264264d63a8e7132be9f2aab38974624d73bc1bea2e7de774c5e91d5778"

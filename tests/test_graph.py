@@ -12,10 +12,8 @@ from grassmann_lab import (
     dual_map_check,
     enumerate_subspaces,
     make_field,
-    star,
     star_catalog,
     symmetry_certificate,
-    top,
     top_catalog,
     verify_clique_lemmas,
 )
@@ -28,10 +26,9 @@ from grassmann_lab.graph import (
     dual_permutation,
     map_bitset,
 )
-from grassmann_lab.linalg import matrix, stack_rank
+from grassmann_lab.linalg import matrix, rref
 from grassmann_lab.subspaces import (
     canonicalize,
-    contains,
     dual_complement,
     vector_mask,
     vector_masks,
@@ -43,6 +40,7 @@ from oracles import (
     intersection_dim_by_enumeration,
     mask_by_enumeration,
     pairwise_adjacency,
+    span_vectors,
 )
 
 
@@ -101,9 +99,8 @@ def test_adjacency_iff_stacked_rank(j242, j342):
     for G in (j242, j342):
         for i in range(G.num_vertices):
             for j in range(i + 1, G.num_vertices):
-                by_rank = (
-                    stack_rank(G.vertices[i].basis, G.vertices[j].basis) == G.m + 1
-                )
+                stacked = matrix(G.spec, G.vertices[i].basis.rows + G.vertices[j].basis.rows)
+                by_rank = rref(stacked)[1] == G.m + 1
                 assert G.adjacent(i, j) == by_rank
 
 
@@ -128,20 +125,29 @@ def test_distance_basics(j242):
     assert distance_by_masks(j242, 0, some_neighbour) == 1
 
 
-def test_star_and_top_sizes(f2, j242, j252, j342):
+def _span_sets(G, spaces):
+    return [span_vectors(G.spec, S.basis.rows, G.n) for S in spaces]
+
+
+def _clique_over(cliques, centre):
+    """The catalog entry over centre: a lookup in G.stars or G.tops."""
+    (c,) = (c for c in cliques if c.center == centre)
+    return c
+
+
+def test_star_and_top_sizes(j242, j252, j342):
     for G, star_size, top_size in ((j242, 7, 7), (j252, 15, 7), (j342, 13, 13)):
-        P = enumerate_subspaces(G.spec, G.n, G.m - 1)[0]
-        Q = enumerate_subspaces(G.spec, G.n, G.m + 1)[0]
-        assert star(G, P).size == star_size
-        assert top(G, Q).size == top_size
+        assert G.stars[0].size == star_size
+        assert G.tops[0].size == top_size
     # n > 2m makes stars strictly larger; n = 2m makes sizes equal
-    assert star(j252, enumerate_subspaces(f2, 5, 1)[0]).size > 7
+    assert j252.stars[0].size > 7
 
 
 def test_star_members_contain_centre(j242):
     P = enumerate_subspaces(j242.spec, 4, 1)[3]
-    s = star(j242, P)
-    members = {v for v in range(35) if contains(j242.vertices[v], P)}
+    s = _clique_over(j242.stars, P)
+    (vp,) = _span_sets(j242, [P])
+    members = {v for v, vs in enumerate(_span_sets(j242, j242.vertices)) if vp <= vs}
     assert set(s.members) == members
     for i in s.members:
         for j in s.members:
@@ -151,8 +157,9 @@ def test_star_members_contain_centre(j242):
 
 def test_top_members_inside_centre(j242):
     Q = enumerate_subspaces(j242.spec, 4, 3)[2]
-    t = top(j242, Q)
-    members = {v for v in range(35) if contains(Q, j242.vertices[v])}
+    t = _clique_over(j242.tops, Q)
+    (vq,) = _span_sets(j242, [Q])
+    members = {v for v, vs in enumerate(_span_sets(j242, j242.vertices)) if vs <= vq}
     assert set(t.members) == members
     for i in t.members:
         for j in t.members:
@@ -169,14 +176,17 @@ def test_top_members_inside_centre(j242):
     ids=["j242", "j342", "j442", "j252", "j253", "j231", "j243", "j432"],
 )
 def test_star_and_top_members_match_contains(p, e, n, m):
-    # the mask catalogs against containment decided on RREF bases
+    # the mask catalogs against containment of enumerated spans
     G = build_graph(make_field(p, e), n, m)
+    spans = _span_sets(G, G.vertices)
+    stars = enumerate_subspaces(G.spec, n, m - 1)
+    tops = enumerate_subspaces(G.spec, n, m + 1)
     cliques = [
-        (star(G, P), tuple(v for v, S in enumerate(G.vertices) if contains(S, P)))
-        for P in enumerate_subspaces(G.spec, n, m - 1)
+        (_clique_over(G.stars, P), tuple(v for v, vs in enumerate(spans) if vp <= vs))
+        for P, vp in zip(stars, _span_sets(G, stars))
     ] + [
-        (top(G, Q), tuple(v for v, S in enumerate(G.vertices) if contains(Q, S)))
-        for Q in enumerate_subspaces(G.spec, n, m + 1)
+        (_clique_over(G.tops, Q), tuple(v for v, vs in enumerate(spans) if vs <= vq))
+        for Q, vq in zip(tops, _span_sets(G, tops))
     ]
     for c, members in cliques:
         assert c.members == members
@@ -189,14 +199,15 @@ def test_star_and_top_members_match_contains(p, e, n, m):
 
 
 def test_star_and_top_return_the_catalog_entries(j242, j252):
+    # one catalog entry per centre, in centre enumeration order, keyed by its mask
     for G in (j242, j252):
         stars = enumerate_subspaces(G.spec, G.n, G.m - 1)
         tops = enumerate_subspaces(G.spec, G.n, G.m + 1)
         assert len(G.stars) == len(stars) and len(G.tops) == len(tops)
         for P, s in zip(stars, G.stars):
-            assert star(G, P) is s
+            assert s.center == P and s.center_mask == mask_by_enumeration(G.spec, P)
         for Q, t in zip(tops, G.tops):
-            assert top(G, Q) is t
+            assert t.center == Q and t.center_mask == mask_by_enumeration(G.spec, Q)
 
 
 @pytest.mark.parametrize(
@@ -212,19 +223,6 @@ def test_vertex_ids_go_by_mask(p, e, n, m):
         G.vertex_id(enumerate_subspaces(G.spec, n - 1, m)[0])
     with pytest.raises(KeyError):
         G.vertex_id(enumerate_subspaces(make_field(3, 1), n, m)[0])
-
-
-def test_star_top_wrong_centre_dim(j242):
-    with pytest.raises(ValueError):
-        star(j242, j242.vertices[0])
-    with pytest.raises(ValueError):
-        top(j242, j242.vertices[0])
-    # centres of the right dimension in another space name no clique of j242
-    for F, n in ((j242.spec, 3), (make_field(3, 1), 4)):
-        with pytest.raises(ValueError):
-            star(j242, enumerate_subspaces(F, n, 1)[0])
-        with pytest.raises(ValueError):
-            top(j242, enumerate_subspaces(F, n, 3)[0])
 
 
 def _through(adj, v, done=0):
@@ -602,9 +600,7 @@ def test_extension_field_graph(f4):
     G = build_graph(f4, 4, 2)
     assert G.num_vertices == 357
     assert {G.degree(i) for i in range(357)} == {4 * 5 * 5}
-    P = enumerate_subspaces(f4, 4, 1)[0]
-    Q = enumerate_subspaces(f4, 4, 3)[0]
-    assert star(G, P).size == top(G, Q).size == 21
+    assert G.stars[0].size == G.tops[0].size == 21
     assert dual_map_check(G).ok
 
 

@@ -17,7 +17,8 @@ from grassmann_lab import (
     qpoly,
     scan_core_threshold,
 )
-from grassmann_lab.qpoly import ONE, IntPolynomial, Q, h_exponents, x_power_minus_one
+from grassmann_lab.qpoly import ONE, IntPolynomial, Q, h_exponents
+from oracles import x_power_minus_one
 
 
 def test_polynomial_arithmetic_basics():
