@@ -15,13 +15,14 @@ over a fixed (m-1)-space) and the tops (all m-spaces inside a fixed
 One helper groups k-spaces by the masks of their hyperplanes.  On the
 vertices each group is a star, and a vertex's neighbourhood is the union
 of its [m,1]_q stars less itself, so the builder tests no vertex pairs;
-on the (m+1)-spaces the group under a vertex's mask lists its tops.  A
-graph builds both catalogs once, on first use, as G.stars and G.tops,
-each clique with its centre's vector mask; the census, the lemma and
-duality checks and the clique seed all read them.  Masks also give the
-lattice relations the lemma checks need, with no Gaussian elimination:
-containment is a subset test, dim(A intersect B) = log_q |mask(A) &
-mask(B)|, and mask(W^perp) is the AND of G.complements over W's members.
+on the (m+1)-spaces the group under a vertex's mask lists its tops.  The
+builder keeps the star bitsets as G.star_bitsets (a reloaded graph
+groups once, on first use); G.stars and G.tops, built once on first use
+with each centre's vector mask, feed the census, the lemma and duality
+checks and the clique seed.  Masks also give the lattice relations the
+lemma checks need, with no Gaussian elimination: containment is a
+subset test, dim(A intersect B) = log_q |mask(A) & mask(B)|, and
+mask(W^perp) is the AND of G.complements over W's members.
 
 GL(n, q), and the orthogonal complement when n = 2m, act through the
 catalogs: once G.clique_adjacency finds adjacency is "share a star" (or
@@ -114,6 +115,11 @@ class GrassmannGraph:
         return self.adjacency[i].bit_count()
 
     @cached_property
+    def star_bitsets(self) -> dict[int, int]:
+        """Each star's bitset by its centre's mask; build_graph seeds it."""
+        return _star_bitsets(_hyperplane_groups(self.vertices)[1])
+
+    @cached_property
     def stars(self) -> list[MaximalClique]:
         """Every star, in centre enumeration order; built once, on first use."""
         return star_catalog(self)
@@ -163,7 +169,8 @@ def build_graph(
 
     Each vertex carries the bitmask of its member vectors.  Two vertices
     are adjacent iff they share an (m-1)-space, so adjacency[v] is the OR
-    of the stars through v, less v; the stars come from _hyperplane_groups.
+    of the stars through v, less v; the stars come from _hyperplane_groups,
+    and their bitsets stay on the graph as G.star_bitsets.
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
@@ -180,13 +187,15 @@ def build_graph(
         )
     vertices = tuple(enumerate_subspaces(spec, n, m))
     masks, groups = _hyperplane_groups(vertices)
+    stars = _star_bitsets(groups)
     adjacency = [0] * count
-    for members in groups.values():
-        clique = _to_bitset(members)
+    for members, clique in zip(groups.values(), stars.values()):
         for v in members:
             adjacency[v] |= clique
     adjacency = tuple(a ^ (1 << v) for v, a in enumerate(adjacency))
-    return GrassmannGraph(spec, n, m, vertices, adjacency, tuple(masks))
+    G = GrassmannGraph(spec, n, m, vertices, adjacency, tuple(masks))
+    G.__dict__["star_bitsets"] = stars  # the cached property, already computed
+    return G
 
 
 def _hyperplane_groups(spaces: Sequence[Subspace]) -> tuple[list[int], dict[int, list[int]]]:
@@ -208,6 +217,11 @@ def _hyperplane_groups(spaces: Sequence[Subspace]) -> tuple[list[int], dict[int,
         for plane in planes:
             groups.setdefault(sum(map(vecs.__getitem__, plane)), []).append(i)
     return masks, groups
+
+
+def _star_bitsets(groups: dict[int, list[int]]) -> dict[int, int]:
+    """The vertices' hyperplane groups as bitsets: the star over each centre mask."""
+    return {mask: _to_bitset(ids) for mask, ids in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -236,11 +250,7 @@ def map_bitset(mapping: Sequence[int], x: int) -> int:
 
 
 def _images(mapping: Sequence[int], xs: Iterable[int]) -> list[int]:
-    """map_bitset of each bitset in xs.
-
-    Private, so callers that map every vertex or every clique record no
-    per-layer trace span per set.
-    """
+    """map_bitset of each bitset in xs; private, so no per-layer trace span per set."""
     get = mapping.__getitem__
     return [_to_bitset(map(get, bits(x))) for x in xs]
 
@@ -252,19 +262,21 @@ def _adjacency_breaks(adj: Sequence[int], perm: Sequence[int]) -> list[int]:
 
 def _carried(perm: Sequence[int], fam, onto, centres) -> list[int | None]:
     """Per clique of fam, the index of the clique of onto over its image centre
-    (centres, in fam's order), or None when there is none or perm misses it."""
+    (centres, in fam's order), or None when there is none or perm misses it.
+    Members are the ascending bits of each bitset, and the callers check
+    that perm is a bijection, so sorted member images compare as bitsets."""
     by_centre = {c.center_mask: k for k, c in enumerate(onto)}
     to = [by_centre.get(mask) for mask in centres]
-    images = _images(perm, [c.bitset for c in fam])
-    return [None if k is None or img != onto[k].bitset else k for img, k in zip(images, to)]
+    images = [tuple(sorted(map(perm.__getitem__, c.members))) for c in fam]
+    return [None if k is None or img != onto[k].members else k for img, k in zip(images, to)]
 
 
 def star_catalog(G: GrassmannGraph) -> list[MaximalClique]:
-    """Every star: the vertices' hyperplane group under its centre's mask."""
-    _, groups = _hyperplane_groups(G.vertices)
+    """Every star: G.star_bitsets under its centre's mask, members ascending."""
+    stars = G.star_bitsets
     centres = enumerate_subspaces(G.spec, G.n, G.m - 1)
     return [
-        MaximalClique("star", P, mp, tuple(groups[mp]), _to_bitset(groups[mp]))
+        MaximalClique("star", P, mp, tuple(bits(stars[mp])), stars[mp])
         for P, mp in zip(centres, vector_masks(centres))
     ]
 

@@ -22,7 +22,7 @@ from .coreness import CorenessReport
 from .field import make_field
 from .fixture import FixtureReport
 from .graph import DualReport, GrassmannGraph, LemmaReport
-from .qpoly import HReport, IntPolynomial, ScanReport
+from .qpoly import HReport, IntPolynomial, ScanReport, gaussian_binomial_int
 from .subspaces import Subspace, subspace_from_digits, vector_masks
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -77,18 +77,40 @@ def _edge_rows(G: GrassmannGraph, head: str, sep: str, tail: str) -> list[str]:
 def graph_from_json_dict(data: dict) -> GrassmannGraph:
     """Rebuild a graph from a dump; adjacency comes from the edge list.
 
-    Each row gathers its neighbours as bits of a little-endian byte string
-    and becomes an int once, not once per edge.
+    Each row gathers its neighbours as bits of a little-endian byte string,
+    through one table of byte offsets and one of bit values, and becomes an
+    int once, not once per edge.  ValueError unless the vertices are the
+    [n,m]_q distinct m-spaces of GF(q)^n, listed by id in order, and every
+    edge joins two different ids in [0, V).  No edge is tested on its own.
+    The offset table runs on for V entries past the end of a row, so an id
+    in [V, 2V), or one in [-V, 0) that wraps to them, indexes past a row;
+    any other id outside [0, V) indexes past a table.  Loops are read off
+    the finished rows.
     """
     p, e, n, m = (data["params"][k] for k in ("p", "e", "n", "m"))
     spec = make_field(p, e)
     vertices = tuple(subspace_from_digits(spec, v["matrix"]) for v in data["vertices"])
-    rows = [bytearray((len(vertices) + 7) >> 3) for _ in vertices]
-    for i, j in data["edges"]:
-        rows[i][j >> 3] |= 1 << (j & 7)
-        rows[j][i >> 3] |= 1 << (i & 7)
-    adjacency = tuple(int.from_bytes(row, "little") for row in rows)
+    if not (1 <= m < n and vertices) or any(v.dim != m or v.ambient != n for v in vertices):
+        raise ValueError(f"a dump of J_{spec.q}({n},{m}) needs {m}-spaces of GF({spec.q})^{n}")
     masks = tuple(vector_masks(vertices))
+    if len(set(masks)) != len(masks) or len(masks) != gaussian_binomial_int(n, m, spec.q):
+        raise ValueError(f"a dump of J_{spec.q}({n},{m}) needs each of its vertices once")
+    ids = range(len(vertices))
+    if [v["id"] for v in data["vertices"]] != list(ids):
+        raise ValueError("a dump lists its vertices by id, 0 to V-1 in order")
+    size = (len(vertices) + 7) >> 3
+    byte = [j >> 3 for j in ids] + [size] * len(ids)
+    bit = [1 << (j & 7) for j in ids]
+    rows = [bytearray(size) for _ in ids]
+    try:
+        for i, j in data["edges"]:
+            rows[i][byte[j]] |= bit[j]
+            rows[j][byte[i]] |= bit[i]
+    except (IndexError, TypeError, ValueError):
+        raise ValueError(f"an edge is not a pair of vertex ids in [0, {len(masks)})") from None
+    adjacency = tuple(int.from_bytes(row, "little") for row in rows)
+    if any(a >> v & 1 for v, a in enumerate(adjacency)):
+        raise ValueError("an edge joins a vertex to itself")
     return GrassmannGraph(spec, n, m, vertices, adjacency, masks)
 
 

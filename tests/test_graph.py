@@ -572,6 +572,76 @@ def test_dual_map_check_maps_rows_when_the_tops_are_not_the_adjacency(j242, monk
     assert report.counterexamples == [{"check": "adjacency", "vertex": i} for i in breaks]
 
 
+def _image_oracle(perm, bitset):
+    """The image of a vertex bitset under perm, one bit at a time."""
+    return sum(1 << perm[v] for v in range(bitset.bit_length()) if bitset >> v & 1)
+
+
+def test_carried_rejects_exactly_the_cliques_whose_bitset_image_differs(f2):
+    # a certified generator followed by a transposition that is no
+    # automorphism: the tuple check must reject the cliques whose image,
+    # computed bit by bit, is not the catalog clique over the image centre
+    G = build_graph(f2, 4, 2)
+    rows = graph_module._generator_rows(G.spec, G.n)[0]
+    f = graph_module._row_span(G.spec, rows, {})
+    perm = graph_module.induced_permutation(G, rows)
+    perm[0], perm[7] = perm[7], perm[0]
+    assert _adjacency_breaks(G.adjacency, perm)
+    for fam in (G.stars, G.tops):
+        centres = [map_bitset(f, c.center_mask) for c in fam]
+        by_centre = {c.center_mask: k for k, c in enumerate(fam)}
+        to = [by_centre[mask] for mask in centres]
+        expected = [
+            k if _image_oracle(perm, c.bitset) == fam[k].bitset else None for c, k in zip(fam, to)
+        ]
+        assert None in expected and any(k is not None for k in expected)
+        assert graph_module._carried(perm, fam, fam, centres) == expected
+    assert graph_module._certify(G, rows) is not None  # the generator alone passes
+
+
+def test_dual_map_check_rejects_a_dual_map_with_two_vertices_swapped(j242, monkeypatch):
+    dual = dual_permutation(j242)
+    swapped = [dual[{0: 1, 1: 0}.get(v, v)] for v in range(35)]
+    monkeypatch.setattr(graph_module, "dual_permutation", lambda G: swapped)
+    report = dual_map_check(j242)
+    assert report.bijection and not report.stars_to_tops and not report.tops_to_stars
+    tops = {t.center_mask: t for t in j242.tops}
+    missed = [
+        s.center.basis.rows
+        for s in j242.stars
+        if _image_oracle(swapped, s.bitset)
+        != tops[_complement(j242.complements, s.center_mask)].bitset
+    ]
+    named = [c["center"] for c in report.counterexamples if c["check"] == "star-to-top"]
+    assert missed and named == missed
+    broken = [
+        i
+        for i, row in enumerate(j242.adjacency)
+        if _image_oracle(swapped, row) != j242.adjacency[swapped[i]]
+    ]
+    assert broken and not report.preserves_adjacency
+    named = [c["vertex"] for c in report.counterexamples if c["check"] == "adjacency"]
+    assert named == broken
+
+
+def test_one_vertex_grouping_per_graph(f2, monkeypatch):
+    # build_graph keeps the star bitsets it groups, so the catalogs, the
+    # certificate and every check group the vertices no second time
+    groups = graph_module._hyperplane_groups
+    dims = []
+
+    def counted(spaces):
+        dims.append(spaces[0].dim)
+        return groups(spaces)
+
+    monkeypatch.setattr(graph_module, "_hyperplane_groups", counted)
+    G = build_graph(f2, 4, 2)
+    assert classify_maximal_cliques(G).ok and verify_clique_lemmas(G).ok and dual_map_check(G).ok
+    assert dims == [2, 3]  # the vertices once, the top centres once
+    assert {c.center_mask: c.bitset for c in G.stars} == G.star_bitsets
+    assert all(c.members == tuple(bits(c.bitset)) for c in G.stars)
+
+
 def test_dual_map_requires_n_twice_m(j252):
     with pytest.raises(ValueError, match="duality requires n = 2m"):
         dual_map_check(j252)

@@ -10,7 +10,16 @@ import oracles
 import pytest
 from test_golden import FIXTURE, GOLDEN
 
-from grassmann_lab import build_graph, cli, make_field, report, scan_core_threshold
+from grassmann_lab import (
+    build_graph,
+    classify_maximal_cliques,
+    cli,
+    dual_map_check,
+    make_field,
+    report,
+    scan_core_threshold,
+    verify_clique_lemmas,
+)
 from grassmann_lab.linalg import matrix
 from grassmann_lab.report import (
     graph_from_json_dict,
@@ -190,6 +199,74 @@ def test_reloaded_masks_equal_the_built_masks(p, n, m):
     H = graph_from_json_dict(json.loads(graph_to_json(G)))
     assert H.masks == G.masks
     assert H.adjacency == G.adjacency and H.index == G.index
+
+
+@pytest.mark.parametrize("p, e, n, m", [(2, 1, 6, 3), (2, 2, 4, 2), (3, 1, 4, 2)])
+def test_reloaded_graph_has_the_built_star_incidence(p, e, n, m):
+    # a built graph keeps the star bitsets its builder grouped; a reloaded
+    # one groups its vertices on first use, and every check must agree
+    G = build_graph(make_field(p, e), n, m)
+    H = graph_from_json_dict(json.loads(graph_to_json(G)))
+    assert "star_bitsets" in G.__dict__ and "star_bitsets" not in H.__dict__
+    assert H.star_bitsets == G.star_bitsets
+    assert [(c.center_mask, c.members, c.bitset) for c in H.stars] == [
+        (c.center_mask, c.members, c.bitset) for c in G.stars
+    ]
+    assert H.symmetry == G.symmetry
+
+    def verify_dict(X):
+        return {
+            "cliques": report.census_dict(classify_maximal_cliques(X, bound=2000)),
+            "lemmas": report.lemma_report_dict(verify_clique_lemmas(X)),
+            "dual": report.dual_report_dict(dual_map_check(X)),
+        }
+
+    built = verify_dict(G)
+    assert built["lemmas"]["ok"] and built["dual"]["ok"] and verify_dict(H) == built
+
+
+def _j242_dump():
+    return json.loads(graph_to_json(build_graph(make_field(2, 1), 4, 2)))
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda d: d["edges"].append([0, -1]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([0, 35]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([-35, 0]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([0, 1, 2]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([0, 1.0]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([4, 4]), "joins a vertex to itself"),
+        (lambda d: d["params"].update(n=5), r"needs 2-spaces of GF\(2\)\^5"),
+        (lambda d: d["params"].update(m=1), r"needs 1-spaces of GF\(2\)\^4"),
+        (lambda d: d["params"].update(m=4, n=4), "needs 4-spaces"),
+        (lambda d: d["vertices"].__setitem__(1, d["vertices"][0]), "each of its vertices once"),
+        (lambda d: d["vertices"].pop(), "each of its vertices once"),
+        (lambda d: d["vertices"].insert(0, d["vertices"].pop(1)), "by id, 0 to V-1 in order"),
+        (lambda d: d.update(vertices=[], edges=[]), "needs 2-spaces"),
+    ],
+    ids=[
+        "negative id", "id V", "first id -V", "triple", "float id", "loop",
+        "ambient", "dim", "m = n", "repeat", "missing", "out of order", "empty",
+    ],
+)
+def test_malformed_dumps_raise_value_error(spoil, message):
+    data = _j242_dump()
+    spoil(data)
+    with pytest.raises(ValueError, match=message):
+        graph_from_json_dict(data)
+
+
+def test_every_id_outside_the_vertex_range_is_refused(f2):
+    # J_2(3,1) is K_7: ids from -3V to 3V cover both wraps of the offset table
+    data = json.loads(graph_to_json(build_graph(f2, 3, 1)))
+    for bad in (v for v in range(-21, 21) if not 0 <= v < 7):
+        for edge in ([0, bad], [bad, 0], [bad, bad]):
+            with pytest.raises(ValueError, match=r"ids in \[0, 7\)"):
+                graph_from_json_dict({**data, "edges": [edge]})
+    reversed_edges = {**data, "edges": [[j, i] for i, j in data["edges"]]}
+    assert graph_from_json_dict(reversed_edges).adjacency == build_graph(f2, 3, 1).adjacency
 
 
 # (p, e, n, m): K_3, GF(2), GF(3) and GF(4) digits, digits up to f, and the 248,031-edge J_2(7,2)
