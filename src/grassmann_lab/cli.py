@@ -242,12 +242,15 @@ def cmd_qbinom(args) -> int:
 def _check_scan(n: int, m: int, q_max: int) -> None:
     """Fail the h scan up to q_max before it runs.
 
-    The scan's work m(n-m) * q_max may not pass MAX_SCAN_WORK.  Its report
-    fails if any h(q) numerator is too long to print, so the one at the
-    largest prime power is checked here.
+    No prime power lies below 2, so q_max must be at least 2.  The scan's
+    work m(n-m) * q_max may not pass MAX_SCAN_WORK.  Its report fails if
+    any h(q) numerator is too long to print, so the one at the largest
+    prime power is checked here.
     """
     if not (2 <= m and 2 * m <= n):
         raise ValueError("need 4 <= 2m <= n")
+    if q_max < 2:
+        raise ValueError(f"--q-max must be at least 2, the smallest prime power, got {q_max}")
     if m * (n - m) * q_max > MAX_SCAN_WORK:
         raise BoundExceeded(
             f"scan too long: m(n-m) * q_max may be at most {MAX_SCAN_WORK}, so q_max at most "
@@ -262,7 +265,7 @@ def cmd_scan(args) -> int:
     _check_scan(args.n, args.m, args.q_max)
     scan = scan_core_threshold(args.n, args.m, args.q_max)
     if args.format == "text":
-        nonint = sum(not e.is_integer for e in scan.entries)
+        nonint = sum(den != 1 for _, _, den in scan.entries)
         sys.stdout.write(
             f"h integrality scan for (n={args.n}, m={args.m}) up to q = {args.q_max}: "
             f"{nonint}/{len(scan.entries)} prime powers non-integral; "

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .arith import prime_power_base, prime_powers_upto
 
@@ -425,19 +424,14 @@ def _h_parts(n: int, m: int, q: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-class ScanEntry(NamedTuple):
-    q: int
-    is_integer: bool
-    numerator: int
-    denominator: int
-
-
 @dataclass(frozen=True)
 class ScanReport:
     """Integrality of h(q) over all prime powers q <= q_max.
 
-    Numeric evidence only: a run of non-integers suggests (but does not
-    prove) that the graph family consists of cores for every q.
+    ``entries`` holds one row (q, numerator, denominator) per prime power,
+    h(q) in lowest terms; h(q) is an integer exactly when the denominator
+    is 1.  Numeric evidence only: a run of non-integers suggests (but does
+    not prove) that the graph family consists of cores for every q.
     """
 
     n: int
@@ -445,7 +439,7 @@ class ScanReport:
     q_max: int
     gcd_value: int
     applicable: bool
-    entries: tuple[ScanEntry, ...]
+    entries: tuple[tuple[int, int, int], ...]
     largest_integer_q: int | None
 
 
@@ -454,11 +448,6 @@ def scan_core_threshold(n: int, m: int, q_max: int) -> ScanReport:
     if not (2 <= m and 2 * m <= n):
         raise ValueError("need 4 <= 2m <= n")
     i = gcd(m, n - m + 1)
-    entries = []
-    largest = None
-    for q in prime_powers_upto(q_max):
-        num, den = _h_parts(n, m, q)
-        entries.append(ScanEntry(q, den == 1, num, den))
-        if den == 1:
-            largest = q
-    return ScanReport(n, m, q_max, i, i >= 2, tuple(entries), largest)
+    entries = tuple((q, *_h_parts(n, m, q)) for q in prime_powers_upto(q_max))
+    largest = next((q for q, _, den in reversed(entries) if den == 1), None)
+    return ScanReport(n, m, q_max, i, i >= 2, entries, largest)

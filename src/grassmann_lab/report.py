@@ -5,15 +5,16 @@ Matrices are rendered as arrays of digit strings (one string per row,
 neutral.  Reports are plain dicts built in a fixed order, so identical
 configurations always serialize to identical bytes.  to_json writes them
 as exactly json.dumps(data, indent=2) would, but without the pure-Python
-encoder's generator step per element; graph dumps write their edges
-straight from the adjacency rows, with no list per edge.
+encoder's generator step per element; an h scan's entries are written
+straight from its (q, numerator, denominator) rows, and graph dumps write
+their edges straight from the adjacency rows, with no list per edge.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -247,9 +248,14 @@ def check_scan_digits(numerator: int, n: int, m: int, q_max: int) -> None:
     check_decimal_digits(numerator, f"h(q) for (n={n}, m={m}) up to q = {q_max}")
 
 
+class _ScanRows(tuple):
+    """Scan rows (q, numerator, denominator), which _json writes as the
+    records {"q", "is_integer", "value"} they stand for."""
+
+
 def scan_report_dict(rep: ScanReport) -> dict:
     # every h(q) is at least 1, so no denominator outgrows its numerator
-    check_scan_digits(max((e.numerator for e in rep.entries), default=0), rep.n, rep.m, rep.q_max)
+    check_scan_digits(max(map(itemgetter(1), rep.entries), default=0), rep.n, rep.m, rep.q_max)
     return {
         "n": rep.n,
         "m": rep.m,
@@ -257,14 +263,7 @@ def scan_report_dict(rep: ScanReport) -> dict:
         "gcd": rep.gcd_value,
         "applicable": rep.applicable,
         "largest_integer_q": rep.largest_integer_q,
-        "entries": [
-            {
-                "q": e.q,
-                "is_integer": e.is_integer,
-                "value": str(e.numerator) if e.is_integer else f"{e.numerator}/{e.denominator}",
-            }
-            for e in rep.entries
-        ],
+        "entries": _ScanRows(rep.entries),
     }
 
 
@@ -273,9 +272,10 @@ def to_json(data) -> str:
 
     With an indent, json.dumps runs the pure-Python encoder, which is one
     generator step per element.  Containers of exact dicts, lists, tuples,
-    strs and ints are written here (a list of records with one key order
-    and one exact scalar type per key as one %-template); everything else
-    goes to json.dumps itself.  The input must be a tree.
+    strs and ints are written here, and so are the scan rows of
+    scan_report_dict, as the records {"q", "is_integer", "value"} they
+    stand for; everything else goes to json.dumps itself.  The input must
+    be a tree.
     """
     return _json(data, "\n")
 
@@ -309,47 +309,15 @@ def _json(o, nl: str) -> str:
             return "[" + inner + sep.join(map(int.__repr__, o)) + nl + "]"
         if types == {str}:
             return "[" + inner + sep.join(map(encode_basestring_ascii, o)) + nl + "]"
-        if types == {dict}:
-            records = _records(o, inner)
-            if records is not None:
-                return "[" + inner + records + nl + "]"
         return "[" + inner + sep.join([_json(x, inner) for x in o]) + nl + "]"
+    elif t is _ScanRows:
+        if not o:
+            return "[]"
+        # one %-template per row kind; only the record's own text is built per row
+        cell = inner + "  "
+        head = "{" + cell + '"q": %d,' + cell + '"is_integer": '
+        whole = head + "true," + cell + '"value": "%d"' + inner + "}"
+        part = head + "false," + cell + '"value": "%d/%d"' + inner + "}"
+        rows = [whole % (q, num) if den == 1 else part % (q, num, den) for q, num, den in o]
+        return "[" + inner + sep.join(rows) + nl + "]"
     return json.dumps(o, indent=2).replace("\n", nl)
-
-
-# The record template's cell, and the conversion its values need, per exact scalar type
-_CELLS = {
-    int: ("%d", None),
-    str: ("%s", encode_basestring_ascii),
-    bool: ("%s", ("false", "true").__getitem__),
-}
-
-
-def _records(o, inner: str) -> str | None:
-    """The dicts of the list o, joined as _json joins list items, from one %-template.
-
-    Every dict must have the first one's str keys, in its order, and each
-    key's values must share one exact type among int, str and bool;
-    otherwise None.  The first dict's types are checked before anything
-    else, so a list whose first record holds a container (a graph's vertex
-    list) costs one look and builds no column.
-    """
-    keys = tuple(o[0])
-    kinds = [type(v) for v in o[0].values()]
-    if not keys or not all(type(k) is str for k in keys) or not all(t in _CELLS for t in kinds):
-        return None
-    if not all(map(keys.__eq__, map(tuple, o))):
-        return None
-    if any(set(map(type, map(itemgetter(k), o))) != {t} for k, t in zip(keys, kinds)):
-        return None
-    cell = inner + "  "
-    fields = (
-        encode_basestring_ascii(k).replace("%", "%%") + ": " + _CELLS[t][0]
-        for k, t in zip(keys, kinds)
-    )
-    record = "{" + cell + ("," + cell).join(fields) + inner + "}"
-    columns = []
-    for k, t in zip(keys, kinds):
-        column, convert = map(itemgetter(k), o), _CELLS[t][1]
-        columns.append(column if convert is None else map(convert, column))
-    return ("," + inner).join([record] * len(o)) % tuple(chain.from_iterable(zip(*columns)))

@@ -24,6 +24,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
+from grassmann_lab import report
 from grassmann_lab.arith import prime_powers_upto
 from grassmann_lab.config import NODE_BUDGET, SearchBudgetExceeded
 from grassmann_lab.coreness import validate_colouring
@@ -31,7 +32,6 @@ from grassmann_lab.graph import bits
 from grassmann_lab.qpoly import (
     ONE,
     IntPolynomial,
-    ScanEntry,
     ScanReport,
     gaussian_binomial_int,
     omega_int,
@@ -552,8 +552,40 @@ def scan_core_threshold(n: int, m: int, q_max: int) -> ScanReport:
     largest = None
     for q in prime_powers_upto(q_max):
         value = Fraction(gaussian_binomial_int(n, m, q), omega_int(n, m, q))
-        whole = value.denominator == 1
-        entries.append(ScanEntry(q, whole, value.numerator, value.denominator))
-        if whole:
+        entries.append((q, value.numerator, value.denominator))
+        if value.denominator == 1:
             largest = q
     return ScanReport(n, m, q_max, i, i >= 2, tuple(entries), largest)
+
+
+def scan_records(rows) -> list[dict]:
+    """The scan rows (q, numerator, denominator) as one {"q", "is_integer", "value"} dict each."""
+    return [
+        {"q": q, "is_integer": den == 1, "value": str(num) if den == 1 else f"{num}/{den}"}
+        for q, num, den in rows
+    ]
+
+
+def scan_report_dict(rep: ScanReport) -> dict:
+    """The JSON dict of a scan report, one dict per entry."""
+    return {
+        "n": rep.n,
+        "m": rep.m,
+        "q_max": rep.q_max,
+        "gcd": rep.gcd_value,
+        "applicable": rep.applicable,
+        "largest_integer_q": rep.largest_integer_q,
+        "entries": scan_records(rep.entries),
+    }
+
+
+def with_scan_records(data):
+    """A copy of a JSON payload tree with every scan-row tuple of report.scan_report_dict as
+    its record dicts, so json.dumps of it gives the bytes report.to_json writes."""
+    if type(data) is report._ScanRows:
+        return scan_records(data)
+    if isinstance(data, dict):
+        return {k: with_scan_records(v) for k, v in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [with_scan_records(x) for x in data]
+    return data

@@ -435,8 +435,9 @@ def test_scans_past_the_str_digit_limit_fail_before_scanning(capsys, monkeypatch
 
 
 def test_qbinom_checks_at_before_the_scan(capsys):
-    code, out, err = run(capsys, *"qbinom --n 80 --m 40 --at 6 --q-max 2048".split())
-    assert (code, out, err) == (3, "", "error: --at must be a prime power, got 6\n")
+    for q_max in ("2048", "1", "-3"):
+        code, out, err = run(capsys, *"qbinom --n 80 --m 40 --at 6 --q-max".split(), q_max)
+        assert (code, out, err) == (3, "", "error: --at must be a prime power, got 6\n")
 
 
 @pytest.mark.parametrize(
@@ -469,6 +470,8 @@ def test_text_reports_evaluate_only_what_they_print(capsys, monkeypatch, command
     "command, code, error",
     [
         ("qbinom --n 8 --m 3 --at 6 --q-max 16", 3, "--at must be a prime power, got 6"),
+        ("qbinom --n 8 --m 3 --at 6 --q-max 1", 3, "--at must be a prime power, got 6"),
+        ("qbinom --n 8 --m 3 --q-max 1", 3, "--q-max must be at least 2"),
         pytest.param(
             "qbinom --n 80 --m 40 --q-max 2048",
             2,
@@ -518,6 +521,25 @@ def test_scans_past_the_work_cap_exit_2_before_scanning(capsys, monkeypatch, com
         f"error: scan too long: m(n-m) * q_max may be at most {MAX_SCAN_WORK}, so q_max at "
         f"most {MAX_SCAN_WORK // (m * (n - m))} for (n={n}, m={m}), got {q_max}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        f"{cmd} --n {n} --m {m} --q-max {q_max}{fmt}"
+        for cmd, n, m in [("scan", 5, 2), ("qbinom", 8, 3)]
+        for q_max in (1, 0, -3)
+        for fmt in ("", " --format text")
+    ],
+)
+def test_scans_below_the_smallest_prime_power_exit_3_before_scanning(
+    capsys, monkeypatch, command
+):
+    _refuse_scanning(monkeypatch)
+    q_max = command.split()[6]
+    code, out, err = run(capsys, *command.split())
+    assert (code, out) == (3, "")
+    assert err == f"error: --q-max must be at least 2, the smallest prime power, got {q_max}\n"
 
 
 def test_scan_work_cap_boundary(capsys, monkeypatch):

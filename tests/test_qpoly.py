@@ -220,25 +220,25 @@ def test_scan_5_2():
     rep = scan_core_threshold(5, 2, 64)
     assert rep.applicable and rep.gcd_value == 2
     assert len(rep.entries) == 27  # prime powers up to 64
-    assert all(not e.is_integer for e in rep.entries)
+    assert all(den != 1 for _, _, den in rep.entries)
     assert rep.largest_integer_q is None
     # spot values: (q^5-1)/(q^2-1) at q = 2 and 3
-    by_q = {e.q: e for e in rep.entries}
-    assert (by_q[2].numerator, by_q[2].denominator) == (31, 3)
-    assert (by_q[3].numerator, by_q[3].denominator) == (121, 4)
+    by_q = {q: (num, den) for q, num, den in rep.entries}
+    assert by_q[2] == (31, 3)
+    assert by_q[3] == (121, 4)
 
 
 def test_scan_4_2_control_case():
     rep = scan_core_threshold(4, 2, 64)
     assert not rep.applicable
-    assert all(e.is_integer for e in rep.entries)
+    assert all(den == 1 for _, _, den in rep.entries)
     assert rep.largest_integer_q == 64
 
 
 def test_scan_8_3():
     rep = scan_core_threshold(8, 3, 16)
     assert rep.applicable
-    assert all(not e.is_integer for e in rep.entries)
+    assert all(den != 1 for _, _, den in rep.entries)
 
 
 def test_omega_int_matches_poly():

@@ -49,7 +49,8 @@ def test_to_json_matches_json_dumps_on_every_golden_payload(capsys, monkeypatch)
 
     def checked(data):
         out = to_json(data)
-        assert out == json.dumps(data, indent=2)
+        # scan entries travel as rows; the oracle spells them out as one dict each
+        assert out == json.dumps(oracles.with_scan_records(data), indent=2)
         payloads.append(data)
         return out
 
@@ -107,7 +108,7 @@ HAND_PICKED = [
     OrderedDict([("b", 1), ("a", [1, 2])]),
     [OrderedDict(), OrderedDict([("z", None)])],
     {"rows": [[0, 1], [0, 2], [1, 2]], "flat": [3, 4], "names": ["p", "q"]},
-    # lists of records: the template, and every way out of it
+    # lists of records, alike and unlike
     [{"q": 2, "is_integer": False, "value": "31/3"}, {"q": 4, "is_integer": True, "value": "5"}],
     [{"ok": True}, {"ok": False}],
     [{"a": 1}, {"a": True}],
@@ -137,11 +138,31 @@ def test_to_json_matches_json_dumps_on_hand_picked_cases(data):
     assert to_json(data) == json.dumps(data, indent=2)
 
 
-def test_scan_entries_take_the_record_template_and_vertex_lists_do_not():
-    entries = scan_report_dict(scan_core_threshold(8, 3, 64))["entries"]
-    assert report._records(entries, "\n    ") is not None
-    vertices = json.loads(graph_to_json(build_graph(make_field(2, 1), 4, 2)))["vertices"]
-    assert report._records(vertices, "\n    ") is None
+def test_scan_json_is_json_dumps_of_the_dict_per_entry_oracle(capsys):
+    """scan and qbinom --q-max print json.dumps of the oracle's report, one dict per entry."""
+    shapes = [(n, m, 3000) for n in range(4, 25) for m in range(2, n // 2 + 1)]
+    for n, m, q_max in shapes + [(8, 3, 200000)]:
+        want = oracles.scan_report_dict(oracles.scan_core_threshold(n, m, q_max))
+        assert cli.main(f"scan --n {n} --m {m} --q-max {q_max}".split()) == 0
+        out = capsys.readouterr().out
+        payload = {"params": {"n": n, "m": m}, "qbinom": {"scan": want}}
+        assert out == json.dumps(payload, indent=2) + "\n", (n, m)
+        assert cli.main(f"qbinom --n {n} --m {m} --q-max {q_max}".split()) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        payload["qbinom"]["scan"] = want
+        assert out == json.dumps(payload, indent=2) + "\n", (n, m)
+
+
+@pytest.mark.parametrize("n, m, q_max", [(5, 2, 1), (5, 2, 2), (4, 2, 64), (8, 3, 64)])
+def test_scan_rows_are_written_at_the_indentation_they_are_given(n, m, q_max):
+    rep = scan_core_threshold(n, m, q_max)
+    want = oracles.scan_report_dict(rep)
+    assert oracles.scan_core_threshold(n, m, q_max) == rep
+    assert to_json(scan_report_dict(rep)) == json.dumps(want, indent=2)
+    assert to_json([[scan_report_dict(rep)]]) == json.dumps([[want]], indent=2)
+    if not rep.entries:
+        assert '"entries": []' in to_json(scan_report_dict(rep))
 
 
 _ALPHABET = "ab \t\n\"\\\x00\x1f\x7fé☃\U0001d11e"
