@@ -194,7 +194,7 @@ def cmd_qbinom(args) -> int:
         h_at = h_integrality(args.n, args.m, args.at)
         if not isinstance(h_at, int):
             check_decimal_digits(h_at.numerator, f"h({args.at}) for (n={args.n}, m={args.m})")
-    if with_h and args.q_max is not None:
+    if args.q_max is not None and (with_h or args.q_max < 2):  # else ignored: no scan to run
         _check_scan(args.n, args.m, args.q_max)
     what_at = f"[{args.n},{args.m}]_q at q = {args.at}"
     if args.at is not None and args.format == "json":  # [n,m]_q >= q^(m(n-m))
@@ -242,15 +242,16 @@ def cmd_qbinom(args) -> int:
 def _check_scan(n: int, m: int, q_max: int) -> None:
     """Fail the h scan up to q_max before it runs.
 
-    No prime power lies below 2, so q_max must be at least 2.  The scan's
-    work m(n-m) * q_max may not pass MAX_SCAN_WORK.  Its report fails if
-    any h(q) numerator is too long to print, so the one at the largest
-    prime power is checked here.
+    No prime power lies below 2, so q_max must be at least 2, whatever the
+    shape.  The shape needs an h report.  The scan's work m(n-m) * q_max
+    may not pass MAX_SCAN_WORK.  Its report fails if any h(q) numerator is
+    too long to print, so the one at the largest prime power is checked
+    here.
     """
-    if not (2 <= m and 2 * m <= n):
-        raise ValueError("need 4 <= 2m <= n")
     if q_max < 2:
         raise ValueError(f"--q-max must be at least 2, the smallest prime power, got {q_max}")
+    if not (2 <= m and 2 * m <= n):
+        raise ValueError("need 4 <= 2m <= n")
     if m * (n - m) * q_max > MAX_SCAN_WORK:
         raise BoundExceeded(
             f"scan too long: m(n-m) * q_max may be at most {MAX_SCAN_WORK}, so q_max at most "
@@ -307,7 +308,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--at", type=int, default=None, help="evaluate at this prime power")
-    p.add_argument("--q-max", type=int, default=None, help="also scan integrality up to here")
+    p.add_argument(
+        "--q-max",
+        type=int,
+        default=None,
+        help="also scan integrality up to here (only when 4 <= 2m <= n)",
+    )
     p.add_argument("--format", choices=["json", "text"], default="json")
 
     p = sub.add_parser("scan", help="integrality scan of h over prime powers")

@@ -9,38 +9,54 @@ to vertex id.  Adjacency is stored as one int bitset per vertex, which
 keeps pair queries, clique enumeration, and the exhaustive lemma checks
 cheap at desk scale.
 
+Masks come from span tables (subspaces.span_table): codes[c][i] is the
+vector code at coefficient position c of space i's span, and a mask is
+the sum of 1 << codes[c][i] over c, formed for a whole table at once.
+build_graph keeps the vertices' table as G.spans (a reloaded graph
+rebuilds it once, from subspaces.vector_spans), and each catalog clique
+carries its centre's row of its level's table as its span.
+
 The maximal cliques of these graphs are exactly the stars (all m-spaces
 over a fixed (m-1)-space) and the tops (all m-spaces inside a fixed
 (m+1)-space): one incidence, "is a hyperplane of", read at two levels.
-One helper groups k-spaces by the masks of their hyperplanes.  On the
-vertices each group is a star, and a vertex's neighbourhood is the union
-of its [m,1]_q stars less itself, so the builder tests no vertex pairs;
-on the (m+1)-spaces the group under a vertex's mask lists its tops.  The
-builder keeps the star bitsets as G.star_bitsets (a reloaded graph
-groups once, on first use); G.stars and G.tops, built once on first use
-with each centre's vector mask, feed the census, the lemma and duality
-checks and the clique seed.  Masks also give the lattice relations the
-lemma checks need, with no Gaussian elimination: containment is a
-subset test, dim(A intersect B) = log_q |mask(A) & mask(B)|, and
-mask(W^perp) is the AND of G.complements over W's members.
+A hyperplane of a k-space is the same set of span positions in every
+k-space (subspaces.hyperplane_lines), so one pass over a table gives
+every space's [k,1]_q hyperplane masks.  On the vertices, grouping the
+spaces by those masks gives the stars, and a vertex's neighbourhood is
+the union of its [m,1]_q stars less itself, so build_graph tests no
+vertex pairs; on the (m+1)-spaces the hyperplane masks of a top centre
+are its member vertices' masks.  build_graph keeps the star bitsets as
+G.star_bitsets (a reloaded graph groups once, on first use); G.stars
+and G.tops, built once on first use with each centre's vector mask,
+feed the census, the lemma and duality checks and the clique seed.
+Masks also give the lattice relations the lemma checks need, with no
+Gaussian elimination: containment is a subset test, dim(A intersect B)
+= log_q |mask(A) & mask(B)|, and mask(W^perp) is the AND of
+G.complements, mask(x^perp) by vector code x, over the codes of W's
+basis rows, which sit at the positions q^i of its span.
 
 GL(n, q), and the orthogonal complement when n = 2m, act through the
 catalogs: once G.clique_adjacency finds adjacency is "share a star" (or
 "share a top"), a vertex bijection carrying the stars onto the stars, or
 stars and tops onto each other, preserves adjacency, with no row mapped.
-G.symmetry certifies a few generators on G's own data that way, so the
-census re-discovers the maximal cliques by Bron-Kerbosch through one
-vertex per orbit only, and the lemma checks pair one clique per orbit
-with its whole family.  A generator that fails a check is left out, and
-with none certified every orbit is a single element: the census then
-enumerates every maximal clique and the lemma checks visit every pair.
+A generator A permutes the vector codes, and the image of a mask is the
+sum of 1 << A(codes[c][i]) over c, read off the vertices' table and the
+held catalogs' centre spans.  G.symmetry certifies a few generators on
+G's own data that way, so the census re-discovers the maximal cliques
+by Bron-Kerbosch through one vertex per orbit only, and the lemma
+checks pair one clique per orbit with its whole family.  A generator
+that fails a check is left out, and with none certified every orbit is
+a single element: the census then enumerates every maximal clique and
+the lemma checks visit every pair.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections import defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from operator import and_
 from typing import Literal
 
 from .config import (
@@ -58,7 +74,8 @@ from .subspaces import (
     _row_span,
     dual_complement,
     enumerate_subspaces,
-    hyperplane_positions,
+    hyperplane_lines,
+    span_table,
     vector_mask,
     vector_masks,
     vector_spans,
@@ -115,9 +132,14 @@ class GrassmannGraph:
         return self.adjacency[i].bit_count()
 
     @cached_property
+    def spans(self) -> list[list[int]]:
+        """The vertices' span table (subspaces.span_table); build_graph seeds it."""
+        return [list(col) for col in zip(*vector_spans(self.vertices))]
+
+    @cached_property
     def star_bitsets(self) -> dict[int, int]:
         """Each star's bitset by its centre's mask; build_graph seeds it."""
-        return _star_bitsets(_hyperplane_groups(self.vertices)[1])
+        return _star_bitsets(_hyperplane_groups(self.spec, self.spans)[1])
 
     @cached_property
     def stars(self) -> list[MaximalClique]:
@@ -185,38 +207,89 @@ def build_graph(
         raise BoundExceeded(
             f"enumeration too large: J_{spec.q}({n},{m}) has {count} vertices > {max_vertices}"
         )
-    vertices = tuple(enumerate_subspaces(spec, n, m))
-    masks, groups = _hyperplane_groups(vertices)
+    vertices, spans = span_table(spec, n, m)
+    masks, groups = _hyperplane_groups(spec, spans)
     stars = _star_bitsets(groups)
     adjacency = [0] * count
     for members, clique in zip(groups.values(), stars.values()):
         for v in members:
             adjacency[v] |= clique
     adjacency = tuple(a ^ (1 << v) for v, a in enumerate(adjacency))
-    G = GrassmannGraph(spec, n, m, vertices, adjacency, tuple(masks))
-    G.__dict__["star_bitsets"] = stars  # the cached property, already computed
+    G = GrassmannGraph(spec, n, m, tuple(vertices), adjacency, tuple(masks))
+    G.__dict__["spans"] = spans  # the cached properties, already computed
+    G.__dict__["star_bitsets"] = stars
     return G
 
 
-def _hyperplane_groups(spaces: Sequence[Subspace]) -> tuple[list[int], dict[int, list[int]]]:
-    """The vector mask of each k-space, and the space ids grouped by hyperplane.
+def _hyperplane_groups(
+    spec: FieldSpec, codes: list[list[int]]
+) -> tuple[list[int], dict[int, list[int]]]:
+    """The vector mask of each space of a span table, and the space ids grouped by hyperplane.
 
-    A hyperplane of a space is the OR of one fixed set of span positions
-    (subspaces.hyperplane_positions), so one span per space gives its mask
-    and all its [k,1]_q hyperplane masks.  Each group is keyed by the mask
-    of a (k-1)-space and holds the ids of the spaces over it, ascending:
-    on the vertices it is one star, and on the (m+1)-spaces it lists the
-    tops through one vertex.
+    Each group is keyed by the mask of a (k-1)-space and holds the ids of
+    the spaces over it: on the vertices it is one star.
     """
-    planes = hyperplane_positions(spaces[0].spec, spaces[0].dim)
-    masks = []
-    groups: dict[int, list[int]] = {}
-    for i, span in enumerate(vector_spans(spaces)):
-        vecs = [1 << v for v in span]
-        masks.append(sum(vecs))
-        for plane in planes:
-            groups.setdefault(sum(map(vecs.__getitem__, plane)), []).append(i)
+    masks: list[int] = []
+    groups: defaultdict[int, list[int]] = defaultdict(list)
+    for lo, block, planes in _hyperplane_blocks(spec, codes):
+        masks += block
+        for keys in planes:
+            for i, key in enumerate(keys, lo):
+                groups[key].append(i)
     return masks, groups
+
+
+_BLOCK = 64  # spaces per step of _hyperplane_blocks; it bounds the line sums held at once
+
+
+def _hyperplane_blocks(
+    spec: FieldSpec, codes: list[list[int]]
+) -> Iterator[tuple[int, list[int], list[list[int]]]]:
+    """Per block of up to _BLOCK spaces of a span table of k-spaces: the id
+    of its first space, the vector mask of each, and per hyperplane H of
+    GF(q)^k (subspaces.hyperplane_lines) the mask of H's positions in each:
+    the [k,1]_q hyperplanes of every space, each once.
+
+    Every mask is a sum of line sums, the bits of one line's positions,
+    and each line's sum is formed once per space.
+    """
+    lines, planes = hyperplane_lines(spec, _subspace_dim(len(codes), spec.q))
+    for lo in range(0, len(codes[0]), _BLOCK):
+        block = [col[lo : lo + _BLOCK] for col in codes]
+        sums = [_bit_sums(map(block.__getitem__, line)) for line in lines]
+        yield lo, _row_sums(sums), [_row_sums(map(sums.__getitem__, plane)) for plane in planes]
+
+
+def _row_sums(columns: Iterable[Iterable[int]]) -> list[int]:
+    """Per entry, the sum of its values over the columns.
+
+    Each sum runs over one entry's row, so a mask of q^n bits is built
+    while its terms are still in cache.  A single column is its own sum.
+    """
+    cols = list(columns)
+    return list(cols[0]) if len(cols) == 1 else list(map(sum, zip(*cols)))
+
+
+def _bit_sums(columns: Iterable[Iterable[int]]) -> list[int]:
+    """Per entry, the sum of 1 << x over its x in the columns: a mask, when the x are distinct."""
+    return _row_sums(map((1).__lshift__, col) for col in columns)
+
+
+def _image_masks(f: Sequence[int], codes: Iterable[Sequence[int]]) -> list[int]:
+    """The mask of each space of a span table under the vector map f: bit f[x] per member x."""
+    return _bit_sums(map(f.__getitem__, col) for col in codes)
+
+
+def _dual_masks(G: GrassmannGraph, codes: Sequence[Sequence[int]]) -> list[int]:
+    """mask(W^perp) for each space W of a span table: the AND of G.complements
+    over W's basis rows, whose codes sit at the positions q^i."""
+    q = G.spec.q
+    out = [(1 << q**G.n) - 1] * len(codes[0])
+    c = 1
+    while c < len(codes):
+        out = list(map(and_, out, map(G.complements.__getitem__, codes[c])))
+        c *= q
+    return out
 
 
 def _star_bitsets(groups: dict[int, list[int]]) -> dict[int, int]:
@@ -235,6 +308,33 @@ class MaximalClique:
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def span(self) -> tuple[int, ...]:
+        """The centre's span (subspaces.vector_spans); the catalogs seed it from their table."""
+        return tuple(next(vector_spans((self.center,))))
+
+
+def _catalog(
+    kind: Literal["star", "top"],
+    centres: Sequence[Subspace],
+    codes: list[list[int]],
+    masks: Iterable[int],
+    members: Iterable[tuple[int, ...]],
+    bitsets: Iterable[int],
+) -> list[MaximalClique]:
+    """The cliques over centres, each seeded with its centre's row of the span table."""
+    out = []
+    for P, mask, mt, bitset, span in zip(centres, masks, members, bitsets, zip(*codes)):
+        c = MaximalClique(kind, P, mask, mt, bitset)
+        c.__dict__["span"] = span  # the cached property, already computed
+        out.append(c)
+    return out
+
+
+def _centre_spans(fam: Sequence[MaximalClique]) -> list[tuple[int, ...]]:
+    """The span table of a catalog's own centres, in its order."""
+    return list(zip(*(c.span for c in fam)))
 
 
 def _to_bitset(ids) -> int:
@@ -274,25 +374,25 @@ def _carried(perm: Sequence[int], fam, onto, centres) -> list[int | None]:
 def star_catalog(G: GrassmannGraph) -> list[MaximalClique]:
     """Every star: G.star_bitsets under its centre's mask, members ascending."""
     stars = G.star_bitsets
-    centres = enumerate_subspaces(G.spec, G.n, G.m - 1)
-    return [
-        MaximalClique("star", P, mp, tuple(bits(stars[mp])), stars[mp])
-        for P, mp in zip(centres, vector_masks(centres))
-    ]
+    centres, codes = span_table(G.spec, G.n, G.m - 1)
+    masks = _bit_sums(codes)
+    bitsets = list(map(stars.__getitem__, masks))
+    return _catalog("star", centres, codes, masks, (tuple(bits(b)) for b in bitsets), bitsets)
 
 
 def top_catalog(G: GrassmannGraph) -> list[MaximalClique]:
-    """Every top: each vertex, in order, joins the centres grouped under its mask."""
-    centres = enumerate_subspaces(G.spec, G.n, G.m + 1)
-    masks, groups = _hyperplane_groups(centres)
-    members: list[list[int]] = [[] for _ in centres]
-    for v, mv in enumerate(G.masks):
-        for t in groups[mv]:
-            members[t].append(v)
-    return [
-        MaximalClique("top", Q, mq, tuple(mt), _to_bitset(mt))
-        for Q, mq, mt in zip(centres, masks, members)
-    ]
+    """Every top: the vertices whose masks are its centre's hyperplane masks, ascending."""
+    centres, codes = span_table(G.spec, G.n, G.m + 1)
+    vertex = dict(zip(G.masks, range(len(G.masks)))).__getitem__
+    masks: list[int] = []
+    members: list[tuple[int, ...]] = []
+    bitsets: list[int] = []
+    for _, block, planes in _hyperplane_blocks(G.spec, codes):
+        masks += block
+        ids = [list(map(vertex, keys)) for keys in planes]
+        members += map(tuple, map(sorted, zip(*ids)))
+        bitsets += _bit_sums(ids)
+    return _catalog("top", centres, codes, masks, members, bitsets)
 
 
 @dataclass(frozen=True)
@@ -318,7 +418,8 @@ def symmetry_certificate(G: GrassmannGraph) -> Symmetry:
     x0 += x1, the cyclic coordinate shift and, for q > 2, x0 *= a
     primitive element.  A permutes the q^n vector codes (its row span,
     subspaces._row_span), and a vertex goes to the vertex whose mask is the
-    image of its mask.  A is certified only when
+    image of its mask, read off G.spans (_image_masks); a centre's image
+    mask is read off its catalog's centre spans.  A is certified only when
     - G.clique_adjacency says adjacency is "share a star";
     - the vector map and the vertex map are bijections;
     - each star and each top goes onto the catalog clique over the image
@@ -364,13 +465,14 @@ def induced_permutation(G: GrassmannGraph, rows: Sequence[Sequence[int]]) -> lis
     """The vertex permutation of x -> x.A, A given by its rows, or None.
 
     A permutes the q^n vector codes (subspaces._row_span), and vertex v goes
-    to the vertex whose mask is the image of v's mask.  None when the vector
-    map or the vertex map is not a bijection.
+    to the vertex whose mask is the image of v's mask: the sum of 1 << f[x]
+    over the codes x of v's span, for all vertices at once from G.spans.
+    None when the vector map or the vertex map is not a bijection.
     """
     f = _row_span(G.spec, rows, {})
     if sorted(f) != list(range(len(f))):
         return None
-    perm = [G.index.get(mask) for mask in _images(f, G.masks)]
+    perm = list(map(G.index.get, _image_masks(f, G.spans)))
     if None in perm or len(set(perm)) != len(perm):
         return None
     return perm
@@ -387,7 +489,7 @@ def _certify(G: GrassmannGraph, rows: Sequence[Sequence[int]]) -> list[list[int]
     f = _row_span(G.spec, rows, {})
     out = [perm]
     for fam in (G.stars, G.tops):
-        to = _carried(perm, fam, fam, _images(f, [c.center_mask for c in fam]))
+        to = _carried(perm, fam, fam, _image_masks(f, _centre_spans(fam)))
         if None in to:
             return None
         out.append(to)
@@ -649,30 +751,24 @@ class DualReport:
         )
 
 
-def _complement(table: Sequence[int], mask: int) -> int:
-    """mask(W^perp) from mask(W): the AND of x^perp over the nonzero x in W."""
-    out = (1 << len(table)) - 1
-    for x in bits(mask & ~1):
-        out &= table[x]
-    return out
-
-
 def dual_permutation(G: GrassmannGraph) -> list[int]:
     """Vertex permutation induced by the orthogonal complement, taken from masks.
 
-    W^perp holds the vectors orthogonal to every member of W, so its mask
-    is the AND of G.complements over W's nonzero codes: no elimination.
+    W^perp holds the vectors orthogonal to every basis row of W, so its
+    mask is the AND of G.complements over the codes of those rows, read
+    off G.spans (_dual_masks): no elimination.
     """
     if G.n != 2 * G.m:
         raise ValueError("duality requires n = 2m")
-    return [G.index[_complement(G.complements, mask)] for mask in G.masks]
+    return list(map(G.index.__getitem__, _dual_masks(G, G.spans)))
 
 
 def dual_map_check(G: GrassmannGraph) -> DualReport:
     """Check the complement map on the vertices and on the clique catalogs.
 
     The dual clique of each star or top is looked up in G.tops or G.stars
-    by the mask of the dual centre, taken from G.complements, not rebuilt.
+    by the mask of the dual centre, taken from G.complements over the
+    held catalog's centre spans, not rebuilt.
     If the map carries the stars onto the tops and the tops onto the
     stars, and G.clique_adjacency holds for both, it preserves adjacency;
     only otherwise are the adjacency rows mapped, to name the vertices.
@@ -695,7 +791,7 @@ def dual_map_check(G: GrassmannGraph) -> DualReport:
         ("star-to-top", "stars_to_tops", G.stars, G.tops),
         ("top-to-star", "tops_to_stars", G.tops, G.stars),
     ):
-        centres = [_complement(G.complements, c.center_mask) for c in cliques]
+        centres = _dual_masks(G, _centre_spans(cliques))
         for c, k in zip(cliques, _carried(perm, cliques, duals, centres)):
             if k is None:
                 setattr(report, flag, False)

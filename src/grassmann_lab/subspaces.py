@@ -6,13 +6,23 @@ space, so subspace equality is bit-equality.  Enumeration is ordered by
 compared by coefficient vector; the order is deterministic.  Lattice
 relations (containment, intersection dimensions) are read off vector
 masks: see vector_mask.
+
+A span lists the codes of a space's members by coefficient position
+(see vector_spans).  span_table enumerates one level and builds the span
+table of all its spaces at once, codes[c][i] being position c of space
+i's span, one pivot class at a time with list-level arithmetic.  The
+graph layer reads every vertex and centre mask, the hyperplane masks
+behind the stars and tops, the images of masks under GL(n, q) and the
+orthogonal complements off these tables; vector_spans, one space at a
+time, serves the rest.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
+from operator import add
 
 from .config import ENUM_BOUND, BoundExceeded, check_decimal_digits
 from .field import FieldSpec
@@ -49,11 +59,35 @@ def subspace_from_digits(spec: FieldSpec, rows) -> Subspace:
 def enumerate_subspaces(spec: FieldSpec, n: int, k: int) -> list[Subspace]:
     """All k-dimensional subspaces of GF(q)^n, each exactly once.
 
-    Iterates over pivot-column patterns and fills the free positions with
-    every field value, so each basis is generated directly in RREF with
-    no deduplication pass.  The count equals the Gaussian binomial
-    [n choose k]_q.
+    Each basis is generated directly in RREF (see _pivot_classes), so
+    there is no deduplication pass.  The count equals the Gaussian
+    binomial [n choose k]_q.
     """
+    return [S for _, spaces in _pivot_classes(spec, n, k, _level_size(spec, n, k)) for S in spaces]
+
+
+def span_table(spec: FieldSpec, n: int, k: int) -> tuple[list[Subspace], list[list[int]]]:
+    """enumerate_subspaces(spec, n, k) and the span table of those spaces.
+
+    codes[c][i] is the code at coefficient position c of space i's span,
+    the entry vector_spans gives, so codes has q^k columns, one per
+    position, each listing all the spaces.  Each pivot class's columns
+    come from list-level arithmetic (_class_codes), with no per-space
+    _row_span call.  Equal codes share one int object.
+    """
+    total = _level_size(spec, n, k)
+    spaces: list[Subspace] = []
+    parts = []
+    tables: dict = {}
+    vector = list(range(spec.q**n)).__getitem__
+    for pivots, cls in _pivot_classes(spec, n, k, total):
+        spaces += cls
+        parts.append(_class_codes(spec, n, pivots, len(cls), tables, vector))
+    return spaces, list(map(list, map(chain.from_iterable, zip(*parts))))
+
+
+def _level_size(spec: FieldSpec, n: int, k: int) -> int:
+    """[n choose k]_q, once the level is valid and within ENUM_BOUND."""
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
     if not 0 <= k <= n:
@@ -64,29 +98,101 @@ def enumerate_subspaces(spec: FieldSpec, n: int, k: int) -> list[Subspace]:
         raise BoundExceeded(
             f"enumeration too large: [{n} choose {k}]_{spec.q} = {total} > {ENUM_BOUND}"
         )
-    elems = spec.elements_in_order
-    out: list[Subspace] = []
+    return total
+
+
+def _pivot_classes(
+    spec: FieldSpec, n: int, k: int, total: int
+) -> Iterator[tuple[tuple[int, ...], list[Subspace]]]:
+    """Each pivot class of the total k-spaces, in enumeration order: (pivots, its spaces).
+
+    Row i of a basis in the class has a 1 at pivots[i], zeros at the other
+    pivots and left of pivots[i], and any field value at each other column
+    right of pivots[i] (a free entry).  The class is the product of these
+    per-row options, free entries read row-major with values in
+    coefficient order, so the last free entry varies fastest.
+    """
+    count = 0
     for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [
-            (i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivot_set
-        ]
-        base = [[0] * n for _ in range(k)]
-        for i, c in enumerate(pivots):
-            base[i][c] = 1
-        if not free:
-            B = matrix(spec, [tuple(r) for r in base], n)
-            out.append(Subspace(spec, n, k, B))
-            continue
-        for vals in product(elems, repeat=len(free)):
-            rows = [r[:] for r in base]
-            for (i, j), v in zip(free, vals):
-                rows[i][j] = v
-            B = FqMatrix(spec, tuple(tuple(r) for r in rows), n)
-            out.append(Subspace(spec, n, k, B))
-    if len(out) != total:
+        options = []
+        for p in pivots:
+            free = [j for j in range(p + 1, n) if j not in pivots]
+            row = [0] * n
+            row[p] = 1
+            opts = []
+            for vals in product(spec.elements_in_order, repeat=len(free)):
+                for j, v in zip(free, vals):
+                    row[j] = v
+                opts.append(tuple(row))
+            options.append(opts)
+        spaces = [Subspace(spec, n, k, FqMatrix(spec, rows, n)) for rows in product(*options)]
+        count += len(spaces)
+        yield pivots, spaces
+    if count != total:
         raise AssertionError("subspace count disagrees with the Gaussian binomial")
-    return out
+
+
+def _class_codes(
+    spec: FieldSpec,
+    n: int,
+    pivots: tuple[int, ...],
+    size: int,
+    tables: dict,
+    vector: Callable[[int], int],
+) -> list[list[int]]:
+    """The span table of one pivot class of _pivot_classes, of size spaces.
+
+    The code at position c = c_0 + c_1*q + ... is the sum over the columns
+    j of q^j (c . column j).  Pivot column pivots[i] gives c_i on every
+    space.  Any other column j has free entries in its first r rows, r the
+    number of pivots left of j, and zeros below, so c . column j depends
+    on c mod q^r and on the column's index x = sum_a entry_a * q^a only:
+    tables[r][c mod q^r][x] (_digit_table).  Free entry f (row-major)
+    repeats each value q^(F-1-f) times in a block that repeats q^f times,
+    so each column's index list is built by list repetition.  A column
+    with r = 0 is zero and is skipped.  Each finished position's codes go
+    through vector, which shares one int per code.
+    """
+    q = spec.q
+    free = [(a, j) for a, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
+    last = len(free) - 1
+    columns = []  # per nonzero column: q^r, and its term list for each c mod q^r
+    for j in range(n):
+        r = sum(p < j for p in pivots)
+        if not r or j in pivots:
+            continue
+        index = None
+        for a in range(r):
+            f = free.index((a, j))
+            block: list[int] = []
+            for v in spec.elements_in_order:
+                block += [v * q**a] * q ** (last - f)
+            entries = block * q**f
+            index = entries if index is None else list(map(add, index, entries))
+        if r not in tables:
+            tables[r] = _digit_table(spec, r)
+        scale = q**j
+        columns.append((q**r, [[scale * d for d in row].__getitem__ for row in tables[r]], index))
+    bases = [0]  # sum of c_i * q^pivots[i], by c
+    for p in pivots:
+        bases = [b + d * q**p for d in range(q) for b in bases]
+    codes = []
+    for c, base in enumerate(bases):
+        col = repeat(base, size)
+        for mod, looks, index in columns:
+            if c % mod:
+                col = map(add, col, map(looks[c % mod], index))
+        codes.append(list(map(vector, col)))
+    return codes
+
+
+def _digit_table(spec: FieldSpec, r: int) -> list[list[int]]:
+    """c . x for every c and x in GF(q)^r, as table[c][x], both by code.
+
+    The form is symmetric, so row c is _coefficient_digits of c itself.
+    """
+    q = spec.q
+    return [_coefficient_digits(spec, [c // q**a % q for a in range(r)]) for c in range(q**r)]
 
 
 def dual_complement(W: Subspace) -> Subspace:
@@ -100,8 +206,12 @@ def vector_spans(spaces: Iterable[Subspace]) -> Iterator[list[int]]:
 
     A vector (v0, ..., v_{n-1}) is encoded as v0 + v1*q + ... + v_{n-1}*q^(n-1).
     Position c_0 + c_1*q + ... + c_{k-1}*q^(k-1) of a span holds the code of
-    sum_i c_i * row_i of the RREF basis (see _row_span).  The spaces share
-    one field, and the digits of each distinct (j, column) are computed once.
+    sum_i c_i * row_i of the RREF basis (see _row_span); the basis row i
+    sits at position q^i.  A span table (span_table) holds the same spans
+    for a whole level at once; this form, one space at a time, serves
+    spaces that are not a level in enumeration order, such as a reloaded
+    graph's vertices or a single mask.  The spaces share one field, and
+    the digits of each distinct (j, column) are computed once.
     """
     digits: dict[tuple[int, tuple[int, ...]], list[int]] = {}
     for S in spaces:
@@ -128,18 +238,24 @@ def _row_span(spec: FieldSpec, rows, digits: dict) -> list[int]:
     return list(map(sum, zip(*terms))) if terms else [0] * q ** len(rows)
 
 
-def hyperplane_positions(spec: FieldSpec, k: int) -> list[list[int]]:
-    """For each (k-1)-space H of GF(q)^k, the coefficient positions in H.
+def hyperplane_lines(spec: FieldSpec, k: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The coefficient positions of GF(q)^k split into lines, and each hyperplane as lines.
 
-    H is the kernel of a normalised functional f, one per 1-space of
-    GF(q)^k.  Read through a span from vector_spans, the positions of H
-    give the members of one (k-1)-subspace of that k-space, and the
-    hyperplanes of the span are exactly these, each once.
+    lines[0] is [0], the zero vector; lines[i] for i >= 1 holds the
+    nonzero positions of the i-th 1-space <p> of GF(q)^k.  The hyperplane
+    H_f, the kernel of the normalised functional f (one per 1-space), is
+    lines[0] and the lines <p> with f . p = 0: planes lists their indices.
+    Read through a span table, the positions of H_f give the members of
+    one (k-1)-subspace of each k-space, and the hyperplanes of a k-space
+    are exactly these, each once.
     """
-    return [
-        [pos for pos, x in enumerate(_coefficient_digits(spec, f.basis.rows[0])) if not x]
-        for f in enumerate_subspaces(spec, k, 1)
-    ]
+    points = enumerate_subspaces(spec, k, 1)
+    lines = [[0]] + [span[1:] for span in vector_spans(points)]
+    planes = []
+    for f in points:
+        dots = _coefficient_digits(spec, f.basis.rows[0])
+        planes.append([i for i, line in enumerate(lines) if not dots[line[0]]])
+    return lines, planes
 
 
 def _coefficient_digits(spec: FieldSpec, col: tuple[int, ...]) -> list[int]:
@@ -157,7 +273,7 @@ def _coefficient_digits(spec: FieldSpec, col: tuple[int, ...]) -> list[int]:
 
 def vector_masks(spaces: Iterable[Subspace]) -> list[int]:
     """vector_mask of each subspace, sharing vector_spans' digits across the batch."""
-    return [sum(1 << v for v in span) for span in vector_spans(spaces)]
+    return [sum(map((1).__lshift__, span)) for span in vector_spans(spaces)]
 
 
 def vector_mask(S: Subspace) -> int:

@@ -21,7 +21,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 
 from grassmann_lab import report
@@ -95,14 +95,15 @@ def rank_by_minors(spec, rows) -> int:
 
 
 def span_vectors(spec, rows, n: int) -> frozenset:
-    """All vectors in the row span, by enumerating coefficient tuples."""
-    out = set()
-    for coeffs in product(range(spec.q), repeat=len(rows)):
-        v = tuple(0 for _ in range(n))
-        for c, row in zip(coeffs, rows):
-            if c:
-                v = tuple(spec.add(x, spec.mul(c, y)) for x, y in zip(v, row))
-        out.add(v)
+    """All vectors in the row span, by enumerating coefficient tuples.
+
+    The combinations of the first i rows are extended by every multiple of
+    row i + 1, so each tuple costs one vector addition.
+    """
+    out = [tuple(0 for _ in range(n))]
+    for row in rows:
+        multiples = [tuple(spec.mul(c, y) for y in row) for c in range(1, spec.q)]
+        out += [tuple(map(spec.add, v, m)) for m in multiples for v in out]
     return frozenset(out)
 
 

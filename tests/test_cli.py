@@ -542,6 +542,31 @@ def test_scans_below_the_smallest_prime_power_exit_3_before_scanning(
     assert err == f"error: --q-max must be at least 2, the smallest prime power, got {q_max}\n"
 
 
+@pytest.mark.parametrize("fmt", ["", " --format text"])
+@pytest.mark.parametrize("q_max", [1, 0, -3])
+@pytest.mark.parametrize("n, m", [(5, 1), (5, 3), (6, 2), (7, 4)])
+def test_qbinom_q_max_below_2_exits_3_on_every_shape(capsys, monkeypatch, n, m, q_max, fmt):
+    # (5, 1), (5, 3) and (7, 4) have no h report, (6, 2) has one; all refuse alike
+    _refuse_scanning(monkeypatch)
+    code, out, err = run(capsys, *f"qbinom --n {n} --m {m} --q-max {q_max}{fmt}".split())
+    assert (code, out) == (3, "")
+    assert err == f"error: --q-max must be at least 2, the smallest prime power, got {q_max}\n"
+
+
+@pytest.mark.parametrize("fmt", ["", " --format text"])
+@pytest.mark.parametrize("n, m", [(5, 1), (5, 3), (7, 4)])
+def test_qbinom_ignores_a_valid_q_max_without_an_h_report(capsys, monkeypatch, n, m, fmt):
+    expected = run(capsys, *f"qbinom --n {n} --m {m}{fmt}".split())
+
+    def refuse(*args):
+        raise AssertionError("scanned a shape without an h report")
+
+    monkeypatch.setattr(cli, "scan_core_threshold", refuse)
+    monkeypatch.setattr(cli, "prime_power_base", refuse)
+    assert run(capsys, *f"qbinom --n {n} --m {m} --q-max 100000000{fmt}".split()) == expected
+    assert expected[0] == 0
+
+
 def test_scan_work_cap_boundary(capsys, monkeypatch):
     # m(n-m) * q_max = 6 * 64 = 384 for (5, 2) up to 64
     monkeypatch.setattr(cli, "MAX_SCAN_WORK", 384)

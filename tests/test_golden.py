@@ -144,6 +144,31 @@ GOLDEN = [
         0,
         "4e11b301e44161b2338ed319547c3a74a6571c57b3004c748d5c37d2bf11defc",
     ),
+    (
+        "verify --q 2 --n 6 --m 3 --brute-bound 2000",
+        0,
+        "f0fe7b3210f7bd1a9dc4b6e1ded5c279483d6231b5a713b93c0f000495393f07",
+    ),
+    (
+        "verify --q 4 --n 4 --m 2",
+        0,
+        "d42eb4cc5932d9aedb52d07a434032903e902906b409afd26370f520f051979c",
+    ),
+    (
+        "verify --q 5 --n 4 --m 2 --format text",
+        0,
+        "66a5af6b3196878875085ece574ad08f03f425b8250732d4a85bbe87b206bdb6",
+    ),
+    (
+        "verify --q 3 --n 5 --m 2 --format text",
+        0,
+        "865bad85612f92a9a0628bfb2bc776f004da383c0336be53c3ab8defa091b981",
+    ),
+    (
+        "build --q 4 --n 5 --m 2 --max-vertices 6000",
+        0,
+        "79845282521e2322204cdd31085db51b4a958bd8ced72cd50f2d17f625ae2749",
+    ),
 ]
 
 

@@ -9,6 +9,7 @@ import grassmann_lab.graph as graph_module
 from grassmann_lab import (
     build_graph,
     classify_maximal_cliques,
+    coreness,
     dual_map_check,
     enumerate_subspaces,
     make_field,
@@ -20,18 +21,23 @@ from grassmann_lab import (
 from grassmann_lab.config import BoundExceeded
 from grassmann_lab.graph import (
     _adjacency_breaks,
-    _complement,
+    _bit_sums,
+    _centre_spans,
+    _dual_masks,
+    _image_masks,
     _maximal_cliques_through,
     bits,
     dual_permutation,
     map_bitset,
 )
 from grassmann_lab.linalg import matrix, rref
+from grassmann_lab.qpoly import omega_int
 from grassmann_lab.subspaces import (
     canonicalize,
     dual_complement,
     vector_mask,
     vector_masks,
+    vector_spans,
 )
 from oracles import (
     all_maximal_cliques,
@@ -517,13 +523,61 @@ def test_dual_map_check_names_centres_a_coordinate_swap_moves(j242, monkeypatch)
     ids=["j221", "j242", "j342", "j442", "j263"],
 )
 def test_complement_masks_match_elimination(p, e, n, m):
-    # the AND of the point complements against dual_complement's null space
+    # the AND of the point complements over the span table's basis rows,
+    # against dual_complement's null space, on every vertex and centre
     G = build_graph(make_field(p, e), n, m)
-    for spaces in (G.vertices, [c.center for c in G.stars], [c.center for c in G.tops]):
-        by_masks = [_complement(G.complements, mask) for mask in vector_masks(spaces)]
-        assert by_masks == vector_masks(map(dual_complement, spaces))
+    for spaces, codes in (
+        (G.vertices, G.spans),
+        ([c.center for c in G.stars], _centre_spans(G.stars)),
+        ([c.center for c in G.tops], _centre_spans(G.tops)),
+    ):
+        assert _dual_masks(G, codes) == [vector_mask(dual_complement(S)) for S in spaces]
     by_rref = vector_masks(map(dual_complement, G.vertices))
     assert dual_permutation(G) == [G.index[mask] for mask in by_rref]
+
+
+@pytest.mark.parametrize(
+    "p, e, n, m",
+    [(2, 1, 4, 2), (3, 1, 4, 2), (2, 2, 4, 2), (2, 1, 6, 3)],
+    ids=["j242", "j342", "j442", "j263"],
+)
+def test_table_image_masks_match_the_mask_walk(p, e, n, m):
+    # every certificate generator and every cyclic candidate of the
+    # coreness search, read off the span tables against map_bitset on masks
+    G = build_graph(make_field(p, e), n, m)
+    k = omega_int(n, m, G.spec.q)
+    cyclic = [coreness._cyclic_candidate(G.spec, n, s) for s in range(2, k + 1) if k % s == 0]
+    maps = graph_module._generator_rows(G.spec, n) + [rows for rows in cyclic if rows]
+    assert len(maps) > len(graph_module._generator_rows(G.spec, n))
+    for rows in maps:
+        f = graph_module._row_span(G.spec, rows, {})
+        walked = [map_bitset(f, mask) for mask in G.masks]
+        assert _image_masks(f, G.spans) == walked
+        assert graph_module.induced_permutation(G, rows) == [G.index[x] for x in walked]
+        for fam in (G.stars, G.tops):
+            centres = [map_bitset(f, c.center_mask) for c in fam]
+            assert _image_masks(f, _centre_spans(fam)) == centres
+
+
+def test_centre_tables_follow_the_held_catalogs(j242, monkeypatch):
+    # the built catalogs carry their table's rows; a catalog put in their
+    # place, here stars over their neighbours' centres and a top catalog
+    # made of the stars, has the spans of its own centres
+    for fam in (j242.stars, j242.tops):
+        assert [list(c.span) for c in fam] == list(vector_spans(c.center for c in fam))
+    stars = star_catalog(j242)
+    rotated = [
+        replace(s, center=nxt.center, center_mask=nxt.center_mask)
+        for s, nxt in zip(stars, stars[1:] + stars[:1])
+    ]
+    monkeypatch.setattr(graph_module, "star_catalog", lambda G: rotated)
+    fake = [replace(s, kind="top") for s in stars]
+    monkeypatch.setattr(graph_module, "top_catalog", lambda G: fake)
+    G = replace(j242)
+    for fam in (G.stars, G.tops):
+        table = _centre_spans(fam)
+        assert [list(row) for row in zip(*table)] == list(vector_spans(c.center for c in fam))
+        assert _bit_sums(table) == [c.center_mask for c in fam]
 
 
 def test_adjacency_that_is_not_the_star_relation_certifies_nothing(j242):
@@ -609,8 +663,7 @@ def test_dual_map_check_rejects_a_dual_map_with_two_vertices_swapped(j242, monke
     missed = [
         s.center.basis.rows
         for s in j242.stars
-        if _image_oracle(swapped, s.bitset)
-        != tops[_complement(j242.complements, s.center_mask)].bitset
+        if _image_oracle(swapped, s.bitset) != tops[vector_mask(dual_complement(s.center))].bitset
     ]
     named = [c["center"] for c in report.counterexamples if c["check"] == "star-to-top"]
     assert missed and named == missed
@@ -626,18 +679,19 @@ def test_dual_map_check_rejects_a_dual_map_with_two_vertices_swapped(j242, monke
 
 def test_one_vertex_grouping_per_graph(f2, monkeypatch):
     # build_graph keeps the star bitsets it groups, so the catalogs, the
-    # certificate and every check group the vertices no second time
+    # certificate and every check group the vertices no second time; the
+    # top catalog reads its members off the top centres' span table
     groups = graph_module._hyperplane_groups
-    dims = []
+    sizes = []
 
-    def counted(spaces):
-        dims.append(spaces[0].dim)
-        return groups(spaces)
+    def counted(spec, codes):
+        sizes.append((len(codes), len(codes[0])))
+        return groups(spec, codes)
 
     monkeypatch.setattr(graph_module, "_hyperplane_groups", counted)
     G = build_graph(f2, 4, 2)
     assert classify_maximal_cliques(G).ok and verify_clique_lemmas(G).ok and dual_map_check(G).ok
-    assert dims == [2, 3]  # the vertices once, the top centres once
+    assert sizes == [(4, 35)]  # the 35 vertices' 2^2 span positions, once
     assert {c.center_mask: c.bitset for c in G.stars} == G.star_bitsets
     assert all(c.members == tuple(bits(c.bitset)) for c in G.stars)
 

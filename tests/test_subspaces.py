@@ -7,10 +7,11 @@ from grassmann_lab import (
     dual_complement,
     enumerate_subspaces,
     gaussian_binomial_int,
+    make_field,
     matrix,
 )
 from grassmann_lab.config import BoundExceeded
-from grassmann_lab.subspaces import hyperplane_positions, vector_mask, vector_spans
+from grassmann_lab.subspaces import hyperplane_lines, span_table, vector_mask, vector_spans
 from oracles import enumeration_key, is_rref, span_vectors
 
 
@@ -137,9 +138,10 @@ def test_vector_spans_hold_each_coefficient_combination(f3, f4):
                 assert code == sum(x * q**j for j, x in enumerate(v))
 
 
-def test_hyperplane_positions_give_every_hyperplane_once(f2, f3, f4):
-    for spec, n, k in ((f2, 4, 3), (f3, 4, 2), (f4, 3, 2), (f2, 3, 1)):
-        planes = hyperplane_positions(spec, k)
+def test_hyperplane_lines_give_every_hyperplane_once(f2, f3, f4):
+    for spec, n, k in ((f2, 4, 3), (f3, 4, 2), (f4, 3, 2), (f2, 3, 1), (f3, 2, 1)):
+        lines, planes = hyperplane_lines(spec, k)
+        assert sorted(pos for line in lines for pos in line) == list(range(spec.q**k))
         assert len(planes) == gaussian_binomial_int(k, 1, spec.q)
         below = [
             (span_vectors(spec, P.basis.rows, n), vector_mask(P))
@@ -147,6 +149,37 @@ def test_hyperplane_positions_give_every_hyperplane_once(f2, f3, f4):
         ]
         spaces = enumerate_subspaces(spec, n, k)
         for S, span in zip(spaces, vector_spans(spaces)):
-            masks = [sum(1 << span[pos] for pos in plane) for plane in planes]
+            masks = [sum(1 << span[pos] for i in plane for pos in lines[i]) for plane in planes]
             members = span_vectors(spec, S.basis.rows, n)
             assert sorted(masks) == sorted(m for vp, m in below if vp <= members)
+
+
+# every level 0 <= k <= n <= 6 of [n,k]_q <= 2000 spaces, over prime and
+# extension fields, k = 0 (the star centre at m = 1) and k = n included
+SPAN_LEVELS = [
+    (p, e, n, k)
+    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+    for n in range(1, 7)
+    for k in range(n + 1)
+    if gaussian_binomial_int(n, k, p**e) <= 2000
+]
+
+
+@pytest.mark.parametrize(
+    "p, e, n, k", SPAN_LEVELS, ids=[f"q{p**e}-n{n}-k{k}" for p, e, n, k in SPAN_LEVELS]
+)
+def test_span_table_matches_the_per_space_spans(p, e, n, k):
+    spec = make_field(p, e)
+    q = spec.q
+    spaces, codes = span_table(spec, n, k)
+    assert spaces == enumerate_subspaces(spec, n, k)
+    keys = list(map(enumeration_key, spaces))
+    assert keys == sorted(keys)
+    assert len(codes) == q**k and all(len(col) == len(spaces) for col in codes)
+    # position for position against the one-space-at-a-time spans
+    assert [list(row) for row in zip(*codes)] == list(vector_spans(spaces))
+    # as a set per space against the oracle's coefficient enumeration
+    vector = [tuple(x // q**j % q for j in range(n)) for x in range(q**n)]
+    for S, row in zip(spaces, zip(*codes)):
+        assert len(set(row)) == q**k
+        assert set(map(vector.__getitem__, row)) == span_vectors(spec, S.basis.rows, n)
