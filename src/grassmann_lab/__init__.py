@@ -36,7 +36,6 @@ from .qpoly import (
     CycloFactorization,
     HReport,
     IntPolynomial,
-    cyclotomic,
     gaussian_binomial_int,
     gaussian_binomial_poly,
     h_integrality,

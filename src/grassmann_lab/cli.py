@@ -94,7 +94,7 @@ def cmd_build(args) -> int:
     spec = _field_for(args.q)
     G = build_graph(spec, args.n, args.m, max_vertices=args.max_vertices)
     if args.format == "json":
-        sys.stdout.write(graph_to_json(G) + "\n")
+        print(graph_to_json(G))  # no copy of the dump just to add its newline
     elif args.format == "dot":
         sys.stdout.write(graph_to_dot(G))
     else:

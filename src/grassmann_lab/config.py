@@ -23,7 +23,8 @@ FIELD_TABLE_LIMIT = 256
 # Largest q accepted when building a graph.
 MAX_GRAPH_FIELD = 16
 
-# Cap on the number of subspaces a single enumeration may produce.
+# Cap on the subspaces one enumeration may produce, and on the [n,m]_q * q^m
+# codes of a graph's span table: J_9(4,3) has 5.98e5, J_16(4,3) 1.8e7.
 ENUM_BOUND = 10**6
 
 # Cap on graph vertex count at build time.

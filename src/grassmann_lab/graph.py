@@ -62,6 +62,7 @@ from typing import Literal
 from .config import (
     BUILD_BOUND,
     CLIQUE_ENUM_BOUND,
+    ENUM_BOUND,
     MAX_GRAPH_FIELD,
     BoundExceeded,
     check_decimal_digits,
@@ -192,7 +193,8 @@ def build_graph(
     Each vertex carries the bitmask of its member vectors.  Two vertices
     are adjacent iff they share an (m-1)-space, so adjacency[v] is the OR
     of the stars through v, less v; the stars come from _hyperplane_groups,
-    and their bitsets stay on the graph as G.star_bitsets.
+    and their bitsets stay on the graph as G.star_bitsets.  The vertex
+    count and the span table size are bounded before anything is built.
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
@@ -206,6 +208,10 @@ def build_graph(
         check_decimal_digits(count, what)
         raise BoundExceeded(
             f"enumeration too large: J_{spec.q}({n},{m}) has {count} vertices > {max_vertices}"
+        )
+    if (codes := count * spec.q**m) > ENUM_BOUND:  # the span table: q^m codes per vertex
+        raise BoundExceeded(
+            f"span table too large: J_{spec.q}({n},{m}) has {codes} codes > {ENUM_BOUND}"
         )
     vertices, spans = span_table(spec, n, m)
     masks, groups = _hyperplane_groups(spec, spans)

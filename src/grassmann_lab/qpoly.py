@@ -201,13 +201,6 @@ def _qd_product(steps) -> IntPolynomial:
     return IntPolynomial(c)
 
 
-def cyclotomic(t: int) -> IntPolynomial:
-    """The t-th cyclotomic polynomial, monic with integer coefficients."""
-    if t < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    return CycloFactorization({t: 1}).expand()
-
-
 def gaussian_binomial_poly(n: int, m: int) -> IntPolynomial:
     """[n choose m]_q as a polynomial in q, degree m(n-m).
 

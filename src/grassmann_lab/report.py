@@ -7,7 +7,8 @@ configurations always serialize to identical bytes.  to_json writes them
 as exactly json.dumps(data, indent=2) would, but without the pure-Python
 encoder's generator step per element; an h scan's entries are written
 straight from its (q, numerator, denominator) rows, and graph dumps write
-their edges straight from the adjacency rows, with no list per edge.
+their edges straight from the adjacency rows, with no list per edge.  A
+dump reloads only as exactly the graph build_graph makes (graph_from_json_dict).
 """
 
 from __future__ import annotations
@@ -22,17 +23,31 @@ from .config import check_decimal_digits
 from .coreness import CorenessReport
 from .field import make_field
 from .fixture import FixtureReport
-from .graph import DualReport, GrassmannGraph, LemmaReport
+from .graph import DualReport, GrassmannGraph, LemmaReport, build_graph
 from .qpoly import HReport, IntPolynomial, ScanReport, gaussian_binomial_int
-from .subspaces import Subspace, subspace_from_digits, vector_masks
+from .subspaces import Subspace
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def matrix_digits(S: Subspace) -> list[str]:
-    if S.spec.q > len(_DIGITS):
-        raise ValueError(f"GF({S.spec.q}) has elements too large for one digit")
-    return ["".join(map(_DIGITS.__getitem__, row)) for row in S.basis.rows]
+    return _vertex_digits((S,))[0]
+
+
+class _RowDigits(dict):
+    """Digit strings by basis row, each written on its first lookup."""
+
+    def __missing__(self, row: tuple[int, ...]) -> str:
+        text = self[row] = "".join(map(_DIGITS.__getitem__, row))
+        return text
+
+
+def _vertex_digits(spaces: tuple[Subspace, ...]) -> list[list[str]]:
+    """matrix_digits of each space, over one field; each distinct basis row is written once."""
+    if spaces and spaces[0].spec.q > len(_DIGITS):
+        raise ValueError(f"GF({spaces[0].spec.q}) has elements too large for one digit")
+    row = _RowDigits().__getitem__
+    return [list(map(row, S.basis.rows)) for S in spaces]
 
 
 def params_dict(G: GrassmannGraph) -> dict:
@@ -49,14 +64,20 @@ def params_dict(G: GrassmannGraph) -> dict:
 def graph_to_json(G: GrassmannGraph) -> str:
     """json.dumps(indent=2) of the params, the vertices and the edges [i, j], i < j, in order.
 
-    The edges are written row by row from the adjacency bitsets, so a
-    248,031-edge dump (J_2(7,2)) builds no list per edge.
+    Vertex records come from one %-template (digits need no escaping) and
+    edges straight from the adjacency rows: no dict per vertex or list per edge.
     """
-    vertices = [{"id": i, "matrix": matrix_digits(v)} for i, v in enumerate(G.vertices)]
-    head = to_json({"params": params_dict(G), "vertices": vertices})
-    rows = _edge_rows(G, "[\n      %d,\n      ", "\n    ],\n    [\n      %d,\n      ", "\n    ]")
-    edges = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-    return head[:-2] + ',\n  "edges": ' + edges + "\n}"  # head[:-2] drops its closing "\n}"
+    params = to_json({"params": params_dict(G)})[:-2]  # drops its closing "\n}"
+    record = '{\n      "id": %d,\n      "matrix": [\n        "%s"\n      ]\n    }'
+    rows = '",\n        "'.join
+    digits = enumerate(_vertex_digits(G.vertices))
+    vertices = ",\n    ".join([record % (i, rows(M)) for i, M in digits])
+    head = f'{params},\n  "vertices": [\n    {vertices}\n  ],\n  "edges": '
+    edges = _edge_rows(G, "[\n      %d,\n      ", "\n    ],\n    [\n      %d,\n      ", "\n    ]")
+    # J_q(n,m) has edges; one join builds the whole dump, with no copy of the edge text
+    edges[0] = head + "[\n    " + edges[0]
+    edges[-1] += "\n  ]\n}"
+    return ",\n    ".join(edges)
 
 
 def _edge_rows(G: GrassmannGraph, head: str, sep: str, tail: str) -> list[str]:
@@ -76,31 +97,33 @@ def _edge_rows(G: GrassmannGraph, head: str, sep: str, tail: str) -> list[str]:
 
 
 def graph_from_json_dict(data: dict) -> GrassmannGraph:
-    """Rebuild a graph from a dump; adjacency comes from the edge list.
+    """The graph of a dump that lists the m-spaces in enumeration order, as
+    graph_to_json writes them, and exactly the graph's edges; else ValueError.
 
-    Each row gathers its neighbours as bits of a little-endian byte string,
-    through one table of byte offsets and one of bit values, and becomes an
-    int once, not once per edge.  ValueError unless the vertices are the
-    [n,m]_q distinct m-spaces of GF(q)^n, listed by id in order, and every
-    edge joins two different ids in [0, V).  No edge is tested on its own.
-    The offset table runs on for V entries past the end of a row, so an id
-    in [V, 2V), or one in [-V, 0) that wraps to them, indexes past a row;
-    any other id outside [0, V) indexes past a table.  Loops are read off
-    the finished rows.
+    J_q(n,m) is fixed by its vertex set, so build_graph makes it afresh,
+    once the vertex count and shapes match the params.  An edge may appear
+    reversed or repeated.  Each row gathers its neighbours as bits of a
+    little-endian byte string, through one table of byte offsets, which runs
+    on for V entries past a row, and one of bit values: an id in [V, 2V), or
+    in [-V, 0), indexes past a row, any other id outside [0, V) past a table.
     """
     p, e, n, m = (data["params"][k] for k in ("p", "e", "n", "m"))
     spec = make_field(p, e)
-    vertices = tuple(subspace_from_digits(spec, v["matrix"]) for v in data["vertices"])
-    if not (1 <= m < n and vertices) or any(v.dim != m or v.ambient != n for v in vertices):
+    matrices = [v["matrix"] for v in data["vertices"]]
+    shapes = {len(M) for M in matrices}, {len(row) for M in matrices for row in M}
+    if not (1 <= m < n and matrices) or shapes != ({m}, {n}):
         raise ValueError(f"a dump of J_{spec.q}({n},{m}) needs {m}-spaces of GF({spec.q})^{n}")
-    masks = tuple(vector_masks(vertices))
-    if len(set(masks)) != len(masks) or len(masks) != gaussian_binomial_int(n, m, spec.q):
+    nv = len(matrices)
+    if nv != gaussian_binomial_int(n, m, spec.q) or len(set(map(tuple, matrices))) != nv:
         raise ValueError(f"a dump of J_{spec.q}({n},{m}) needs each of its vertices once")
-    ids = range(len(vertices))
+    ids = range(nv)
     if [v["id"] for v in data["vertices"]] != list(ids):
         raise ValueError("a dump lists its vertices by id, 0 to V-1 in order")
-    size = (len(vertices) + 7) >> 3
-    byte = [j >> 3 for j in ids] + [size] * len(ids)
+    G = build_graph(spec, n, m, max_vertices=nv)
+    if matrices != _vertex_digits(G.vertices):
+        raise ValueError(f"a dump of J_{spec.q}({n},{m}) lists its RREF {m}-spaces in order")
+    size = (nv + 7) >> 3
+    byte = [j >> 3 for j in ids] + [size] * nv
     bit = [1 << (j & 7) for j in ids]
     rows = [bytearray(size) for _ in ids]
     try:
@@ -108,29 +131,32 @@ def graph_from_json_dict(data: dict) -> GrassmannGraph:
             rows[i][byte[j]] |= bit[j]
             rows[j][byte[i]] |= bit[i]
     except (IndexError, TypeError, ValueError):
-        raise ValueError(f"an edge is not a pair of vertex ids in [0, {len(masks)})") from None
+        raise ValueError(f"an edge is not a pair of vertex ids in [0, {nv})") from None
     adjacency = tuple(int.from_bytes(row, "little") for row in rows)
     if any(a >> v & 1 for v, a in enumerate(adjacency)):
         raise ValueError("an edge joins a vertex to itself")
-    return GrassmannGraph(spec, n, m, vertices, adjacency, masks)
+    if adjacency != G.adjacency:
+        raise ValueError(f"a dump of J_{spec.q}({n},{m}) lists exactly the graph's edges")
+    # unseeded: a reloaded graph recomputes its span table and star bitsets on first use
+    return GrassmannGraph(spec, n, m, G.vertices, G.adjacency, G.masks)
 
 
 def graph_to_dot(G: GrassmannGraph) -> str:
+    digits = enumerate(_vertex_digits(G.vertices))
     lines = ["graph grassmann {"]
-    for i, v in enumerate(G.vertices):
-        lines.append(f'  v{i} [label="v{i}", tooltip="{"/".join(matrix_digits(v))}"];')
+    lines += [f'  v{i} [label="v{i}", tooltip="{"/".join(M)}"];' for i, M in digits]
     lines += _edge_rows(G, "  v%d -- v", ";\n  v%d -- v", ";")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_text(G: GrassmannGraph) -> str:
+    degree = G.degree(0)  # J_q(n,m) is regular
     lines = [
         f"J_{G.spec.q}({G.n},{G.m}): {G.num_vertices} vertices, "
-        f"{sum(a.bit_count() for a in G.adjacency) // 2} edges, degree {G.degree(0)}"
+        f"{G.num_vertices * degree // 2} edges, degree {degree}"
     ]
-    for i, v in enumerate(G.vertices):
-        lines.append(f"  v{i}: {' '.join(matrix_digits(v))}")
+    lines += ["  v%d: %s" % (i, " ".join(M)) for i, M in enumerate(_vertex_digits(G.vertices))]
     return "\n".join(lines) + "\n"
 
 
@@ -304,11 +330,8 @@ def _json(o, nl: str) -> str:
     elif t is list or t is tuple:
         if not o:
             return "[]"
-        types = set(map(type, o))
-        if types == {int}:
+        if set(map(type, o)) == {int}:
             return "[" + inner + sep.join(map(int.__repr__, o)) + nl + "]"
-        if types == {str}:
-            return "[" + inner + sep.join(map(encode_basestring_ascii, o)) + nl + "]"
         return "[" + inner + sep.join([_json(x, inner) for x in o]) + nl + "]"
     elif t is _ScanRows:
         if not o:

@@ -51,7 +51,7 @@ def canonicalize(M: FqMatrix) -> Subspace:
 def subspace_from_digits(spec: FieldSpec, rows) -> Subspace:
     """The span of matrix rows given as digit strings, 0-9 then a-z per entry.
 
-    The fixture file and the JSON graph dumps write matrices this way.
+    The fixture file writes matrices this way, as the graph dumps do.
     """
     return canonicalize(matrix(spec, [[int(ch, 36) for ch in row] for row in rows]))
 
@@ -209,8 +209,8 @@ def vector_spans(spaces: Iterable[Subspace]) -> Iterator[list[int]]:
     sum_i c_i * row_i of the RREF basis (see _row_span); the basis row i
     sits at position q^i.  A span table (span_table) holds the same spans
     for a whole level at once; this form, one space at a time, serves
-    spaces that are not a level in enumeration order, such as a reloaded
-    graph's vertices or a single mask.  The spaces share one field, and
+    spaces that are not a level in enumeration order, a graph that did not
+    keep its table (a reloaded one) or a single mask.  The spaces share one field, and
     the digits of each distinct (j, column) are computed once.
     """
     digits: dict[tuple[int, tuple[int, ...]], list[int]] = {}

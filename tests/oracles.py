@@ -170,7 +170,8 @@ def fixture_colouring(G, fx) -> list[int]:
     return colours
 
 
-def _digit_rows(S) -> list[str]:
+def matrix_digits(S) -> list[str]:
+    """S's RREF basis rows as digit strings, one entry at a time."""
     return ["".join("0123456789abcdefghijklmnopqrstuvwxyz"[x] for x in row) for row in S.basis.rows]
 
 
@@ -186,7 +187,7 @@ def graph_to_json_dict(G) -> dict:
             "m": G.m,
             "vertices": G.num_vertices,
         },
-        "vertices": [{"id": i, "matrix": _digit_rows(v)} for i, v in enumerate(G.vertices)],
+        "vertices": [{"id": i, "matrix": matrix_digits(v)} for i, v in enumerate(G.vertices)],
         "edges": [[i, j] for i in range(G.num_vertices) for j in bits(G.adjacency[i]) if j > i],
     }
 
@@ -195,7 +196,7 @@ def graph_to_dot(G) -> str:
     """The DOT dump, one line per vertex and then one per edge i < j."""
     lines = ["graph grassmann {"]
     for i, v in enumerate(G.vertices):
-        lines.append(f'  v{i} [label="v{i}", tooltip="{"/".join(_digit_rows(v))}"];')
+        lines.append(f'  v{i} [label="v{i}", tooltip="{"/".join(matrix_digits(v))}"];')
     for i in range(G.num_vertices):
         lines.extend(f"  v{i} -- v{j};" for j in bits(G.adjacency[i]) if j > i)
     lines.append("}")

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -98,6 +99,16 @@ def test_verify_builds_each_catalog_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--q", "2", "--n", "4", "--m", "2")
     assert code == 0
     assert sorted(calls) == ["star_catalog", "top_catalog"]
+
+
+def test_build_bounds_the_span_table_before_enumerating(capsys):
+    # J_16(4,3) has 4,369 vertices, under the default vertex bound, but its
+    # span table holds 4,369 * 16^3 codes; it exits before enumerating
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "build", "--q", "16", "--n", "4", "--m", "3")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: span table too large: J_16(4,3) has 17895424 codes > 1000000\n"
 
 
 def test_verify_bounds_the_catalogs_before_enumerating(capsys):

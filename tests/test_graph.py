@@ -706,6 +706,15 @@ def test_build_bound(f2):
         build_graph(f2, 10, 5)
 
 
+def test_build_bounds_the_span_table_entries():
+    # both are under the vertex bound: 4,369 and 1,365 vertices
+    from grassmann_lab import make_field
+
+    for (p, e, n, m), codes in [((2, 4, 4, 3), 17895424), ((2, 2, 6, 5), 1397760)]:
+        with pytest.raises(BoundExceeded, match=f"too large: J_.* has {codes} codes > 1000000"):
+            build_graph(make_field(p, e), n, m)
+
+
 def test_build_rejects_big_fields():
     from grassmann_lab import make_field
 

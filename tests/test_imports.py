@@ -11,10 +11,10 @@ import grassmann_lab
 
 SOURCES = sorted(Path(grassmann_lab.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
-# Public entry points no module names: cyclotomic is the library's Phi_t,
-# and graph_from_json_dict reads back `build --format json`.  The cli.cmd_*
-# commands are reached by main through globals().
-ENTRY_POINTS = {"qpoly.cyclotomic", "report.graph_from_json_dict"}
+# Public entry points no module names: graph_from_json_dict reads back
+# `build --format json`, and matrix_digits writes one subspace as the graph
+# dumps do.  The cli.cmd_* commands are reached by main through globals().
+ENTRY_POINTS = {"report.graph_from_json_dict", "report.matrix_digits"}
 
 
 def _imported_names(tree):

@@ -28,7 +28,7 @@ from grassmann_lab.report import (
     scan_report_dict,
     to_json,
 )
-from grassmann_lab.subspaces import canonicalize
+from grassmann_lab.subspaces import canonicalize, subspace_from_digits
 
 
 class Colour(IntEnum):
@@ -291,6 +291,53 @@ def test_every_id_outside_the_vertex_range_is_refused(f2):
                 graph_from_json_dict({**data, "edges": [edge]})
     reversed_edges = {**data, "edges": [[j, i] for i, j in data["edges"]]}
     assert graph_from_json_dict(reversed_edges).adjacency == build_graph(f2, 3, 1).adjacency
+
+
+def _swap_matrices(data, i, j):
+    vs = data["vertices"]
+    vs[i]["matrix"], vs[j]["matrix"] = vs[j]["matrix"], vs[i]["matrix"]
+
+
+def _unreduced(rows):
+    """GF(2) rows [r0 + r1, r1]: the same 2-space, not in RREF."""
+    return ["".join(str(int(a) ^ int(b)) for a, b in zip(rows[0], rows[1])), rows[1]]
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda d: d["edges"].pop(100), "exactly the graph's edges"),
+        (lambda d: d["edges"].append([0, 34]), "exactly the graph's edges"),
+        (lambda d: _swap_matrices(d, 3, 20), "RREF 2-spaces in order"),
+        (lambda d: d["vertices"][0].update(matrix=_unreduced(d["vertices"][0]["matrix"])),
+         "RREF 2-spaces in order"),
+        (lambda d: d["params"].update(p=3), "each of its vertices once"),
+    ],
+    ids=["dropped edge", "added non-edge", "swapped vertices", "non-RREF vertex", "other field"],
+)
+def test_dumps_of_another_graph_raise_value_error(spoil, message):
+    # J_2(4,2) is fixed by its vertex set: the dump must be the one graph_to_json writes
+    G = build_graph(make_field(2, 1), 4, 2)
+    assert not G.adjacent(0, 34)
+    assert subspace_from_digits(G.spec, _unreduced(["1000", "0100"])) == G.vertices[0]
+    data = _j242_dump()
+    spoil(data)
+    with pytest.raises(ValueError, match=message):
+        graph_from_json_dict(data)
+
+
+def test_a_repeated_edge_still_reloads():
+    data = _j242_dump()
+    data["edges"] += data["edges"][:5]
+    assert graph_from_json_dict(data).adjacency == build_graph(make_field(2, 1), 4, 2).adjacency
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_vertex_digits_match_the_per_vertex_writer(q):
+    G = build_graph(make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]), 4, 2)
+    digits = report._vertex_digits(G.vertices)
+    assert digits == [report.matrix_digits(v) for v in G.vertices]
+    assert digits == [oracles.matrix_digits(v) for v in G.vertices]
 
 
 # (p, e, n, m): K_3, GF(2), GF(3) and GF(4) digits, digits up to f, and the 248,031-edge J_2(7,2)
