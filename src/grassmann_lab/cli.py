@@ -191,9 +191,9 @@ def cmd_qbinom(args) -> int:
             f"{MAX_QBINOM_WORK}, got [{args.n},{args.m}]_q"
         )
     if with_h and args.at is not None:
-        h_at = h_integrality(args.n, args.m, args.at)
-        if not isinstance(h_at, int):
-            check_decimal_digits(h_at.numerator, f"h({args.at}) for (n={args.n}, m={args.m})")
+        h_num, h_den = h_integrality(args.n, args.m, args.at)
+        if h_den != 1:
+            check_decimal_digits(h_num, f"h({args.at}) for (n={args.n}, m={args.m})")
     if args.q_max is not None and (with_h or args.q_max < 2):  # else ignored: no scan to run
         _check_scan(args.n, args.m, args.q_max)
     what_at = f"[{args.n},{args.m}]_q at q = {args.at}"
@@ -228,7 +228,7 @@ def cmd_qbinom(args) -> int:
     if with_h:
         data["qbinom"]["h"] = h_report_dict(h_report(args.n, args.m))
         if args.at is not None:
-            value = h_at if isinstance(h_at, int) else f"{h_at.numerator}/{h_at.denominator}"
+            value = h_num if h_den == 1 else f"{h_num}/{h_den}"
             data["qbinom"]["h"]["value_at"] = {"q": args.at, "value": value}
         if args.q_max is not None:
             scan = scan_core_threshold(args.n, args.m, args.q_max)
@@ -259,7 +259,7 @@ def _check_scan(n: int, m: int, q_max: int) -> None:
         )
     top = next((q for q in range(q_max, 1, -1) if prime_power_base(q)), None)
     if top is not None:
-        check_scan_digits(h_integrality(n, m, top).numerator, n, m, q_max)
+        check_scan_digits(h_integrality(n, m, top)[0], n, m, q_max)
 
 
 def cmd_scan(args) -> int:

@@ -37,10 +37,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
+from typing import NamedTuple
 
 from .arith import prime_power_base
 from .config import (
@@ -394,8 +393,7 @@ def orbit_colouring(
 # -- endomorphisms ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Endomorphism:
+class Endomorphism(NamedTuple):
     """A vertex map that must send edges to edges."""
 
     graph: GrassmannGraph
@@ -483,7 +481,6 @@ def classify_endomorphism(G: GrassmannGraph, e: Endomorphism) -> str:
 # -- coreness verdicts -------------------------------------------------
 
 
-@dataclass
 class CorenessReport:
     """What core_test learned about J_q(n, m).
 
@@ -492,16 +489,18 @@ class CorenessReport:
     (omega, |V|), or alpha = 1 and chi = omega = |V| on the complete graph
     (m = 1).  Each is evaluated on first read, so a report that prints none
     of them never evaluates [n,m]_q, and core_test's stages only tighten
-    alpha and chi by assignment.
+    alpha and chi by assignment.  integrality_value is h(q) = |V|/omega as
+    the pair (numerator, denominator) in lowest terms, once core_test has
+    evaluated it (None on the complete graph); witness is the colouring
+    endomorphism, when one was found, and witness_class its class.
     """
 
-    q: int
-    n: int
-    m: int
-    integrality_value: Fraction | int | None = None
-    evidence: list[str] = field(default_factory=list)
-    witness: Endomorphism | None = None
-    witness_class: str | None = None
+    def __init__(self, q: int, n: int, m: int):
+        self.q, self.n, self.m = q, n, m
+        self.integrality_value: tuple[int, int] | None = None
+        self.evidence: list[str] = []
+        self.witness: Endomorphism | None = None
+        self.witness_class: str | None = None
 
     @cached_property
     def num_vertices(self) -> int:
@@ -581,15 +580,15 @@ def core_test(
         return rep
     nv, omega = rep.num_vertices, rep.omega
 
-    value = h_integrality(n, m, q)
-    rep.integrality_value = value
+    num, den = h_integrality(n, m, q)
+    rep.integrality_value = (num, den)
     # the evidence below prints h(q) = |V|/omega, and |V| past the search bound
-    check_decimal_digits(value.numerator, f"|V|/omega for J_{q}({n},{m})")
-    if isinstance(value, Fraction):
+    check_decimal_digits(num, f"|V|/omega for J_{q}({n},{m})")
+    if den != 1:
         rep.chi = (omega + 1, nv)
-        rep.evidence.append(f"|V|/omega = {value} is not an integer, so the graph is a core")
+        rep.evidence.append(f"|V|/omega = {num}/{den} is not an integer, so the graph is a core")
         return rep
-    rep.evidence.append(f"|V|/omega = {value} is an integer; integrality test inconclusive")
+    rep.evidence.append(f"|V|/omega = {num} is an integer; integrality test inconclusive")
 
     if nv > search_bound:
         check_decimal_digits(nv, f"the vertex count of J_{q}({n},{m})")

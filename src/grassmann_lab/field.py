@@ -21,7 +21,6 @@ once e > 1; FieldSpec.elements_in_order supplies it.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -91,18 +90,27 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # impossible
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """GF(p^e) with a fixed modulus; all operations are pure.
 
-    Instances are immutable values, safe to share; op tables are built
-    lazily (once per instance) when q is small enough.
+    Instances are immutable values, equal when their parameters are, and
+    safe to share; op tables are built lazily (once per instance) when q
+    is small enough.
     """
 
-    p: int
-    e: int
-    modulus: tuple[int, ...]
-    q: int
+    def __init__(self, p: int, e: int, modulus: tuple[int, ...], q: int):
+        vars(self).update(p=p, e=e, modulus=modulus, q=q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not FieldSpec:
+            return NotImplemented
+        return (self.p, self.e, self.modulus, self.q) == (other.p, other.e, other.modulus, other.q)
+
+    def __hash__(self):
+        return hash((self.p, self.e, self.modulus, self.q))
 
     # -- encoding ----------------------------------------------------
 

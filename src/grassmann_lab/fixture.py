@@ -12,16 +12,15 @@ canonicalizes them, tracking identity by label alongside the vertex id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .graph import GrassmannGraph, _subspace_dim
 from .subspaces import subspace_from_digits
 
 
-@dataclass(frozen=True)
-class J242Fixture:
+class J242Fixture(NamedTuple):
     matrices: dict  # label -> tuple of digit-string rows
     sets: dict  # set name -> tuple of labels
 
@@ -55,7 +54,6 @@ def load_fixture(path: str | Path | None = None) -> J242Fixture:
     return J242Fixture(matrices, sets)
 
 
-@dataclass
 class FixtureReport:
     """Result of checking a fixture against its graph.
 
@@ -67,12 +65,11 @@ class FixtureReport:
     chromatic number.
     """
 
-    distinct_ok: bool = True
-    partition_ok: bool = True
-    independent_ok: bool = True
-    chi_upper: int | None = None
-    violations: list[dict] = dataclass_field(default_factory=list)
-    label_to_vertex: dict = dataclass_field(default_factory=dict)
+    def __init__(self):
+        self.distinct_ok = self.partition_ok = self.independent_ok = True
+        self.chi_upper: int | None = None
+        self.violations: list[dict] = []
+        self.label_to_vertex: dict = {}
 
     @property
     def ok(self) -> bool:

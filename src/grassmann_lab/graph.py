@@ -54,10 +54,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .config import (
     BUILD_BOUND,
@@ -103,14 +102,24 @@ def _subspace_dim(size: int, q: int) -> int:
     return d
 
 
-@dataclass(frozen=True, eq=False)
 class GrassmannGraph:
-    spec: FieldSpec
-    n: int
-    m: int
-    vertices: tuple[Subspace, ...]
-    adjacency: tuple[int, ...]
-    masks: tuple[int, ...]
+    """J_q(n, m): its vertices in enumeration order, their adjacency bitsets
+    and vector masks.  Immutable, and equal only to itself; the cached
+    properties below fill in on first use."""
+
+    def __init__(
+        self,
+        spec: FieldSpec,
+        n: int,
+        m: int,
+        vertices: tuple[Subspace, ...],
+        adjacency: tuple[int, ...],
+        masks: tuple[int, ...],
+    ):
+        vars(self).update(spec=spec, n=n, m=m, vertices=vertices, adjacency=adjacency, masks=masks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def num_vertices(self) -> int:
@@ -303,13 +312,24 @@ def _star_bitsets(groups: dict[int, list[int]]) -> dict[int, int]:
     return {mask: _to_bitset(ids) for mask, ids in groups.items()}
 
 
-@dataclass(frozen=True)
 class MaximalClique:
-    kind: Literal["star", "top"]
-    center: Subspace
-    center_mask: int  # vector_mask(center)
-    members: tuple[int, ...]
-    bitset: int
+    """A star or a top: its centre, the centre's vector mask, and its
+    members, ascending and as a bitset.  Immutable."""
+
+    def __init__(
+        self,
+        kind: Literal["star", "top"],
+        center: Subspace,
+        center_mask: int,
+        members: tuple[int, ...],
+        bitset: int,
+    ):
+        vars(self).update(
+            kind=kind, center=center, center_mask=center_mask, members=members, bitset=bitset
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def size(self) -> int:
@@ -401,8 +421,7 @@ def top_catalog(G: GrassmannGraph) -> list[MaximalClique]:
     return _catalog("top", centres, codes, masks, members, bitsets)
 
 
-@dataclass(frozen=True)
-class Symmetry:
+class Symmetry(NamedTuple):
     """Automorphisms of a graph, certified on its data, and their orbits.
 
     perms holds the vertex permutation of each certified generator.  Each
@@ -592,8 +611,7 @@ def _maximal_clique_bitsets(G: GrassmannGraph) -> set[int]:
     return {c.bitset for c, o in zip(catalog, orbit) if o in hit} | unmatched
 
 
-@dataclass
-class CliqueCensus:
+class CliqueCensus(NamedTuple):
     """Maximal cliques matched against the star/top catalog."""
 
     total: int
@@ -636,7 +654,6 @@ def classify_maximal_cliques(
     return CliqueCensus(len(sets), stars, tops, G.stars[0].size, G.tops[0].size, unmatched)
 
 
-@dataclass
 class LemmaReport:
     """Exhaustive checks of the star/top intersection structure.
 
@@ -650,12 +667,13 @@ class LemmaReport:
                    in dimension m, and then exactly in {P intersect Q}.
     """
 
-    q: int
-    star_top_ok: bool = True
-    pairwise_ok: bool = True
-    star_meet_ok: bool = True
-    top_meet_ok: bool = True
-    counterexamples: list[dict] = field(default_factory=list)
+    def __init__(self, q: int):
+        self.q = q
+        self.star_top_ok = self.pairwise_ok = self.star_meet_ok = self.top_meet_ok = True
+        self.counterexamples: list[dict] = []
+
+    def __eq__(self, other):
+        return type(other) is LemmaReport and vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:
@@ -731,7 +749,6 @@ def verify_clique_lemmas(G: GrassmannGraph) -> LemmaReport:
     return report
 
 
-@dataclass
 class DualReport:
     """The orthogonal-complement map on a J_q(2m, m).
 
@@ -739,12 +756,10 @@ class DualReport:
     carries every star onto the top over the dual centre and conversely.
     """
 
-    bijection: bool = True
-    involution: bool = True
-    preserves_adjacency: bool = True
-    stars_to_tops: bool = True
-    tops_to_stars: bool = True
-    counterexamples: list[dict] = field(default_factory=list)
+    def __init__(self):
+        self.bijection = self.involution = self.preserves_adjacency = True
+        self.stars_to_tops = self.tops_to_stars = True
+        self.counterexamples: list[dict] = []
 
     @property
     def ok(self) -> bool:

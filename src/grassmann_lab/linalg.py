@@ -7,13 +7,12 @@ row space: two matrices have equal row spaces iff their RREFs are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import FieldSpec
 
 
-@dataclass(frozen=True)
-class FqMatrix:
+class FqMatrix(NamedTuple):
     """Plain container; use matrix() to build one from unchecked input."""
 
     spec: FieldSpec

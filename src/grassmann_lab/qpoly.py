@@ -12,13 +12,16 @@ every division is checked.  The central objects are
     number), split into a numerator/denominator pair of cyclotomic
     products, whose non-integrality at a prime power q certifies that
     the graph is a core.
+
+A value of h at an integer q is the pair (numerator, denominator) in
+lowest terms, so h(q) is an integer exactly when the denominator is 1;
+no rational type is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .arith import prime_power_base, prime_powers_upto
 
@@ -47,9 +50,6 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -136,13 +136,6 @@ class IntPolynomial:
 
     def __floordiv__(self, other):
         q, _ = divmod(self, other)
-        return q
-
-    def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Divide, insisting on zero remainder."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError(f"{self} is not divisible by {other}")
         return q
 
     def __call__(self, x: int) -> int:
@@ -234,15 +227,14 @@ def gaussian_binomial_int(n: int, m: int, q: int) -> int:
     return quo
 
 
-@dataclass(frozen=True)
-class CycloFactorization:
+class CycloFactorization(NamedTuple):
     """A product of cyclotomic-polynomial powers, stored as t -> exponent.
 
     Only nonzero exponents are kept.  Gaussian binomials have exponents
     in {0, 1}; the vertex/clique ratio h has exponents in {-1, 0, 1}.
     """
 
-    exponents: dict[int, int] = field(default_factory=dict)
+    exponents: dict[int, int]
 
     def split(self) -> tuple[IntPolynomial, IntPolynomial]:
         """(numerator, denominator) as monic polynomials.
@@ -263,13 +255,6 @@ class CycloFactorization:
             steps += [(d, -1) for d, k in enumerate(c) for _ in range(-k)]
             sides.append(_qd_product(steps))
         return sides[0], sides[1]
-
-    def expand(self) -> IntPolynomial:
-        """The product as a single polynomial; requires no negative exponents."""
-        num, den = self.split()
-        if den != ONE:
-            raise ValueError("factorization has negative exponents")
-        return num
 
 
 def knuth_wilf_exponents(n: int, m: int) -> CycloFactorization:
@@ -310,8 +295,7 @@ def omega_int(n: int, m: int, q: int) -> int:
     return (q ** _omega_exponent(n, m) - 1) // (q - 1)
 
 
-@dataclass(frozen=True)
-class HReport:
+class HReport(NamedTuple):
     """The vertex/clique ratio h(q) = [n,m]_q / omega for one (n, m).
 
     ``exponents`` is the cyclotomic factorization of h; ``f`` collects the
@@ -381,19 +365,18 @@ def h_report(n: int, m: int) -> HReport:
     return HReport(n, m, i, exps, f, g, f1, r, applicable)
 
 
-def h_integrality(n: int, m: int, q: int):
+def h_integrality(n: int, m: int, q: int) -> tuple[int, int]:
     """Evaluate (vertex count)/(clique number) at a prime power q.
 
-    Returns an int when the ratio is integral, otherwise the reduced
-    Fraction.  Non-integrality certifies that the Grassmann graph is a
-    core.
+    Returns the ratio in lowest terms as (numerator, denominator); it is
+    integral exactly when the denominator is 1.  Non-integrality
+    certifies that the Grassmann graph is a core.
     """
     if prime_power_base(q) is None:
         raise ValueError(f"{q} is not a prime power")
     if not (2 <= m and 2 * m <= n):
         raise ValueError("need 4 <= 2m <= n")
-    num, den = _h_parts(n, m, q)
-    return num if den == 1 else Fraction(num, den)
+    return _h_parts(n, m, q)
 
 
 def _h_parts(n: int, m: int, q: int) -> tuple[int, int]:
@@ -417,8 +400,7 @@ def _h_parts(n: int, m: int, q: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Integrality of h(q) over all prime powers q <= q_max.
 
     ``entries`` holds one row (q, numerator, denominator) per prime power,

@@ -14,7 +14,6 @@ dump reloads only as exactly the graph build_graph makes (graph_from_json_dict).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -209,17 +208,18 @@ def coreness_report_dict(rep: CorenessReport) -> dict:
     # omega, alpha, chi and the vertex/clique ratio are no larger than |V|
     check_decimal_digits(rep.num_vertices, f"the vertex count of J_{rep.q}({rep.n},{rep.m})")
     value = rep.integrality_value
-    if isinstance(value, Fraction):
+    if value is None:
+        integrality = None
+    elif value[1] == 1:
+        integrality = {"is_integer": True, "value": value[0]}
+    else:
+        num, den = value
         integrality = {
             "is_integer": False,
-            "numerator": value.numerator,
-            "denominator": value.denominator,
-            "value": f"{value.numerator}/{value.denominator}",
+            "numerator": num,
+            "denominator": den,
+            "value": f"{num}/{den}",
         }
-    elif value is None:
-        integrality = None
-    else:
-        integrality = {"is_integer": True, "value": value}
     out = {
         "params": {"q": rep.q, "n": rep.n, "m": rep.m, "vertices": rep.num_vertices},
         "verdict": rep.verdict,

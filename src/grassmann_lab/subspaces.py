@@ -20,9 +20,9 @@ time, serves the rest.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain, combinations, product, repeat
 from operator import add
+from typing import NamedTuple
 
 from .config import ENUM_BOUND, BoundExceeded, check_decimal_digits
 from .field import FieldSpec
@@ -30,8 +30,7 @@ from .linalg import FqMatrix, matrix, null_space, rref
 from .qpoly import gaussian_binomial_int
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     spec: FieldSpec
     ambient: int
     dim: int

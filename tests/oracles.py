@@ -12,7 +12,8 @@ from one [i, j] list per edge.  The search kernels are the
 straightforward recursive versions of the library's iterative,
 bitset-driven ones, and the q-polynomial references at the end are the
 dense polynomial products, the recursive cyclotomic division and the
-Fraction-based scan.
+Fraction-based scan, with the polynomial helpers they need: exact
+division, monicity and the expansion of a cyclotomic factorization.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from grassmann_lab.coreness import validate_colouring
 from grassmann_lab.graph import bits
 from grassmann_lab.qpoly import (
     ONE,
+    CycloFactorization,
     IntPolynomial,
     ScanReport,
     gaussian_binomial_int,
@@ -497,6 +499,26 @@ def all_maximal_cliques(adj, nv: int) -> list[tuple[int, ...]]:
 # -- q-polynomials ------------------------------------------------------
 
 
+def exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """a / b, insisting on zero remainder."""
+    q, r = divmod(a, b)
+    if not r.is_zero():
+        raise ValueError(f"{a} is not divisible by {b}")
+    return q
+
+
+def is_monic(p: IntPolynomial) -> bool:
+    return bool(p.coeffs) and p.coeffs[-1] == 1
+
+
+def expand(fac: CycloFactorization) -> IntPolynomial:
+    """A factorization's product as one polynomial; it must have no negative exponents."""
+    num, den = fac.split()
+    if den != ONE:
+        raise ValueError("factorization has negative exponents")
+    return num
+
+
 def x_power_minus_one(t: int) -> IntPolynomial:
     """q^t - 1."""
     return IntPolynomial([-1] + [0] * (t - 1) + [1])
@@ -513,7 +535,7 @@ def gaussian_binomial_poly(n: int, m: int) -> IntPolynomial:
         raise ValueError("need 0 <= m <= n")
     result = ONE
     for i in range(1, m + 1):
-        result = (result * x_power_minus_one(n + 1 - i)).exact_div(x_power_minus_one(i))
+        result = exact_div(result * x_power_minus_one(n + 1 - i), x_power_minus_one(i))
     return result
 
 
@@ -530,7 +552,7 @@ def cyclotomic(t: int) -> IntPolynomial:
     poly = x_power_minus_one(t)
     for d in range(1, t):
         if t % d == 0:
-            poly = poly.exact_div(cyclotomic(d))
+            poly = exact_div(poly, cyclotomic(d))
     return poly
 
 

@@ -1,6 +1,5 @@
 import random
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +19,8 @@ from grassmann_lab import (
 )
 from grassmann_lab.config import BoundExceeded
 from grassmann_lab.graph import (
+    GrassmannGraph,
+    MaximalClique,
     _adjacency_breaks,
     _bit_sums,
     _centre_spans,
@@ -48,6 +49,11 @@ from oracles import (
     pairwise_adjacency,
     span_vectors,
 )
+
+
+def _uncached(G):
+    """A copy of G with none of its cached properties computed."""
+    return GrassmannGraph(G.spec, G.n, G.m, G.vertices, G.adjacency, G.masks)
 
 
 def test_map_bitset_is_the_image_of_the_set():
@@ -354,7 +360,7 @@ def test_symmetry_rejects_a_vertex_map_with_two_vertices_swapped(j242):
     # an index that swaps two ids composes every induced vertex map with
     # that swap, which breaks adjacency; the census and the lemma checks
     # then run over every vertex and every pair
-    G = replace(j242)
+    G = _uncached(j242)
     G.__dict__["index"] = {mask: {0: 1, 1: 0}.get(i, i) for i, mask in enumerate(j242.masks)}
     swap = [1, 0, *range(2, 35)]
     assert _adjacency_breaks(G.adjacency, swap)
@@ -371,11 +377,11 @@ def test_symmetry_rejects_generators_on_a_corrupted_catalog(j242, monkeypatch):
     # catalog onto itself
     stars = star_catalog(j242)
     rotated = [
-        replace(s, center=nxt.center, center_mask=nxt.center_mask)
+        MaximalClique(s.kind, nxt.center, nxt.center_mask, s.members, s.bitset)
         for s, nxt in zip(stars, stars[1:] + stars[:1])
     ]
     monkeypatch.setattr(graph_module, "star_catalog", lambda G: rotated)
-    sym = replace(j242).symmetry
+    sym = _uncached(j242).symmetry
     assert sym.perms == () and sym.star_orbit == list(range(15))
 
 
@@ -383,9 +389,12 @@ def test_census_lists_every_unmatched_clique(j242, monkeypatch):
     # a top catalog that repeats the stars is still carried onto itself by
     # every generator, so the census searches through vertex 0 alone and
     # must close the real tops it finds there under the group
-    fake = [replace(s, kind="top") for s in star_catalog(j242)]
+    fake = [
+        MaximalClique("top", s.center, s.center_mask, s.members, s.bitset)
+        for s in star_catalog(j242)
+    ]
     monkeypatch.setattr(graph_module, "top_catalog", lambda G: fake)
-    G = replace(j242)
+    G = _uncached(j242)
     assert len(G.symmetry.perms) == 2 and set(G.symmetry.vertex_orbit) == {0}
     census = classify_maximal_cliques(G)
     assert census == classify_maximal_cliques(G, all_maximal_cliques(G.adjacency, 35))
@@ -431,21 +440,23 @@ def test_clique_lemmas_fail_on_corrupted_catalogs(j242, monkeypatch):
 
     # every star claims the next star's centre
     rotated = [
-        replace(s, center=nxt.center, center_mask=nxt.center_mask)
+        MaximalClique(s.kind, nxt.center, nxt.center_mask, s.members, s.bitset)
         for s, nxt in zip(stars, stars[1:] + stars[:1])
     ]
     monkeypatch.setattr(graph_module, "star_catalog", lambda G: rotated)
-    report = verify_clique_lemmas(replace(j242))
+    report = verify_clique_lemmas(_uncached(j242))
     assert not report.star_top_ok and not report.star_meet_ok
     assert report.pairwise_ok and report.top_meet_ok
     assert {c["check"] for c in report.counterexamples} == {"star-top", "star-meet"}
 
     # the first top swallows the second
     merged = tops[0].bitset | tops[1].bitset
-    grown = [replace(tops[0], members=tuple(bits(merged)), bitset=merged)] + tops[1:]
+    grown = [
+        MaximalClique("top", tops[0].center, tops[0].center_mask, tuple(bits(merged)), merged)
+    ] + tops[1:]
     monkeypatch.setattr(graph_module, "star_catalog", star_catalog)
     monkeypatch.setattr(graph_module, "top_catalog", lambda G: grown)
-    report = verify_clique_lemmas(replace(j242))
+    report = verify_clique_lemmas(_uncached(j242))
     assert not report.pairwise_ok and not report.top_meet_ok
     checks = {c["check"] for c in report.counterexamples}
     assert {"pairwise", "top-meet"} <= checks
@@ -457,9 +468,11 @@ def test_clique_lemmas_flag_two_stars_sharing_two_vertices(j242, monkeypatch):
     stars = star_catalog(j242)
     extra = next(v for v in stars[1].members if v not in stars[0].members)
     grown = stars[0].bitset | 1 << extra
-    corrupted = [replace(stars[0], members=tuple(bits(grown)), bitset=grown)] + stars[1:]
+    corrupted = [
+        MaximalClique("star", stars[0].center, stars[0].center_mask, tuple(bits(grown)), grown)
+    ] + stars[1:]
     monkeypatch.setattr(graph_module, "star_catalog", lambda G: corrupted)
-    report = verify_clique_lemmas(replace(j242))
+    report = verify_clique_lemmas(_uncached(j242))
     assert not report.pairwise_ok and not report.star_meet_ok
     assert report.top_meet_ok
     assert {"check": "pairwise", "family": "stars", "pair": (0, 1), "common": 2} in (
@@ -567,13 +580,13 @@ def test_centre_tables_follow_the_held_catalogs(j242, monkeypatch):
         assert [list(c.span) for c in fam] == list(vector_spans(c.center for c in fam))
     stars = star_catalog(j242)
     rotated = [
-        replace(s, center=nxt.center, center_mask=nxt.center_mask)
+        MaximalClique(s.kind, nxt.center, nxt.center_mask, s.members, s.bitset)
         for s, nxt in zip(stars, stars[1:] + stars[:1])
     ]
     monkeypatch.setattr(graph_module, "star_catalog", lambda G: rotated)
-    fake = [replace(s, kind="top") for s in stars]
+    fake = [MaximalClique("top", s.center, s.center_mask, s.members, s.bitset) for s in stars]
     monkeypatch.setattr(graph_module, "top_catalog", lambda G: fake)
-    G = replace(j242)
+    G = _uncached(j242)
     for fam in (G.stars, G.tops):
         table = _centre_spans(fam)
         assert [list(row) for row in zip(*table)] == list(vector_spans(c.center for c in fam))
@@ -587,7 +600,7 @@ def test_adjacency_that_is_not_the_star_relation_certifies_nothing(j242):
     adj = list(j242.adjacency)
     adj[u] ^= 1 << w
     adj[w] ^= 1 << u
-    G = replace(j242, adjacency=tuple(adj))
+    G = GrassmannGraph(j242.spec, j242.n, j242.m, j242.vertices, tuple(adj), j242.masks)
     assert G.clique_adjacency == (False, False)
     sym = symmetry_certificate(G)
     assert sym.perms == ()
@@ -613,10 +626,10 @@ def test_dual_map_check_maps_rows_when_the_tops_are_not_the_adjacency(j242, monk
     fake = []
     for t in top_catalog(j242):
         img = map_bitset(swap, stars[vector_mask(dual_complement(t.center))].bitset)
-        fake.append(replace(t, members=tuple(bits(img)), bitset=img))
+        fake.append(MaximalClique(t.kind, t.center, t.center_mask, tuple(bits(img)), img))
     monkeypatch.setattr(graph_module, "top_catalog", lambda G: fake)
     monkeypatch.setattr(graph_module, "dual_permutation", lambda G: swap)
-    G = replace(j242)
+    G = _uncached(j242)
     assert G.clique_adjacency == (True, False)
     report = dual_map_check(G)
     assert report.bijection and report.involution

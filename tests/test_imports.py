@@ -1,8 +1,11 @@
 """Every module of the package uses each name it imports and each private
 function it defines, every public function or class is named by some
-module of the package, and no module relies on an assert statement."""
+module of the package, no module relies on an assert statement, and
+importing the CLI loads neither dataclasses nor fractions."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,23 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
+
+
+# Each CLI command pays this import before it computes anything; dataclasses
+# (with inspect) and fractions (with decimal) would be most of its cost.
+STARTUP_CODE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import grassmann_lab.cli
+print(*sorted({"dataclasses", "fractions"} & set(sys.modules)))
+"""
+
+
+def test_the_cli_imports_neither_dataclasses_nor_fractions():
+    src = Path(grassmann_lab.__file__).parents[1]
+    r = subprocess.run(
+        [sys.executable, "-I", "-c", STARTUP_CODE, str(src)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [], f"import grassmann_lab.cli loads {r.stdout.split()}"

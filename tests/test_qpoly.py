@@ -52,7 +52,7 @@ def test_divmod_requires_exact_leading_division():
 
 def cyclotomic(t):
     """Phi_t from the library's factorization kernel."""
-    return CycloFactorization({t: 1}).expand()
+    return oracles.expand(CycloFactorization({t: 1}))
 
 
 def test_cyclotomic_small_values():
@@ -63,7 +63,7 @@ def test_cyclotomic_small_values():
     # divide q^6-1 by the proper-divisor factors, independently of the kernel
     q6 = x_power_minus_one(6)
     rest = cyclotomic(1) * cyclotomic(2) * cyclotomic(3)
-    assert q6.exact_div(rest).coeffs == (1, -1, 1)
+    assert oracles.exact_div(q6, rest).coeffs == (1, -1, 1)
     assert cyclotomic(6).coeffs == (1, -1, 1)
     with pytest.raises(ValueError):
         oracles.cyclotomic(0)
@@ -118,7 +118,7 @@ def test_knuth_wilf_product_matches_polynomial():
         for m in range(n + 1):
             fac = knuth_wilf_exponents(n, m)
             assert all(e in (0, 1) for e in fac.exponents.values())
-            assert fac.expand() == gaussian_binomial_poly(n, m)
+            assert oracles.expand(fac) == gaussian_binomial_poly(n, m)
 
 
 def test_gaussian_symmetry():
@@ -132,10 +132,10 @@ def test_omega_poly():
     assert omega_poly(5, 2)(2) == 15
     # at n = 2m the clique number equals the top size (q^(m+1)-1)/(q-1)
     for m in (2, 3):
-        top_size = x_power_minus_one(m + 1).exact_div(x_power_minus_one(1))
+        top_size = oracles.exact_div(x_power_minus_one(m + 1), x_power_minus_one(1))
         assert omega_poly(2 * m, m) == top_size
     # n < 2m falls back to the top-size branch
-    assert omega_poly(3, 2) == x_power_minus_one(3).exact_div(x_power_minus_one(1))
+    assert omega_poly(3, 2) == oracles.exact_div(x_power_minus_one(3), x_power_minus_one(1))
 
 
 def test_h_report_4_2():
@@ -175,7 +175,7 @@ def test_h_report_contract_over_range():
         for m in range(2, n // 2 + 1):
             rep = h_report(n, m)
             assert all(e in (-1, 0, 1) for e in rep.exponents.exponents.values())
-            assert rep.f.is_monic() and rep.g.is_monic()
+            assert oracles.is_monic(rep.f) and oracles.is_monic(rep.g)
             assert rep.g * rep.f1 + rep.r == rep.f
             assert gaussian_binomial_poly(n, m) * rep.g == rep.f * omega_poly(n, m)
             if rep.applicable:
@@ -207,12 +207,12 @@ def test_h_report_preconditions():
 
 
 def test_h_integrality_values():
-    assert h_integrality(4, 2, 2) == 5
-    assert h_integrality(5, 2, 2) == Fraction(31, 3)
-    assert h_integrality(5, 2, 3) == Fraction(121, 4)
-    assert h_integrality(8, 3, 2) == Fraction(97155, 63)
-    assert h_integrality(8, 3, 2) == Fraction(10795, 7)  # reduced form
-    assert h_integrality(6, 3, 2) == 93
+    assert h_integrality(4, 2, 2) == (5, 1)
+    assert h_integrality(5, 2, 2) == (31, 3)
+    assert h_integrality(5, 2, 3) == (121, 4)
+    assert Fraction(*h_integrality(8, 3, 2)) == Fraction(97155, 63)
+    assert h_integrality(8, 3, 2) == (10795, 7)  # reduced form
+    assert h_integrality(6, 3, 2) == (93, 1)
 
 
 def test_h_integrality_rejects_non_prime_powers():
@@ -326,12 +326,12 @@ def test_binomial_and_scan_kernels_stay_sparse(monkeypatch):
     monkeypatch.setattr(IntPolynomial, "__mul__", refuse)
     monkeypatch.setattr(IntPolynomial, "__pow__", refuse)
     monkeypatch.setattr(IntPolynomial, "__divmod__", refuse)
-    monkeypatch.setattr(qpoly, "Fraction", refuse)
+    assert not hasattr(qpoly, "Fraction")
     assert gaussian_binomial_poly(80, 40).degree == 1600
     rep = scan_core_threshold(8, 3, 5000)
     assert rep.entries and rep.largest_integer_q is None
-    assert CycloFactorization({105: 1}).expand().degree == 48
+    assert oracles.expand(CycloFactorization({105: 1})).degree == 48
     assert omega_poly(9, 3).coeffs == (1,) * 7
     f, g = h_exponents(80, 40).split()
-    assert f.is_monic() and g.is_monic()
-    assert knuth_wilf_exponents(30, 12).expand().degree == 12 * 18
+    assert oracles.is_monic(f) and oracles.is_monic(g)
+    assert oracles.expand(knuth_wilf_exponents(30, 12)).degree == 12 * 18
