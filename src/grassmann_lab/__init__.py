@@ -45,7 +45,7 @@ from .qpoly import (
     omega_poly,
     scan_core_threshold,
 )
-from .subspaces import Subspace, canonicalize, dual_complement, enumerate_subspaces
+from .subspaces import Subspace, canonicalize
 
 __version__ = "0.1.0"
 

@@ -12,9 +12,8 @@ cheap at desk scale.
 Masks come from span tables (subspaces.span_table): codes[c][i] is the
 vector code at coefficient position c of space i's span, and a mask is
 the sum of 1 << codes[c][i] over c, formed for a whole table at once.
-build_graph keeps the vertices' table as G.spans (a reloaded graph
-rebuilds it once, from subspaces.vector_spans), and each catalog clique
-carries its centre's row of its level's table as its span.
+build_graph keeps the vertices' table as G.spans, and each catalog
+clique carries its centre's row of its level's table as its span.
 
 The maximal cliques of these graphs are exactly the stars (all m-spaces
 over a fixed (m-1)-space) and the tops (all m-spaces inside a fixed
@@ -26,14 +25,15 @@ spaces by those masks gives the stars, and a vertex's neighbourhood is
 the union of its [m,1]_q stars less itself, so build_graph tests no
 vertex pairs; on the (m+1)-spaces the hyperplane masks of a top centre
 are its member vertices' masks.  build_graph keeps the star bitsets as
-G.star_bitsets (a reloaded graph groups once, on first use); G.stars
-and G.tops, built once on first use with each centre's vector mask,
-feed the census, the lemma and duality checks and the clique seed.
+G.star_bitsets; G.stars and G.tops, built once on first use with each
+centre's vector mask, feed the census, the lemma and duality checks and
+the clique seed.
 Masks also give the lattice relations the lemma checks need, with no
 Gaussian elimination: containment is a subset test, dim(A intersect B)
 = log_q |mask(A) & mask(B)|, and mask(W^perp) is the AND of
 G.complements, mask(x^perp) by vector code x, over the codes of W's
-basis rows, which sit at the positions q^i of its span.
+basis rows, which sit at the positions q^i of its span; x^perp itself
+is spanned by a normal basis written down from x.
 
 GL(n, q), and the orthogonal complement when n = 2m, act through the
 catalogs: once G.clique_adjacency finds adjacency is "share a star" (or
@@ -69,17 +69,7 @@ from .config import (
 )
 from .field import FieldSpec
 from .qpoly import gaussian_binomial_int
-from .subspaces import (
-    Subspace,
-    _row_span,
-    dual_complement,
-    enumerate_subspaces,
-    hyperplane_lines,
-    span_table,
-    vector_mask,
-    vector_masks,
-    vector_spans,
-)
+from .subspaces import Subspace, _row_span, hyperplane_lines, span_table, vector_mask
 
 
 def bits(x: int):
@@ -104,8 +94,9 @@ def _subspace_dim(size: int, q: int) -> int:
 
 class GrassmannGraph:
     """J_q(n, m): its vertices in enumeration order, their adjacency bitsets
-    and vector masks.  Immutable, and equal only to itself; the cached
-    properties below fill in on first use."""
+    and vector masks, their span table (subspaces.span_table) and each
+    star's bitset by its centre's mask.  Immutable, and equal only to
+    itself; the cached properties below fill in on first use."""
 
     def __init__(
         self,
@@ -115,8 +106,19 @@ class GrassmannGraph:
         vertices: tuple[Subspace, ...],
         adjacency: tuple[int, ...],
         masks: tuple[int, ...],
+        spans: list[list[int]],
+        star_bitsets: dict[int, int],
     ):
-        vars(self).update(spec=spec, n=n, m=m, vertices=vertices, adjacency=adjacency, masks=masks)
+        vars(self).update(
+            spec=spec,
+            n=n,
+            m=m,
+            vertices=vertices,
+            adjacency=adjacency,
+            masks=masks,
+            spans=spans,
+            star_bitsets=star_bitsets,
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -140,16 +142,6 @@ class GrassmannGraph:
 
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
-
-    @cached_property
-    def spans(self) -> list[list[int]]:
-        """The vertices' span table (subspaces.span_table); build_graph seeds it."""
-        return [list(col) for col in zip(*vector_spans(self.vertices))]
-
-    @cached_property
-    def star_bitsets(self) -> dict[int, int]:
-        """Each star's bitset by its centre's mask; build_graph seeds it."""
-        return _star_bitsets(_hyperplane_groups(self.spec, self.spans)[1])
 
     @cached_property
     def stars(self) -> list[MaximalClique]:
@@ -182,12 +174,27 @@ class GrassmannGraph:
 
     @cached_property
     def complements(self) -> list[int]:
-        """mask(x^perp) at each nonzero vector code x, one dual_complement per point."""
-        points = enumerate_subspaces(self.spec, self.n, 1)
-        table = [0] * self.spec.q**self.n  # entry 0, the zero vector, is unused
-        for span, perp in zip(vector_spans(points), vector_masks(map(dual_complement, points))):
-            for x in span[1:]:  # x^perp depends only on <x>
-                table[x] = perp
+        """mask(x^perp) at each nonzero vector code x, from a normal basis per point.
+
+        A point <x> is held with x_p = 1 at its pivot p, so the n - 1 rows
+        e_j - x_j e_p, j != p, are independent and orthogonal to x: they
+        span x^perp, with no elimination.
+        """
+        spec, n = self.spec, self.n
+        points, codes = span_table(spec, n, 1)
+        table = [0] * spec.q**n  # entry 0, the zero vector, is unused
+        digits: dict = {}
+        for P, span in zip(points, zip(*codes)):
+            x = P.basis.rows[0]
+            p = x.index(1)
+            normal = [
+                [1 if i == j else spec.neg(x[j]) if i == p else 0 for i in range(n)]
+                for j in range(n)
+                if j != p
+            ]
+            perp = sum(map((1).__lshift__, _row_span(spec, normal, digits)))
+            for code in span[1:]:  # x^perp depends only on <x>
+                table[code] = perp
         return table
 
 
@@ -224,16 +231,13 @@ def build_graph(
         )
     vertices, spans = span_table(spec, n, m)
     masks, groups = _hyperplane_groups(spec, spans)
-    stars = _star_bitsets(groups)
+    stars = {mask: _to_bitset(ids) for mask, ids in groups.items()}
     adjacency = [0] * count
     for members, clique in zip(groups.values(), stars.values()):
         for v in members:
             adjacency[v] |= clique
     adjacency = tuple(a ^ (1 << v) for v, a in enumerate(adjacency))
-    G = GrassmannGraph(spec, n, m, tuple(vertices), adjacency, tuple(masks))
-    G.__dict__["spans"] = spans  # the cached properties, already computed
-    G.__dict__["star_bitsets"] = stars
-    return G
+    return GrassmannGraph(spec, n, m, tuple(vertices), adjacency, tuple(masks), spans, stars)
 
 
 def _hyperplane_groups(
@@ -307,14 +311,10 @@ def _dual_masks(G: GrassmannGraph, codes: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
-def _star_bitsets(groups: dict[int, list[int]]) -> dict[int, int]:
-    """The vertices' hyperplane groups as bitsets: the star over each centre mask."""
-    return {mask: _to_bitset(ids) for mask, ids in groups.items()}
-
-
 class MaximalClique:
-    """A star or a top: its centre, the centre's vector mask, and its
-    members, ascending and as a bitset.  Immutable."""
+    """A star or a top: its centre, the centre's vector mask, its members,
+    ascending and as a bitset, and the centre's span (its row of its
+    level's span table).  Immutable."""
 
     def __init__(
         self,
@@ -323,9 +323,15 @@ class MaximalClique:
         center_mask: int,
         members: tuple[int, ...],
         bitset: int,
+        span: tuple[int, ...],
     ):
         vars(self).update(
-            kind=kind, center=center, center_mask=center_mask, members=members, bitset=bitset
+            kind=kind,
+            center=center,
+            center_mask=center_mask,
+            members=members,
+            bitset=bitset,
+            span=span,
         )
 
     def __setattr__(self, name, value):
@@ -334,11 +340,6 @@ class MaximalClique:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @cached_property
-    def span(self) -> tuple[int, ...]:
-        """The centre's span (subspaces.vector_spans); the catalogs seed it from their table."""
-        return tuple(next(vector_spans((self.center,))))
 
 
 def _catalog(
@@ -349,13 +350,11 @@ def _catalog(
     members: Iterable[tuple[int, ...]],
     bitsets: Iterable[int],
 ) -> list[MaximalClique]:
-    """The cliques over centres, each seeded with its centre's row of the span table."""
-    out = []
-    for P, mask, mt, bitset, span in zip(centres, masks, members, bitsets, zip(*codes)):
-        c = MaximalClique(kind, P, mask, mt, bitset)
-        c.__dict__["span"] = span  # the cached property, already computed
-        out.append(c)
-    return out
+    """The cliques over centres, each with its centre's row of the span table."""
+    return [
+        MaximalClique(kind, P, mask, mt, bitset, span)
+        for P, mask, mt, bitset, span in zip(centres, masks, members, bitsets, zip(*codes))
+    ]
 
 
 def _centre_spans(fam: Sequence[MaximalClique]) -> list[tuple[int, ...]]:

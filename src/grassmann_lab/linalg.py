@@ -1,4 +1,4 @@
-"""Dense matrices over GF(q): reduced row echelon form and null spaces.
+"""Dense matrices over GF(q) and their reduced row echelon form.
 
 Rows are tuples of field elements (ints).  The reduced row echelon form
 here always drops zero rows, so it is the canonical representative of a
@@ -85,21 +85,3 @@ def rref(M: FqMatrix) -> tuple[FqMatrix, int, list[int]]:
     rank = len(pivots)
     return matrix(M.spec, rows[:rank], M.cols), rank, pivots
 
-
-def null_space(M: FqMatrix) -> FqMatrix:
-    """Canonical basis of the right kernel {v : M v^T = 0}."""
-    spec = M.spec
-    R, rk, pivots = rref(M)
-    pivot_set = set(pivots)
-    free = [j for j in range(M.cols) if j not in pivot_set]
-    rows = []
-    for j in free:
-        v = [0] * M.cols
-        v[j] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = spec.neg(R.rows[i][j])
-        rows.append(v)
-    K, krank, _ = rref(matrix(spec, rows, M.cols))
-    if krank != M.cols - rk:
-        raise AssertionError("null space dimension disagrees with the rank")
-    return K

@@ -136,8 +136,7 @@ def graph_from_json_dict(data: dict) -> GrassmannGraph:
         raise ValueError("an edge joins a vertex to itself")
     if adjacency != G.adjacency:
         raise ValueError(f"a dump of J_{spec.q}({n},{m}) lists exactly the graph's edges")
-    # unseeded: a reloaded graph recomputes its span table and star bitsets on first use
-    return GrassmannGraph(spec, n, m, G.vertices, G.adjacency, G.masks)
+    return G
 
 
 def graph_to_dot(G: GrassmannGraph) -> str:

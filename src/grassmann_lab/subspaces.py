@@ -8,25 +8,25 @@ relations (containment, intersection dimensions) are read off vector
 masks: see vector_mask.
 
 A span lists the codes of a space's members by coefficient position
-(see vector_spans).  span_table enumerates one level and builds the span
+(see _row_span).  span_table enumerates one level and builds the span
 table of all its spaces at once, codes[c][i] being position c of space
 i's span, one pivot class at a time with list-level arithmetic.  The
 graph layer reads every vertex and centre mask, the hyperplane masks
 behind the stars and tops, the images of masks under GL(n, q) and the
-orthogonal complements off these tables; vector_spans, one space at a
-time, serves the rest.
+orthogonal complements off these tables.  Gaussian elimination (rref)
+runs only in canonicalize, on matrices from outside the enumeration.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from itertools import chain, combinations, product, repeat
 from operator import add
 from typing import NamedTuple
 
 from .config import ENUM_BOUND, BoundExceeded, check_decimal_digits
 from .field import FieldSpec
-from .linalg import FqMatrix, matrix, null_space, rref
+from .linalg import FqMatrix, matrix, rref
 from .qpoly import gaussian_binomial_int
 
 
@@ -55,24 +55,17 @@ def subspace_from_digits(spec: FieldSpec, rows) -> Subspace:
     return canonicalize(matrix(spec, [[int(ch, 36) for ch in row] for row in rows]))
 
 
-def enumerate_subspaces(spec: FieldSpec, n: int, k: int) -> list[Subspace]:
-    """All k-dimensional subspaces of GF(q)^n, each exactly once.
+def span_table(spec: FieldSpec, n: int, k: int) -> tuple[list[Subspace], list[list[int]]]:
+    """All k-dimensional subspaces of GF(q)^n, each once, and their span table.
 
     Each basis is generated directly in RREF (see _pivot_classes), so
-    there is no deduplication pass.  The count equals the Gaussian
-    binomial [n choose k]_q.
-    """
-    return [S for _, spaces in _pivot_classes(spec, n, k, _level_size(spec, n, k)) for S in spaces]
-
-
-def span_table(spec: FieldSpec, n: int, k: int) -> tuple[list[Subspace], list[list[int]]]:
-    """enumerate_subspaces(spec, n, k) and the span table of those spaces.
-
-    codes[c][i] is the code at coefficient position c of space i's span,
-    the entry vector_spans gives, so codes has q^k columns, one per
-    position, each listing all the spaces.  Each pivot class's columns
-    come from list-level arithmetic (_class_codes), with no per-space
-    _row_span call.  Equal codes share one int object.
+    there is no deduplication pass, and the count equals the Gaussian
+    binomial [n choose k]_q.  codes[c][i] is the code at coefficient
+    position c of space i's span, the entry _row_span gives for its basis
+    rows, so codes has q^k columns, one per position, each listing all
+    the spaces.  Each pivot class's columns come from list-level
+    arithmetic (_class_codes), with no per-space _row_span call.  Equal
+    codes share one int object.
     """
     total = _level_size(spec, n, k)
     spaces: list[Subspace] = []
@@ -194,37 +187,18 @@ def _digit_table(spec: FieldSpec, r: int) -> list[list[int]]:
     return [_coefficient_digits(spec, [c // q**a % q for a in range(r)]) for c in range(q**r)]
 
 
-def dual_complement(W: Subspace) -> Subspace:
-    """All vectors orthogonal to W under the standard bilinear form."""
-    K = null_space(W.basis)
-    return Subspace(W.spec, W.ambient, K.nrows, K)
-
-
-def vector_spans(spaces: Iterable[Subspace]) -> Iterator[list[int]]:
-    """The encoded members of each subspace, in coefficient order.
-
-    A vector (v0, ..., v_{n-1}) is encoded as v0 + v1*q + ... + v_{n-1}*q^(n-1).
-    Position c_0 + c_1*q + ... + c_{k-1}*q^(k-1) of a span holds the code of
-    sum_i c_i * row_i of the RREF basis (see _row_span); the basis row i
-    sits at position q^i.  A span table (span_table) holds the same spans
-    for a whole level at once; this form, one space at a time, serves
-    spaces that are not a level in enumeration order, a graph that did not
-    keep its table (a reloaded one) or a single mask.  The spaces share one field, and
-    the digits of each distinct (j, column) are computed once.
-    """
-    digits: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    for S in spaces:
-        yield _row_span(S.spec, S.basis.rows, digits)
-
-
 def _row_span(spec: FieldSpec, rows, digits: dict) -> list[int]:
     """The code of c . rows for every coefficient vector c, in coefficient order.
 
-    Coordinate j of c . rows is c . (column j), so the codes are the sum
-    over the columns of their coefficient digits times q^j.  digits caches
-    those terms by (j, column) across calls over one field.  For an
-    invertible n x n matrix the result is the permutation of the q^n
-    vector codes that the matrix induces, x -> x . rows.
+    A vector (v0, ..., v_{n-1}) is encoded as v0 + v1*q + ... + v_{n-1}*q^(n-1),
+    and position c_0 + c_1*q + ... + c_{k-1}*q^(k-1) holds the code of
+    sum_i c_i * row_i, so row i sits at position q^i; on an RREF basis
+    this is the space's span.  Coordinate j of c . rows is c . (column j),
+    so the codes are the sum over the columns of their coefficient digits
+    times q^j.  digits caches those terms by (j, column) across calls over
+    one field.  For an invertible n x n matrix the result is the
+    permutation of the q^n vector codes that the matrix induces,
+    x -> x . rows.
     """
     q = spec.q
     terms = []
@@ -248,8 +222,8 @@ def hyperplane_lines(spec: FieldSpec, k: int) -> tuple[list[list[int]], list[lis
     one (k-1)-subspace of each k-space, and the hyperplanes of a k-space
     are exactly these, each once.
     """
-    points = enumerate_subspaces(spec, k, 1)
-    lines = [[0]] + [span[1:] for span in vector_spans(points)]
+    points, codes = span_table(spec, k, 1)
+    lines = [[0]] + [list(span[1:]) for span in zip(*codes)]
     planes = []
     for f in points:
         dots = _coefficient_digits(spec, f.basis.rows[0])
@@ -270,15 +244,10 @@ def _coefficient_digits(spec: FieldSpec, col: tuple[int, ...]) -> list[int]:
     return vals
 
 
-def vector_masks(spaces: Iterable[Subspace]) -> list[int]:
-    """vector_mask of each subspace, sharing vector_spans' digits across the batch."""
-    return [sum(map((1).__lshift__, span)) for span in vector_spans(spaces)]
-
-
 def vector_mask(S: Subspace) -> int:
     """Bitmask over all q^n coordinate vectors with the members of S set.
 
-    Bit i is set when the vector with code i (see vector_spans) lies in S.
+    Bit i is set when the vector with code i (see _row_span) lies in S.
     Intersection dimensions then come from popcounts of ANDed masks.
     """
-    return vector_masks((S,))[0]
+    return sum(map((1).__lshift__, _row_span(S.spec, S.basis.rows, {})))

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: ranks
 come from minor enumeration, distances from BFS (and the formula it is
 checked against from common mask vectors), subspace membership and
-containment from brute-force span enumeration, the fixture colouring
+containment from brute-force span enumeration, orthogonal complements
+from the null space by Gaussian elimination, the fixture colouring
 from the spans of its raw rows, the enumeration order from a key read
 off the RREF bases, Grassmann adjacency from a popcount test on every
 pair of vertex masks, colour classes checked against every star from
@@ -38,7 +39,8 @@ from grassmann_lab.qpoly import (
     gaussian_binomial_int,
     omega_int,
 )
-from grassmann_lab.subspaces import enumerate_subspaces
+from grassmann_lab.linalg import matrix, rref
+from grassmann_lab.subspaces import Subspace, span_table
 
 
 def bfs_distances(adjacency, source: int) -> list[int]:
@@ -96,8 +98,9 @@ def rank_by_minors(spec, rows) -> int:
     return 0
 
 
-def span_vectors(spec, rows, n: int) -> frozenset:
-    """All vectors in the row span, by enumerating coefficient tuples.
+def span_list(spec, rows, n: int) -> list[tuple[int, ...]]:
+    """sum_i c_i * row_i at each coefficient position c_0 + c_1*q + ...,
+    by enumerating coefficient tuples.
 
     The combinations of the first i rows are extended by every multiple of
     row i + 1, so each tuple costs one vector addition.
@@ -106,7 +109,17 @@ def span_vectors(spec, rows, n: int) -> frozenset:
     for row in rows:
         multiples = [tuple(spec.mul(c, y) for y in row) for c in range(1, spec.q)]
         out += [tuple(map(spec.add, v, m)) for m in multiples for v in out]
-    return frozenset(out)
+    return out
+
+
+def span_vectors(spec, rows, n: int) -> frozenset:
+    """All vectors in the row span."""
+    return frozenset(span_list(spec, rows, n))
+
+
+def span_codes(spec, rows, n: int) -> list[int]:
+    """The code sum_j v_j q^j of each vector of span_list, in its order."""
+    return [sum(x * spec.q**j for j, x in enumerate(v)) for v in span_list(spec, rows, n)]
 
 
 def mask_by_enumeration(spec, S) -> int:
@@ -245,6 +258,38 @@ def is_rref(rows) -> bool:
             if r != i and row[p] != 0:
                 return False
     return True
+
+
+def enumerate_subspaces(spec, n: int, k: int) -> list:
+    """The k-spaces of GF(q)^n in the library's order: subspaces.span_table's
+    spaces, without the table.  Not independent of the library; the tests
+    check its order with enumeration_key and each basis with is_rref."""
+    return span_table(spec, n, k)[0]
+
+
+def null_space(M):
+    """Canonical basis of the right kernel {v : M v^T = 0}, by elimination."""
+    spec = M.spec
+    R, rk, pivots = rref(M)
+    pivot_set = set(pivots)
+    free = [j for j in range(M.cols) if j not in pivot_set]
+    rows = []
+    for j in free:
+        v = [0] * M.cols
+        v[j] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = spec.neg(R.rows[i][j])
+        rows.append(v)
+    K, krank, _ = rref(matrix(spec, rows, M.cols))
+    assert krank == M.cols - rk, "null space dimension disagrees with the rank"
+    return K
+
+
+def dual_complement(W):
+    """All vectors orthogonal to W under the standard bilinear form: the
+    null space of its basis."""
+    K = null_space(W.basis)
+    return Subspace(W.spec, W.ambient, K.nrows, K)
 
 
 def enumeration_key(S):

@@ -61,9 +61,7 @@ def test_moving_a_label_breaks_independence(j242):
     report = verify_fixture_partition(j242, tampered)
     assert not report.independent_ok
     violations = [v for v in report.violations if v["check"] == "independence"]
-    assert any(
-        set(v["pair"]) == {"A1", "A2"} and v["stacked_rank"] == 3 for v in violations
-    )
+    assert any(set(v["pair"]) == {"A1", "A2"} for v in violations)
 
 
 def test_deleting_a_label_breaks_coverage(j242):

@@ -10,7 +10,6 @@ from grassmann_lab import (
     classify_maximal_cliques,
     coreness,
     dual_map_check,
-    enumerate_subspaces,
     make_field,
     star_catalog,
     symmetry_certificate,
@@ -33,27 +32,26 @@ from grassmann_lab.graph import (
 )
 from grassmann_lab.linalg import matrix, rref
 from grassmann_lab.qpoly import omega_int
-from grassmann_lab.subspaces import (
-    canonicalize,
-    dual_complement,
-    vector_mask,
-    vector_masks,
-    vector_spans,
-)
+from grassmann_lab.subspaces import canonicalize, vector_mask
 from oracles import (
     all_maximal_cliques,
     bfs_distances,
     distance_by_masks,
+    dual_complement,
+    enumerate_subspaces,
     intersection_dim_by_enumeration,
     mask_by_enumeration,
     pairwise_adjacency,
+    span_codes,
     span_vectors,
 )
 
 
 def _uncached(G):
     """A copy of G with none of its cached properties computed."""
-    return GrassmannGraph(G.spec, G.n, G.m, G.vertices, G.adjacency, G.masks)
+    return GrassmannGraph(
+        G.spec, G.n, G.m, G.vertices, G.adjacency, G.masks, G.spans, G.star_bitsets
+    )
 
 
 def test_map_bitset_is_the_image_of_the_set():
@@ -139,6 +137,11 @@ def test_distance_basics(j242):
 
 def _span_sets(G, spaces):
     return [span_vectors(G.spec, S.basis.rows, G.n) for S in spaces]
+
+
+def _coefficient_span(S):
+    """The oracle's codes of S's span, position by position."""
+    return span_codes(S.spec, S.basis.rows, S.ambient)
 
 
 def _clique_over(cliques, centre):
@@ -377,7 +380,7 @@ def test_symmetry_rejects_generators_on_a_corrupted_catalog(j242, monkeypatch):
     # catalog onto itself
     stars = star_catalog(j242)
     rotated = [
-        MaximalClique(s.kind, nxt.center, nxt.center_mask, s.members, s.bitset)
+        MaximalClique(s.kind, nxt.center, nxt.center_mask, s.members, s.bitset, nxt.span)
         for s, nxt in zip(stars, stars[1:] + stars[:1])
     ]
     monkeypatch.setattr(graph_module, "star_catalog", lambda G: rotated)
@@ -390,7 +393,7 @@ def test_census_lists_every_unmatched_clique(j242, monkeypatch):
     # every generator, so the census searches through vertex 0 alone and
     # must close the real tops it finds there under the group
     fake = [
-        MaximalClique("top", s.center, s.center_mask, s.members, s.bitset)
+        MaximalClique("top", s.center, s.center_mask, s.members, s.bitset, s.span)
         for s in star_catalog(j242)
     ]
     monkeypatch.setattr(graph_module, "top_catalog", lambda G: fake)
@@ -440,7 +443,7 @@ def test_clique_lemmas_fail_on_corrupted_catalogs(j242, monkeypatch):
 
     # every star claims the next star's centre
     rotated = [
-        MaximalClique(s.kind, nxt.center, nxt.center_mask, s.members, s.bitset)
+        MaximalClique(s.kind, nxt.center, nxt.center_mask, s.members, s.bitset, nxt.span)
         for s, nxt in zip(stars, stars[1:] + stars[:1])
     ]
     monkeypatch.setattr(graph_module, "star_catalog", lambda G: rotated)
@@ -452,7 +455,9 @@ def test_clique_lemmas_fail_on_corrupted_catalogs(j242, monkeypatch):
     # the first top swallows the second
     merged = tops[0].bitset | tops[1].bitset
     grown = [
-        MaximalClique("top", tops[0].center, tops[0].center_mask, tuple(bits(merged)), merged)
+        MaximalClique(
+            "top", tops[0].center, tops[0].center_mask, tuple(bits(merged)), merged, tops[0].span
+        )
     ] + tops[1:]
     monkeypatch.setattr(graph_module, "star_catalog", star_catalog)
     monkeypatch.setattr(graph_module, "top_catalog", lambda G: grown)
@@ -469,7 +474,9 @@ def test_clique_lemmas_flag_two_stars_sharing_two_vertices(j242, monkeypatch):
     extra = next(v for v in stars[1].members if v not in stars[0].members)
     grown = stars[0].bitset | 1 << extra
     corrupted = [
-        MaximalClique("star", stars[0].center, stars[0].center_mask, tuple(bits(grown)), grown)
+        MaximalClique(
+            "star", stars[0].center, stars[0].center_mask, tuple(bits(grown)), grown, stars[0].span
+        )
     ] + stars[1:]
     monkeypatch.setattr(graph_module, "star_catalog", lambda G: corrupted)
     report = verify_clique_lemmas(_uncached(j242))
@@ -532,21 +539,33 @@ def test_dual_map_check_names_centres_a_coordinate_swap_moves(j242, monkeypatch)
 
 @pytest.mark.parametrize(
     "p, e, n, m",
-    [(2, 1, 2, 1), (2, 1, 4, 2), (3, 1, 4, 2), (2, 2, 4, 2), (2, 1, 6, 3)],
-    ids=["j221", "j242", "j342", "j442", "j263"],
+    [
+        (2, 1, 2, 1), (2, 1, 4, 2), (3, 1, 4, 2), (2, 2, 4, 2), (2, 1, 6, 3), (3, 2, 4, 1),
+        (2, 3, 4, 2),
+    ],
+    ids=["j221", "j242", "j342", "j442", "j263", "j941", "j842"],
 )
 def test_complement_masks_match_elimination(p, e, n, m):
-    # the AND of the point complements over the span table's basis rows,
-    # against dual_complement's null space, on every vertex and centre
+    # G.complements entry by entry, then the AND of the point complements
+    # over the span table's basis rows, against the oracle's null space by
+    # elimination, on every vertex and centre.  GF(9) has a neg that is
+    # neither the identity nor integer negation mod p.
     G = build_graph(make_field(p, e), n, m)
+    table = [0] * G.spec.q**n
+    for P in enumerate_subspaces(G.spec, n, 1):
+        perp = mask_by_enumeration(G.spec, dual_complement(P))
+        for x in span_codes(G.spec, P.basis.rows, n)[1:]:
+            table[x] = perp
+    assert G.complements == table
     for spaces, codes in (
         (G.vertices, G.spans),
         ([c.center for c in G.stars], _centre_spans(G.stars)),
         ([c.center for c in G.tops], _centre_spans(G.tops)),
     ):
         assert _dual_masks(G, codes) == [vector_mask(dual_complement(S)) for S in spaces]
-    by_rref = vector_masks(map(dual_complement, G.vertices))
-    assert dual_permutation(G) == [G.index[mask] for mask in by_rref]
+    if n == 2 * m:
+        by_rref = [vector_mask(dual_complement(S)) for S in G.vertices]
+        assert dual_permutation(G) == [G.index[mask] for mask in by_rref]
 
 
 @pytest.mark.parametrize(
@@ -577,19 +596,21 @@ def test_centre_tables_follow_the_held_catalogs(j242, monkeypatch):
     # place, here stars over their neighbours' centres and a top catalog
     # made of the stars, has the spans of its own centres
     for fam in (j242.stars, j242.tops):
-        assert [list(c.span) for c in fam] == list(vector_spans(c.center for c in fam))
+        assert [list(c.span) for c in fam] == [_coefficient_span(c.center) for c in fam]
     stars = star_catalog(j242)
     rotated = [
-        MaximalClique(s.kind, nxt.center, nxt.center_mask, s.members, s.bitset)
+        MaximalClique(s.kind, nxt.center, nxt.center_mask, s.members, s.bitset, nxt.span)
         for s, nxt in zip(stars, stars[1:] + stars[:1])
     ]
     monkeypatch.setattr(graph_module, "star_catalog", lambda G: rotated)
-    fake = [MaximalClique("top", s.center, s.center_mask, s.members, s.bitset) for s in stars]
+    fake = [
+        MaximalClique("top", s.center, s.center_mask, s.members, s.bitset, s.span) for s in stars
+    ]
     monkeypatch.setattr(graph_module, "top_catalog", lambda G: fake)
     G = _uncached(j242)
     for fam in (G.stars, G.tops):
         table = _centre_spans(fam)
-        assert [list(row) for row in zip(*table)] == list(vector_spans(c.center for c in fam))
+        assert [list(row) for row in zip(*table)] == [_coefficient_span(c.center) for c in fam]
         assert _bit_sums(table) == [c.center_mask for c in fam]
 
 
@@ -600,7 +621,10 @@ def test_adjacency_that_is_not_the_star_relation_certifies_nothing(j242):
     adj = list(j242.adjacency)
     adj[u] ^= 1 << w
     adj[w] ^= 1 << u
-    G = GrassmannGraph(j242.spec, j242.n, j242.m, j242.vertices, tuple(adj), j242.masks)
+    G = GrassmannGraph(
+        j242.spec, j242.n, j242.m, j242.vertices, tuple(adj), j242.masks, j242.spans,
+        j242.star_bitsets,
+    )
     assert G.clique_adjacency == (False, False)
     sym = symmetry_certificate(G)
     assert sym.perms == ()
@@ -626,7 +650,9 @@ def test_dual_map_check_maps_rows_when_the_tops_are_not_the_adjacency(j242, monk
     fake = []
     for t in top_catalog(j242):
         img = map_bitset(swap, stars[vector_mask(dual_complement(t.center))].bitset)
-        fake.append(MaximalClique(t.kind, t.center, t.center_mask, tuple(bits(img)), img))
+        fake.append(
+            MaximalClique(t.kind, t.center, t.center_mask, tuple(bits(img)), img, t.span)
+        )
     monkeypatch.setattr(graph_module, "top_catalog", lambda G: fake)
     monkeypatch.setattr(graph_module, "dual_permutation", lambda G: swap)
     G = _uncached(j242)

@@ -1,7 +1,9 @@
 """Every module of the package uses each name it imports and each private
 function it defines, every public function or class is named by some
-module of the package, no module relies on an assert statement, and
-importing the CLI loads neither dataclasses nor fractions."""
+module of the package, no module relies on an assert statement, no module
+writes an instance's __dict__ or runs Gaussian elimination outside
+canonicalize, and importing the CLI loads neither dataclasses nor
+fractions, nor importlib.resources or tempfile."""
 
 import ast
 import subprocess
@@ -89,21 +91,65 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
 
 
+def _writes_instance_dict(node) -> bool:
+    """An assignment target of the form x.__dict__[key]."""
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "__dict__"
+    )
+
+
+def _rref_calls(tree):
+    """The line of each call of rref, by the function that makes it (None at module level)."""
+    out = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "rref":
+                out.append((owner, node.lineno))
+    return out
+
+
+def test_no_instance_dict_writes_and_elimination_only_in_canonicalize():
+    # the graph's span table, star bitsets and clique spans are constructor
+    # fields, not caches seeded behind the constructor's back, and every
+    # subspace the graph path makes comes out of the enumeration in RREF:
+    # only canonicalize, on matrices from outside, needs elimination
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        writes = [node.lineno for node in ast.walk(tree) if _writes_instance_dict(node)]
+        assert writes == [], f"{path.name} writes __dict__[...] on lines {writes}"
+        calls = _rref_calls(tree)
+        allowed = [("canonicalize", line) for _, line in calls] if path.stem == "subspaces" else []
+        assert calls == allowed, f"{path.name} calls rref outside canonicalize: {calls}"
+
+
 # Each CLI command pays this import before it computes anything; dataclasses
 # (with inspect) and fractions (with decimal) would be most of its cost.
+# Under -S no site module preloads anything, so the second run also sees
+# importlib.resources and tempfile, which a package-data lookup would load.
 STARTUP_CODE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import grassmann_lab.cli
-print(*sorted({"dataclasses", "fractions"} & set(sys.modules)))
+print(*sorted(set(sys.argv[2:]) & set(sys.modules)))
 """
 
 
 def test_the_cli_imports_neither_dataclasses_nor_fractions():
     src = Path(grassmann_lab.__file__).parents[1]
-    r = subprocess.run(
-        [sys.executable, "-I", "-c", STARTUP_CODE, str(src)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == [], f"import grassmann_lab.cli loads {r.stdout.split()}"
+    for flags, unwanted in (
+        (["-I"], ["dataclasses", "fractions"]),
+        (["-I", "-S"], ["dataclasses", "fractions", "importlib.resources", "tempfile"]),
+    ):
+        r = subprocess.run(
+            [sys.executable, *flags, "-c", STARTUP_CODE, str(src), *unwanted],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert r.returncode == 0, r.stderr
+        loaded = r.stdout.split()
+        assert loaded == [], f"python {' '.join(flags)}: import grassmann_lab.cli loads {loaded}"

@@ -2,17 +2,17 @@ import random
 
 import pytest
 
-from grassmann_lab import (
-    canonicalize,
+from grassmann_lab import canonicalize, gaussian_binomial_int, make_field, matrix
+from grassmann_lab.config import BoundExceeded
+from grassmann_lab.subspaces import hyperplane_lines, span_table, vector_mask
+from oracles import (
     dual_complement,
     enumerate_subspaces,
-    gaussian_binomial_int,
-    make_field,
-    matrix,
+    enumeration_key,
+    is_rref,
+    span_codes,
+    span_vectors,
 )
-from grassmann_lab.config import BoundExceeded
-from grassmann_lab.subspaces import hyperplane_lines, span_table, vector_mask, vector_spans
-from oracles import enumeration_key, is_rref, span_vectors
 
 
 def all_subspaces(spec, n):
@@ -127,8 +127,8 @@ def test_vector_mask_agrees_with_span_enumeration(f2, f3):
 def test_vector_spans_hold_each_coefficient_combination(f3, f4):
     for spec, n, k in ((f3, 3, 2), (f4, 3, 2), (f4, 2, 1)):
         q = spec.q
-        spaces = enumerate_subspaces(spec, n, k)
-        for S, span in zip(spaces, vector_spans(spaces)):
+        spaces, codes = span_table(spec, n, k)
+        for S, span in zip(spaces, zip(*codes)):
             assert len(span) == q**k
             for pos, code in enumerate(span):
                 v = [0] * n
@@ -147,8 +147,8 @@ def test_hyperplane_lines_give_every_hyperplane_once(f2, f3, f4):
             (span_vectors(spec, P.basis.rows, n), vector_mask(P))
             for P in enumerate_subspaces(spec, n, k - 1)
         ]
-        spaces = enumerate_subspaces(spec, n, k)
-        for S, span in zip(spaces, vector_spans(spaces)):
+        spaces, codes = span_table(spec, n, k)
+        for S, span in zip(spaces, zip(*codes)):
             masks = [sum(1 << span[pos] for i in plane for pos in lines[i]) for plane in planes]
             members = span_vectors(spec, S.basis.rows, n)
             assert sorted(masks) == sorted(m for vp, m in below if vp <= members)
@@ -172,12 +172,14 @@ def test_span_table_matches_the_per_space_spans(p, e, n, k):
     spec = make_field(p, e)
     q = spec.q
     spaces, codes = span_table(spec, n, k)
-    assert spaces == enumerate_subspaces(spec, n, k)
+    # each RREF k-space once, in enumeration order
+    assert len({S.basis.rows for S in spaces}) == len(spaces) == gaussian_binomial_int(n, k, q)
+    assert all(is_rref(S.basis.rows) for S in spaces if k)
     keys = list(map(enumeration_key, spaces))
     assert keys == sorted(keys)
     assert len(codes) == q**k and all(len(col) == len(spaces) for col in codes)
-    # position for position against the one-space-at-a-time spans
-    assert [list(row) for row in zip(*codes)] == list(vector_spans(spaces))
+    # position for position against the oracle's coefficient combinations
+    assert [list(row) for row in zip(*codes)] == [span_codes(spec, S.basis.rows, n) for S in spaces]
     # as a set per space against the oracle's coefficient enumeration
     vector = [tuple(x // q**j % q for j in range(n)) for x in range(q**n)]
     for S, row in zip(spaces, zip(*codes)):
