@@ -31,6 +31,13 @@ turns up, alpha keeps its bracket.  For 2m <= n the star G.stars[0] is a
 maximum clique, so the colouring search is seeded with no clique search:
 a found colouring certifies the clique number by itself, and a refuted
 one only after the census of maximal cliques has.
+
+Certificates are re-checked on whole vertex sets, not edge by edge:
+validate_colouring ANDs each vertex's neighbourhood with its colour
+class, and validate_endomorphism tests each vertex against the pullback
+of its image's neighbourhood, computed once per image vertex.  A
+colouring endomorphism, whose image is an omega-clique, so costs O(V)
+big-int operations.
 """
 
 from __future__ import annotations
@@ -88,12 +95,28 @@ def alpha_exact(G: GrassmannGraph):
 
 
 def validate_colouring(adj, colours, k: int) -> None:
+    """Check that every colour lies in 0..k-1 and no edge joins two vertices of one colour.
+
+    The colour classes are built once as bitsets, from the in-range
+    colours; vertex i then clashes with the vertices of adj[i] & classes[c]
+    above i, so the check is one AND per vertex.  Vertices are
+    checked in order, range first, so the error names the first vertex out
+    of range or the first clashing pair (i, j), i < j, whichever comes
+    first.  A colouring of the wrong length is refused up front.
+    """
+    if len(colours) != len(adj):
+        raise ValueError("colouring length differs from vertex count")
+    classes = {}  # keyed by the colours in use, so a large k allocates nothing
+    for v, c in enumerate(colours):
+        if 0 <= c < k:
+            classes[c] = classes.get(c, 0) | 1 << v
     for i, c in enumerate(colours):
         if not 0 <= c < k:
             raise ValueError(f"vertex {i} has colour {c} outside 0..{k - 1}")
-        for j in bits(adj[i] >> (i + 1) << (i + 1)):
-            if colours[j] == c:
-                raise ValueError(f"improper colouring: adjacent pair ({i}, {j}) share colour {c}")
+        clash = adj[i] & classes[c] >> (i + 1) << (i + 1)
+        if clash:
+            j = (clash & -clash).bit_length() - 1
+            raise ValueError(f"improper colouring: adjacent pair ({i}, {j}) share colour {c}")
 
 
 def find_colouring(
@@ -409,9 +432,13 @@ class Endomorphism(NamedTuple):
 def validate_endomorphism(G: GrassmannGraph, mapping) -> Endomorphism:
     """Check that every value is a vertex id and every edge maps to an edge.
 
-    Vertex i passes iff the image of its higher neighbours lies in
+    Vertex i passes iff each higher neighbour j has mapping[j] in
     adjacency[mapping[i]], which lacks mapping[i], so collapsed edges fail
-    too; the error names the first broken edge (i, j).
+    too; the error names the first broken edge (i, j).  With pre[t] the
+    bitset of t's preimages, that is: the higher neighbours of i lie in the
+    pullback of mapping[i], the OR of pre[u] over its neighbours u.  The
+    pullbacks are computed once per image vertex, so a colouring's omega
+    image vertices cost omega pullbacks and then one AND per vertex.
     """
     mapping = tuple(mapping)
     nv = G.num_vertices
@@ -420,9 +447,16 @@ def validate_endomorphism(G: GrassmannGraph, mapping) -> Endomorphism:
     for f in mapping:
         if not (isinstance(f, int) and 0 <= f < nv):
             raise ValueError(f"not a vertex map: image {f!r} is not a vertex id in 0..{nv - 1}")
+    adj = G.adjacency
+    pre = [0] * nv
     for i, fi in enumerate(mapping):
-        higher = G.adjacency[i] >> (i + 1) << (i + 1)
-        if map_bitset(mapping, higher) & ~G.adjacency[fi]:
+        pre[fi] |= 1 << i
+    pullback = {
+        t: reduce(int.__or__, map(pre.__getitem__, bits(adj[t])), 0) for t in set(mapping)
+    }
+    for i, fi in enumerate(mapping):
+        higher = adj[i] >> (i + 1) << (i + 1)
+        if higher & ~pullback[fi]:
             j = next(j for j in bits(higher) if not G.adjacent(fi, mapping[j]))
             raise ValueError(f"not an endomorphism: edge ({i}, {j}) breaks under the map")
     return Endomorphism(G, mapping)

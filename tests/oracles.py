@@ -15,6 +15,8 @@ bitset-driven ones, and the q-polynomial references at the end are the
 dense polynomial products, the recursive cyclotomic division and the
 Fraction-based scan, with the polynomial helpers they need: exact
 division, monicity and the expansion of a cyclotomic factorization.
+Colourings and endomorphisms are checked one edge at a time, against
+the library's checks on whole colour classes and preimage sets.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from math import gcd
 from grassmann_lab import report
 from grassmann_lab.arith import prime_powers_upto
 from grassmann_lab.config import NODE_BUDGET, SearchBudgetExceeded
-from grassmann_lab.coreness import validate_colouring
 from grassmann_lab.graph import bits
 from grassmann_lab.qpoly import (
     ONE,
@@ -329,6 +330,30 @@ def check_field_axioms(spec) -> None:
                 assert spec.add(ab_add, c) == spec.add(a, spec.add(b, c))
                 assert spec.mul(ab_mul, c) == spec.mul(a, spec.mul(b, c))
                 assert spec.mul(ab_add, c) == spec.add(spec.mul(a, c), spec.mul(b, c))
+
+
+# -- certificate checks, one edge at a time ------------------------------
+
+
+def validate_colouring(adj, colours, k: int) -> None:
+    """Raise the library's ValueError for the first vertex, in order, whose colour
+    is outside 0..k-1 or equals the colour of a higher neighbour."""
+    for i, c in enumerate(colours):
+        if not 0 <= c < k:
+            raise ValueError(f"vertex {i} has colour {c} outside 0..{k - 1}")
+        for j in bits(adj[i]):
+            if j > i and colours[j] == c:
+                raise ValueError(f"improper colouring: adjacent pair ({i}, {j}) share colour {c}")
+
+
+def first_broken_edge(adj, mapping) -> tuple[int, int] | None:
+    """The first edge (i, j), i < j, in vertex order whose image is not an edge
+    (collapsed ends included), or None for an endomorphism."""
+    for i, row in enumerate(adj):
+        for j in bits(row):
+            if j > i and not adj[mapping[i]] >> mapping[j] & 1:
+                return i, j
+    return None
 
 
 # -- recursive search kernels ------------------------------------------

@@ -2,6 +2,7 @@ import json
 import sys
 import time
 
+import oracles
 import pytest
 
 from grassmann_lab import cli, coreness, graph, qpoly, subspaces
@@ -265,6 +266,28 @@ def test_coreness_undetermined(capsys):
     core = json.loads(out)["coreness"]
     assert core["verdict"] == "undetermined"
     assert core["integrality"] == {"is_integer": True, "value": 93}
+
+
+def test_coreness_witness_maps_every_edge_of_the_build_dump_to_an_edge(capsys):
+    code, out, _ = run(capsys, "coreness", "--q", "2", "--n", "6", "--m", "2")
+    assert code == 0
+    witness = json.loads(out)["coreness"]["witness"]
+    code, out, _ = run(capsys, "build", "--q", "2", "--n", "6", "--m", "2", "--format", "json")
+    assert code == 0
+    # the three nonzero vectors of each 2-space of GF(2)^6, from its two basis rows
+    points = []
+    for v in json.loads(out)["vertices"]:
+        a, b = (int(row, 2) for row in v["matrix"])
+        points.append({a, b, a ^ b})
+    # two 2-spaces are adjacent iff they meet in a line, i.e. share one point
+    adj = [sum(1 << j for j, t in enumerate(points) if len(s & t) == 1) for s in points]
+    assert {row.bit_count() for row in adj} == {2 * 3 * 15}  # q [2]_q [4]_q
+    f = witness["map"]
+    assert len(f) == 651 and len(set(f)) == 31 and not witness["injective"]
+    assert oracles.first_broken_edge(adj, f) is None
+    collapsed = f[:]
+    collapsed[1] = collapsed[0]
+    assert oracles.first_broken_edge(adj, collapsed) == (0, 1)
 
 
 def test_qbinom(capsys):

@@ -1,5 +1,7 @@
+import functools
 import random
 import sys
+from collections import Counter
 
 import oracles
 import pytest
@@ -27,9 +29,10 @@ from grassmann_lab.coreness import (
     Endomorphism,
     find_colouring,
     orbit_colouring,
+    validate_colouring,
 )
 from grassmann_lab.fixture import load_fixture
-from grassmann_lab.graph import dual_permutation, induced_permutation
+from grassmann_lab.graph import bits, dual_permutation, induced_permutation
 
 
 def test_alpha_exact(j242, f2):
@@ -211,6 +214,101 @@ def test_validate_endomorphism_names_the_first_broken_edge(j242, seed):
     ]
     with pytest.raises(ValueError, match=rf"edge \({broken[0][0]}, {broken[0][1]}\) breaks"):
         validate_endomorphism(j242, mapping)
+
+
+@functools.cache
+def _witness(q, n, m):
+    """core_test's witness map on J_q(n,m), and the omega-colouring it collapses
+    (colour c for the c-th image vertex)."""
+    rep = core_test(n, m, q)
+    mapping = list(rep.witness.mapping)
+    colour = {t: c for c, t in enumerate(sorted(set(mapping)))}
+    return rep.witness.graph, mapping, [colour[t] for t in mapping]
+
+
+def _error(check, *args):
+    """The text of the ValueError check(*args) raises, or None."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _endomorphism_error(G, mapping):
+    """The library's error for a map, rebuilt from the pairwise first broken edge."""
+    edge = oracles.first_broken_edge(G.adjacency, mapping)
+    return None if edge is None else f"not an endomorphism: edge {edge} breaks under the map"
+
+
+_WITNESSES = [(2, 4, 2), (3, 4, 2), (4, 4, 2), (2, 6, 2)]
+_IDS = [f"J_{q}({n},{m})" for q, n, m in _WITNESSES]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("q, n, m", _WITNESSES, ids=_IDS)
+def test_colouring_check_matches_the_pairwise_reference(q, n, m, seed):
+    G, _, colours = _witness(q, n, m)
+    adj, nv, k = G.adjacency, G.num_vertices, max(colours) + 1
+    assert _error(validate_colouring, adj, colours, k) is None
+    assert _error(oracles.validate_colouring, adj, colours, k) is None
+    assert _error(validate_colouring, adj, colours, 2**62) is None  # no table of k classes
+    short = "colouring length differs from vertex count"
+    assert _error(validate_colouring, adj, colours[:-1], k) == short
+    rng = random.Random(seed)
+    bad = (k, -1)[seed % 2]
+    for _ in range(3):
+        # recolour v to a neighbour's colour: the first clash (i, j) has i <= v
+        v = rng.randrange(1, nv - 2)
+        u = rng.choice(list(bits(adj[v])))
+        clash = colours[:]
+        clash[v] = colours[u]
+        after = clash[:]  # an out-of-range colour past v, so the clash is named
+        after[nv - 1 if u != nv - 1 else nv - 2] = bad
+        before = clash[:]  # vertex 0 is checked first, range first
+        before[0] = bad
+        anywhere = clash[:]
+        anywhere[rng.randrange(nv)] = bad
+        for cols, prefix in (
+            (clash, "improper colouring"),
+            (after, "improper colouring"),
+            (before, "vertex 0 has colour"),
+            (anywhere, ""),
+        ):
+            want = _error(oracles.validate_colouring, adj, cols, k)
+            assert want.startswith(prefix)
+            assert _error(validate_colouring, adj, cols, k) == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("q, n, m", _WITNESSES, ids=_IDS)
+def test_endomorphism_check_matches_the_pairwise_reference(q, n, m, seed):
+    G, witness, _ = _witness(q, n, m)
+    adj, nv = G.adjacency, G.num_vertices
+    assert _endomorphism_error(G, witness) is None
+    validate_endomorphism(G, witness)
+    rng = random.Random(seed)
+    outside = [t for t in range(nv) if t not in set(witness)]
+    for _ in range(3):
+        i = rng.randrange(nv)
+        j = rng.choice(list(bits(adj[i])))
+        collapsed = witness[:]  # edge (i, j) collapses onto one image vertex
+        collapsed[j] = collapsed[i]
+        want = _endomorphism_error(G, collapsed)
+        assert want is not None
+        assert _error(validate_endomorphism, G, collapsed) == want
+        for v in (0, rng.randrange(nv)):
+            # v alone on a vertex outside the image: a singleton image among
+            # shared ones, whose pullback is the image of a single vertex
+            mixed = witness[:]
+            mixed[v] = rng.choice(outside)
+            counts = Counter(mixed).values()
+            assert min(counts) == 1 and max(counts) > 1
+            want = _endomorphism_error(G, mixed)
+            assert want is not None
+            if v == 0:  # vertex 0 is checked first, so the edge named is one of its own
+                assert want.startswith("not an endomorphism: edge (0, ")
+            assert _error(validate_endomorphism, G, mixed) == want
 
 
 def test_core_test_j242():
