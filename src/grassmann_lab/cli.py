@@ -4,7 +4,7 @@ Commands: build, verify, coreness, qbinom, scan.  All reports go to
 stdout as UTF-8; errors go to stderr.  Exit codes: 0 all checks pass or
 report produced, 1 a verification check or an internal self-check
 failed, or another unexpected exception was raised, 2 a resource bound
-was hit, 3 invalid input.
+was hit (a configured one, or memory ran out), 3 invalid input.
 """
 
 from __future__ import annotations
@@ -333,6 +333,9 @@ def main(argv=None) -> int:
         return command(args)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BOUND
+    except MemoryError:  # the machine's bound, not a failed check
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BOUND
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,8 +12,10 @@ cheap at desk scale.
 Masks come from span tables (subspaces.span_table): codes[c][i] is the
 vector code at coefficient position c of space i's span, and a mask is
 the sum of 1 << codes[c][i] over c, formed for a whole table at once.
-build_graph keeps the vertices' table as G.spans, and each catalog
-clique carries its centre's row of its level's table as its span.
+build_graph computes the vertices' table, G.spans, and the graph derives
+the rest from it on first use: G.degree counts mask intersections, so a
+text dump builds no star and no adjacency row.  Each catalog clique
+carries its centre's row of its level's table as its span.
 
 The maximal cliques of these graphs are exactly the stars (all m-spaces
 over a fixed (m-1)-space) and the tops (all m-spaces inside a fixed
@@ -22,12 +24,10 @@ A hyperplane of a k-space is the same set of span positions in every
 k-space (subspaces.hyperplane_lines), so one pass over a table gives
 every space's [k,1]_q hyperplane masks.  On the vertices, grouping the
 spaces by those masks gives the stars, and a vertex's neighbourhood is
-the union of its [m,1]_q stars less itself, so build_graph tests no
-vertex pairs; on the (m+1)-spaces the hyperplane masks of a top centre
-are its member vertices' masks.  build_graph keeps the star bitsets as
-G.star_bitsets; G.stars and G.tops, built once on first use with each
-centre's vector mask, feed the census, the lemma and duality checks and
-the clique seed.
+the union of its [m,1]_q stars less itself, so no vertex pairs are
+tested; on the (m+1)-spaces the hyperplane masks of a top centre are its
+member vertices' masks.  G.stars and G.tops, each centre with its vector
+mask, feed the census, the lemma and duality checks and the clique seed.
 Masks also give the lattice relations the lemma checks need, with no
 Gaussian elimination: containment is a subset test, dim(A intersect B)
 = log_q |mask(A) & mask(B)|, and mask(W^perp) is the AND of
@@ -93,32 +93,16 @@ def _subspace_dim(size: int, q: int) -> int:
 
 
 class GrassmannGraph:
-    """J_q(n, m): its vertices in enumeration order, their adjacency bitsets
-    and vector masks, their span table (subspaces.span_table) and each
-    star's bitset by its centre's mask.  Immutable, and equal only to
-    itself; the cached properties below fill in on first use."""
+    """J_q(n, m): its vertices in enumeration order and their span table
+    (subspaces.span_table).  Immutable, and equal only to itself; the
+    masks, stars, adjacency and the other cached properties below are
+    derived from the table on first use."""
 
     def __init__(
-        self,
-        spec: FieldSpec,
-        n: int,
-        m: int,
-        vertices: tuple[Subspace, ...],
-        adjacency: tuple[int, ...],
-        masks: tuple[int, ...],
+        self, spec: FieldSpec, n: int, m: int, vertices: tuple[Subspace, ...],
         spans: list[list[int]],
-        star_bitsets: dict[int, int],
     ):
-        vars(self).update(
-            spec=spec,
-            n=n,
-            m=m,
-            vertices=vertices,
-            adjacency=adjacency,
-            masks=masks,
-            spans=spans,
-            star_bitsets=star_bitsets,
-        )
+        vars(self).update(spec=spec, n=n, m=m, vertices=vertices, spans=spans)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -128,9 +112,35 @@ class GrassmannGraph:
         return len(self.vertices)
 
     @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Each vertex's vector mask, read off G.spans."""
+        return tuple(_bit_sums(self.spans))
+
+    @cached_property
     def index(self) -> dict[int, int]:
         """Vertex id by vector mask."""
         return {mask: i for i, mask in enumerate(self.masks)}
+
+    @cached_property
+    def _star_rows(self) -> tuple[dict[int, int], tuple[int, ...]]:
+        """star_bitsets and adjacency: a row is the OR of the stars through its vertex, less it."""
+        groups = _hyperplane_groups(self.spec, self.spans)
+        stars = {mask: _to_bitset(ids) for mask, ids in groups.items()}
+        rows = [0] * self.num_vertices
+        for members, clique in zip(groups.values(), stars.values()):
+            for v in members:
+                rows[v] |= clique
+        return stars, tuple(a ^ (1 << v) for v, a in enumerate(rows))
+
+    @cached_property
+    def star_bitsets(self) -> dict[int, int]:
+        """Each star's bitset by its centre's mask."""
+        return self._star_rows[0]
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """One neighbour bitset per vertex."""
+        return self._star_rows[1]
 
     def vertex_id(self, S: Subspace) -> int:
         if S.spec != self.spec or S.ambient != self.n:  # its mask would code other vectors
@@ -141,7 +151,9 @@ class GrassmannGraph:
         return bool(self.adjacency[i] >> j & 1)
 
     def degree(self, i: int) -> int:
-        return self.adjacency[i].bit_count()
+        """The number of masks meeting vertex i's in q^(m-1) vectors: its neighbours."""
+        mask, common = self.masks[i], self.spec.q ** (self.m - 1)
+        return sum((mask & x).bit_count() == common for x in self.masks)
 
     @cached_property
     def stars(self) -> list[MaximalClique]:
@@ -198,19 +210,11 @@ class GrassmannGraph:
         return table
 
 
-def build_graph(
-    spec: FieldSpec,
-    n: int,
-    m: int,
-    max_vertices: int = BUILD_BOUND,
-) -> GrassmannGraph:
-    """Build J_q(n, m), with adjacency as the union of each vertex's stars.
+def build_graph(spec: FieldSpec, n: int, m: int, max_vertices: int = BUILD_BOUND) -> GrassmannGraph:
+    """J_q(n, m): its vertices and their span table, the rest derived on first use.
 
-    Each vertex carries the bitmask of its member vectors.  Two vertices
-    are adjacent iff they share an (m-1)-space, so adjacency[v] is the OR
-    of the stars through v, less v; the stars come from _hyperplane_groups,
-    and their bitsets stay on the graph as G.star_bitsets.  The vertex
-    count and the span table size are bounded before anything is built.
+    The vertex count and the span table size are bounded before anything
+    is enumerated.
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
@@ -230,32 +234,21 @@ def build_graph(
             f"span table too large: J_{spec.q}({n},{m}) has {codes} codes > {ENUM_BOUND}"
         )
     vertices, spans = span_table(spec, n, m)
-    masks, groups = _hyperplane_groups(spec, spans)
-    stars = {mask: _to_bitset(ids) for mask, ids in groups.items()}
-    adjacency = [0] * count
-    for members, clique in zip(groups.values(), stars.values()):
-        for v in members:
-            adjacency[v] |= clique
-    adjacency = tuple(a ^ (1 << v) for v, a in enumerate(adjacency))
-    return GrassmannGraph(spec, n, m, tuple(vertices), adjacency, tuple(masks), spans, stars)
+    return GrassmannGraph(spec, n, m, tuple(vertices), spans)
 
 
-def _hyperplane_groups(
-    spec: FieldSpec, codes: list[list[int]]
-) -> tuple[list[int], dict[int, list[int]]]:
-    """The vector mask of each space of a span table, and the space ids grouped by hyperplane.
+def _hyperplane_groups(spec: FieldSpec, codes: list[list[int]]) -> dict[int, list[int]]:
+    """The space ids of a span table, grouped by hyperplane.
 
     Each group is keyed by the mask of a (k-1)-space and holds the ids of
     the spaces over it: on the vertices it is one star.
     """
-    masks: list[int] = []
     groups: defaultdict[int, list[int]] = defaultdict(list)
-    for lo, block, planes in _hyperplane_blocks(spec, codes):
-        masks += block
+    for lo, _, planes in _hyperplane_blocks(spec, codes):
         for keys in planes:
             for i, key in enumerate(keys, lo):
                 groups[key].append(i)
-    return masks, groups
+    return groups
 
 
 _BLOCK = 64  # spaces per step of _hyperplane_blocks; it bounds the line sums held at once

@@ -216,6 +216,17 @@ def test_failed_self_checks_print_one_error_line(
         assert captured.err == f"error: {exc.__name__}: {exc('self-check tripped')}\n"
 
 
+def test_running_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
+    # memory is a resource bound like the configured ones, not a failed check
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build_graph", exhausted)
+    code, out, err = run(capsys, *"build --q 2 --n 9 --m 2 --max-vertices 50000".split())
+    assert code == 2 and out == ""
+    assert err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
 def test_interrupts_and_exits_propagate(monkeypatch, exc):
     def interrupted(*args, **kwargs):

@@ -32,6 +32,7 @@ from grassmann_lab.graph import (
 )
 from grassmann_lab.linalg import matrix, rref
 from grassmann_lab.qpoly import omega_int
+from grassmann_lab.report import graph_to_text
 from grassmann_lab.subspaces import canonicalize, vector_mask
 from oracles import (
     all_maximal_cliques,
@@ -49,9 +50,7 @@ from oracles import (
 
 def _uncached(G):
     """A copy of G with none of its cached properties computed."""
-    return GrassmannGraph(
-        G.spec, G.n, G.m, G.vertices, G.adjacency, G.masks, G.spans, G.star_bitsets
-    )
+    return GrassmannGraph(G.spec, G.n, G.m, G.vertices, G.spans)
 
 
 def test_map_bitset_is_the_image_of_the_set():
@@ -76,20 +75,34 @@ def test_vertex_counts(j242, j252, j342):
         (2, 1, 5, 3),
         (2, 1, 6, 4),
         (2, 1, 6, 3),
+        (3, 1, 4, 2),
         (3, 1, 5, 2),
         (5, 1, 4, 2),
         (2, 2, 4, 2),
         (2, 3, 3, 1),
         (3, 2, 3, 2),
     ],
-    ids=["j231", "j331", "j243", "j253", "j264", "j263", "j352", "j542", "j442", "j831", "j932"],
+    ids=[
+        "j231", "j331", "j243", "j253", "j264", "j263", "j342", "j352", "j542", "j442", "j831",
+        "j932",
+    ],
 )
 def test_star_union_adjacency_matches_pairwise_masks(p, e, n, m):
-    # masks from span enumeration, adjacency from every pair's popcount
+    # masks from span enumeration, adjacency from every pair's popcount;
+    # degree counts mask intersections before any adjacency row exists
     G = build_graph(make_field(p, e), n, m)
     masks = [mask_by_enumeration(G.spec, S) for S in G.vertices]
+    rows = pairwise_adjacency(masks, G.spec.q, m)
+    assert [G.degree(i) for i in range(G.num_vertices)] == [r.bit_count() for r in rows]
+    assert "adjacency" not in vars(G)
     assert list(G.masks) == masks
-    assert list(G.adjacency) == pairwise_adjacency(masks, G.spec.q, m)
+    assert list(G.adjacency) == rows
+
+
+def test_a_text_dump_builds_neither_stars_nor_adjacency(f2):
+    G = build_graph(f2, 6, 3)
+    graph_to_text(G)
+    assert not {"adjacency", "star_bitsets", "_star_rows"} & set(vars(G))
 
 
 def test_m_equal_one_is_complete(f2):
@@ -621,10 +634,9 @@ def test_adjacency_that_is_not_the_star_relation_certifies_nothing(j242):
     adj = list(j242.adjacency)
     adj[u] ^= 1 << w
     adj[w] ^= 1 << u
-    G = GrassmannGraph(
-        j242.spec, j242.n, j242.m, j242.vertices, tuple(adj), j242.masks, j242.spans,
-        j242.star_bitsets,
-    )
+    G = GrassmannGraph(j242.spec, j242.n, j242.m, j242.vertices, j242.spans)
+    G.__dict__["adjacency"] = tuple(adj)  # planted before the first read
+    assert G.star_bitsets == j242.star_bitsets and G.adjacency == tuple(adj)
     assert G.clique_adjacency == (False, False)
     sym = symmetry_certificate(G)
     assert sym.perms == ()
@@ -717,9 +729,10 @@ def test_dual_map_check_rejects_a_dual_map_with_two_vertices_swapped(j242, monke
 
 
 def test_one_vertex_grouping_per_graph(f2, monkeypatch):
-    # build_graph keeps the star bitsets it groups, so the catalogs, the
-    # certificate and every check group the vertices no second time; the
-    # top catalog reads its members off the top centres' span table
+    # the star bitsets and the adjacency come from one cached grouping, so
+    # the catalogs, the certificate and every check group the vertices no
+    # second time; the top catalog reads its members off the top centres'
+    # span table
     groups = graph_module._hyperplane_groups
     sizes = []
 
@@ -729,6 +742,7 @@ def test_one_vertex_grouping_per_graph(f2, monkeypatch):
 
     monkeypatch.setattr(graph_module, "_hyperplane_groups", counted)
     G = build_graph(f2, 4, 2)
+    assert sizes == []  # build_graph groups nothing
     assert classify_maximal_cliques(G).ok and verify_clique_lemmas(G).ok and dual_map_check(G).ok
     assert sizes == [(4, 35)]  # the 35 vertices' 2^2 span positions, once
     assert {c.center_mask: c.bitset for c in G.stars} == G.star_bitsets

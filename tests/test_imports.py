@@ -115,10 +115,11 @@ def _rref_calls(tree):
 
 
 def test_no_instance_dict_writes_and_elimination_only_in_canonicalize():
-    # the graph's span table, star bitsets and clique spans are constructor
-    # fields, not caches seeded behind the constructor's back, and every
-    # subspace the graph path makes comes out of the enumeration in RREF:
-    # only canonicalize, on matrices from outside, needs elimination
+    # the graph's span table and the clique spans are constructor fields,
+    # and what a graph derives it computes itself, with no cache seeded
+    # behind the constructor's back; every subspace the graph path makes
+    # comes out of the enumeration in RREF: only canonicalize, on matrices
+    # from outside, needs elimination
     for path in SOURCES:
         tree = ast.parse(path.read_text())
         writes = [node.lineno for node in ast.walk(tree) if _writes_instance_dict(node)]

@@ -46,9 +46,6 @@ def test_graphs_are_equal_only_to_themselves(f2, j242):
 def test_a_cached_graph_property_is_computed_once(j242, monkeypatch):
     real, calls = graph_module.star_catalog, []
     monkeypatch.setattr(graph_module, "star_catalog", lambda G: calls.append(G) or real(G))
-    G = GrassmannGraph(
-        j242.spec, j242.n, j242.m, j242.vertices, j242.adjacency, j242.masks, j242.spans,
-        j242.star_bitsets,
-    )
+    G = GrassmannGraph(j242.spec, j242.n, j242.m, j242.vertices, j242.spans)
     assert G.stars is G.stars and calls == [G]
     assert [c.members for c in G.stars] == [c.members for c in j242.stars]
