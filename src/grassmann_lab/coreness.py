@@ -32,12 +32,15 @@ maximum clique, so the colouring search is seeded with no clique search:
 a found colouring certifies the clique number by itself, and a refuted
 one only after the census of maximal cliques has.
 
-Certificates are re-checked on whole vertex sets, not edge by edge:
-validate_colouring ANDs each vertex's neighbourhood with its colour
-class, and validate_endomorphism tests each vertex against the pullback
-of its image's neighbourhood, computed once per image vertex.  A
-colouring endomorphism, whose image is an omega-clique, so costs O(V)
-big-int operations.
+Each witness is checked once, whichever search found its colouring:
+build_colouring_endomorphism composes the colouring with the clique and
+passes the map to validate_endomorphism, which accepts it exactly when
+the colouring is proper.  Neither search checks its own colouring, and
+classify_endomorphism reads the checked map without checking it again.
+The check runs on whole vertex sets, not edge by edge: each vertex is
+tested against the pullback of its image's neighbourhood, computed once
+per image vertex, so a colouring endomorphism, whose image is an
+omega-clique, costs O(V) big-int operations.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .config import (
 from .field import FieldSpec, make_field
 from .graph import (
     GrassmannGraph,
+    _adjacency_breaks,
     bits,
     build_graph,
     classify_maximal_cliques,
@@ -94,31 +98,6 @@ def alpha_exact(G: GrassmannGraph):
 # -- colouring search -------------------------------------------------
 
 
-def validate_colouring(adj, colours, k: int) -> None:
-    """Check that every colour lies in 0..k-1 and no edge joins two vertices of one colour.
-
-    The colour classes are built once as bitsets, from the in-range
-    colours; vertex i then clashes with the vertices of adj[i] & classes[c]
-    above i, so the check is one AND per vertex.  Vertices are
-    checked in order, range first, so the error names the first vertex out
-    of range or the first clashing pair (i, j), i < j, whichever comes
-    first.  A colouring of the wrong length is refused up front.
-    """
-    if len(colours) != len(adj):
-        raise ValueError("colouring length differs from vertex count")
-    classes = {}  # keyed by the colours in use, so a large k allocates nothing
-    for v, c in enumerate(colours):
-        if 0 <= c < k:
-            classes[c] = classes.get(c, 0) | 1 << v
-    for i, c in enumerate(colours):
-        if not 0 <= c < k:
-            raise ValueError(f"vertex {i} has colour {c} outside 0..{k - 1}")
-        clash = adj[i] & classes[c] >> (i + 1) << (i + 1)
-        if clash:
-            j = (clash & -clash).bit_length() - 1
-            raise ValueError(f"improper colouring: adjacent pair ({i}, {j}) share colour {c}")
-
-
 def find_colouring(
     adj,
     nv: int,
@@ -139,6 +118,7 @@ def find_colouring(
     what it takes to undo it; each colour tried is a node.  Returns the
     colour table, or None when the exhaustive search proves no k-colouring
     exists; raises SearchBudgetExceeded when the node budget runs out first.
+    The table is not checked here: core_test checks the witness it makes of it.
     """
     if len(seed) > k:
         return None
@@ -204,7 +184,6 @@ def find_colouring(
         table[v] = c
     for v, _, c, *_ in stack:
         table[order[v]] = c
-    validate_colouring(adj, table, k)
     return table
 
 
@@ -463,14 +442,21 @@ def validate_endomorphism(G: GrassmannGraph, mapping) -> Endomorphism:
 
 
 def build_colouring_endomorphism(G: GrassmannGraph, colouring, clique) -> Endomorphism:
-    """Send every vertex of colour i to the clique vertex of colour i.
+    """Send every vertex of colour i to the clique vertex of colour i, and check the map.
 
-    The clique must have one vertex per colour (automatic for a clique of
-    size k under a proper k-colouring); the result collapses each colour
-    class onto a single clique vertex, so its image is the clique.
+    The colours must lie in 0..k-1 and the clique must have one vertex per
+    colour (automatic for a clique of size k under a proper k-colouring);
+    the map collapses each colour class onto a single clique vertex, so its
+    image is the clique.  validate_endomorphism is the one check of the
+    colouring: an edge inside a class collapses and an edge between classes
+    lands on two clique vertices, so the colouring is proper exactly when
+    the map is an endomorphism.
     """
+    if len(colouring) != G.num_vertices:
+        raise ValueError("colouring length differs from vertex count")
     k = max(colouring) + 1
-    validate_colouring(G.adjacency, colouring, k)
+    if (low := min(colouring)) < 0:
+        raise ValueError(f"vertex {colouring.index(low)} has colour {low} outside 0..{k - 1}")
     clique = list(clique)
     if len(clique) != k:
         raise ValueError(f"clique size {len(clique)} differs from colour count {k}")
@@ -484,24 +470,23 @@ def build_colouring_endomorphism(G: GrassmannGraph, colouring, clique) -> Endomo
         if c in by_colour:
             raise ValueError("clique vertices repeat a colour")
         by_colour[c] = v
-    mapping = tuple(by_colour[colouring[v]] for v in range(G.num_vertices))
-    return validate_endomorphism(G, mapping)
+    return validate_endomorphism(G, map(by_colour.__getitem__, colouring))
 
 
 def classify_endomorphism(G: GrassmannGraph, e: Endomorphism) -> str:
-    """'automorphism', 'colouring', or 'other'.
+    """'automorphism', 'colouring', or 'other', for an already checked endomorphism.
 
-    Automorphism: bijective and adjacency-preserving in both directions.
-    Colouring: the image induces a complete subgraph of clique-number
-    size, making the map a proper omega-colouring onto a maximum clique.
-    Anything else reports 'other' (on these graphs that indicates a bug
-    or an invalid input map rather than a real third class).
+    e comes from validate_endomorphism or build_colouring_endomorphism,
+    which check that it sends edges to edges, so it is read, not checked
+    again.  Automorphism: bijective and adjacency-preserving in both
+    directions, that is, every neighbourhood maps onto its image's
+    (graph._adjacency_breaks finds no vertex).  Colouring: the image
+    induces a complete subgraph of clique-number size, making the map a
+    proper omega-colouring onto a maximum clique.  Anything else reports
+    'other' (on these graphs that indicates a bug or an invalid input map
+    rather than a real third class).
     """
-    validate_endomorphism(G, e.mapping)
-    adj = G.adjacency
-    if e.is_injective() and all(
-        map_bitset(e.mapping, adj[i]) == adj[fi] for i, fi in enumerate(e.mapping)
-    ):
+    if e.is_injective() and not _adjacency_breaks(G.adjacency, e.mapping):
         return "automorphism"
     img = sorted(e.image())
     omega = omega_int(G.n, G.m, G.spec.q)
@@ -670,7 +655,12 @@ def core_test(
     rep.alpha = max(Counter(colouring).values())
     if rep.alpha * omega != nv:
         raise AssertionError(f"an {omega}-colouring's largest class is not |V|/omega")
-    rep.witness = build_colouring_endomorphism(G, colouring, clique)
+    try:
+        rep.witness = build_colouring_endomorphism(G, colouring, clique)
+    except ValueError as exc:  # a search returned a colouring that is not proper
+        raise AssertionError(
+            f"the {omega}-colouring witness fails its endomorphism check: {exc}"
+        ) from exc
     rep.witness_class = classify_endomorphism(G, rep.witness)
     rep.evidence.append(
         f"found a proper {omega}-colouring, so no clique beats the star's {omega} vertices; "

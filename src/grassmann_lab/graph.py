@@ -256,20 +256,22 @@ _BLOCK = 64  # spaces per step of _hyperplane_blocks; it bounds the line sums he
 
 def _hyperplane_blocks(
     spec: FieldSpec, codes: list[list[int]]
-) -> Iterator[tuple[int, list[int], list[list[int]]]]:
+) -> Iterator[tuple[int, list[list[int]], list[list[int]]]]:
     """Per block of up to _BLOCK spaces of a span table of k-spaces: the id
-    of its first space, the vector mask of each, and per hyperplane H of
-    GF(q)^k (subspaces.hyperplane_lines) the mask of H's positions in each:
+    of its first space, its line sums, and per hyperplane H of GF(q)^k
+    (subspaces.hyperplane_lines) the mask of H's positions in each space:
     the [k,1]_q hyperplanes of every space, each once.
 
-    Every mask is a sum of line sums, the bits of one line's positions,
-    and each line's sum is formed once per space.
+    A line sum holds, per space, the bits of the codes at one line's
+    positions, and is formed once per space.  Each hyperplane mask is a
+    sum of line sums, and so is a space's vector mask (_row_sums of all of
+    them), which is left to the callers that need it.
     """
     lines, planes = hyperplane_lines(spec, _subspace_dim(len(codes), spec.q))
     for lo in range(0, len(codes[0]), _BLOCK):
         block = [col[lo : lo + _BLOCK] for col in codes]
         sums = [_bit_sums(map(block.__getitem__, line)) for line in lines]
-        yield lo, _row_sums(sums), [_row_sums(map(sums.__getitem__, plane)) for plane in planes]
+        yield lo, sums, [_row_sums(map(sums.__getitem__, plane)) for plane in planes]
 
 
 def _row_sums(columns: Iterable[Iterable[int]]) -> list[int]:
@@ -405,8 +407,8 @@ def top_catalog(G: GrassmannGraph) -> list[MaximalClique]:
     masks: list[int] = []
     members: list[tuple[int, ...]] = []
     bitsets: list[int] = []
-    for _, block, planes in _hyperplane_blocks(G.spec, codes):
-        masks += block
+    for _, sums, planes in _hyperplane_blocks(G.spec, codes):
+        masks += _row_sums(sums)
         ids = [list(map(vertex, keys)) for keys in planes]
         members += map(tuple, map(sorted, zip(*ids)))
         bitsets += _bit_sums(ids)

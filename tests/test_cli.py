@@ -5,7 +5,7 @@ import time
 import oracles
 import pytest
 
-from grassmann_lab import cli, coreness, graph, qpoly, subspaces
+from grassmann_lab import cli, coreness, graph, make_field, qpoly, subspaces
 from grassmann_lab.cli import main
 from grassmann_lab.config import (
     MAX_FIELD_SIZE,
@@ -280,25 +280,48 @@ def test_coreness_undetermined(capsys):
 
 
 def test_coreness_witness_maps_every_edge_of_the_build_dump_to_an_edge(capsys):
-    code, out, _ = run(capsys, "coreness", "--q", "2", "--n", "6", "--m", "2")
-    assert code == 0
-    witness = json.loads(out)["coreness"]["witness"]
-    code, out, _ = run(capsys, "build", "--q", "2", "--n", "6", "--m", "2", "--format", "json")
-    assert code == 0
-    # the three nonzero vectors of each 2-space of GF(2)^6, from its two basis rows
-    points = []
-    for v in json.loads(out)["vertices"]:
-        a, b = (int(row, 2) for row in v["matrix"])
-        points.append({a, b, a ^ b})
-    # two 2-spaces are adjacent iff they meet in a line, i.e. share one point
-    adj = [sum(1 << j for j, t in enumerate(points) if len(s & t) == 1) for s in points]
-    assert {row.bit_count() for row in adj} == {2 * 3 * 15}  # q [2]_q [4]_q
-    f = witness["map"]
-    assert len(f) == 651 and len(set(f)) == 31 and not witness["injective"]
-    assert oracles.first_broken_edge(adj, f) is None
-    collapsed = f[:]
-    collapsed[1] = collapsed[0]
-    assert oracles.first_broken_edge(adj, collapsed) == (0, 1)
+    # J_2(6,2)'s witness comes from the orbit stage and J_3(4,2)'s from DSATUR,
+    # which checks none of its own colourings
+    for q, n, m, nv, omega, degree, orbit in (
+        (2, 6, 2, 651, 31, 2 * 3 * 15, True),  # degree q [m]_q [n-m]_q
+        (3, 4, 2, 130, 13, 3 * 4 * 4, False),
+    ):
+        shape = ("--q", str(q), "--n", str(n), "--m", str(m))
+        code, out, _ = run(capsys, "coreness", *shape)
+        assert code == 0
+        rep = json.loads(out)["coreness"]
+        assert any(e.startswith("orbit search found") for e in rep["evidence"]) == orbit
+        code, out, _ = run(capsys, "build", *shape, "--format", "json")
+        assert code == 0
+        # masks spanned from the basis rows of the dump, adjacency by pairwise popcounts
+        dump = json.loads(out)
+        spec = make_field(dump["params"]["p"], dump["params"]["e"])
+        masks = [
+            oracles.mask_by_enumeration(spec, subspaces.subspace_from_digits(spec, v["matrix"]))
+            for v in dump["vertices"]
+        ]
+        adj = oracles.pairwise_adjacency(masks, q, m)
+        assert {row.bit_count() for row in adj} == {degree}
+        f = rep["witness"]["map"]
+        assert len(f) == nv and len(set(f)) == omega and not rep["witness"]["injective"]
+        assert oracles.first_broken_edge(adj, f) is None
+        j = (adj[0] & -adj[0]).bit_length() - 1  # vertex 0's lowest neighbour
+        collapsed = f[:]
+        collapsed[j] = collapsed[0]
+        assert oracles.first_broken_edge(adj, collapsed) == (0, j)
+
+
+def test_a_witness_that_fails_its_check_exits_1(capsys, monkeypatch):
+    # a balanced but improper colouring: the witness check fails, which is a
+    # failed self-check, not invalid input
+    def improper(G, node_budget):
+        return [v % 7 for v in range(G.num_vertices)], 7, 0
+
+    monkeypatch.setattr(coreness, "orbit_colouring", improper)
+    code, out, err = run(capsys, "coreness", "--q", "2", "--n", "4", "--m", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: AssertionError: the 7-colouring witness fails its ")
+    assert err.count("\n") == 1
 
 
 def test_qbinom(capsys):

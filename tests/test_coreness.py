@@ -25,12 +25,7 @@ from grassmann_lab.config import (
     BoundExceeded,
     SearchBudgetExceeded,
 )
-from grassmann_lab.coreness import (
-    Endomorphism,
-    find_colouring,
-    orbit_colouring,
-    validate_colouring,
-)
+from grassmann_lab.coreness import Endomorphism, find_colouring, orbit_colouring
 from grassmann_lab.fixture import load_fixture
 from grassmann_lab.graph import bits, dual_permutation, induced_permutation
 
@@ -248,36 +243,57 @@ _IDS = [f"J_{q}({n},{m})" for q, n, m in _WITNESSES]
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("q, n, m", _WITNESSES, ids=_IDS)
 def test_colouring_check_matches_the_pairwise_reference(q, n, m, seed):
-    G, _, colours = _witness(q, n, m)
+    # a colouring is checked as the map it builds onto the clique: a
+    # recoloured vertex raises the first broken edge of that map
+    G, witness, colours = _witness(q, n, m)
     adj, nv, k = G.adjacency, G.num_vertices, max(colours) + 1
-    assert _error(validate_colouring, adj, colours, k) is None
+    clique = sorted(set(witness))  # colour c is the c-th image vertex
     assert _error(oracles.validate_colouring, adj, colours, k) is None
-    assert _error(validate_colouring, adj, colours, 2**62) is None  # no table of k classes
+    assert build_colouring_endomorphism(G, colours, clique).mapping == tuple(witness)
     short = "colouring length differs from vertex count"
-    assert _error(validate_colouring, adj, colours[:-1], k) == short
+    assert _error(build_colouring_endomorphism, G, colours[:-1], clique) == short
     rng = random.Random(seed)
-    bad = (k, -1)[seed % 2]
+    outside = sorted(set(range(nv)) - set(clique))  # a clique vertex would repeat a colour
     for _ in range(3):
-        # recolour v to a neighbour's colour: the first clash (i, j) has i <= v
-        v = rng.randrange(1, nv - 2)
+        v = rng.choice(outside)
         u = rng.choice(list(bits(adj[v])))
         clash = colours[:]
         clash[v] = colours[u]
-        after = clash[:]  # an out-of-range colour past v, so the clash is named
-        after[nv - 1 if u != nv - 1 else nv - 2] = bad
-        before = clash[:]  # vertex 0 is checked first, range first
-        before[0] = bad
-        anywhere = clash[:]
-        anywhere[rng.randrange(nv)] = bad
-        for cols, prefix in (
-            (clash, "improper colouring"),
-            (after, "improper colouring"),
-            (before, "vertex 0 has colour"),
-            (anywhere, ""),
+        assert _error(oracles.validate_colouring, adj, clash, k).startswith("improper colouring")
+        want = _endomorphism_error(G, [clique[c] for c in clash])
+        assert want is not None
+        assert _error(build_colouring_endomorphism, G, clash, clique) == want
+        i = rng.randrange(nv)
+        for bad, error in (
+            (k, f"clique size {k} differs from colour count {k + 1}"),
+            (-1, f"vertex {i} has colour -1 outside 0..{k - 1}"),
         ):
-            want = _error(oracles.validate_colouring, adj, cols, k)
-            assert want.startswith(prefix)
-            assert _error(validate_colouring, adj, cols, k) == want
+            anywhere = clash[:]
+            anywhere[i] = bad
+            assert _error(build_colouring_endomorphism, G, anywhere, clique) == error
+
+
+@pytest.mark.parametrize(
+    "q, orbit", [(2, True), (3, False), (4, True)], ids=["J_2(4,2)", "J_3(4,2)", "J_4(4,2)"]
+)
+def test_core_test_checks_its_witness_once(monkeypatch, q, orbit):
+    # one validate_endomorphism call per witness, whichever search found the
+    # colouring (DSATUR at J_3(4,2), else the orbit stage), and no other validator
+    assert [name for name in dir(coreness) if name.startswith("validate_")] == [
+        "validate_endomorphism"
+    ]
+    calls = []
+    check = coreness.validate_endomorphism
+
+    def counted(G, mapping):
+        calls.append(G)
+        return check(G, mapping)
+
+    monkeypatch.setattr(coreness, "validate_endomorphism", counted)
+    rep = core_test(4, 2, q)
+    assert any(e.startswith("orbit search found") for e in rep.evidence) == orbit
+    assert rep.witness_class == "colouring"
+    assert len(calls) == 1 and calls[0] is rep.witness.graph
 
 
 @pytest.mark.parametrize("seed", range(4))
