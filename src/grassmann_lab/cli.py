@@ -208,7 +208,7 @@ def cmd_qbinom(args) -> int:
             + " ".join(f"Phi_{t}^{e}" for t, e in sorted(exps.exponents.items()))
         )
         if with_h:
-            hrep = h_report(args.n, args.m)
+            hrep = h_report(args.n, args.m, poly)
             lines.append(
                 f"h = f/g with f = {hrep.f}, g = {hrep.g}, "
                 f"r = {hrep.r}, applicable = {hrep.applicable}"
@@ -226,7 +226,7 @@ def cmd_qbinom(args) -> int:
         value_at = gaussian_binomial_int(args.n, args.m, args.at)
         data["qbinom"]["value_at"] = {"q": args.at, "value": value_at}
     if with_h:
-        data["qbinom"]["h"] = h_report_dict(h_report(args.n, args.m))
+        data["qbinom"]["h"] = h_report_dict(h_report(args.n, args.m, poly))
         if args.at is not None:
             value = h_num if h_den == 1 else f"{h_num}/{h_den}"
             data["qbinom"]["h"]["value_at"] = {"q": args.at, "value": value}

@@ -49,11 +49,12 @@ SEARCH_BOUND = 1000
 NODE_BUDGET = 200_000
 
 # Cap on the degree m(n-m) of [n choose m]_q when `qbinom` runs the h
-# report (4 <= 2m <= n).  The report's dense cross-check [n,m]_q * g ==
-# f * omega and its divmod(f, g) grow with the square of the degree and are
-# the largest part of it: at the cap, `qbinom` on [160,80], [243,30] and
-# [650,10] takes 0.4-0.6 s on one Xeon core, 0.15, 0.25 and 0.64 s of it in
-# those two steps.
+# report (4 <= 2m <= n).  The report's cross-check [n,m]_q * g == f * omega
+# is two integer products of packed coefficients, 11-19 ms at the cap, and
+# its divmod(f, g) 3-4 ms; its largest step is building f and g one factor
+# (q^d - 1)^(+-1) at a time, 85 ms on [160,80].  At the cap, `qbinom` on
+# [160,80], [243,30] and [650,10] takes 0.26, 0.18 and 0.14 s in a fresh
+# interpreter on one Xeon core.
 MAX_QBINOM_DEGREE = 6400
 
 # Cap on the work min(m, n-m) * m(n-m) of building [n choose m]_q in

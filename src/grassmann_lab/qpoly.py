@@ -13,9 +13,16 @@ every division is checked.  The central objects are
     products, whose non-integrality at a prime power q certifies that
     the graph is a core.
 
+No polynomial product is ever formed: the one identity between products
+that the h report checks, [n,m]_q * g == f * omega, is decided as two
+integer products by Kronecker substitution, packing each polynomial as
+its value at a power of two large enough that the integers can agree only
+if the polynomials do.
+
 A value of h at an integer q is the pair (numerator, denominator) in
 lowest terms, so h(q) is an integer exactly when the denominator is 1;
-no rational type is needed.
+no rational type is needed.  Where h has no negative cyclotomic exponent
+it is a polynomial, and each h(q) is one exact division, with no gcd.
 """
 
 from __future__ import annotations
@@ -29,10 +36,11 @@ from .arith import prime_power_base, prime_powers_upto
 class IntPolynomial:
     """Dense polynomial over the integers, constant term first.
 
-    The zero polynomial has an empty coefficient tuple.  Arithmetic is
-    exact; divmod raises if a leading-coefficient division is not exact
-    (all divisors used in this package are monic, so the quotient and
-    remainder are the unique integer ones).
+    The zero polynomial has an empty coefficient tuple.  divmod is exact
+    and raises if a leading-coefficient division is not (all divisors used
+    in this package are monic, so the quotient and remainder are the
+    unique integer ones).  Products are compared, never formed: see
+    _same_product.
     """
 
     __slots__ = ("coeffs",)
@@ -51,68 +59,10 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = IntPolynomial((1,))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __divmod__(self, other: "IntPolynomial"):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -134,19 +84,6 @@ class IntPolynomial:
                 rem[i - dd + j] -= t * d
         return IntPolynomial(quo), IntPolynomial(rem)
 
-    def __floordiv__(self, other):
-        q, _ = divmod(self, other)
-        return q
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        return f"IntPolynomial({str(self)!r})"
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -166,8 +103,44 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-ONE = IntPolynomial((1,))
-Q = IntPolynomial((0, 1))
+def _packed(p: IntPolynomial, width: int) -> int:
+    """p(2^(8 width)), for coefficients below 2^(8 width) in absolute value.
+
+    The positive and the negative coefficients are each written as
+    width-byte little-endian words and read back as one int.
+    """
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in p.coeffs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in p.coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _same_product(a: IntPolynomial, b: IntPolynomial, c: IntPolynomial, d: IntPolynomial) -> bool:
+    """Whether a*b == c*d, compared as two integer products (Kronecker substitution).
+
+    Each polynomial is packed as its value at x = 2^W (_packed, linear
+    time), and the test is a(x) b(x) == c(x) d(x).  This is exact.  A
+    coefficient of a*b is at most ||a||_1 ||b||_inf in absolute value, and
+    one of c*d at most ||c||_1 ||d||_inf, so with
+    B = 2 max(||a||_1 ||b||_inf, ||c||_1 ||d||_inf) every coefficient of
+    D = a*b - c*d is at most B in absolute value.  W is
+    w = bitlen(B) + 1 rounded up to whole bytes, so B < 2^(W-1) = x/2.  If
+    D != 0, let D_k be its lowest nonzero coefficient: D(x) is x^k times
+    D_k plus a multiple of x, and 0 < |D_k| < x, so D(x) != 0.  Equal
+    integers therefore mean equal polynomials.  When no factor is zero
+    every norm is at least 1, so each coefficient of a, b, c and d is at
+    most B/2 and fits its word; a zero factor is decided without packing.
+    """
+    ab_zero = a.is_zero() or b.is_zero()
+    cd_zero = c.is_zero() or d.is_zero()
+    if ab_zero or cd_zero:
+        return ab_zero and cd_zero
+    bound = 2 * max(
+        sum(map(abs, a.coeffs)) * max(map(abs, b.coeffs)),
+        sum(map(abs, c.coeffs)) * max(map(abs, d.coeffs)),
+    )
+    width = (bound.bit_length() + 8) // 8
+    return _packed(a, width) * _packed(b, width) == _packed(c, width) * _packed(d, width)
 
 
 def _qd_product(steps) -> IntPolynomial:
@@ -337,14 +310,15 @@ def h_exponents(n: int, m: int) -> CycloFactorization:
     return CycloFactorization({t: e for t, e in exps.items() if e})
 
 
-def h_report(n: int, m: int) -> HReport:
-    """Assemble the h(q) ratio report for 4 <= 2m <= n.
+def h_report(n: int, m: int, binomial: IntPolynomial) -> HReport:
+    """Assemble the h(q) ratio report for 4 <= 2m <= n from binomial = [n,m]_q.
 
-    Cross-checks the exponent-wise form against the defining ratio by
-    multiplication ([n,m]_q * g == f * omega) and, in the applicable
-    case, confirms that the cyclotomic factor indexed by gcd(m, n-m+1)
-    sits in the denominator and that the division leaves a nonzero
-    remainder.
+    Cross-checks the exponent-wise form against the defining ratio,
+    binomial * g == f * omega, as one packed integer comparison
+    (_same_product, linear in the degree but for two integer products), so
+    a binomial that is not [n,m]_q is refused.  In the applicable case it
+    confirms that the cyclotomic factor indexed by gcd(m, n-m+1) sits in
+    the denominator and that the division leaves a nonzero remainder.
     """
     if not (2 <= m and 2 * m <= n):
         raise ValueError("need 4 <= 2m <= n")
@@ -352,7 +326,7 @@ def h_report(n: int, m: int) -> HReport:
     f, g = exps.split()
     i = gcd(m, n - m + 1)
     applicable = i >= 2
-    if gaussian_binomial_poly(n, m) * g != f * omega_poly(n, m):
+    if not _same_product(binomial, g, f, omega_poly(n, m)):
         raise ArithmeticError("exponent-wise h disagrees with [n,m]/omega")
     f1, r = divmod(f, g)
     if g.degree >= 1 and not r.degree < g.degree:
@@ -376,28 +350,43 @@ def h_integrality(n: int, m: int, q: int) -> tuple[int, int]:
         raise ValueError(f"{q} is not a prime power")
     if not (2 <= m and 2 * m <= n):
         raise ValueError("need 4 <= 2m <= n")
-    return _h_parts(n, m, q)
+    _, num, den = _h_rows(n, m, (q,))[0]
+    return num, den
 
 
-def _h_parts(n: int, m: int, q: int) -> tuple[int, int]:
-    """h(q) in lowest terms as (numerator, denominator), for 4 <= 2m <= n.
+def _h_rows(n: int, m: int, qs) -> tuple[tuple[int, int, int], ...]:
+    """One row (q, numerator, denominator) of h(q) in lowest terms per q in qs, 4 <= 2m <= n.
 
     omega = (q^(n-m+1) - 1)/(q - 1) cancels the i = m factor of the
     numerator of [n,m]_q = prod_{i=1..m} (q^(n+1-i) - 1)/(q^i - 1), and its
     q - 1 cancels the i = 1 factor of the denominator, so
     h(q) = prod_{i=1..m-1} (q^(n+1-i) - 1) / prod_{i=2..m} (q^i - 1): two
-    products of m - 1 factors and one gcd, with no exact division to check.
+    products of m - 1 factors per q.  Whether h is a polynomial in q (no
+    negative exponent in h_exponents) is decided once, for all q.  If it
+    is, every h(q) is an integer, and the row is one divmod of the two
+    products, whose remainder must vanish.  Otherwise both products are
+    divided by their gcd.
     """
-    num = den = 1
-    top = q ** (n + 2 - m)
-    bottom = q
-    for _ in range(m - 1):
-        bottom *= q
-        num *= top - 1
-        den *= bottom - 1
-        top *= q
-    g = gcd(num, den)
-    return num // g, den // g
+    polynomial = min(h_exponents(n, m).exponents.values(), default=0) >= 0
+    rows = []
+    for q in qs:
+        num = den = 1
+        top = q ** (n + 2 - m)
+        bottom = q
+        for _ in range(m - 1):
+            bottom *= q
+            num *= top - 1
+            den *= bottom - 1
+            top *= q
+        if polynomial:
+            num, rem = divmod(num, den)
+            if rem:
+                raise ArithmeticError(f"h({q}) is not an integer, but h is a polynomial")
+            rows.append((q, num, 1))
+        else:
+            g = gcd(num, den)
+            rows.append((q, num // g, den // g))
+    return tuple(rows)
 
 
 class ScanReport(NamedTuple):
@@ -419,10 +408,14 @@ class ScanReport(NamedTuple):
 
 
 def scan_core_threshold(n: int, m: int, q_max: int) -> ScanReport:
-    """Evaluate h at every prime power q <= q_max and record integrality."""
+    """Evaluate h at every prime power q <= q_max and record integrality.
+
+    The rows come from one pass of _h_rows over the prime powers: one
+    divmod per q where h is a polynomial in q, one gcd per q otherwise.
+    """
     if not (2 <= m and 2 * m <= n):
         raise ValueError("need 4 <= 2m <= n")
     i = gcd(m, n - m + 1)
-    entries = tuple((q, *_h_parts(n, m, q)) for q in prime_powers_upto(q_max))
+    entries = _h_rows(n, m, prime_powers_upto(q_max))
     largest = next((q for q, _, den in reversed(entries) if den == 1), None)
     return ScanReport(n, m, q_max, i, i >= 2, entries, largest)

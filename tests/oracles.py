@@ -11,10 +11,12 @@ pair of vertex masks, colour classes checked against every star from
 those masks, field properties from exhaustive loops, and graph dumps
 from one [i, j] list per edge.  The search kernels are the
 straightforward recursive versions of the library's iterative,
-bitset-driven ones, and the q-polynomial references at the end are the
-dense polynomial products, the recursive cyclotomic division and the
-Fraction-based scan, with the polynomial helpers they need: exact
-division, monicity and the expansion of a cyclotomic factorization.
+bitset-driven ones, and the q-polynomial references at the end are
+schoolbook polynomial arithmetic (its product is the reference for the
+library's packed product test), the dense polynomial products, the
+recursive cyclotomic division and the Fraction-based scan, with the
+polynomial helpers they need: exact division, monicity and the expansion
+of a cyclotomic factorization.
 Colourings and endomorphisms are checked one edge at a time, against
 the library's checks on whole colour classes and preimage sets.
 """
@@ -33,7 +35,6 @@ from grassmann_lab.arith import prime_powers_upto
 from grassmann_lab.config import NODE_BUDGET, SearchBudgetExceeded
 from grassmann_lab.graph import bits
 from grassmann_lab.qpoly import (
-    ONE,
     CycloFactorization,
     IntPolynomial,
     ScanReport,
@@ -568,6 +569,48 @@ def all_maximal_cliques(adj, nv: int) -> list[tuple[int, ...]]:
 
 # -- q-polynomials ------------------------------------------------------
 
+ONE = IntPolynomial((1,))
+Q = IntPolynomial((0, 1))
+
+
+def poly_add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    a, b = sorted((a.coeffs, b.coeffs), key=len, reverse=True)
+    return IntPolynomial([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+
+
+def poly_neg(p: IntPolynomial) -> IntPolynomial:
+    return IntPolynomial([-c for c in p.coeffs])
+
+
+def poly_sub(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    return poly_add(a, poly_neg(b))
+
+
+def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """The schoolbook product, the reference for the library's packed product test."""
+    if a.is_zero() or b.is_zero():
+        return IntPolynomial()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] += ca * cb
+    return IntPolynomial(out)
+
+
+def poly_pow(p: IntPolynomial, k: int) -> IntPolynomial:
+    result = ONE
+    for _ in range(k):
+        result = poly_mul(result, p)
+    return result
+
+
+def poly_eval(p: IntPolynomial, x: int) -> int:
+    """p(x) by Horner's rule."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
 
 def exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """a / b, insisting on zero remainder."""
@@ -605,7 +648,7 @@ def gaussian_binomial_poly(n: int, m: int) -> IntPolynomial:
         raise ValueError("need 0 <= m <= n")
     result = ONE
     for i in range(1, m + 1):
-        result = exact_div(result * x_power_minus_one(n + 1 - i), x_power_minus_one(i))
+        result = exact_div(poly_mul(result, x_power_minus_one(n + 1 - i)), x_power_minus_one(i))
     return result
 
 
@@ -633,9 +676,9 @@ def cyclo_split(exponents: dict[int, int]) -> tuple[IntPolynomial, IntPolynomial
     for t in sorted(exponents):
         e = exponents[t]
         if e > 0:
-            num = num * cyclotomic(t) ** e
+            num = poly_mul(num, poly_pow(cyclotomic(t), e))
         elif e < 0:
-            den = den * cyclotomic(t) ** (-e)
+            den = poly_mul(den, poly_pow(cyclotomic(t), -e))
     return num, den
 
 

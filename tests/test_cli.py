@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import time
 
@@ -761,3 +762,67 @@ def test_reports_are_deterministic(capsys):
     _, out1, _ = run(capsys, "coreness", "--q", "2", "--n", "4", "--m", "2")
     _, out2, _ = run(capsys, "coreness", "--q", "2", "--n", "4", "--m", "2")
     assert out1 == out2
+
+
+def _exit_contract_inputs():
+    """A seeded sample of CLI inputs over edge values of q, n, m, --at and --q-max, in every
+    output format, and the shapes at MAX_QBINOM_DEGREE and MAX_SCAN_WORK with one past each."""
+    rng = random.Random(33)
+    formats = {"build": ("text", "json", "dot"), "qbinom": ("json", "text")}
+    graphs = [
+        f"{cmd} --q {q} --n {n} --m {m}"
+        for cmd in ("build", "verify", "coreness")
+        for q in (-1, 0, 1, 2, 3, 4, 6, 9, 16, 17, 27, 32, MAX_FIELD_SIZE + 1)
+        for n in range(-1, 9)
+        for m in range(-1, 5)
+    ]
+    polys = []
+    for n in (-1, 0, 1, 3, 4, 5, 8, 24, 80):
+        for m in (-1, 0, 1, 2, 3, 12, 40):
+            for q_max in ("", "1", "2", "64", "2048"):
+                for at in ("", "1", "2", "6", "2048", "1048573", str(MAX_FIELD_SIZE + 1)):
+                    polys.append(
+                        f"qbinom --n {n} --m {m}"
+                        + (f" --at {at}" if at else "")
+                        + (f" --q-max {q_max}" if q_max else "")
+                    )
+                if q_max:
+                    polys.append(f"scan --n {n} --m {m} --q-max {q_max}")
+    # (input, exit code): the degree cap is inclusive, and (400, 200) at its
+    # scan cap still prints numerators past the int-to-str limit
+    bounds = []
+    for n, m, code in ((650, 10, 0), (160, 80, 0), (651, 10, 2)):
+        assert m * (n - m) == MAX_QBINOM_DEGREE + 10 * (code == 2)
+        bounds.append((f"qbinom --n {n} --m {m}", code))
+    for n, m, code in ((24, 12, 0), (400, 200, 2)):
+        top = MAX_SCAN_WORK // (m * (n - m))
+        bounds += [(f"scan --n {n} --m {m} --q-max {top}", code)]
+        bounds += [(f"scan --n {n} --m {m} --q-max {top + 1}", 2)]
+    out = []
+    sample = rng.sample(graphs, 160) + rng.sample(polys, 100)
+    for argv, code in [(argv, None) for argv in sample] + bounds:
+        command = argv.split()[0]
+        fmt = rng.choice(formats.get(command, ("json", "text")))
+        out.append((f"{argv} --format {fmt}", code))
+    return out
+
+
+def test_every_input_of_a_seeded_grid_exits_0_2_or_3(capsys):
+    # exit 1 means a failed check: no input may reach it, print a traceback,
+    # or write stdout on the way to a bound (2) or an invalid-input (3) exit
+    inputs = _exit_contract_inputs()
+    assert len(inputs) <= 300
+    codes = {}
+    for argv, expected in inputs:
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3), (argv, code, err)
+        assert expected in (None, code), (argv, code, err)
+        assert "Traceback" not in err, argv
+        if code:
+            assert out == "" and err, argv
+        codes[code] = codes.get(code, 0) + 1
+    assert set(codes) == {0, 2, 3}, codes

@@ -2,8 +2,9 @@
 function it defines, every public function or class is named by some
 module of the package, no module relies on an assert statement, no module
 writes an instance's __dict__ or runs Gaussian elimination outside
-canonicalize, and importing the CLI loads neither dataclasses nor
-fractions, nor importlib.resources or tempfile."""
+canonicalize, importing the CLI loads neither dataclasses nor fractions,
+nor importlib.resources or tempfile, and some command calls every method
+of IntPolynomial but the __eq__ the tests compare records with."""
 
 import ast
 import subprocess
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import grassmann_lab
+from grassmann_lab.cli import main
+from grassmann_lab.qpoly import IntPolynomial
 
 SOURCES = sorted(Path(grassmann_lab.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -154,3 +157,41 @@ def test_the_cli_imports_neither_dataclasses_nor_fractions():
         assert r.returncode == 0, r.stderr
         loaded = r.stdout.split()
         assert loaded == [], f"python {' '.join(flags)}: import grassmann_lab.cli loads {loaded}"
+
+
+# IntPolynomial keeps __eq__ for the tests, which compare records by value;
+# every other method must be reached by some command.
+KEPT_FOR_TESTS = {"__eq__"}
+
+
+def test_every_int_polynomial_method_is_called_by_a_command(monkeypatch, capsys):
+    called = set()
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    methods = []
+    for name, attr in list(vars(IntPolynomial).items()):
+        if isinstance(attr, property):
+            monkeypatch.setattr(IntPolynomial, name, property(spy(name, attr.fget)))
+        elif callable(attr):
+            monkeypatch.setattr(IntPolynomial, name, spy(name, attr))
+        else:
+            continue
+        methods.append(name)
+    for argv in (
+        "qbinom --n 8 --m 3 --format text",
+        "qbinom --n 8 --m 3 --at 4 --q-max 64",
+        "qbinom --n 9 --m 4 --at 5",
+        "scan --n 8 --m 3 --q-max 64",
+        "coreness --q 2 --n 5 --m 2",
+    ):
+        assert main(argv.split()) == 0, argv
+    capsys.readouterr()
+    assert {"__init__", "__divmod__", "__str__", "degree", "is_zero"} <= set(methods)
+    unused = sorted(set(methods) - called - KEPT_FOR_TESTS)
+    assert unused == [], f"IntPolynomial methods no command calls: {unused}"

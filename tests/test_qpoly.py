@@ -17,18 +17,19 @@ from grassmann_lab import (
     qpoly,
     scan_core_threshold,
 )
-from grassmann_lab.qpoly import ONE, IntPolynomial, Q, h_exponents
-from oracles import x_power_minus_one
+from grassmann_lab.cli import main
+from grassmann_lab.qpoly import IntPolynomial, h_exponents
+from oracles import ONE, Q, poly_add, poly_eval, poly_mul, poly_pow, poly_sub, x_power_minus_one
 
 
 def test_polynomial_arithmetic_basics():
     p = IntPolynomial((1, 2, 3))
     q = IntPolynomial((0, 1))
-    assert (p + q).coeffs == (1, 3, 3)
-    assert (p - p).is_zero()
-    assert (q * q).coeffs == (0, 0, 1)
-    assert (q**5).coeffs == (0,) * 5 + (1,)
-    assert p(2) == 1 + 4 + 12
+    assert poly_add(p, q).coeffs == (1, 3, 3)
+    assert poly_sub(p, p).is_zero()
+    assert poly_mul(q, q).coeffs == (0, 0, 1)
+    assert poly_pow(q, 5).coeffs == (0,) * 5 + (1,)
+    assert poly_eval(p, 2) == 1 + 4 + 12
     assert str(IntPolynomial((1, -1, 1))) == "q^2 - q + 1"
     assert IntPolynomial((1, 1)) == IntPolynomial((1, 1, 0))
 
@@ -39,7 +40,7 @@ def test_divmod_contract_random():
         g = IntPolynomial([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [1])
         f = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 8))])
         f1, r = divmod(f, g)
-        assert g * f1 + r == f
+        assert poly_add(poly_mul(g, f1), r) == f
         assert r.is_zero() or r.degree < g.degree
 
 
@@ -62,7 +63,7 @@ def test_cyclotomic_small_values():
     assert cyclotomic(4).coeffs == (1, 0, 1)
     # divide q^6-1 by the proper-divisor factors, independently of the kernel
     q6 = x_power_minus_one(6)
-    rest = cyclotomic(1) * cyclotomic(2) * cyclotomic(3)
+    rest = poly_mul(poly_mul(cyclotomic(1), cyclotomic(2)), cyclotomic(3))
     assert oracles.exact_div(q6, rest).coeffs == (1, -1, 1)
     assert cyclotomic(6).coeffs == (1, -1, 1)
     with pytest.raises(ValueError):
@@ -74,17 +75,17 @@ def test_cyclotomic_product_identity_up_to_30():
         prod = ONE
         for j in range(1, n + 1):
             if n % j == 0:
-                prod = prod * cyclotomic(j)
+                prod = poly_mul(prod, cyclotomic(j))
         assert prod == x_power_minus_one(n)
 
 
 def test_gaussian_binomial_poly_cases():
     assert gaussian_binomial_poly(4, 0) == ONE
     # expand (q^2+1)(q^2+q+1)
-    expected = IntPolynomial((1, 0, 1)) * IntPolynomial((1, 1, 1))
+    expected = poly_mul(IntPolynomial((1, 0, 1)), IntPolynomial((1, 1, 1)))
     assert gaussian_binomial_poly(4, 2) == expected
     assert gaussian_binomial_poly(4, 2).coeffs == (1, 1, 2, 1, 1)
-    assert gaussian_binomial_poly(4, 2)(2) == 35
+    assert poly_eval(gaussian_binomial_poly(4, 2), 2) == 35
     assert gaussian_binomial_poly(4, 2).degree == 2 * 2
 
 
@@ -128,8 +129,8 @@ def test_gaussian_symmetry():
 
 
 def test_omega_poly():
-    assert omega_poly(4, 2)(2) == 7
-    assert omega_poly(5, 2)(2) == 15
+    assert poly_eval(omega_poly(4, 2), 2) == 7
+    assert poly_eval(omega_poly(5, 2), 2) == 15
     # at n = 2m the clique number equals the top size (q^(m+1)-1)/(q-1)
     for m in (2, 3):
         top_size = oracles.exact_div(x_power_minus_one(m + 1), x_power_minus_one(1))
@@ -139,7 +140,7 @@ def test_omega_poly():
 
 
 def test_h_report_4_2():
-    rep = h_report(4, 2)
+    rep = h_report(4, 2, gaussian_binomial_poly(4, 2))
     assert rep.f.coeffs == (1, 0, 1)  # q^2 + 1
     assert rep.g == ONE
     assert rep.r.is_zero()
@@ -148,7 +149,7 @@ def test_h_report_4_2():
 
 
 def test_h_report_5_2():
-    rep = h_report(5, 2)
+    rep = h_report(5, 2, gaussian_binomial_poly(5, 2))
     assert rep.applicable is True
     assert rep.gcd_value == 2
     assert rep.exponents.exponents == {2: -1, 5: 1}
@@ -157,11 +158,11 @@ def test_h_report_5_2():
     assert rep.f1.coeffs == (0, 1, 0, 1)  # q^3 + q
     assert rep.r == ONE
     # h(q) = (q^5 - 1)/(q^2 - 1): cross-multiply
-    assert rep.f * x_power_minus_one(2) == x_power_minus_one(5) * rep.g
+    assert poly_mul(rep.f, x_power_minus_one(2)) == poly_mul(x_power_minus_one(5), rep.g)
 
 
 def test_h_report_8_3():
-    rep = h_report(8, 3)
+    rep = h_report(8, 3, gaussian_binomial_poly(8, 3))
     assert rep.applicable is True
     assert rep.gcd_value == 3
     # the lower index range is not uniformly nonpositive: j=4 contributes +1
@@ -173,11 +174,12 @@ def test_h_report_8_3():
 def test_h_report_contract_over_range():
     for n in range(4, 13):
         for m in range(2, n // 2 + 1):
-            rep = h_report(n, m)
+            binomial = gaussian_binomial_poly(n, m)
+            rep = h_report(n, m, binomial)
             assert all(e in (-1, 0, 1) for e in rep.exponents.exponents.values())
             assert oracles.is_monic(rep.f) and oracles.is_monic(rep.g)
-            assert rep.g * rep.f1 + rep.r == rep.f
-            assert gaussian_binomial_poly(n, m) * rep.g == rep.f * omega_poly(n, m)
+            assert poly_add(poly_mul(rep.g, rep.f1), rep.r) == rep.f
+            assert poly_mul(binomial, rep.g) == poly_mul(rep.f, omega_poly(n, m))
             if rep.applicable:
                 assert rep.exponents.exponents[rep.gcd_value] == -1
                 assert not rep.r.is_zero()
@@ -201,9 +203,9 @@ def test_h_exponents_match_the_floor_sums():
 
 def test_h_report_preconditions():
     with pytest.raises(ValueError):
-        h_report(4, 1)
+        h_report(4, 1, gaussian_binomial_poly(4, 1))
     with pytest.raises(ValueError):
-        h_report(3, 2)
+        h_report(3, 2, gaussian_binomial_poly(3, 2))
 
 
 def test_h_integrality_values():
@@ -251,12 +253,12 @@ def test_omega_int_matches_poly():
         for m in range(1, n + 1):
             poly = omega_poly(n, m)
             for q in (2, 3, 4, 5, 7, 8, 9):
-                assert omega_int(n, m, q) == poly(q), (n, m, q)
+                assert omega_int(n, m, q) == poly_eval(poly, q), (n, m, q)
 
 
 def test_q_constant():
-    assert Q(5) == 5
-    assert (Q**2 + Q + 1)(3) == 13
+    assert poly_eval(Q, 5) == 5
+    assert poly_eval(poly_add(poly_add(poly_pow(Q, 2), Q), ONE), 3) == 13
 
 
 def test_gaussian_binomial_poly_matches_the_dense_product():
@@ -279,17 +281,44 @@ def test_scan_matches_the_fraction_reference():
     assert scan_core_threshold(8, 3, 200000) == oracles.scan_core_threshold(8, 3, 200000)
 
 
-def test_h_kernel_matches_the_fraction_off_the_scanned_grid():
-    shapes = [(80, 40), (243, 30), (650, 10)]
-    for n, m in shapes:
-        for q in (2, 3, 2048, 2**20):
-            want = Fraction(gaussian_binomial_int(n, m, q), omega_int(n, m, q))
-            assert qpoly._h_parts(n, m, q) == (want.numerator, want.denominator), (n, m, q)
+def test_scan_matches_the_fraction_reference_on_both_branches_up_to_n_40():
+    # the kernel divides once where h is a polynomial and reduces by a gcd elsewhere
+    branches = set()
     for n in range(4, 41):
         for m in range(2, n // 2 + 1):
-            for q in range(2, 65):
-                want = Fraction(gaussian_binomial_int(n, m, q), omega_int(n, m, q))
-                assert qpoly._h_parts(n, m, q) == (want.numerator, want.denominator), (n, m, q)
+            branches.add(min(h_exponents(n, m).exponents.values()) >= 0)
+            assert scan_core_threshold(n, m, 600) == oracles.scan_core_threshold(n, m, 600)
+    assert branches == {True, False}
+
+
+def test_a_polynomial_h_with_a_fractional_value_is_refused(monkeypatch, capsys):
+    # h(q) = (q^5 - 1)/(q^2 - 1) for (5, 2); claim it has no negative exponent
+    assert h_exponents(5, 2).exponents == {2: -1, 5: 1}
+    monkeypatch.setattr(qpoly, "h_exponents", lambda n, m: CycloFactorization({5: 1}))
+    with pytest.raises(ArithmeticError, match="not an integer, but h is a polynomial"):
+        scan_core_threshold(5, 2, 64)
+    assert main("scan --n 5 --m 2 --q-max 64".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ArithmeticError: ") and captured.err.count("\n") == 1
+
+
+def test_h_kernel_matches_the_fraction_off_the_scanned_grid():
+    def fractions(n, m, qs):
+        for q in qs:
+            want = Fraction(gaussian_binomial_int(n, m, q), omega_int(n, m, q))
+            yield q, want.numerator, want.denominator
+
+    shapes = [(80, 40), (243, 30), (650, 10)]
+    for n, m in shapes:
+        qs = (2, 3, 2048, 2**20)
+        assert qpoly._h_rows(n, m, qs) == tuple(fractions(n, m, qs)), (n, m)
+    for n in range(4, 41):
+        for m in range(2, n // 2 + 1):
+            qs = range(2, 65)
+            assert qpoly._h_rows(n, m, qs) == tuple(fractions(n, m, qs)), (n, m)
+            for q in (2, 4, 64):
+                assert h_integrality(n, m, q) == qpoly._h_rows(n, m, (q,))[0][1:], (n, m, q)
 
 
 def test_cyclotomic_matches_the_recursive_division():
@@ -317,14 +346,14 @@ def test_split_matches_the_dense_products():
 
 
 def test_binomial_and_scan_kernels_stay_sparse(monkeypatch):
-    """No q-polynomial kernel may fall back on dense polynomial products or a
-    Fraction per q."""
+    """No q-polynomial kernel may form a dense polynomial product or take a
+    Fraction per q: IntPolynomial has no product to fall back on, and the
+    kernels that need no division run with divmod refused."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense path taken")
 
-    monkeypatch.setattr(IntPolynomial, "__mul__", refuse)
-    monkeypatch.setattr(IntPolynomial, "__pow__", refuse)
+    assert not any(hasattr(IntPolynomial, op) for op in ("__mul__", "__rmul__", "__pow__"))
     monkeypatch.setattr(IntPolynomial, "__divmod__", refuse)
     assert not hasattr(qpoly, "Fraction")
     assert gaussian_binomial_poly(80, 40).degree == 1600
@@ -335,3 +364,81 @@ def test_binomial_and_scan_kernels_stay_sparse(monkeypatch):
     f, g = h_exponents(80, 40).split()
     assert oracles.is_monic(f) and oracles.is_monic(g)
     assert oracles.expand(knuth_wilf_exponents(30, 12)).degree == 12 * 18
+    with pytest.raises(AssertionError, match="dense path taken"):
+        divmod(f, g)
+
+
+def _random_poly(rng, bits=80, max_degree=60):
+    """A signed polynomial of degree 0..max_degree with coefficients below 2^bits; its
+    leading coefficient is negative half the time."""
+    coeffs = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(0, max_degree))]
+    lead = rng.randint(1, 2**bits)
+    return IntPolynomial(coeffs + [rng.choice((lead, -lead))])
+
+
+def _negated_lead(p):
+    return IntPolynomial(p.coeffs[:-1] + (-p.coeffs[-1],))
+
+
+def test_packed_product_agrees_with_the_schoolbook_product():
+    rng = random.Random(2024)
+    zero = IntPolynomial()
+    seen = {True: 0, False: 0}
+
+    def check(a, b, c, d):
+        want = poly_mul(a, b) == poly_mul(c, d)
+        assert qpoly._same_product(a, b, c, d) == want, (a.coeffs, b.coeffs, c.coeffs, d.coeffs)
+        seen[want] += 1
+
+    for _ in range(60):
+        u, v, w = (_random_poly(rng, bits=rng.choice((1, 8, 80))) for _ in range(3))
+        uv, vw = poly_mul(u, v), poly_mul(v, w)
+        check(uv, w, u, vw)  # (uv)w == u(vw)
+        check(w, uv, vw, u)
+        # one coefficient of one factor off by +-1 or by a random amount
+        k = rng.randrange(len(uv.coeffs))
+        for delta in (1, -1, rng.randint(-(2**80), 2**80) or 1):
+            off = list(uv.coeffs)
+            off[k] += delta
+            check(IntPolynomial(off), w, u, vw)
+        check(u, v, w, _random_poly(rng))  # independent pairs
+        check(u, zero, zero, w)
+        check(zero, u, v, w)
+        check(u, v, w, zero)
+        check(u, v, _negated_lead(u), v)
+    check(zero, zero, zero, zero)
+    assert seen[True] >= 120 and seen[False] >= 300
+
+
+def test_packed_width_grows_with_the_coefficients():
+    # x and the constant 2^k agree at x = 2^k, so a width that ignored the
+    # coefficients' size would call them equal once k is a whole number of bytes
+    for k in range(201):
+        assert not qpoly._same_product(IntPolynomial((2**k,)), ONE, Q, ONE), k
+        assert not qpoly._same_product(Q, ONE, IntPolynomial((2**k,)), ONE), k
+        if k and k % 8 == 0:
+            assert qpoly._packed(Q, k // 8) == 2**k
+    # nor may the width follow the factors' coefficients alone: with C = x - 1,
+    # (C + Cx)^2 has coefficients up to 2C^2, and at x it takes the value of
+    # the polynomial c whose coefficients are that value's base-x digits
+    for nbytes in range(1, 9):
+        x = 2 ** (8 * nbytes)
+        a = IntPolynomial((x - 1, x - 1))
+        value = poly_eval(a, x) ** 2
+        digits = [(value >> (8 * nbytes * i)) % x for i in range(4)]
+        c = IntPolynomial(digits)
+        assert max(digits) < x and poly_eval(c, x) == value and poly_mul(a, a) != c
+        assert not qpoly._same_product(a, a, c, ONE), nbytes
+
+
+@pytest.mark.parametrize("n, m", [(8, 3), (24, 12), (80, 40)])
+def test_h_report_refuses_a_binomial_one_coefficient_off(n, m):
+    binomial = gaussian_binomial_poly(n, m)
+    top = binomial.degree
+    for k in (0, top // 2, top):
+        for delta in (1, -1):
+            coeffs = list(binomial.coeffs)
+            coeffs[k] += delta
+            with pytest.raises(ArithmeticError, match="exponent-wise h disagrees"):
+                h_report(n, m, IntPolynomial(coeffs))
+    assert h_report(n, m, binomial).n == n
