@@ -17,7 +17,7 @@ import sys
 # Largest permitted field size q = p^e.
 MAX_FIELD_SIZE = 1 << 20
 
-# Largest q for which Gaussian elimination uses precomputed op tables.
+# Largest q for which every FieldSpec operation is a lookup in precomputed tables.
 FIELD_TABLE_LIMIT = 256
 
 # Largest q accepted when building a graph.
@@ -38,8 +38,8 @@ CLIQUE_ENUM_BOUND = 2000
 
 # Cap for the exact chi search in `coreness`, and for the clique census
 # that certifies omega when that search refutes an omega-colouring;
-# J_2(6,3) at 1395 vertices is deliberately above it, so its coreness
-# stays "undetermined" by default.
+# J_2(7,3), every lambda_i an integer, is above it at 11,811 vertices, so
+# its coreness stays "undetermined" by default.
 SEARCH_BOUND = 1000
 
 # Node budget for the colouring search, which the orbit search

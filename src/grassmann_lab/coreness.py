@@ -19,18 +19,20 @@ exceeds its clique number (every endomorphism is an automorphism or a
 colouring), so core_test asks one question, whether an omega-colouring
 exists.  For 2m <= n each class of one is an S_q[m-1, m, n] system, a
 set of m-spaces that holds every (m-1)-space once (a line spread when
-m = 2).  The orbit search looks first for omega-colourings whose classes
-are the images of r base classes under a cyclic group H of order
-omega/r that acts freely on the vertices, with H = <diag(I, C)> for a
-companion matrix C and its freeness checked on the graph's own vertex
-permutation; DSATUR at k = omega then gets the nodes it left.
-CorenessReport.verdict reads the answer off the bounds on chi, which
-core_test's stages only tighten.  An omega-colouring gives alpha, and
-composed with a maximum clique it is a witness endomorphism; when none
-turns up, alpha keeps its bracket.  For 2m <= n the star G.stars[0] is a
-maximum clique, so the colouring search is seeded with no clique search:
-a found colouring certifies the clique number by itself, and a refuted
-one only after the census of maximal cliques has.
+m = 2), with lambda_i = [n-i, m-1-i]_q / [m-i, 1]_q blocks through each
+i-space, 0 <= i < m, so a lambda_i that is not an integer certifies a
+core before any graph is built.  The orbit search looks first for
+omega-colourings whose classes are the images of r base classes under a
+cyclic group H of order omega/r that acts freely on the vertices, with
+H = <diag(I, C)> for a companion matrix C and its freeness checked on
+the graph's own vertex permutation; DSATUR at k = omega then gets the
+nodes it left.  CorenessReport.verdict reads the answer off the bounds
+on chi, which core_test's stages only tighten.  An omega-colouring gives
+alpha, and composed with a maximum clique it is a witness endomorphism;
+when none turns up, alpha keeps its bracket.  For 2m <= n the star
+G.stars[0] is a maximum clique, so the colouring search is seeded with
+no clique search: a found colouring certifies the clique number by
+itself, and a refuted one only after the census of maximal cliques has.
 
 Each witness is checked once, whichever search found its colouring:
 build_colouring_endomorphism composes the colouring with the clique and
@@ -48,7 +50,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import cached_property, reduce
-from itertools import product
+from itertools import chain, product
+from math import gcd
 from typing import NamedTuple
 
 from .arith import prime_power_base
@@ -266,19 +269,6 @@ def _free_cyclic_group(G: GrassmannGraph, s: int) -> tuple[list[int], list[int]]
     return None if orbit is None else (perm, orbit)
 
 
-def _steiner_admissible(n: int, m: int, q: int) -> bool:
-    """Whether an S_q[m-1, m, n] passes its divisibility conditions past |V|/omega.
-
-    The blocks through an i-space, 0 < i < m, number
-    [n-i, m-1-i]_q / [m-i, 1]_q, which must be an integer; i = 0 is
-    |V|/omega itself.  Every condition holds at m = 2.
-    """
-    return all(
-        gaussian_binomial_int(n - i, m - 1 - i, q) % gaussian_binomial_int(m - i, 1, q) == 0
-        for i in range(1, m)
-    )
-
-
 def _exact_cover(rows: list[int], limit: int) -> tuple[list[int] | None, int, bool]:
     """Rows that cover every item of rows exactly once, rows[0] among them.
 
@@ -335,8 +325,7 @@ def orbit_colouring(
 ) -> tuple[list[int] | None, int, int]:
     """An omega-colouring of G (2m <= n) invariant under a certified free cyclic H.
 
-    Its classes are S_q[m-1, m, n] systems, so the search is skipped when
-    those fail _steiner_admissible.  H = <h> is the first
+    Its classes are S_q[m-1, m, n] systems.  H = <h> is the first
     _free_cyclic_group over the divisors s > 1 of omega, largest first,
     and r = omega/s.  One vertex per H-orbit is spread over r base classes
     that each meet every star exactly once: an exact cover whose items are
@@ -356,8 +345,6 @@ def orbit_colouring(
     if 2 * m > n:
         raise ValueError("the stars are the maximum cliques only when 2m <= n")
     k = omega_int(n, m, q)
-    if not _steiner_admissible(n, m, q):
-        return None, 0, 0
     for s in (s for s in range(k, 1, -1) if k % s == 0):
         group = _free_cyclic_group(G, s)
         if group is not None:
@@ -563,9 +550,11 @@ def core_test(
 
     Cascade: alpha and chi start at their free bounds (CorenessReport), and
     each stage only tightens them and adds its evidence.  (1) m = 1 is the
-    complete graph, decided without evaluating |V|; (2) a non-integral
-    |V|/omega gives chi > omega; (3) past the search bound chi stays open;
-    (4) orbit_colouring looks for an omega-colouring invariant under a
+    complete graph, decided without evaluating |V|; (2) the divisibility
+    stage takes lambda_i in lowest terms for i = 0..m-1 (lambda_0 =
+    |V|/omega, from h_integrality), and the first that is not an integer
+    gives chi > omega; (3) past the search bound chi stays open; (4)
+    orbit_colouring looks for an omega-colouring invariant under a
     certified free cyclic group, and one it finds is the witness (chi =
     omega, with no evidence line when it finds none); (5) otherwise the
     star-seeded DSATUR search at k = omega finds an omega-colouring
@@ -578,10 +567,9 @@ def core_test(
     maximal cliques (graph.classify_maximal_cliques) finds every one a
     star or a top, the largest of omega vertices.  When the budget runs
     out, the star alone bounds chi below by omega.  An omega-colouring
-    composed with the star is the witness
-    endomorphism; without one, alpha keeps its free bracket (greedy,
-    |V|/omega), which cannot raise chi past omega since |V|/omega is then
-    an integer.
+    composed with the star is the witness endomorphism; without one, alpha
+    keeps its free bracket (greedy, |V|/omega), which cannot raise chi
+    past omega since |V|/omega is then an integer.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -599,15 +587,26 @@ def core_test(
         return rep
     nv, omega = rep.num_vertices, rep.omega
 
-    num, den = h_integrality(n, m, q)
-    rep.integrality_value = (num, den)
-    # the evidence below prints h(q) = |V|/omega, and |V| past the search bound
-    check_decimal_digits(num, f"|V|/omega for J_{q}({n},{m})")
-    if den != 1:
-        rep.chi = (omega + 1, nv)
-        rep.evidence.append(f"|V|/omega = {num}/{den} is not an integer, so the graph is a core")
-        return rep
-    rep.evidence.append(f"|V|/omega = {num} is an integer; integrality test inconclusive")
+    h, den = rep.integrality_value = h_integrality(n, m, q)
+    # the evidence prints h = |V|/omega, any smaller lambda_i, and |V| past the search bound
+    check_decimal_digits(h, f"|V|/omega for J_{q}({n},{m})")
+    later = (
+        (gaussian_binomial_int(n - i, m - 1 - i, q), gaussian_binomial_int(m - i, 1, q))
+        for i in range(1, m)
+    )
+    for i, (num, den) in enumerate(chain([(h, den)], later)):
+        g = gcd(num, den)
+        if den != g:
+            rep.chi = (omega + 1, nv)
+            rep.evidence.append(
+                f"|V|/omega = {num}/{den} is not an integer, so the graph is a core"
+                if i == 0
+                else f"|V|/omega = {h} is an integer, but lambda_{i} = {num // g}/{den // g} "
+                f"is not: an S_{q}[{m - 1},{m},{n}] would have that many blocks through "
+                f"each {i}-space, so no omega-colouring exists and the graph is a core"
+            )
+            return rep
+    rep.evidence.append(f"|V|/omega = {h} is an integer; integrality test inconclusive")
 
     if nv > search_bound:
         check_decimal_digits(nv, f"the vertex count of J_{q}({n},{m})")

@@ -14,7 +14,8 @@ straightforward recursive versions of the library's iterative,
 bitset-driven ones, and the q-polynomial references at the end are
 schoolbook polynomial arithmetic (its product is the reference for the
 library's packed product test), the dense polynomial products, the
-recursive cyclotomic division and the Fraction-based scan, with the
+recursive cyclotomic division, the Fraction-based scan and the Steiner
+divisibility numbers from the q-binomial product formula, with the
 polynomial helpers they need: exact division, monicity and the expansion
 of a cyclotomic factorization.
 Colourings and endomorphisms are checked one edge at a time, against
@@ -680,6 +681,26 @@ def cyclo_split(exponents: dict[int, int]) -> tuple[IntPolynomial, IntPolynomial
         elif e < 0:
             den = poly_mul(den, poly_pow(cyclotomic(t), -e))
     return num, den
+
+
+def _gaussian_binomial_product(a: int, b: int, q: int) -> Fraction:
+    """[a, b]_q as the product of (q^(a-j) - 1)/(q^(j+1) - 1) over j < b."""
+    value = Fraction(1)
+    for j in range(b):
+        value *= Fraction(q ** (a - j) - 1, q ** (j + 1) - 1)
+    return value
+
+
+def steiner_lambdas(n: int, m: int, q: int) -> list[Fraction]:
+    """lambda_i = [n-i, m-1-i]_q / [m-i, 1]_q for i = 0..m-1, from the product formula.
+
+    An S_q[m-1, m, n] has lambda_i blocks through each i-space, so it
+    exists only if every lambda_i is an integer; lambda_0 = |V|/omega.
+    """
+    return [
+        _gaussian_binomial_product(n - i, m - 1 - i, q) / _gaussian_binomial_product(m - i, 1, q)
+        for i in range(m)
+    ]
 
 
 def scan_core_threshold(n: int, m: int, q_max: int) -> ScanReport:

@@ -273,11 +273,11 @@ def test_coreness_core_case(capsys):
 
 
 def test_coreness_undetermined(capsys):
-    code, out, _ = run(capsys, "coreness", "--q", "2", "--n", "6", "--m", "3")
+    code, out, _ = run(capsys, "coreness", "--q", "2", "--n", "7", "--m", "3")
     assert code == 0
     core = json.loads(out)["coreness"]
     assert core["verdict"] == "undetermined"
-    assert core["integrality"] == {"is_integer": True, "value": 93}
+    assert core["integrality"] == {"is_integer": True, "value": 381}
 
 
 def test_coreness_witness_maps_every_edge_of_the_build_dump_to_an_edge(capsys):

@@ -436,11 +436,11 @@ def test_core_test_odd_ambient_is_core():
 
 
 def test_core_test_undetermined_beyond_bounds():
-    rep = core_test(6, 3, 2)
+    rep = core_test(7, 3, 2)
     assert rep.verdict == "undetermined"
-    assert rep.integrality_value == (93, 1)
-    assert rep.omega == 15
-    assert rep.chi[0] == 15
+    assert rep.integrality_value == (381, 1)
+    assert rep.omega == 31
+    assert rep.chi[0] == 31
 
 
 def test_core_test_complete_graph():
@@ -640,10 +640,56 @@ def test_free_group_check_refuses_the_order_21_candidate(f4, j442):
     assert max(orbit) + 1 == 51
 
 
-def test_orbit_search_skips_inadmissible_steiner_systems(monkeypatch, f2):
+def _passes_divisibility(n, m, q):
+    return core_test(n, m, q, search_bound=0).evidence[0].endswith("integrality test inconclusive")
+
+
+def test_inadmissible_steiner_systems_are_decided_before_any_search(monkeypatch):
     # an S_2[2,3,6] would have [5,1]_2 / [2,1]_2 = 31/3 blocks through a point
-    assert not coreness._steiner_admissible(6, 3, 2)
-    assert coreness._steiner_admissible(7, 3, 2)
-    assert all(coreness._steiner_admissible(n, 2, q) for n in (4, 6, 8) for q in (2, 3, 4))
-    monkeypatch.setattr(coreness, "_free_cyclic_group", lambda G, s: pytest.fail("searched"))
-    assert orbit_colouring(build_graph(f2, 6, 3)) == (None, 0, 0)
+    assert not _passes_divisibility(6, 3, 2)
+    assert _passes_divisibility(7, 3, 2)
+    assert all(_passes_divisibility(n, 2, q) for n in (4, 6, 8) for q in (2, 3, 4))
+    for name in ("orbit_colouring", "find_colouring", "build_graph"):
+        monkeypatch.setattr(coreness, name, lambda *a, name=name, **k: pytest.fail(name))
+    rep = core_test(6, 3, 2, search_bound=2000)
+    assert rep.verdict == "core" and rep.chi == (16, 1395)
+    assert rep.evidence == [
+        "|V|/omega = 93 is an integer, but lambda_1 = 31/3 is not: an S_2[2,3,6] would have "
+        "that many blocks through each 1-space, so no omega-colouring exists and the graph "
+        "is a core"
+    ]
+
+
+# every 4 <= 2m <= n <= 12 at every prime power q <= 16
+DIVISIBILITY_SHAPES = [
+    (n, m, q)
+    for m in range(2, 7)
+    for n in range(2 * m, 13)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+]
+
+
+def test_divisibility_stage_matches_the_product_formula_lambdas(monkeypatch):
+    monkeypatch.setattr(coreness, "build_graph", lambda *a, **k: pytest.fail("graph built"))
+    decided_at = Counter()
+    for n, m, q in DIVISIBILITY_SHAPES:
+        lambdas = oracles.steiner_lambdas(n, m, q)
+        first = next((i for i, lam in enumerate(lambdas) if lam.denominator != 1), None)
+        rep = core_test(n, m, q, search_bound=0)
+        h = lambdas[0]
+        assert rep.integrality_value == (h.numerator, h.denominator)
+        decided_at["never" if first is None else min(first, 1)] += 1
+        if first is None:
+            assert rep.verdict == "undetermined" and rep.chi[0] == rep.omega
+            assert rep.evidence[0] == (
+                f"|V|/omega = {h} is an integer; integrality test inconclusive"
+            )
+            continue
+        assert rep.verdict == "core" and rep.chi == (rep.omega + 1, rep.num_vertices)
+        if first == 0:
+            assert rep.evidence == [f"|V|/omega = {h} is not an integer, so the graph is a core"]
+        else:
+            [line] = rep.evidence
+            assert line.startswith(f"|V|/omega = {h} is an integer, but ")
+            assert f" lambda_{first} = {lambdas[first]} is not: an S_{q}[{m - 1},{m},{n}] " in line
+    assert decided_at == {0: 80, 1: 60, "never": 110}

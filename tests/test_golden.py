@@ -32,7 +32,7 @@ GOLDEN = [
     (
         "coreness --q 2 --n 6 --m 3 --brute-bound 2000",
         0,
-        "68c1b97b2adf25816a4d4f2964c227810ae0bdd04a70738d142797f5abea4f12",
+        "b7e0ba7b64b87e20ed46f22072164fe45aac3c312ab44c36ae0cb4b7aa9e2f48",
     ),
     (
         "coreness --q 2 --n 7 --m 3",
@@ -226,11 +226,18 @@ CORE_TEST_EXITS = [
         "4908b720e63a6f0174f4777c8008fdb86c98c52fc38c7ac2de0ee16d7f8f00f4",
     ),
     (
-        "past the search bound",
+        "non-integral lambda_i",
         (6, 3, 2),
         {},
         {},
-        "f170a1563a654e6eac62c8f5b41c6a2ee08aadfa04157494baa3baa499c355bf",
+        "c5227055b1ce2160cccfbe4926ee24ab156da6db55e1012c707b065714ad09fa",
+    ),
+    (
+        "past the search bound",
+        (7, 3, 2),
+        {},
+        {},
+        "73f44a9e90d9a073ffc0569e78d775d1dacaa05274f685b0aa7c6adc0d10cecb",
     ),
     (
         "omega-colouring found, q = 2",
