@@ -49,15 +49,15 @@ from .report import (
     coreness_report_dict,
     dual_report_dict,
     fixture_report_dict,
+    graph_json_chunks,
     graph_to_dot,
-    graph_to_json,
     graph_to_text,
     h_report_dict,
+    json_chunks,
     lemma_report_dict,
     params_dict,
     poly_dict,
     scan_report_dict,
-    to_json,
 )
 
 EXIT_OK = 0
@@ -86,15 +86,16 @@ def _field_for(q: int):
     return make_field(*pe)
 
 
-def _emit(data) -> None:
-    sys.stdout.write(to_json(data) + "\n")
+def _emit(chunks) -> None:
+    sys.stdout.writelines(chunks)
+    sys.stdout.write("\n")
 
 
 def cmd_build(args) -> int:
     spec = _field_for(args.q)
     G = build_graph(spec, args.n, args.m, max_vertices=args.max_vertices)
     if args.format == "json":
-        print(graph_to_json(G))  # no copy of the dump just to add its newline
+        _emit(graph_json_chunks(G))
     elif args.format == "dot":
         sys.stdout.write(graph_to_dot(G))
     else:
@@ -135,7 +136,7 @@ def cmd_verify(args) -> int:
             f"({census.star_count} stars, {census.top_count} tops); checks {status}\n"
         )
     else:
-        _emit(data)
+        _emit(json_chunks(data))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -169,7 +170,7 @@ def cmd_coreness(args) -> int:
         }
         if fxrep is not None:
             data["fixture"] = fixture_report_dict(fxrep)
-        _emit(data)
+        _emit(json_chunks(data))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -235,7 +236,7 @@ def cmd_qbinom(args) -> int:
             data["qbinom"]["scan"] = scan_report_dict(scan)
     if args.at is not None:  # h(q) there is no larger
         check_decimal_digits(value_at, what_at)
-    _emit(data)
+    _emit(json_chunks(data))
     return EXIT_OK
 
 
@@ -273,7 +274,8 @@ def cmd_scan(args) -> int:
             f"largest integral q = {scan.largest_integer_q}\n"
         )
     else:
-        _emit({"params": {"n": args.n, "m": args.m}, "qbinom": {"scan": scan_report_dict(scan)}})
+        data = {"params": {"n": args.n, "m": args.m}, "qbinom": {"scan": scan_report_dict(scan)}}
+        _emit(json_chunks(data))
     return EXIT_OK
 
 

@@ -68,8 +68,9 @@ MAX_QBINOM_WORK = 10**7
 # `qbinom --q-max`), checked before the scan runs.  The digits the scan
 # prints grow as that product, since the logs of the prime powers up to
 # q_max sum to about q_max.  The slowest scan below the cap,
-# `scan --n 4 --m 2 --q-max 2500000` as JSON (20 MB), takes about 0.8 s on
-# one Xeon core, in a fresh interpreter; (360, 2) up to 13,966 takes 0.2 s.
+# `scan --n 4 --m 2 --q-max 2500000` as JSON (20 MB), takes about 0.35 s on
+# one Xeon core, in a fresh interpreter, and peaks at 46 MB of address
+# space, since the report streams; (360, 2) up to 13,966 takes 0.08 s.
 MAX_SCAN_WORK = 10**7
 
 

@@ -3,18 +3,18 @@
 Matrices are rendered as arrays of digit strings (one string per row,
 0-9 then a-z per entry), which keeps dumps diffable and language
 neutral.  Reports are plain dicts built in a fixed order, so identical
-configurations always serialize to identical bytes.  to_json writes them
-as exactly json.dumps(data, indent=2) would, but without the pure-Python
-encoder's generator step per element; an h scan's entries are written
-straight from its (q, numerator, denominator) rows, and graph dumps write
-their edges straight from the adjacency rows, with no list per edge.  A
-dump reloads only as exactly the graph build_graph makes (graph_from_json_dict).
+configurations always serialize to identical bytes.  json_chunks yields
+exactly json.dumps(data, indent=2), chunk by chunk, as the CLI writes it:
+an h scan's entries come straight from its (q, numerator, denominator)
+rows, and graph dumps' edges straight from the adjacency rows, with no
+list per edge, and no chunk is copied into a larger one.  A dump reloads
+only as exactly the graph build_graph makes (graph_from_json_dict).
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate
+from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -27,6 +27,7 @@ from .qpoly import HReport, IntPolynomial, ScanReport, gaussian_binomial_int
 from .subspaces import Subspace
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_BLOCK = 1024  # records per chunk of a scan's entries or a dump's vertices
 
 
 def matrix_digits(S: Subspace) -> list[str]:
@@ -61,38 +62,52 @@ def params_dict(G: GrassmannGraph) -> dict:
 
 
 def graph_to_json(G: GrassmannGraph) -> str:
-    """json.dumps(indent=2) of the params, the vertices and the edges [i, j], i < j, in order.
+    """json.dumps(indent=2) of the params, the vertices and the edges [i, j], i < j, in order."""
+    return "".join(graph_json_chunks(G))
+
+
+def graph_json_chunks(G: GrassmannGraph):
+    """graph_to_json(G) in chunks of _BLOCK vertex records, or of one vertex's edges.
 
     Vertex records come from one %-template (digits need no escaping) and
     edges straight from the adjacency rows: no dict per vertex or list per edge.
     """
     params = to_json({"params": params_dict(G)})[:-2]  # drops its closing "\n}"
     record = '{\n      "id": %d,\n      "matrix": [\n        "%s"\n      ]\n    }'
-    rows = '",\n        "'.join
-    digits = enumerate(_vertex_digits(G.vertices))
-    vertices = ",\n    ".join([record % (i, rows(M)) for i, M in digits])
-    head = f'{params},\n  "vertices": [\n    {vertices}\n  ],\n  "edges": '
-    edges = _edge_rows(G, "[\n      %d,\n      ", "\n    ],\n    [\n      %d,\n      ", "\n    ]")
-    # J_q(n,m) has edges; one join builds the whole dump, with no copy of the edge text
-    edges[0] = head + "[\n    " + edges[0]
-    edges[-1] += "\n  ]\n}"
-    return ",\n    ".join(edges)
+    # the digits and the adjacency are read before the first chunk, so their failure writes nothing
+    records = map(record.__mod__, enumerate(map('",\n        "'.join, _vertex_digits(G.vertices))))
+    cell = "\n      %d,\n      "
+    edges = _edge_rows(G, "[" + cell, "\n    ],\n    [" + cell, "\n    ]")
+    yield from _blocks(records, params + ',\n  "vertices": [\n    ', ",\n    ")
+    # J_q(n,m) has edges, so the first vertex's rows open the edge list
+    yield from _blocks(edges, '\n  ],\n  "edges": [\n    ', ",\n    ", 1)
+    yield "\n  ]\n}"
 
 
-def _edge_rows(G: GrassmannGraph, head: str, sep: str, tail: str) -> list[str]:
+def _blocks(texts, head: str, sep: str, size: int = _BLOCK):
+    """head, then the texts joined by sep, as chunks of up to size texts with sep between them."""
+    texts = iter(texts)
+    while block := list(islice(texts, size)):
+        yield head + sep.join(block)
+        head = sep
+
+
+def _edge_rows(G: GrassmannGraph, head: str, sep: str, tail: str):
     """head % i, the neighbours j > i joined by sep % i, then tail, per vertex i with such a j.
 
-    The bits of a >> (i + 1), low first and less the top one, split on "1"
-    once each 1 is "10", give the gaps between consecutive neighbours.
+    The adjacency and labels are read now; each row is formatted as it is drawn.
     """
-    labels = list(map(str, range(G.num_vertices)))
-    out = []
-    for i, a in enumerate(G.adjacency):
-        if x := a >> (i + 1):
-            gaps = list(map(len, bin(x)[:2:-1].replace("1", "10").split("1")))
-            gaps[0] += i + 1
-            out.append(head % i + (sep % i).join(map(labels.__getitem__, accumulate(gaps))) + tail)
-    return out
+    labels = list(map(str, range(G.num_vertices))).__getitem__
+    rows = ((i, x) for i, a in enumerate(G.adjacency) if (x := a >> (i + 1)))
+    return (head % i + (sep % i).join(map(labels, _above(i, x))) + tail for i, x in rows)
+
+
+def _above(i: int, x: int):
+    """The neighbours j > i, from x = row i >> (i + 1): its bits, low first and
+    less the top one, split on "1" once each 1 is "10", are the gaps between them."""
+    gaps = list(map(len, bin(x)[:2:-1].replace("1", "10").split("1")))
+    gaps[0] += i + 1
+    return accumulate(gaps)
 
 
 def graph_from_json_dict(data: dict) -> GrassmannGraph:
@@ -274,7 +289,7 @@ def check_scan_digits(numerator: int, n: int, m: int, q_max: int) -> None:
 
 
 class _ScanRows(tuple):
-    """Scan rows (q, numerator, denominator), which _json writes as the
+    """Scan rows (q, numerator, denominator), which json_chunks writes as the
     records {"q", "is_integer", "value"} they stand for."""
 
 
@@ -293,53 +308,50 @@ def scan_report_dict(rep: ScanReport) -> dict:
 
 
 def to_json(data) -> str:
-    """Exactly json.dumps(data, indent=2), built without its per-element generators.
+    """Exactly json.dumps(data, indent=2): the join of json_chunks(data)."""
+    return "".join(json_chunks(data))
+
+
+def json_chunks(o, nl: str = "\n"):
+    """The indent-2 JSON of o, whose own line starts with the newline nl, in chunks.
 
     With an indent, json.dumps runs the pure-Python encoder, which is one
     generator step per element.  Containers of exact dicts, lists, tuples,
-    strs and ints are written here, and so are the scan rows of
-    scan_report_dict, as the records {"q", "is_integer", "value"} they
-    stand for; everything else goes to json.dumps itself.  The input must
-    be a tree.
+    strs and ints are written here, a container as its opening, its
+    children's chunks and its closing, and so are the scan rows of
+    scan_report_dict, _BLOCK records {"q", "is_integer", "value"} to a
+    chunk; everything else goes to json.dumps itself.  The input must be a
+    tree whose values passed their bound checks, so no chunk fails once
+    the first is written.
     """
-    return _json(data, "\n")
-
-
-def _json(o, nl: str) -> str:
-    """The indent-2 JSON of o, whose own line starts with the newline nl."""
     t = type(o)
-    if t is str:
-        return encode_basestring_ascii(o)
-    if t is int:
-        return int.__repr__(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
     inner = nl + "  "
-    sep = "," + inner
-    if t is dict:
-        if not o:
-            return "{}"
-        if all(type(k) is str for k in o):
-            items = (encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in o.items())
-            return "{" + inner + sep.join(items) + nl + "}"
-    elif t is list or t is tuple:
-        if not o:
-            return "[]"
-        if set(map(type, o)) == {int}:
-            return "[" + inner + sep.join(map(int.__repr__, o)) + nl + "]"
-        return "[" + inner + sep.join([_json(x, inner) for x in o]) + nl + "]"
-    elif t is _ScanRows:
-        if not o:
-            return "[]"
+    if t is str:
+        yield encode_basestring_ascii(o)
+    elif t is int:
+        yield int.__repr__(o)
+    elif o is None or t is bool:
+        yield "null" if o is None else "true" if o else "false"
+    elif t is dict and o and all(type(k) is str for k in o):
+        for i, (k, v) in enumerate(o.items()):
+            yield ("," if i else "{") + inner + encode_basestring_ascii(k) + ": "
+            yield from json_chunks(v, inner)
+        yield nl + "}"
+    elif (t is list or t is tuple) and o and set(map(type, o)) == {int}:
+        yield "[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]"
+    elif (t is list or t is tuple) and o:
+        for i, x in enumerate(o):
+            yield ("," if i else "[") + inner
+            yield from json_chunks(x, inner)
+        yield nl + "]"
+    elif t is _ScanRows and o:
         # one %-template per row kind; only the record's own text is built per row
         cell = inner + "  "
         head = "{" + cell + '"q": %d,' + cell + '"is_integer": '
         whole = head + "true," + cell + '"value": "%d"' + inner + "}"
         part = head + "false," + cell + '"value": "%d/%d"' + inner + "}"
-        rows = [whole % (q, num) if den == 1 else part % (q, num, den) for q, num, den in o]
-        return "[" + inner + sep.join(rows) + nl + "]"
-    return json.dumps(o, indent=2).replace("\n", nl)
+        rows = (whole % (q, n) if d == 1 else part % (q, n, d) for q, n, d in o)
+        yield from _blocks(rows, "[" + inner, "," + inner)
+        yield nl + "]"
+    else:  # empty containers too, as {} or []
+        yield json.dumps(o, indent=2).replace("\n", nl)

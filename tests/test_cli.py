@@ -228,6 +228,18 @@ def test_running_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
+def test_a_dump_that_runs_out_of_memory_writes_nothing(capsys, monkeypatch):
+    # the adjacency, the largest thing a dump reads, is built on first use,
+    # after build_graph; it is built before the first chunk is written
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(graph, "_hyperplane_groups", exhausted)
+    code, out, err = run(capsys, *"build --q 2 --n 4 --m 2 --format json".split())
+    assert code == 2 and out == ""
+    assert err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
 def test_interrupts_and_exits_propagate(monkeypatch, exc):
     def interrupted(*args, **kwargs):

@@ -20,9 +20,10 @@ from grassmann_lab.qpoly import IntPolynomial
 SOURCES = sorted(Path(grassmann_lab.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 # Public entry points no module names: graph_from_json_dict reads back
-# `build --format json`, and matrix_digits writes one subspace as the graph
+# `build --format json`, graph_to_json is that dump as one string (the CLI
+# writes its chunks), and matrix_digits writes one subspace as the graph
 # dumps do.  The cli.cmd_* commands are reached by main through globals().
-ENTRY_POINTS = {"report.graph_from_json_dict", "report.matrix_digits"}
+ENTRY_POINTS = {"report.graph_from_json_dict", "report.graph_to_json", "report.matrix_digits"}
 
 
 def _imported_names(tree):

@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import re
+import sys
 from collections import OrderedDict
 from enum import IntEnum
 
@@ -20,11 +22,14 @@ from grassmann_lab import (
     scan_core_threshold,
     verify_clique_lemmas,
 )
+from grassmann_lab.config import BoundExceeded
 from grassmann_lab.linalg import matrix
 from grassmann_lab.report import (
     graph_from_json_dict,
     graph_to_dot,
+    graph_json_chunks,
     graph_to_json,
+    json_chunks,
     scan_report_dict,
     to_json,
 )
@@ -43,18 +48,18 @@ def _is_json_command(command):
 
 
 def test_to_json_matches_json_dumps_on_every_golden_payload(capsys, monkeypatch):
-    """Every JSON golden is json.dumps' bytes: to_json's payloads, and the graph dumps."""
+    """Every JSON golden is json.dumps' bytes: json_chunks' payloads, and the graph dumps."""
     payloads = []
     dumps = 0
 
     def checked(data):
-        out = to_json(data)
+        chunks = list(json_chunks(data))
         # scan entries travel as rows; the oracle spells them out as one dict each
-        assert out == json.dumps(oracles.with_scan_records(data), indent=2)
+        assert "".join(chunks) == json.dumps(oracles.with_scan_records(data), indent=2)
         payloads.append(data)
-        return out
+        return chunks
 
-    monkeypatch.setattr(cli, "to_json", checked)
+    monkeypatch.setattr(cli, "json_chunks", checked)
     for command, code, _ in GOLDEN:
         argv = [FIXTURE if a == "FIXTURE" else a for a in command.split()]
         assert cli.main(argv) == code
@@ -163,6 +168,79 @@ def test_scan_rows_are_written_at_the_indentation_they_are_given(n, m, q_max):
     assert to_json([[scan_report_dict(rep)]]) == json.dumps([[want]], indent=2)
     if not rep.entries:
         assert '"entries": []' in to_json(scan_report_dict(rep))
+
+
+_B = report._BLOCK
+
+
+@pytest.fixture(scope="module")
+def long_scan():
+    rep = scan_core_threshold(4, 2, 20000)
+    assert len(rep.entries) > 2 * _B + 1
+    return rep
+
+
+@pytest.mark.parametrize("count", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_scan_entries_of_every_block_count_are_json_dumps_bytes(long_scan, count):
+    data = scan_report_dict(long_scan._replace(entries=long_scan.entries[:count]))
+    for tree in (data, [data], {"scan": data}, [[data, 1], {"a": {"b": data}}], {"x": [data]}):
+        assert to_json(tree) == json.dumps(oracles.with_scan_records(tree), indent=2)
+    # each chunk holds the records of at most one block
+    rows = [chunk.count('"q": ') for chunk in json_chunks(data)]
+    assert [r for r in rows if r] == [min(_B, count - lo) for lo in range(0, count, _B)]
+
+
+class _Recorder:
+    """A stdout that keeps each string written to it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def writelines(self, lines):
+        for text in lines:
+            self.write(text)
+
+
+def test_the_cli_writes_documents_a_block_or_a_vertex_at_a_time(monkeypatch):
+    rec = _Recorder()
+    monkeypatch.setattr(sys, "stdout", rec)
+    assert cli.main("scan --n 8 --m 3 --q-max 200000".split()) == 0
+    rep = scan_core_threshold(8, 3, 200000)
+    payload = {"params": {"n": 8, "m": 3}, "qbinom": {"scan": oracles.scan_report_dict(rep)}}
+    assert "".join(rec.writes) == json.dumps(payload, indent=2) + "\n"
+    assert rec.writes[-1] == "\n"
+    rows = [text.count('"q": ') for text in rec.writes]
+    assert max(rows) == _B and sum(rows) == len(rep.entries)
+    assert sum(map(bool, rows)) == -(-len(rep.entries) // _B)
+
+    rec.writes.clear()
+    assert cli.main("build --q 2 --n 7 --m 2 --format json".split()) == 0
+    G = build_graph(make_field(2, 1), 7, 2)
+    assert "".join(rec.writes) == graph_to_json(G) + "\n"
+    assert rec.writes[-1] == "\n"
+    records = [text.count('"id": ') for text in rec.writes]
+    assert max(records) == _B and sum(records) == G.num_vertices
+    # each write past the vertex records holds the edges of one vertex i, all of them
+    edges = rec.writes[sum(map(bool, records)) : -2]
+    for i, text in enumerate(edges):
+        ends = re.findall(r"\[\n      (\d+),\n      \d+\n    \]", text)
+        assert set(map(int, ends)) == {i}
+        assert len(ends) == bin(G.adjacency[i] >> (i + 1)).count("1")
+    assert len(edges) == G.num_vertices - 1 and rec.writes[-2] == "\n  ]\n}"
+
+
+def test_a_report_that_fails_its_digit_check_writes_nothing(monkeypatch, capsys):
+    def refuse(numerator, n, m, q_max):
+        raise BoundExceeded(f"h(q) for (n={n}, m={m}) up to q = {q_max} refused")
+
+    monkeypatch.setattr(report, "check_scan_digits", refuse)
+    assert cli.main("qbinom --n 8 --m 3 --q-max 64".split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "refused" in err
 
 
 _ALPHABET = "ab \t\n\"\\\x00\x1f\x7fé☃\U0001d11e"
@@ -352,10 +430,15 @@ DUMPED_GRAPHS = [
 @pytest.mark.parametrize(
     "p, e, n, m", DUMPED_GRAPHS, ids=[f"J_{p**e}({n},{m})" for p, e, n, m in DUMPED_GRAPHS]
 )
-def test_graph_writers_match_the_per_edge_oracles(p, e, n, m):
+def test_graph_writers_match_the_per_edge_oracles(p, e, n, m, capsys):
     G = build_graph(make_field(p, e), n, m)
-    assert graph_to_json(G) == json.dumps(oracles.graph_to_json_dict(G), indent=2)
+    dump = graph_to_json(G)
+    assert dump == json.dumps(oracles.graph_to_json_dict(G), indent=2)
     assert graph_to_dot(G) == oracles.graph_to_dot(G)
+    # the chunks graph_to_json joins are the dump the CLI writes
+    assert dump == "".join(graph_json_chunks(G))
+    assert cli.main(f"build --q {p**e} --n {n} --m {m} --format json".split()) == 0
+    assert capsys.readouterr().out == dump + "\n"
 
 
 def test_matrix_digits_reject_fields_past_z():
