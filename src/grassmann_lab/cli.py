@@ -2,15 +2,17 @@
 
 Commands: build, verify, coreness, qbinom, scan.  All reports go to
 stdout as UTF-8; errors go to stderr.  Exit codes: 0 all checks pass or
-report produced, 1 a verification check or an internal self-check
-failed, or another unexpected exception was raised, 2 a resource bound
-was hit (a configured one, or memory ran out), 3 invalid input.
+report produced, or the reader closed stdout early, 1 a verification
+check or an internal self-check failed, or another unexpected exception
+was raised, 2 a resource bound was hit (a configured one, or memory ran
+out), 3 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .arith import prime_power_base
@@ -49,8 +51,8 @@ from .report import (
     coreness_report_dict,
     dual_report_dict,
     fixture_report_dict,
+    graph_dot_chunks,
     graph_json_chunks,
-    graph_to_dot,
     graph_to_text,
     h_report_dict,
     json_chunks,
@@ -97,7 +99,7 @@ def cmd_build(args) -> int:
     if args.format == "json":
         _emit(graph_json_chunks(G))
     elif args.format == "dot":
-        sys.stdout.write(graph_to_dot(G))
+        _emit(graph_dot_chunks(G))
     else:
         sys.stdout.write(graph_to_text(G))
     return EXIT_OK
@@ -332,7 +334,13 @@ def main(argv=None) -> int:
     # by name at call time, so a command replaced in this module's namespace is the one run
     command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # so a reader that stopped early is met here, not at exit
+        return code
+    except BrokenPipeError:  # the reader stopped early: nothing failed
+        # what is left in stdout's buffer goes to devnull, so the final flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND

@@ -43,9 +43,10 @@ CLIQUE_ENUM_BOUND = 2000
 SEARCH_BOUND = 1000
 
 # Node budget for the colouring search, which the orbit search
-# (orbit_colouring) and DSATUR (find_colouring) share, DSATUR getting what
-# the orbit search left.  The orbit search decides J_4(4,2) in 1,684
-# nodes, where DSATUR alone exhausts the budget.
+# (orbit_colouring: one run under <h, sigma>, one under <h>) and DSATUR
+# (find_colouring) share, each getting what the runs before it left.  The
+# orbit search decides J_4(4,2) in 82 nodes, where DSATUR alone exhausts
+# the budget.
 NODE_BUDGET = 200_000
 
 # Cap on the degree m(n-m) of [n choose m]_q when `qbinom` runs the h

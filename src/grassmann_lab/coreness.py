@@ -11,8 +11,8 @@ shared node budget (config.NODE_BUDGET unless the caller passes one); on
 exhaustion the coreness verdict degrades to an honest "undetermined",
 never a hang.  The independence number is bracketed by a greedy
 independent set and the free |V|/omega cap, with no search.  Tie-breaking
-is always by smallest vertex id, and the exact cover's row orders come
-from string-seeded random.Random instances, so witnesses are reproducible.
+is always by smallest vertex id, and the exact cover tries its rows in
+enumeration order, so witnesses are reproducible.
 
 A graph in this family is a core exactly when its chromatic number
 exceeds its clique number (every endomorphism is an automorphism or a
@@ -23,16 +23,17 @@ m = 2), with lambda_i = [n-i, m-1-i]_q / [m-i, 1]_q blocks through each
 i-space, 0 <= i < m, so a lambda_i that is not an integer certifies a
 core before any graph is built.  The orbit search looks first for
 omega-colourings whose classes are the images of r base classes under a
-cyclic group H of order omega/r that acts freely on the vertices, with
-H = <diag(I, C)> for a companion matrix C and its freeness checked on
-the graph's own vertex permutation; DSATUR at k = omega then gets the
-nodes it left.  CorenessReport.verdict reads the answer off the bounds
-on chi, which core_test's stages only tighten.  An omega-colouring gives
-alpha, and composed with a maximum clique it is a witness endomorphism;
-when none turns up, alpha keeps its bracket.  For 2m <= n the star
-G.stars[0] is a maximum clique, so the colouring search is seeded with
-no clique search: a found colouring certifies the clique number by
-itself, and a refuted one only after the census of maximal cliques has.
+free cyclic group H = <diag(I, C)> of order omega/r, C a companion
+matrix, the bases fixed by the Frobenius map that normalises H, then by
+nothing; both maps are checked on the graph's own vertex permutation,
+and DSATUR at k = omega then gets the nodes the orbit search left.
+CorenessReport.verdict reads the answer off the bounds on chi, which
+core_test's stages only tighten.  An omega-colouring gives alpha, and
+composed with a maximum clique it is a witness endomorphism; when none
+turns up, alpha keeps its bracket.  For 2m <= n the star G.stars[0] is a
+maximum clique, so the colouring search is seeded with no clique search:
+a found colouring certifies the clique number by itself, and a refuted
+one only after the census of maximal cliques has.
 
 Each witness is checked once, whichever search found its colouring:
 build_colouring_endomorphism composes the colouring with the clique and
@@ -47,10 +48,9 @@ omega-clique, costs O(V) big-int operations.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from functools import cached_property, reduce
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from math import gcd
 from typing import NamedTuple
 
@@ -66,6 +66,7 @@ from .field import FieldSpec, make_field
 from .graph import (
     GrassmannGraph,
     _adjacency_breaks,
+    _orbits,
     bits,
     build_graph,
     classify_maximal_cliques,
@@ -192,15 +193,6 @@ def find_colouring(
 
 # -- orbit colourings -------------------------------------------------
 
-# The orbit search's restart policy.  Its search times are heavy-tailed,
-# so a restart with a fresh row order beats a deep dive; and each node
-# scans every open item, up to 0.5 ms a node at a few thousand vertices,
-# so the search stops after _RESTARTS restarts and leaves the rest of the
-# shared budget to DSATUR.
-_RESTART_NODES = 4000
-_RESTARTS = 8
-
-
 def _order_mod(q: int, s: int) -> int:
     """The multiplicative order of q modulo s (q coprime to s)."""
     d, x = 1, q % s
@@ -255,8 +247,8 @@ def _cyclic_candidate(spec: FieldSpec, n: int, s: int) -> list[list[int]] | None
     return None
 
 
-def _free_cyclic_group(G: GrassmannGraph, s: int) -> tuple[list[int], list[int]] | None:
-    """The vertex permutation of _cyclic_candidate's h and its orbits, or None.
+def _free_cyclic_group(G: GrassmannGraph, s: int) -> tuple[list[int], list[int], list] | None:
+    """The vertex permutation of _cyclic_candidate's h, its orbits and h's rows, or None.
 
     h is used only when the vertex permutation it induces on G
     (graph.induced_permutation) is a bijection whose cycles all have
@@ -266,11 +258,23 @@ def _free_cyclic_group(G: GrassmannGraph, s: int) -> tuple[list[int], list[int]]
     rows = _cyclic_candidate(G.spec, G.n, s)
     perm = None if rows is None else induced_permutation(G, rows)
     orbit = None if perm is None else _orbit_ids(perm, s)
-    return None if orbit is None else (perm, orbit)
+    return None if orbit is None else (perm, orbit, rows)
 
 
-def _exact_cover(rows: list[int], limit: int) -> tuple[list[int] | None, int, bool]:
-    """Rows that cover every item of rows exactly once, rows[0] among them.
+def _frobenius(spec: FieldSpec, h: list[list[int]], s: int) -> list[list[int]]:
+    """The rows of sigma = diag(I, S) for _cyclic_candidate's h = diag(I, C), C of order s.
+
+    S's rows are e_0.C^(iq), i < d = ord_s(q), so C.S = S.C^q and sigma h = h^q sigma:
+    C acts as a root of its irreducible polynomial and S as x -> x^q on GF(q^d).
+    """
+    q, n, d = spec.q, len(h), _order_mod(spec.q, s)
+    f = _row_span(spec, [row[n - d :] for row in h[n - d :]], {})  # x -> x.C on the codes
+    powers = list(accumulate(range(q * (d - 1)), lambda x, _: f[x], initial=1))  # e_0.C^i
+    return h[: n - d] + [[0] * (n - d) + [x // q**j % q for j in range(d)] for x in powers[::q]]
+
+
+def _exact_cover(rows: list[int], items: int, limit: int) -> tuple[list[int] | None, int, bool]:
+    """Rows that cover each of the items 0..items-1 exactly once.
 
     Each row is an int bitset of items.  The search picks the uncovered
     item with the fewest live rows (the lowest such item on ties) and
@@ -278,15 +282,14 @@ def _exact_cover(rows: list[int], limit: int) -> tuple[list[int] | None, int, bo
     is a node.  Returns (row indices or None, nodes, cut), where cut says
     the search stopped after limit nodes rather than deciding.
     """
-    universe = reduce(int.__or__, rows)
-    item_rows = [0] * universe.bit_length()
+    item_rows = [0] * items
     for j, row in enumerate(rows):
         for i in bits(row):
             item_rows[i] |= 1 << j
     clash = [reduce(int.__or__, map(item_rows.__getitem__, bits(row))) for row in rows]
-    uncovered = universe & ~rows[0]
-    alive = ((1 << len(rows)) - 1) & ~clash[0]
-    chosen = [0]
+    uncovered = (1 << items) - 1
+    alive = (1 << len(rows)) - 1
+    chosen = []
     stack = []  # per open choice: (rows left to try, alive, uncovered) before it
     nodes = 0
     while uncovered:
@@ -330,16 +333,17 @@ def orbit_colouring(
     and r = omega/s.  One vertex per H-orbit is spread over r base classes
     that each meet every star exactly once: an exact cover whose items are
     r copies of the stars plus one slot per orbit, and whose rows are the
-    pairs (vertex, base).  Then the images of the bases under H are omega
-    classes that each meet every star once and together hold each vertex
-    once, so vertex h^i(v) of base b takes colour b*s + i.  Vertex 0 sits
-    in base 0 (relabel the bases and apply a power of h to one), and
-    restart j tries the other rows in the order of
-    random.Random(f"{q},{n},{m},{j}"), for at most _RESTART_NODES nodes
-    of node_budget, over at most _RESTARTS restarts.  Returns (colouring
-    or None, |H| or 0 when no search ran, nodes used); None means the
-    nodes ran out or no H-invariant colouring exists, never that no
-    omega-colouring does.
+    pairs (cycle of sigma, base), for the cycles whose members lie in
+    distinct H-orbits and share no star.  Then the images of the bases
+    under H are omega classes that each meet every star once and together
+    hold each vertex once, so vertex h^i(v) of base b takes colour b*s + i.
+    sigma is first h's _frobenius, if its induced permutation certifies
+    it, then the identity: one search each, in enumeration order, on the
+    nodes left of node_budget.  Vertex 0's H-orbit sits in base 0 (relabel
+    the bases), as vertex 0 itself when sigma is the identity (apply a
+    power of h).  Returns (colouring or None, |H| or 0 when no search ran,
+    nodes used); None means the nodes ran out or no H-invariant colouring
+    has such bases, never that no omega-colouring exists.
     """
     n, m, q = G.n, G.m, G.spec.q
     if 2 * m > n:
@@ -351,31 +355,41 @@ def orbit_colouring(
             break
     else:
         return None, 0, 0
-    perm, orbit = group
-    r = k // s
-    width = len(G.stars)
-    through = [0] * G.num_vertices
+    perm, orbit, h = group
+    nv, r, width = G.num_vertices, k // s, len(G.stars)
+    through = [0] * nv
     for t, c in enumerate(G.stars):
         for v in c.members:
             through[v] |= 1 << t
     slot = r * width
-    pairs = [(v, b) for b in range(r) for v in range(G.num_vertices)][1:]  # (0, 0) is fixed
+    ident = list(range(nv))
+    sigma = induced_permutation(G, _frobenius(G.spec, h, s))
     nodes = 0
-    for j in range(_RESTARTS):
-        random.Random(f"{q},{n},{m},{j}").shuffle(order := pairs[:])
-        order.insert(0, (0, 0))
-        rows = [through[v] << b * width | 1 << slot + orbit[v] for v, b in order]
-        chosen, used, cut = _exact_cover(rows, min(_RESTART_NODES, node_budget - nodes))
+    for tau in [ident] if sigma in (None, ident) else [sigma, ident]:
+        cycles = {}
+        for v, c in enumerate(_orbits(nv, [tau])):
+            cycles.setdefault(c, []).append(v)
+        rows = []  # (cycle, base, bitset)
+        for c in cycles.values():
+            star = reduce(int.__or__, map(through.__getitem__, c))
+            mine = reduce(int.__or__, (1 << orbit[v] for v in c))  # orbit[0] == 0
+            if star.bit_count() != len(c) * through[0].bit_count() or mine.bit_count() != len(c):
+                continue
+            if mine & 1 and tau is ident and c != [0]:
+                continue
+            rows += [(c, b, star << b * width | mine << slot) for b in range(1 if mine & 1 else r)]
+        chosen, used, _ = _exact_cover([x for *_, x in rows], slot + nv // s, node_budget - nodes)
         nodes += used
-        if not cut or nodes == node_budget:
+        if chosen is not None or nodes == node_budget:
             break
     if chosen is None:
         return None, s, nodes
-    colouring = [-1] * G.num_vertices
-    for v, b in map(order.__getitem__, chosen):
-        for i in range(s):
-            colouring[v] = b * s + i
-            v = perm[v]
+    colouring = [-1] * nv
+    for c, b, _ in map(rows.__getitem__, chosen):
+        for v in c:
+            for i in range(s):
+                colouring[v] = b * s + i
+                v = perm[v]
     return colouring, s, nodes
 
 
@@ -555,8 +569,9 @@ def core_test(
     |V|/omega, from h_integrality), and the first that is not an integer
     gives chi > omega; (3) past the search bound chi stays open; (4)
     orbit_colouring looks for an omega-colouring invariant under a
-    certified free cyclic group, and one it finds is the witness (chi =
-    omega, with no evidence line when it finds none); (5) otherwise the
+    certified free cyclic group H, under <H, sigma> first and then under
+    H alone, and one it finds is the witness (chi = omega, with no
+    evidence line when it finds none); (5) otherwise the
     star-seeded DSATUR search at k = omega finds an omega-colouring
     (chi = omega), refutes one (chi > omega), or runs out of budget.  The
     orbit search refutes only invariant colourings, so it never raises

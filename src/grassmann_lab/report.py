@@ -155,12 +155,21 @@ def graph_from_json_dict(data: dict) -> GrassmannGraph:
 
 
 def graph_to_dot(G: GrassmannGraph) -> str:
-    digits = enumerate(_vertex_digits(G.vertices))
-    lines = ["graph grassmann {"]
-    lines += [f'  v{i} [label="v{i}", tooltip="{"/".join(M)}"];' for i, M in digits]
-    lines += _edge_rows(G, "  v%d -- v", ";\n  v%d -- v", ";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """The DOT dump, a line per vertex, then per edge i < j: graph_dot_chunks(G), a newline."""
+    return "".join(graph_dot_chunks(G)) + "\n"
+
+
+def graph_dot_chunks(G: GrassmannGraph):
+    """graph_to_dot(G) less its newline, in chunks of _BLOCK vertex lines or of one vertex's edges.
+
+    As in graph_json_chunks, the digits and the adjacency are read before the first chunk.
+    """
+    line = '  v%d [label="v%d", tooltip="%s"];'  # digits need no escaping
+    lines = (line % (i, i, "/".join(M)) for i, M in enumerate(_vertex_digits(G.vertices)))
+    edges = _edge_rows(G, "  v%d -- v", ";\n  v%d -- v", ";")
+    yield from _blocks(lines, "graph grassmann {\n", "\n")
+    yield from _blocks(edges, "\n", "\n", 1)
+    yield "\n}"
 
 
 def graph_to_text(G: GrassmannGraph) -> str:

@@ -1,7 +1,10 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import oracles
 import pytest
@@ -238,6 +241,33 @@ def test_a_dump_that_runs_out_of_memory_writes_nothing(capsys, monkeypatch):
     code, out, err = run(capsys, *"build --q 2 --n 4 --m 2 --format json".split())
     assert code == 2 and out == ""
     assert err == "error: out of memory\n"
+
+
+# (command, bytes read before the reader closes stdout): the first two write
+# megabytes, far past the pipe's buffer; the third's few kB wait in stdout's
+# buffer, so its write fails only when that buffer is flushed
+EARLY_READERS = [
+    ("build --q 2 --n 6 --m 2 --format json", 10),
+    ("scan --n 4 --m 2 --q-max 100000", 10),
+    ("coreness --q 2 --n 4 --m 2", 0),
+]
+
+
+@pytest.mark.parametrize("command, size", EARLY_READERS, ids=[c for c, _ in EARLY_READERS])
+def test_a_reader_that_stops_early_ends_the_command_quietly(command, size):
+    # a fresh interpreter with a buffered stdout, so its exit flush is tested too
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grassmann_lab.cli", *command.split()],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(size) == b'{\n  "param'[:size]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err.count("\n") <= 1 and "Traceback" not in err and "Exception ignored" not in err
 
 
 @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])

@@ -603,16 +603,117 @@ def test_star_cover_oracle_rejects_a_moved_vertex(j242):
 
 
 def test_orbit_search_decides_j442_within_pinned_nodes(j442):
-    # the node count pins the seeded row orders and the search tree
-    colouring, order, nodes = orbit_colouring(j442, node_budget=1684)
-    assert colouring is not None and (order, nodes) == (7, 1684)
-    assert orbit_colouring(j442, node_budget=1683) == (None, 7, 1683)
+    # <h, sigma> refutes in 2 nodes, then <h> alone finds a colouring in 80
+    colouring, order, nodes = orbit_colouring(j442, node_budget=82)
+    assert colouring is not None and (order, nodes) == (7, 82)
+    assert orbit_colouring(j442, node_budget=81) == (None, 7, 81)
+    # a budget <h, sigma> spends leaves <h> no run
+    assert orbit_colouring(j442, node_budget=1) == (None, 7, 1)
+
+
+# (q, n, |H|, (rows, nodes, outcome) of each exact cover run): <h, sigma> first, then <h>
+ORBIT_RUNS = [
+    (2, 4, 7, [(4, 3, "found")]),
+    (3, 4, 13, [(18, 1, "refuted"), (118, 197, "refuted")]),
+    (4, 4, 7, [(178, 2, "refuted"), (1051, 80, "found")]),
+    (5, 4, 31, [(162, 11, "found")]),
+    (2, 6, 31, [(89, 5, "found")]),
+]
+
+
+@pytest.mark.parametrize(
+    "q, n, order, runs", ORBIT_RUNS, ids=[f"J_{c[0]}({c[1]},2)" for c in ORBIT_RUNS]
+)
+def test_orbit_search_runs_each_group_once_in_pinned_nodes(monkeypatch, q, n, order, runs):
+    # the node counts pin the rows, their enumeration order and the search tree
+    seen = []
+
+    def spy(rows, items, limit):
+        out = exact_cover(rows, items, limit)
+        seen.append((len(rows), out[1], "found" if out[0] else "cut" if out[2] else "refuted"))
+        return out
+
+    exact_cover = coreness._exact_cover
+    monkeypatch.setattr(coreness, "_exact_cover", spy)
+    G = build_graph(make_field(*prime_power_base(q)), n, 2)
+    colouring, got, nodes = orbit_colouring(G)
+    assert seen == runs and (got, nodes) == (order, sum(r[1] for r in runs))
+    if runs[-1][2] == "found":
+        assert oracles.classes_meet_every_star_once(G, colouring)
+
+
+@pytest.mark.parametrize("q, n, s", [(2, 4, 7), (4, 4, 7), (5, 4, 31), (2, 6, 31)])
+def test_frobenius_normalises_the_singer_cycle(q, n, s):
+    # sigma h = h^q sigma on the vertices, and sigma has order d = ord_s(q) > 1
+    G = build_graph(make_field(*prime_power_base(q)), n, 2)
+    perm, _, rows = coreness._free_cyclic_group(G, s)
+    sigma = induced_permutation(G, coreness._frobenius(G.spec, rows, s))
+    power = list(range(G.num_vertices))
+    for _ in range(q):
+        power = [perm[v] for v in power]
+    assert [sigma[v] for v in perm] == [power[v] for v in sigma]
+    d = coreness._order_mod(q, s)
+    walked = list(range(G.num_vertices))
+    for i in range(1, d + 1):
+        walked = [sigma[v] for v in walked]
+        assert (walked == list(range(G.num_vertices))) == (i == d)
+
+
+def test_orbit_search_decides_j282_past_the_default_bound(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("DSATUR ran although the orbit search found a colouring")
+
+    monkeypatch.setattr(coreness, "find_colouring", refuse)
+    rep = core_test(8, 2, 2, search_bound=11000)
+    assert rep.verdict == "not-core" and rep.chi == rep.omega == 127
+    assert "(|H| = 127, base classes r = 1, nodes 14 of 200000)" in rep.evidence[1]
+    assert rep.witness_class == "colouring"
+    assert oracles.classes_meet_every_star_once(rep.witness.graph, rep.witness.mapping)
+
+
+def _brute_force_covers(rows, items):
+    """Every set of row indices that covers each item exactly once, by subsets."""
+    full = (1 << items) - 1
+    covers = []
+    for pick in range(1 << len(rows)):
+        chosen = list(bits(pick))
+        if sum(rows[j].bit_count() for j in chosen) == items and (
+            functools.reduce(int.__or__, (rows[j] for j in chosen), 0) == full
+        ):
+            covers.append(chosen)
+    return covers
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_cover_agrees_with_brute_force(seed):
+    rng = random.Random(seed)
+    items = rng.randint(1, 8)
+    rows = [rng.randrange(1, 1 << items) for _ in range(rng.randint(0, 10))]
+    covers = _brute_force_covers(rows, items)
+    chosen, nodes, cut = coreness._exact_cover(rows, items, 10**6)
+    assert not cut
+    if covers:
+        assert sorted(chosen) in covers
+    else:
+        assert chosen is None
+    # cut at the limit: every smaller limit stops after exactly that many nodes
+    for limit in range(nodes):
+        assert coreness._exact_cover(rows, items, limit) == (None, limit, True)
+    assert coreness._exact_cover(rows, items, nodes) == (chosen, nodes, False)
+
+
+def test_exact_cover_refutes_an_item_no_row_covers_at_once():
+    assert coreness._exact_cover([0b011, 0b001, 0b010], 3, 10) == (None, 0, False)
+    assert coreness._exact_cover([], 1, 10) == (None, 0, False)
+    # item 2 has the fewest live rows, so its one row is tried first
+    assert coreness._exact_cover([0b001, 0b110, 0b011], 3, 10) == ([1, 0], 2, False)
 
 
 def test_orbit_search_refutes_only_invariant_colourings(monkeypatch, j342):
-    # J_3(4,2) has no colouring invariant under its |H| = 13 group, yet it
-    # has a 13-colouring; DSATUR gets the nodes the orbit search left
-    assert orbit_colouring(j342) == (None, 13, 196)
+    # J_3(4,2) has no colouring invariant under its |H| = 13 group (refuted
+    # under <h, sigma> in 1 node, under <h> in 197), yet it has a
+    # 13-colouring; DSATUR gets the nodes the orbit search left
+    assert orbit_colouring(j342) == (None, 13, 198)
     budgets = []
 
     def out_of_budget(adj, nv, k, seed, node_budget):
@@ -621,7 +722,7 @@ def test_orbit_search_refutes_only_invariant_colourings(monkeypatch, j342):
 
     monkeypatch.setattr(coreness, "find_colouring", out_of_budget)
     rep = core_test(4, 2, 3)
-    assert budgets == [NODE_BUDGET - 196]
+    assert budgets == [NODE_BUDGET - 198]
     assert rep.verdict == "undetermined" and rep.chi == (13, 130)
 
 
@@ -636,7 +737,7 @@ def test_free_group_check_refuses_the_order_21_candidate(f4, j442):
         power = [perm[v] for v in power]
     assert sum(v == u for v, u in enumerate(power)) == 42
     assert coreness._free_cyclic_group(j442, 21) is None
-    _, orbit = coreness._free_cyclic_group(j442, 7)
+    _, orbit, _ = coreness._free_cyclic_group(j442, 7)
     assert max(orbit) + 1 == 51
 
 

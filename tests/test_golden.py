@@ -17,7 +17,7 @@ GOLDEN = [
     (
         "coreness --q 2 --n 4 --m 2 --fixture FIXTURE",
         0,
-        "5bb14ac8b3b1cda5649dd6b4a4936f3ee1e0a61907a32b4ecee3791b4f4eb46d",
+        "0666861c7ea49fdafe7565dbea178f446be5938c4dec365e7a591fa3c55e1188",
     ),
     (
         "coreness --q 3 --n 4 --m 2",
@@ -244,7 +244,7 @@ CORE_TEST_EXITS = [
         (4, 2, 2),
         {},
         {},
-        "7276a135cf2fe2ea2cf9f58db925984b4bf82995bcc95e53ed704937750344bd",
+        "41f314a2aadc64ab65488dedad1b65e74d55662148377a7abc8c605841188cfe",
     ),
     (
         "omega-colouring found, q = 3",

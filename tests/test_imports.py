@@ -20,10 +20,16 @@ from grassmann_lab.qpoly import IntPolynomial
 SOURCES = sorted(Path(grassmann_lab.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 # Public entry points no module names: graph_from_json_dict reads back
-# `build --format json`, graph_to_json is that dump as one string (the CLI
-# writes its chunks), and matrix_digits writes one subspace as the graph
-# dumps do.  The cli.cmd_* commands are reached by main through globals().
-ENTRY_POINTS = {"report.graph_from_json_dict", "report.graph_to_json", "report.matrix_digits"}
+# `build --format json`, graph_to_json and graph_to_dot are the JSON and
+# DOT dumps as one string (the CLI writes their chunks), and matrix_digits
+# writes one subspace as the graph dumps do.  The cli.cmd_* commands are
+# reached by main through globals().
+ENTRY_POINTS = {
+    "report.graph_from_json_dict",
+    "report.graph_to_dot",
+    "report.graph_to_json",
+    "report.matrix_digits",
+}
 
 
 def _imported_names(tree):

@@ -25,6 +25,7 @@ from grassmann_lab import (
 from grassmann_lab.config import BoundExceeded
 from grassmann_lab.linalg import matrix
 from grassmann_lab.report import (
+    graph_dot_chunks,
     graph_from_json_dict,
     graph_to_dot,
     graph_json_chunks,
@@ -204,6 +205,9 @@ class _Recorder:
         for text in lines:
             self.write(text)
 
+    def flush(self):
+        pass
+
 
 def test_the_cli_writes_documents_a_block_or_a_vertex_at_a_time(monkeypatch):
     rec = _Recorder()
@@ -231,6 +235,22 @@ def test_the_cli_writes_documents_a_block_or_a_vertex_at_a_time(monkeypatch):
         assert set(map(int, ends)) == {i}
         assert len(ends) == bin(G.adjacency[i] >> (i + 1)).count("1")
     assert len(edges) == G.num_vertices - 1 and rec.writes[-2] == "\n  ]\n}"
+
+
+def test_the_dot_dump_is_written_a_block_or_a_vertex_at_a_time(monkeypatch):
+    rec = _Recorder()
+    monkeypatch.setattr(sys, "stdout", rec)
+    assert cli.main("build --q 2 --n 7 --m 2 --format dot".split()) == 0
+    G = build_graph(make_field(2, 1), 7, 2)
+    assert "".join(rec.writes) == oracles.graph_to_dot(G)
+    lines = [text.count(" [label=") for text in rec.writes]
+    assert max(lines) == _B and sum(lines) == G.num_vertices
+    # each write past the vertex lines holds the edges of one vertex i, all of them
+    edges = rec.writes[sum(map(bool, lines)) : -2]
+    for i, text in enumerate(edges):
+        assert set(map(int, re.findall(r"  v(\d+) -- v\d+;", text))) == {i}
+        assert text.count(" -- ") == bin(G.adjacency[i] >> (i + 1)).count("1")
+    assert len(edges) == G.num_vertices - 1 and rec.writes[-2:] == ["\n}", "\n"]
 
 
 def test_a_report_that_fails_its_digit_check_writes_nothing(monkeypatch, capsys):
@@ -434,11 +454,14 @@ def test_graph_writers_match_the_per_edge_oracles(p, e, n, m, capsys):
     G = build_graph(make_field(p, e), n, m)
     dump = graph_to_json(G)
     assert dump == json.dumps(oracles.graph_to_json_dict(G), indent=2)
-    assert graph_to_dot(G) == oracles.graph_to_dot(G)
-    # the chunks graph_to_json joins are the dump the CLI writes
+    dot = graph_to_dot(G)
+    assert dot == oracles.graph_to_dot(G)
+    # the chunks graph_to_json and graph_to_dot join are the dumps the CLI writes
     assert dump == "".join(graph_json_chunks(G))
-    assert cli.main(f"build --q {p**e} --n {n} --m {m} --format json".split()) == 0
-    assert capsys.readouterr().out == dump + "\n"
+    assert dot == "".join(graph_dot_chunks(G)) + "\n"
+    for fmt, text in (("json", dump + "\n"), ("dot", dot)):
+        assert cli.main(f"build --q {p**e} --n {n} --m {m} --format {fmt}".split()) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_matrix_digits_reject_fields_past_z():
