@@ -18,7 +18,7 @@ from .coreness import (
     validate_endomorphism,
 )
 from .field import FieldSpec, make_field
-from .fixture import J242Fixture, load_fixture, verify_fixture_partition
+from .fixture import Fixture, check_fixture, load_fixture
 from .graph import (
     GrassmannGraph,
     MaximalClique,
@@ -31,7 +31,6 @@ from .graph import (
     top_catalog,
     verify_clique_lemmas,
 )
-from .linalg import FqMatrix, matrix, rref
 from .qpoly import (
     CycloFactorization,
     HReport,
@@ -45,7 +44,7 @@ from .qpoly import (
     omega_poly,
     scan_core_threshold,
 )
-from .subspaces import Subspace, canonicalize
+from .subspaces import FqMatrix, Subspace
 
 __version__ = "0.1.0"
 

@@ -30,7 +30,7 @@ from .config import (
 )
 from .coreness import core_test
 from .field import make_field
-from .fixture import load_fixture, verify_fixture_partition
+from .fixture import check_fixture, load_fixture
 from .graph import (
     build_graph,
     classify_maximal_cliques,
@@ -50,7 +50,6 @@ from .report import (
     check_scan_digits,
     coreness_report_dict,
     dual_report_dict,
-    fixture_report_dict,
     graph_dot_chunks,
     graph_json_chunks,
     graph_to_text,
@@ -147,7 +146,7 @@ def cmd_coreness(args) -> int:
     if args.fixture:  # read it before the search, so a bad path fails at once
         try:
             fx = load_fixture(args.fixture)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read fixture: {exc}") from exc
     _check_field_size(args.q)
     if args.m == 1 and args.format == "json" and prime_power_base(args.q):  # |V| >= q^(n-1)
@@ -157,23 +156,25 @@ def cmd_coreness(args) -> int:
     if fx is not None:
         # a witness carries the graph core_test built
         G = rep.witness.graph if rep.witness else build_graph(_field_for(args.q), args.n, args.m)
-        fxrep = verify_fixture_partition(G, fx)
-    ok = fxrep is None or fxrep.ok
+        fxrep = check_fixture(G, fx)
     if args.format == "text":
-        sys.stdout.write(
-            f"J_{args.q}({args.n},{args.m}): verdict {rep.verdict}; "
-            + "; ".join(rep.evidence)
-            + "\n"
-        )
+        line = f"J_{args.q}({args.n},{args.m}): verdict {rep.verdict}; " + "; ".join(rep.evidence)
+        if fxrep is not None:
+            line += (
+                f"; fixture ok, {fxrep['chi_upper']} classes"
+                if fxrep["ok"]
+                else f"; fixture FAILED: {fxrep['violations'][0]}"
+            )
+        sys.stdout.write(line + "\n")
     else:
         data = {
             "params": {"q": args.q, "n": args.n, "m": args.m},
             "coreness": coreness_report_dict(rep),
         }
         if fxrep is not None:
-            data["fixture"] = fixture_report_dict(fxrep)
+            data["fixture"] = fxrep
         _emit(json_chunks(data))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if fxrep is None or fxrep["ok"] else EXIT_CHECK_FAILED
 
 
 def cmd_qbinom(args) -> int:
@@ -305,7 +306,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("coreness", help="core / not-core / undetermined verdict")
     common_graph(p)
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--fixture", type=str, default=None, help="fixture file to verify")
+    p.add_argument(
+        "--fixture",
+        type=str,
+        default=None,
+        help="fixture file: labelled matrices in colour sets, checked as an omega-colouring",
+    )
     p.add_argument("--brute-bound", type=int, default=SEARCH_BOUND)
 
     p = sub.add_parser("qbinom", help="Gaussian binomial factorization and h report")

@@ -1,13 +1,19 @@
-"""The J_2(4,2) fixture: 35 labelled matrices and 7 independent sets.
+"""The J_2(4,2) fixture: an omega-colouring certificate, checked as every witness is.
 
 File format: one block per matrix (a label line ``A<k>`` followed by the
-matrix rows as digit strings, then a blank line), and after the blocks one
-line per set, ``L<k>: A.. A.. ...``.  The shipped file lists the vertices
-of J_2(4,2) by 2x4 matrix representatives together with a partition of
-the labels into 7 independent sets, which certifies a 7-colouring.
+matrix rows as digit strings, 0-9 then a-z per entry, then a blank line),
+and after the blocks one line per set, ``L<k>: A.. A.. ...``.  The shipped
+file lists the 35 vertices of J_2(4,2) by 2x4 matrices and splits their
+labels into 7 sets, one per colour: the paper's proper 7-colouring, which
+composed with a star is a colouring endomorphism.
 
-Some fixture matrices are not in reduced echelon form; verification
-canonicalizes them, tracking identity by label alongside the vertex id.
+check_fixture takes each label to the vertex whose mask is the span of
+its raw rows (subspaces._row_span), so a matrix that is not in RREF, or
+has more rows than its rank, still lands on its row space, and no
+elimination runs.  The k-th set in name order (sets with no labels left
+out) is colour k, and build_colouring_endomorphism, the check core_test
+gives every search witness, checks the colouring against the star
+G.stars[0].
 """
 
 from __future__ import annotations
@@ -15,11 +21,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
+from .coreness import build_colouring_endomorphism
 from .graph import GrassmannGraph
-from .subspaces import subspace_from_digits
+from .subspaces import _row_span
 
 
-class J242Fixture(NamedTuple):
+class Fixture(NamedTuple):
     matrices: dict  # label -> tuple of digit-string rows
     sets: dict  # set name -> tuple of labels
 
@@ -28,8 +35,8 @@ def default_fixture_path() -> Path:
     return Path(__file__).parent / "data" / "j2_4_2_fixture.txt"
 
 
-def load_fixture(path: str | Path | None = None) -> J242Fixture:
-    text = Path(path if path is not None else default_fixture_path()).read_text()
+def load_fixture(path: str | Path | None = None) -> Fixture:
+    text = Path(path if path is not None else default_fixture_path()).read_text(encoding="utf-8")
     matrices: dict[str, tuple[str, ...]] = {}
     sets: dict[str, tuple[str, ...]] = {}
     label = None
@@ -50,81 +57,66 @@ def load_fixture(path: str | Path | None = None) -> J242Fixture:
             rows.append(line)
     if not matrices or not sets:
         raise ValueError("fixture file has no matrix blocks or no set lines")
-    return J242Fixture(matrices, sets)
+    return Fixture(matrices, sets)
 
 
-class FixtureReport:
-    """Result of checking a fixture against its graph.
+def check_fixture(G: GrassmannGraph, fx: Fixture) -> dict:
+    """The fixture report: ok, chi_upper, violations and label_to_vertex.
 
-    distinct_ok:  the labelled matrices canonicalize to pairwise distinct
-                  vertices that exhaust the vertex set.
-    partition_ok: the sets partition the labels.
-    independent_ok: no set contains an adjacent pair.
-    When everything holds the number of sets is an upper bound for the
-    chromatic number.
+    violations holds one reason string per fault, and is empty when ok: a
+    label whose rows span no vertex, a set naming a label with no matrix,
+    a vertex that two labels colour, a label in no set, and the reason
+    build_colouring_endomorphism refuses the colouring (a vertex no label
+    colours has colour -1).  chi_upper is the number of colours when ok,
+    else None.  Rows that are no matrix over GF(q) raise ValueError.
     """
-
-    def __init__(self):
-        self.distinct_ok = self.partition_ok = self.independent_ok = True
-        self.chi_upper: int | None = None
-        self.violations: list[dict] = []
-        self.label_to_vertex: dict = {}
-
-    @property
-    def ok(self) -> bool:
-        return self.distinct_ok and self.partition_ok and self.independent_ok
-
-
-def verify_fixture_partition(G: GrassmannGraph, fx: J242Fixture) -> FixtureReport:
-    """Check coverage, partition, and independence of the fixture sets."""
-    report = FixtureReport()
-
-    subspaces = {label: subspace_from_digits(G.spec, rows) for label, rows in fx.matrices.items()}
-    ids = {}
-    for label, S in subspaces.items():
-        if S.dim != G.m or S.ambient != G.n:
-            report.distinct_ok = False
-            report.violations.append({"check": "vertex", "label": label, "dim": S.dim})
-            continue
-        ids[label] = G.vertex_id(S)
-    report.label_to_vertex = dict(sorted(ids.items()))
-    if len(set(ids.values())) != G.num_vertices or len(ids) != len(fx.matrices):
-        report.distinct_ok = False
-        report.violations.append(
-            {
-                "check": "coverage",
-                "distinct_vertices": len(set(ids.values())),
-                "expected": G.num_vertices,
-            }
-        )
-
-    seen: dict[str, str] = {}
-    for name, labels in fx.sets.items():
-        for label in labels:
-            if label in seen:
-                report.partition_ok = False
-                report.violations.append(
-                    {"check": "partition", "label": label, "sets": (seen[label], name)}
-                )
-            seen[label] = name
+    violations = []
+    label_to_vertex = {}
+    digits: dict = {}
+    for label, rows in sorted(fx.matrices.items()):
+        v = _vertex(G, label, rows, digits)
+        if v is None:
+            violations.append(f"{label} spans no vertex of J_{G.spec.q}({G.n},{G.m})")
+        else:
+            label_to_vertex[label] = v
+    colouring = [-1] * G.num_vertices
+    coloured_by: dict[int, str] = {}
+    names = sorted(name for name, labels in fx.sets.items() if labels)
+    for colour, name in enumerate(names):
+        for label in fx.sets[name]:
+            v = label_to_vertex.get(label)
             if label not in fx.matrices:
-                report.partition_ok = False
-                report.violations.append({"check": "partition", "label": label, "sets": (name,)})
-    missing = sorted(set(fx.matrices) - set(seen))
-    if missing:
-        report.partition_ok = False
-        report.violations.append({"check": "partition-coverage", "missing": missing})
+                violations.append(f"set {name} names {label}, which has no matrix")
+            elif v in coloured_by:
+                violations.append(
+                    f"vertex {v} is coloured twice: {coloured_by[v]}, {label} in {name}"
+                )
+            elif v is not None:
+                coloured_by[v] = f"{label} in {name}"
+                colouring[v] = colour
+    named = {label for labels in fx.sets.values() for label in labels}
+    violations += [f"{label} is in no set" for label in sorted(fx.matrices.keys() - named)]
+    try:
+        build_colouring_endomorphism(G, colouring, G.stars[0].members)
+    except ValueError as exc:
+        violations.append(str(exc))
+    return {
+        "ok": not violations,
+        "chi_upper": None if violations else len(names),
+        "violations": violations,
+        "label_to_vertex": label_to_vertex,
+    }
 
-    for name in sorted(fx.sets):
-        labels = [l for l in fx.sets[name] if l in ids]
-        for a in range(len(labels)):
-            for b in range(a + 1, len(labels)):
-                la, lb = labels[a], labels[b]
-                if G.adjacent(ids[la], ids[lb]):
-                    report.independent_ok = False
-                    violation = {"check": "independence", "set": name, "pair": (la, lb)}
-                    report.violations.append(violation)
 
-    if report.ok:
-        report.chi_upper = len(fx.sets)
-    return report
+def _vertex(G: GrassmannGraph, label: str, rows, digits: dict) -> int | None:
+    """The vertex whose vector mask is the span of rows, or None if the span is no vertex.
+
+    digits is _row_span's cache, shared over one graph's labels.
+    """
+    q = G.spec.q
+    matrix = [[int(ch, 36) for ch in row] for row in rows]
+    if not matrix or any(len(row) != len(matrix[0]) or max(row) >= q for row in matrix):
+        raise ValueError(f"fixture matrix {label} is no matrix over GF({q}): {list(rows)}")
+    if len(matrix[0]) != G.n:  # its codes would be vectors of another space
+        return None
+    return G.index.get(sum(map((1).__lshift__, set(_row_span(G.spec, matrix, digits)))))

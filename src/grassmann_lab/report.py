@@ -21,7 +21,6 @@ from operator import itemgetter
 from .config import check_decimal_digits
 from .coreness import CorenessReport
 from .field import make_field
-from .fixture import FixtureReport
 from .graph import DualReport, GrassmannGraph, LemmaReport, build_graph
 from .qpoly import HReport, IntPolynomial, ScanReport, gaussian_binomial_int
 from .subspaces import Subspace
@@ -260,18 +259,6 @@ def coreness_report_dict(rep: CorenessReport) -> dict:
             "injective": rep.witness.is_injective(),
         }
     return out
-
-
-def fixture_report_dict(rep: FixtureReport) -> dict:
-    return {
-        "distinct_and_covering": rep.distinct_ok,
-        "partition": rep.partition_ok,
-        "independent_sets": rep.independent_ok,
-        "ok": rep.ok,
-        "chi_upper": rep.chi_upper,
-        "violations": rep.violations,
-        "label_to_vertex": rep.label_to_vertex,
-    }
 
 
 def poly_dict(p: IntPolynomial) -> dict:

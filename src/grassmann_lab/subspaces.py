@@ -13,8 +13,10 @@ table of all its spaces at once, codes[c][i] being position c of space
 i's span, one pivot class at a time with list-level arithmetic.  The
 graph layer reads every vertex and centre mask, the hyperplane masks
 behind the stars and tops, the images of masks under GL(n, q) and the
-orthogonal complements off these tables.  Gaussian elimination (rref)
-runs only in canonicalize, on matrices from outside the enumeration.
+orthogonal complements off these tables.  Nothing here runs Gaussian
+elimination: every basis comes out of the enumeration in RREF, and rows
+from outside it (a fixture's matrices) are read by their span, whatever
+their form.
 """
 
 from __future__ import annotations
@@ -26,8 +28,15 @@ from typing import NamedTuple
 
 from .config import ENUM_BOUND, BoundExceeded, check_decimal_digits
 from .field import FieldSpec
-from .linalg import FqMatrix, matrix, rref
 from .qpoly import gaussian_binomial_int
+
+
+class FqMatrix(NamedTuple):
+    """A matrix over GF(q): its rows, tuples of field elements, and its column count."""
+
+    spec: FieldSpec
+    rows: tuple[tuple[int, ...], ...]
+    cols: int
 
 
 class Subspace(NamedTuple):
@@ -39,20 +48,6 @@ class Subspace(NamedTuple):
     def __repr__(self):
         rows = ",".join("".join(str(x) for x in r) for r in self.basis.rows)
         return f"Subspace(q={self.spec.q}, {self.dim}<{self.ambient}, [{rows}])"
-
-
-def canonicalize(M: FqMatrix) -> Subspace:
-    """The subspace spanned by the rows of M (any spanning set)."""
-    R, rk, _ = rref(M)
-    return Subspace(M.spec, M.cols, rk, R)
-
-
-def subspace_from_digits(spec: FieldSpec, rows) -> Subspace:
-    """The span of matrix rows given as digit strings, 0-9 then a-z per entry.
-
-    The fixture file writes matrices this way, as the graph dumps do.
-    """
-    return canonicalize(matrix(spec, [[int(ch, 36) for ch in row] for row in rows]))
 
 
 def span_table(spec: FieldSpec, n: int, k: int) -> tuple[list[Subspace], list[list[int]]]:

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: ranks
 come from minor enumeration, distances from BFS (and the formula it is
 checked against from common mask vectors), subspace membership and
-containment from brute-force span enumeration, orthogonal complements
-from the null space by Gaussian elimination, the fixture colouring
+containment from brute-force span enumeration, the canonical basis of
+a row space from Gaussian elimination (rref, canonicalize), orthogonal
+complements from the null space by that elimination, the fixture colouring
 from the spans of its raw rows, the enumeration order from a key read
 off the RREF bases, Grassmann adjacency from a popcount test on every
 pair of vertex masks, colour classes checked against every star from
@@ -42,8 +43,7 @@ from grassmann_lab.qpoly import (
     gaussian_binomial_int,
     omega_int,
 )
-from grassmann_lab.linalg import matrix, rref
-from grassmann_lab.subspaces import Subspace, span_table
+from grassmann_lab.subspaces import FqMatrix, Subspace, span_table
 
 
 def bfs_distances(adjacency, source: int) -> list[int]:
@@ -176,15 +176,23 @@ def classes_meet_every_star_once(G, colouring) -> bool:
     )
 
 
+def fixture_vertices(G, fx) -> dict:
+    """Each fixture label's vertex: the one whose mask is the enumerated span of
+    its raw matrix rows, with no canonical form and no fixture check."""
+    return {
+        label: G.index[_span_mask(G.spec, [[int(ch, 36) for ch in row] for row in rows], G.n)]
+        for label, rows in fx.matrices.items()
+    }
+
+
 def fixture_colouring(G, fx) -> list[int]:
     """The colour table of the fixture sets: the k-th set in (length, name) order
-    has colour k.  Each label goes to the vertex whose mask is the enumerated
-    span of its raw matrix rows, with no canonical form and no fixture check."""
+    has colour k, on the vertices of fixture_vertices."""
+    vertex = fixture_vertices(G, fx)
     colours = [-1] * G.num_vertices
     for c, name in enumerate(sorted(fx.sets, key=lambda s: (len(s), s))):
         for label in fx.sets[name]:
-            rows = [[int(ch, 36) for ch in row] for row in fx.matrices[label]]
-            colours[G.index[_span_mask(G.spec, rows, G.n)]] = c
+            colours[vertex[label]] = c
     return colours
 
 
@@ -270,6 +278,64 @@ def enumerate_subspaces(spec, n: int, k: int) -> list:
     return span_table(spec, n, k)[0]
 
 
+def matrix(spec, rows, cols: int | None = None) -> FqMatrix:
+    """An FqMatrix from unchecked rows, validating shape and entry ranges."""
+    rs = tuple(tuple(r) for r in rows)
+    if cols is None:
+        if not rs:
+            raise ValueError("column count required for empty matrix")
+        cols = len(rs[0])
+    if cols < 1:
+        raise ValueError("need at least one column")
+    for row in rs:
+        if len(row) != cols:
+            raise ValueError("ragged rows")
+        for x in row:
+            if not 0 <= x < spec.q:
+                raise ValueError(f"entry {x} outside field of size {spec.q}")
+    return FqMatrix(spec, rs, cols)
+
+
+def rref(M):
+    """Reduced row echelon form with zero rows removed, by Gauss-Jordan elimination.
+
+    Returns (R, rank, pivot_cols); the row space of R equals that of M and
+    R is its unique canonical basis, so two matrices span the same space
+    iff their RREFs are equal.
+    """
+    spec = M.spec
+    rows = [list(r) for r in M.rows]
+    pivots: list[int] = []
+    for c in range(M.cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        s = spec.inv(rows[r][c])
+        rows[r] = row = [spec.mul(s, x) for x in rows[r]]
+        for i in range(len(rows)):
+            t = rows[i][c]
+            if t and i != r:
+                nt = spec.neg(t)
+                rows[i] = [spec.add(x, spec.mul(nt, y)) for x, y in zip(rows[i], row)]
+        pivots.append(c)
+    rank = len(pivots)
+    return matrix(spec, rows[:rank], M.cols), rank, pivots
+
+
+def canonicalize(M) -> Subspace:
+    """The subspace spanned by the rows of M (any spanning set), by its RREF basis."""
+    R, rk, _ = rref(M)
+    return Subspace(M.spec, M.cols, rk, R)
+
+
+def subspace_from_digits(spec, rows) -> Subspace:
+    """canonicalize of matrix rows given as digit strings, 0-9 then a-z per entry,
+    as the graph dumps and the fixture file write them."""
+    return canonicalize(matrix(spec, [[int(ch, 36) for ch in row] for row in rows]))
+
+
 def null_space(M):
     """Canonical basis of the right kernel {v : M v^T = 0}, by elimination."""
     spec = M.spec
@@ -292,7 +358,7 @@ def dual_complement(W):
     """All vectors orthogonal to W under the standard bilinear form: the
     null space of its basis."""
     K = null_space(W.basis)
-    return Subspace(W.spec, W.ambient, K.nrows, K)
+    return Subspace(W.spec, W.ambient, len(K.rows), K)
 
 
 def enumeration_key(S):

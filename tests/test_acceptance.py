@@ -26,12 +26,10 @@ from grassmann_lab import (
     scan_core_threshold,
     validate_endomorphism,
     verify_clique_lemmas,
-    verify_fixture_partition,
 )
 from grassmann_lab.arith import prime_power_base, prime_powers_upto
-from grassmann_lab.fixture import load_fixture
+from grassmann_lab.fixture import check_fixture, load_fixture
 from grassmann_lab.graph import dual_permutation
-from grassmann_lab.linalg import matrix, rref
 from grassmann_lab.qpoly import CycloFactorization
 from oracles import (
     ONE,
@@ -40,7 +38,9 @@ from oracles import (
     check_field_axioms,
     distance_by_masks,
     expand,
+    matrix,
     poly_mul,
+    rref,
     x_power_minus_one,
 )
 
@@ -99,9 +99,9 @@ def test_criterion_3_clique_lemmas(j242, j252, j342):
 
 def test_criterion_4_j242_reproduction(j242):
     with criterion(4, "J_2(4,2) fixture and not-core verdict", 5.0):
-        fxrep = verify_fixture_partition(j242, load_fixture())
-        assert fxrep.ok
-        assert fxrep.chi_upper == 7
+        fxrep = check_fixture(j242, load_fixture())
+        assert fxrep["ok"] and fxrep["violations"] == []
+        assert fxrep["chi_upper"] == 7
         assert alpha_exact(j242) == 5
 
         rep = core_test(4, 2, 2)

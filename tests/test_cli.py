@@ -177,7 +177,84 @@ def test_tampered_fixture_exits_1(capsys, tmp_path):
     assert code == 1
     data = json.loads(out)
     assert data["fixture"]["ok"] is False
-    assert not data["fixture"]["independent_sets"]
+    assert data["fixture"]["violations"] == ["clique vertices repeat a colour"]
+    code, out, _ = run(
+        capsys,
+        "coreness", "--q", "2", "--n", "4", "--m", "2", "--fixture", str(path), "--format", "text",
+    )
+    assert code == 1
+    assert out.startswith("J_2(4,2): verdict not-core; ")
+    assert out.endswith("; fixture FAILED: clique vertices repeat a colour\n")
+
+
+def test_coreness_text_names_the_fixture_outcome(capsys):
+    argv = ["coreness", "--q", "2", "--n", "4", "--m", "2"]
+    code, plain, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--fixture", str(default_fixture_path()), "--format", "text")
+    assert code == 0
+    assert out == plain[:-1] + "; fixture ok, 7 classes\n"
+
+
+_A35 = "A35\n1000\n0011\n"
+_UNREADABLE = "error: cannot read fixture: "
+
+
+# Each fixture input ends in one of the three ways: exit 0, exit 1 with the
+# reason its certificate fails the witness check, exit 3 with an error line
+# for a file that is no fixture.  said is the start of that reason or line.
+@pytest.mark.parametrize(
+    "edit, code, said",
+    [
+        (lambda t: t.replace(_A35, "A35\n"), 3, "error: fixture matrix A35 is no matrix"),
+        (lambda t: t.replace(_A35, "A35\n100z\n0011\n"), 3, "error: fixture matrix A35"),
+        (lambda t: t.replace(_A35, "A35\n10-0\n0011\n"), 3, "error: invalid literal"),
+        (lambda t: t.replace(_A35, "A35\n1000\n001\n"), 3, "error: fixture matrix A35"),
+        (lambda t: b"A1\n\xff\xfe\n", 3, _UNREADABLE + "'utf-8' codec can't decode"),
+        ("directory", 3, _UNREADABLE),
+        ("missing", 3, _UNREADABLE),
+        (lambda t: t.replace("L1: A1 ", "L1: A99 A1 "), 1, "set L1 names A99"),
+        (lambda t: t.replace(" A17\n", "\n"), 1, "A17 is in no set"),
+        (lambda t: t.replace(_A35, _A35 + "\nA36\n1000\n0011\n"), 1, "A36 is in no set"),
+        (lambda t: t.replace("L1: A1", "L1:").replace("L2: A2", "L2: A2 A1"), 1, "clique"),
+        (lambda t: t.replace("L1: A1", "L1: A2 A1"), 1, "vertex 8 is coloured twice"),
+        (lambda t: t.replace(_A35, "A35\n1000\n"), 1, "A35 spans no vertex of J_2(4,2)"),
+        (lambda t: t.replace(_A35, "A35\n10000\n00110\n"), 1, "A35 spans no vertex"),
+        (lambda t: t.replace(_A35, "A35\n1000\n0011\n1011\n"), 0, None),
+        (lambda t: t + "L8:\n", 0, None),
+        (lambda t: t.replace("L7: A11 A16 A26", "L7: A11 A16\nL8: A26"), 1, "clique size 7"),
+    ],
+    ids=[
+        "empty block", "entry outside GF(2)", "bad digit", "ragged rows", "not UTF-8",
+        "directory", "missing file", "unknown label", "label in no set",
+        "A35's vertex again, in no set", "A1 moved into L2", "label in two sets",
+        "a 1-space", "5 columns", "3 rows spanning a 2-space", "an empty set",
+        "8 proper classes",
+    ],
+)
+def test_fixture_exit_codes(capsys, tmp_path, edit, code, said):
+    path = tmp_path / "fixture.txt"
+    if edit == "directory":
+        path = tmp_path
+    elif edit != "missing":
+        text = default_fixture_path().read_text()
+        data = edit(text)
+        assert data != text
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    got, out, err = run(
+        capsys, "coreness", "--q", "2", "--n", "4", "--m", "2", "--fixture", str(path)
+    )
+    assert got == code
+    if code == 3:
+        assert out == "" and err.startswith(said) and err.count("\n") == 1
+        return
+    assert err == ""
+    fixture = json.loads(out)["fixture"]
+    assert fixture["ok"] is (code == 0)
+    if said is None:
+        assert fixture["violations"] == [] and fixture["chi_upper"] == 7
+    else:
+        assert fixture["violations"][0].startswith(said)
 
 
 def test_missing_fixture_exits_3_before_the_search(capsys, monkeypatch, tmp_path):
@@ -340,7 +417,7 @@ def test_coreness_witness_maps_every_edge_of_the_build_dump_to_an_edge(capsys):
         dump = json.loads(out)
         spec = make_field(dump["params"]["p"], dump["params"]["e"])
         masks = [
-            oracles.mask_by_enumeration(spec, subspaces.subspace_from_digits(spec, v["matrix"]))
+            oracles.mask_by_enumeration(spec, oracles.subspace_from_digits(spec, v["matrix"]))
             for v in dump["vertices"]
         ]
         adj = oracles.pairwise_adjacency(masks, q, m)

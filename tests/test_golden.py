@@ -17,7 +17,7 @@ GOLDEN = [
     (
         "coreness --q 2 --n 4 --m 2 --fixture FIXTURE",
         0,
-        "0666861c7ea49fdafe7565dbea178f446be5938c4dec365e7a591fa3c55e1188",
+        "2817837e1df642b6e2bb801a5d09f5b851084f9428d3282c7a20ce1a86a193b3",
     ),
     (
         "coreness --q 3 --n 4 --m 2",

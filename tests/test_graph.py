@@ -30,19 +30,21 @@ from grassmann_lab.graph import (
     dual_permutation,
     map_bitset,
 )
-from grassmann_lab.linalg import matrix, rref
 from grassmann_lab.qpoly import omega_int
 from grassmann_lab.report import graph_to_text
-from grassmann_lab.subspaces import canonicalize, vector_mask
+from grassmann_lab.subspaces import vector_mask
 from oracles import (
     all_maximal_cliques,
     bfs_distances,
+    canonicalize,
     distance_by_masks,
     dual_complement,
     enumerate_subspaces,
     intersection_dim_by_enumeration,
     mask_by_enumeration,
+    matrix,
     pairwise_adjacency,
+    rref,
     span_codes,
     span_vectors,
 )

@@ -1,8 +1,8 @@
 """Every module of the package uses each name it imports and each private
 function it defines, every public function or class is named by some
 module of the package, no module relies on an assert statement, no module
-writes an instance's __dict__ or runs Gaussian elimination outside
-canonicalize, importing the CLI loads neither dataclasses nor fractions,
+writes an instance's __dict__ or calls rref (Gaussian elimination),
+importing the CLI loads neither dataclasses nor fractions,
 nor importlib.resources or tempfile, and some command calls every method
 of IntPolynomial but the __eq__ the tests compare records with."""
 
@@ -111,32 +111,28 @@ def _writes_instance_dict(node) -> bool:
     )
 
 
-def _rref_calls(tree):
-    """The line of each call of rref, by the function that makes it (None at module level)."""
-    out = []
-    for top in tree.body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(top):
-            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "rref":
-                out.append((owner, node.lineno))
-    return out
+def _rref_calls(tree) -> list[int]:
+    """The line of each call of a function named rref."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "rref" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
 
 
-def test_no_instance_dict_writes_and_elimination_only_in_canonicalize():
+def test_no_instance_dict_writes_and_no_rref_call():
     # the graph's span table and the clique spans are constructor fields,
     # and what a graph derives it computes itself, with no cache seeded
     # behind the constructor's back; every subspace the graph path makes
-    # comes out of the enumeration in RREF: only canonicalize, on matrices
-    # from outside, needs elimination
+    # comes out of the enumeration in RREF, and a fixture's rows are read
+    # by their span, so nothing in the package runs elimination
     for path in SOURCES:
         tree = ast.parse(path.read_text())
         writes = [node.lineno for node in ast.walk(tree) if _writes_instance_dict(node)]
         assert writes == [], f"{path.name} writes __dict__[...] on lines {writes}"
         calls = _rref_calls(tree)
-        allowed = [("canonicalize", line) for _, line in calls] if path.stem == "subspaces" else []
-        assert calls == allowed, f"{path.name} calls rref outside canonicalize: {calls}"
+        assert calls == [], f"{path.name} calls rref on lines {calls}"
 
 
 # Each CLI command pays this import before it computes anything; dataclasses

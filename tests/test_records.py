@@ -5,8 +5,9 @@ equal only to itself, and a graph's cached properties are computed once."""
 import pytest
 
 import grassmann_lab.graph as graph_module
-from grassmann_lab import build_graph, canonicalize, make_field, matrix, scan_core_threshold
+from grassmann_lab import build_graph, make_field, scan_core_threshold
 from grassmann_lab.graph import GrassmannGraph
+from oracles import canonicalize, matrix
 
 
 def test_field_specs_built_apart_are_equal_values():

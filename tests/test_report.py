@@ -23,7 +23,6 @@ from grassmann_lab import (
     verify_clique_lemmas,
 )
 from grassmann_lab.config import BoundExceeded
-from grassmann_lab.linalg import matrix
 from grassmann_lab.report import (
     graph_dot_chunks,
     graph_from_json_dict,
@@ -34,7 +33,6 @@ from grassmann_lab.report import (
     scan_report_dict,
     to_json,
 )
-from grassmann_lab.subspaces import canonicalize, subspace_from_digits
 
 
 class Colour(IntEnum):
@@ -414,7 +412,7 @@ def test_dumps_of_another_graph_raise_value_error(spoil, message):
     # J_2(4,2) is fixed by its vertex set: the dump must be the one graph_to_json writes
     G = build_graph(make_field(2, 1), 4, 2)
     assert not G.adjacent(0, 34)
-    assert subspace_from_digits(G.spec, _unreduced(["1000", "0100"])) == G.vertices[0]
+    assert oracles.subspace_from_digits(G.spec, _unreduced(["1000", "0100"])) == G.vertices[0]
     data = _j242_dump()
     spoil(data)
     with pytest.raises(ValueError, match=message):
@@ -465,6 +463,6 @@ def test_graph_writers_match_the_per_edge_oracles(p, e, n, m, capsys):
 
 
 def test_matrix_digits_reject_fields_past_z():
-    assert report.matrix_digits(canonicalize(matrix(make_field(2, 5), [[1, 31]]))) == ["1v"]
+    assert report.matrix_digits(oracles.subspace_from_digits(make_field(2, 5), ["1v"])) == ["1v"]
     with pytest.raises(ValueError, match="GF\\(37\\) has elements too large for one digit"):
-        report.matrix_digits(canonicalize(matrix(make_field(37, 1), [[1, 0]])))
+        report.matrix_digits(oracles.canonicalize(oracles.matrix(make_field(37, 1), [[1, 0]])))

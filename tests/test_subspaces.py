@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from grassmann_lab import canonicalize, gaussian_binomial_int, make_field, matrix
+from grassmann_lab import gaussian_binomial_int, make_field
 from grassmann_lab.config import BoundExceeded
 from grassmann_lab.subspaces import hyperplane_lines, span_table, vector_mask
 from oracles import (
+    canonicalize,
     dual_complement,
     enumerate_subspaces,
     enumeration_key,
     is_rref,
+    matrix,
     span_codes,
     span_vectors,
 )
