@@ -30,7 +30,7 @@ from .config import (
 )
 from .coreness import core_test
 from .field import make_field
-from .fixture import check_fixture, load_fixture
+from .fixture import check_fixture, fixture_matrices, load_fixture
 from .graph import (
     build_graph,
     classify_maximal_cliques,
@@ -143,12 +143,14 @@ def cmd_verify(args) -> int:
 
 def cmd_coreness(args) -> int:
     fx = None
-    if args.fixture:  # read it before the search, so a bad path fails at once
+    if args.fixture:  # read it before the search, so a bad file fails at once
         try:
             fx = load_fixture(args.fixture)
         except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read fixture: {exc}") from exc
     _check_field_size(args.q)
+    if fx is not None and prime_power_base(args.q):  # else core_test refuses the q
+        fixture_matrices(fx, args.q)  # its rows too: ValueError on one that is no matrix
     if args.m == 1 and args.format == "json" and prime_power_base(args.q):  # |V| >= q^(n-1)
         check_power_digits(args.q, args.n - 1, f"the vertex count of J_{args.q}({args.n},1)")
     rep = core_test(args.n, args.m, args.q, search_bound=args.brute_bound)

@@ -7,13 +7,15 @@ file lists the 35 vertices of J_2(4,2) by 2x4 matrices and splits their
 labels into 7 sets, one per colour: the paper's proper 7-colouring, which
 composed with a star is a colouring endomorphism.
 
-check_fixture takes each label to the vertex whose mask is the span of
-its raw rows (subspaces._row_span), so a matrix that is not in RREF, or
-has more rows than its rank, still lands on its row space, and no
-elimination runs.  The k-th set in name order (sets with no labels left
-out) is colour k, and build_colouring_endomorphism, the check core_test
-gives every search witness, checks the colouring against the star
-G.stars[0].
+fixture_matrices reads each block's rows as field elements, and refuses
+rows that are no matrix over GF(q); the CLI calls it as soon as the file
+is read, before the coreness search.  check_fixture takes each label to
+the vertex whose mask is the span of its rows (subspaces._row_span), so
+a matrix that is not in RREF, or has more rows than its rank, still
+lands on its row space, and no elimination runs.  The k-th set in name
+order (sets with no labels left out) is colour k, and
+build_colouring_endomorphism, the check core_test gives every search
+witness, checks the colouring against the star G.stars[0].
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ def check_fixture(G: GrassmannGraph, fx: Fixture) -> dict:
     violations = []
     label_to_vertex = {}
     digits: dict = {}
-    for label, rows in sorted(fx.matrices.items()):
-        v = _vertex(G, label, rows, digits)
+    for label, rows in fixture_matrices(fx, G.spec.q).items():
+        v = _vertex(G, rows, digits)
         if v is None:
             violations.append(f"{label} spans no vertex of J_{G.spec.q}({G.n},{G.m})")
         else:
@@ -108,15 +110,24 @@ def check_fixture(G: GrassmannGraph, fx: Fixture) -> dict:
     }
 
 
-def _vertex(G: GrassmannGraph, label: str, rows, digits: dict) -> int | None:
-    """The vertex whose vector mask is the span of rows, or None if the span is no vertex.
+def fixture_matrices(fx: Fixture, q: int) -> dict[str, list[list[int]]]:
+    """Each label's rows as a matrix over GF(q), in label order.
 
-    digits is _row_span's cache, shared over one graph's labels.
+    A block whose rows are no matrix over GF(q), at least one row of one
+    width with each digit a field element, raises ValueError.
     """
-    q = G.spec.q
-    matrix = [[int(ch, 36) for ch in row] for row in rows]
-    if not matrix or any(len(row) != len(matrix[0]) or max(row) >= q for row in matrix):
-        raise ValueError(f"fixture matrix {label} is no matrix over GF({q}): {list(rows)}")
+    out = {}
+    for label, rows in sorted(fx.matrices.items()):
+        matrix = out[label] = [[int(ch, 36) for ch in row] for row in rows]
+        if not matrix or any(len(row) != len(matrix[0]) or max(row) >= q for row in matrix):
+            raise ValueError(f"fixture matrix {label} is no matrix over GF({q}): {list(rows)}")
+    return out
+
+
+def _vertex(G: GrassmannGraph, matrix: list[list[int]], digits: dict) -> int | None:
+    """The vertex whose vector mask is the span of matrix's rows, or None if the
+    span is no vertex.  digits is _row_span's cache, shared over one graph's labels.
+    """
     if len(matrix[0]) != G.n:  # its codes would be vectors of another space
         return None
     return G.index.get(sum(map((1).__lshift__, set(_row_span(G.spec, matrix, digits)))))

@@ -12,10 +12,13 @@ cheap at desk scale.
 Masks come from span tables (subspaces.span_table): codes[c][i] is the
 vector code at coefficient position c of space i's span, and a mask is
 the sum of 1 << codes[c][i] over c, formed for a whole table at once.
-build_graph computes the vertices' table, G.spans, and the graph derives
-the rest from it on first use: G.degree counts mask intersections, so a
-text dump builds no star and no adjacency row.  Each catalog clique
-carries its centre's row of its level's table as its span.
+build_graph keeps only the vertices' RREF basis rows, G.bases, and the
+graph derives the rest on first use: the vertices' table G.spans, from
+the pivots alone (subspaces._level_codes), the masks and adjacency from
+it, and G.vertices, the rows as Subspace values.  J_q(n,m) is regular of
+degree q [m,1]_q [n-m,1]_q, so a text dump reads the rows and that
+number only, and builds no span table, mask or Subspace.  Each catalog
+clique carries its centre's row of its level's table as its span.
 
 The maximal cliques of these graphs are exactly the stars (all m-spaces
 over a fixed (m-1)-space) and the tops (all m-spaces inside a fixed
@@ -69,7 +72,16 @@ from .config import (
 )
 from .field import FieldSpec
 from .qpoly import gaussian_binomial_int
-from .subspaces import Subspace, _row_span, hyperplane_lines, span_table, vector_mask
+from .subspaces import (
+    FqMatrix,
+    Subspace,
+    _level_bases,
+    _level_codes,
+    _row_span,
+    hyperplane_lines,
+    span_table,
+    vector_mask,
+)
 
 
 def bits(x: int):
@@ -93,23 +105,33 @@ def _subspace_dim(size: int, q: int) -> int:
 
 
 class GrassmannGraph:
-    """J_q(n, m): its vertices in enumeration order and their span table
-    (subspaces.span_table).  Immutable, and equal only to itself; the
-    masks, stars, adjacency and the other cached properties below are
-    derived from the table on first use."""
+    """J_q(n, m): its vertices' RREF basis rows in enumeration order
+    (subspaces._level_bases).  Immutable, and equal only to itself; the
+    span table, masks, stars, adjacency and the other cached properties
+    below are derived on first use."""
 
     def __init__(
-        self, spec: FieldSpec, n: int, m: int, vertices: tuple[Subspace, ...],
-        spans: list[list[int]],
+        self, spec: FieldSpec, n: int, m: int, bases: tuple[tuple[tuple[int, ...], ...], ...]
     ):
-        vars(self).update(spec=spec, n=n, m=m, vertices=vertices, spans=spans)
+        vars(self).update(spec=spec, n=n, m=m, bases=bases)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.bases)
+
+    @cached_property
+    def vertices(self) -> tuple[Subspace, ...]:
+        """Each vertex as a Subspace, over its basis rows."""
+        spec, n, m = self.spec, self.n, self.m
+        return tuple(Subspace(spec, n, m, FqMatrix(spec, rows, n)) for rows in self.bases)
+
+    @cached_property
+    def spans(self) -> list[list[int]]:
+        """The vertices' span table: spans[c][i] is position c of vertex i's span."""
+        return _level_codes(self.spec, self.n, self.m)
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -149,11 +171,6 @@ class GrassmannGraph:
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.adjacency[i] >> j & 1)
-
-    def degree(self, i: int) -> int:
-        """The number of masks meeting vertex i's in q^(m-1) vectors: its neighbours."""
-        mask, common = self.masks[i], self.spec.q ** (self.m - 1)
-        return sum((mask & x).bit_count() == common for x in self.masks)
 
     @cached_property
     def stars(self) -> list[MaximalClique]:
@@ -211,10 +228,10 @@ class GrassmannGraph:
 
 
 def build_graph(spec: FieldSpec, n: int, m: int, max_vertices: int = BUILD_BOUND) -> GrassmannGraph:
-    """J_q(n, m): its vertices and their span table, the rest derived on first use.
+    """J_q(n, m): its vertices' basis rows, the rest derived on first use.
 
-    The vertex count and the span table size are bounded before anything
-    is enumerated.
+    The vertex count and the size of the span table, which G.spans builds
+    on first use, are bounded before anything is enumerated.
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
@@ -233,8 +250,7 @@ def build_graph(spec: FieldSpec, n: int, m: int, max_vertices: int = BUILD_BOUND
         raise BoundExceeded(
             f"span table too large: J_{spec.q}({n},{m}) has {codes} codes > {ENUM_BOUND}"
         )
-    vertices, spans = span_table(spec, n, m)
-    return GrassmannGraph(spec, n, m, tuple(vertices), spans)
+    return GrassmannGraph(spec, n, m, _level_bases(spec, n, m))
 
 
 def _hyperplane_groups(spec: FieldSpec, codes: list[list[int]]) -> dict[int, list[int]]:

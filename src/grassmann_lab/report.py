@@ -30,7 +30,7 @@ _BLOCK = 1024  # records per chunk of a scan's entries or a dump's vertices
 
 
 def matrix_digits(S: Subspace) -> list[str]:
-    return _vertex_digits((S,))[0]
+    return _vertex_digits(S.spec.q, (S.basis.rows,))[0]
 
 
 class _RowDigits(dict):
@@ -41,12 +41,17 @@ class _RowDigits(dict):
         return text
 
 
-def _vertex_digits(spaces: tuple[Subspace, ...]) -> list[list[str]]:
-    """matrix_digits of each space, over one field; each distinct basis row is written once."""
-    if spaces and spaces[0].spec.q > len(_DIGITS):
-        raise ValueError(f"GF({spaces[0].spec.q}) has elements too large for one digit")
-    row = _RowDigits().__getitem__
-    return [list(map(row, S.basis.rows)) for S in spaces]
+def _vertex_digits(q: int, bases) -> list[list[str]]:
+    """The digit strings of each basis, by its rows over GF(q) (_row_digits)."""
+    row = _row_digits(q)
+    return [list(map(row, rows)) for rows in bases]
+
+
+def _row_digits(q: int):
+    """The digit string of a row over GF(q); each distinct row is written once."""
+    if q > len(_DIGITS):
+        raise ValueError(f"GF({q}) has elements too large for one digit")
+    return _RowDigits().__getitem__
 
 
 def params_dict(G: GrassmannGraph) -> dict:
@@ -74,7 +79,8 @@ def graph_json_chunks(G: GrassmannGraph):
     params = to_json({"params": params_dict(G)})[:-2]  # drops its closing "\n}"
     record = '{\n      "id": %d,\n      "matrix": [\n        "%s"\n      ]\n    }'
     # the digits and the adjacency are read before the first chunk, so their failure writes nothing
-    records = map(record.__mod__, enumerate(map('",\n        "'.join, _vertex_digits(G.vertices))))
+    digits = _vertex_digits(G.spec.q, G.bases)
+    records = map(record.__mod__, enumerate(map('",\n        "'.join, digits)))
     cell = "\n      %d,\n      "
     edges = _edge_rows(G, "[" + cell, "\n    ],\n    [" + cell, "\n    ]")
     yield from _blocks(records, params + ',\n  "vertices": [\n    ', ",\n    ")
@@ -133,7 +139,7 @@ def graph_from_json_dict(data: dict) -> GrassmannGraph:
     if [v["id"] for v in data["vertices"]] != list(ids):
         raise ValueError("a dump lists its vertices by id, 0 to V-1 in order")
     G = build_graph(spec, n, m, max_vertices=nv)
-    if matrices != _vertex_digits(G.vertices):
+    if matrices != _vertex_digits(G.spec.q, G.bases):
         raise ValueError(f"a dump of J_{spec.q}({n},{m}) lists its RREF {m}-spaces in order")
     size = (nv + 7) >> 3
     byte = [j >> 3 for j in ids] + [size] * nv
@@ -164,7 +170,8 @@ def graph_dot_chunks(G: GrassmannGraph):
     As in graph_json_chunks, the digits and the adjacency are read before the first chunk.
     """
     line = '  v%d [label="v%d", tooltip="%s"];'  # digits need no escaping
-    lines = (line % (i, i, "/".join(M)) for i, M in enumerate(_vertex_digits(G.vertices)))
+    digits = _vertex_digits(G.spec.q, G.bases)
+    lines = (line % (i, i, "/".join(M)) for i, M in enumerate(digits))
     edges = _edge_rows(G, "  v%d -- v", ";\n  v%d -- v", ";")
     yield from _blocks(lines, "graph grassmann {\n", "\n")
     yield from _blocks(edges, "\n", "\n", 1)
@@ -172,13 +179,18 @@ def graph_dot_chunks(G: GrassmannGraph):
 
 
 def graph_to_text(G: GrassmannGraph) -> str:
-    degree = G.degree(0)  # J_q(n,m) is regular
+    """The header, with the degree q [m,1]_q [n-m,1]_q of the regular J_q(n,m),
+    and a line per vertex: no span table, mask or adjacency row is built."""
+    q, m = G.spec.q, G.m
+    degree = q * gaussian_binomial_int(m, 1, q) * gaussian_binomial_int(G.n - m, 1, q)
     lines = [
-        f"J_{G.spec.q}({G.n},{G.m}): {G.num_vertices} vertices, "
+        f"J_{q}({G.n},{m}): {G.num_vertices} vertices, "
         f"{G.num_vertices * degree // 2} edges, degree {degree}"
     ]
-    lines += ["  v%d: %s" % (i, " ".join(M)) for i, M in enumerate(_vertex_digits(G.vertices))]
-    return "\n".join(lines) + "\n"
+    row = _row_digits(q)
+    lines += ["  v%d: %s" % (i, " ".join(map(row, rows))) for i, rows in enumerate(G.bases)]
+    lines.append("")  # the text ends in a newline
+    return "\n".join(lines)
 
 
 def lemma_report_dict(rep: LemmaReport) -> dict:

@@ -8,20 +8,23 @@ relations (containment, intersection dimensions) are read off vector
 masks: see vector_mask.
 
 A span lists the codes of a space's members by coefficient position
-(see _row_span).  span_table enumerates one level and builds the span
-table of all its spaces at once, codes[c][i] being position c of space
-i's span, one pivot class at a time with list-level arithmetic.  The
-graph layer reads every vertex and centre mask, the hyperplane masks
-behind the stars and tops, the images of masks under GL(n, q) and the
-orthogonal complements off these tables.  Nothing here runs Gaussian
-elimination: every basis comes out of the enumeration in RREF, and rows
-from outside it (a fixture's matrices) are read by their span, whatever
-their form.
+(see _row_span).  One level of the enumeration comes two ways, each in
+one pass over the pivot classes: _level_bases gives every space's RREF
+basis rows as tuples, and _level_codes the span table of all the spaces
+at once, codes[c][i] being position c of space i's span, built from the
+pivots alone with list-level arithmetic.  span_table pairs the two, each
+basis wrapped as a Subspace, for the catalogs.  The graph layer holds
+its vertices as basis rows, and reads every vertex and centre mask, the
+hyperplane masks behind the stars and tops, the images of masks under
+GL(n, q) and the orthogonal complements off the tables.  Nothing here
+runs Gaussian elimination: every basis comes out of the enumeration in
+RREF, and rows from outside it (a fixture's matrices) are read by their
+span, whatever their form.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from itertools import chain, combinations, product, repeat
 from operator import add
 from typing import NamedTuple
@@ -53,24 +56,31 @@ class Subspace(NamedTuple):
 def span_table(spec: FieldSpec, n: int, k: int) -> tuple[list[Subspace], list[list[int]]]:
     """All k-dimensional subspaces of GF(q)^n, each once, and their span table.
 
-    Each basis is generated directly in RREF (see _pivot_classes), so
-    there is no deduplication pass, and the count equals the Gaussian
-    binomial [n choose k]_q.  codes[c][i] is the code at coefficient
-    position c of space i's span, the entry _row_span gives for its basis
-    rows, so codes has q^k columns, one per position, each listing all
-    the spaces.  Each pivot class's columns come from list-level
-    arithmetic (_class_codes), with no per-space _row_span call.  Equal
-    codes share one int object.
+    The spaces wrap the bases of _level_bases, which are generated
+    directly in RREF, so there is no deduplication pass, and the count
+    equals the Gaussian binomial [n choose k]_q.  The table is
+    _level_codes's: codes[c][i] is the code at coefficient position c of
+    space i's span.
     """
-    total = _level_size(spec, n, k)
-    spaces: list[Subspace] = []
-    parts = []
+    spaces = [Subspace(spec, n, k, FqMatrix(spec, rows, n)) for rows in _level_bases(spec, n, k)]
+    return spaces, _level_codes(spec, n, k)
+
+
+def _level_codes(spec: FieldSpec, n: int, k: int) -> list[list[int]]:
+    """The span table of the k-spaces of GF(q)^n, in enumeration order.
+
+    codes[c][i] is the code at coefficient position c of space i's span,
+    the entry _row_span gives for its basis rows, so codes has q^k
+    columns, one per position, each listing all the spaces.  It is built
+    one pivot class at a time from the pivots alone (_class_codes), with
+    no basis and no per-space _row_span call.  Equal codes share one int
+    object.
+    """
+    _level_size(spec, n, k)
     tables: dict = {}
     vector = list(range(spec.q**n)).__getitem__
-    for pivots, cls in _pivot_classes(spec, n, k, total):
-        spaces += cls
-        parts.append(_class_codes(spec, n, pivots, len(cls), tables, vector))
-    return spaces, list(map(list, map(chain.from_iterable, zip(*parts))))
+    parts = [_class_codes(spec, n, pivots, tables, vector) for pivots in combinations(range(n), k)]
+    return list(map(list, map(chain.from_iterable, zip(*parts))))
 
 
 def _level_size(spec: FieldSpec, n: int, k: int) -> int:
@@ -88,18 +98,17 @@ def _level_size(spec: FieldSpec, n: int, k: int) -> int:
     return total
 
 
-def _pivot_classes(
-    spec: FieldSpec, n: int, k: int, total: int
-) -> Iterator[tuple[tuple[int, ...], list[Subspace]]]:
-    """Each pivot class of the total k-spaces, in enumeration order: (pivots, its spaces).
+def _level_bases(spec: FieldSpec, n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The RREF basis rows of every k-space of GF(q)^n, one pivot class at a time.
 
-    Row i of a basis in the class has a 1 at pivots[i], zeros at the other
-    pivots and left of pivots[i], and any field value at each other column
-    right of pivots[i] (a free entry).  The class is the product of these
-    per-row options, free entries read row-major with values in
-    coefficient order, so the last free entry varies fastest.
+    Row i of a basis in the class of pivots has a 1 at pivots[i], zeros at
+    the other pivots and left of pivots[i], and any field value at each
+    other column right of pivots[i] (a free entry).  The class is the
+    product of these per-row options, free entries read row-major with
+    values in coefficient order, so the last free entry varies fastest.
     """
-    count = 0
+    total = _level_size(spec, n, k)
+    bases: list[tuple[tuple[int, ...], ...]] = []
     for pivots in combinations(range(n), k):
         options = []
         for p in pivots:
@@ -112,28 +121,27 @@ def _pivot_classes(
                     row[j] = v
                 opts.append(tuple(row))
             options.append(opts)
-        spaces = [Subspace(spec, n, k, FqMatrix(spec, rows, n)) for rows in product(*options)]
-        count += len(spaces)
-        yield pivots, spaces
-    if count != total:
+        bases += product(*options)
+    if len(bases) != total:
         raise AssertionError("subspace count disagrees with the Gaussian binomial")
+    return tuple(bases)
 
 
 def _class_codes(
     spec: FieldSpec,
     n: int,
     pivots: tuple[int, ...],
-    size: int,
     tables: dict,
     vector: Callable[[int], int],
 ) -> list[list[int]]:
-    """The span table of one pivot class of _pivot_classes, of size spaces.
+    """The span table of one pivot class of _level_bases, from its pivots.
 
-    The code at position c = c_0 + c_1*q + ... is the sum over the columns
-    j of q^j (c . column j).  Pivot column pivots[i] gives c_i on every
-    space.  Any other column j has free entries in its first r rows, r the
-    number of pivots left of j, and zeros below, so c . column j depends
-    on c mod q^r and on the column's index x = sum_a entry_a * q^a only:
+    The class has q^F spaces, F its number of free entries.  The code at
+    position c = c_0 + c_1*q + ... is the sum over the columns j of
+    q^j (c . column j).  Pivot column pivots[i] gives c_i on every space.
+    Any other column j has free entries in its first r rows, r the number
+    of pivots left of j, and zeros below, so c . column j depends on
+    c mod q^r and on the column's index x = sum_a entry_a * q^a only:
     tables[r][c mod q^r][x] (_digit_table).  Free entry f (row-major)
     repeats each value q^(F-1-f) times in a block that repeats q^f times,
     so each column's index list is built by list repetition.  A column
@@ -142,6 +150,7 @@ def _class_codes(
     """
     q = spec.q
     free = [(a, j) for a, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
+    size = q ** len(free)
     last = len(free) - 1
     columns = []  # per nonzero column: q^r, and its term list for each c mod q^r
     for j in range(n):

@@ -8,9 +8,10 @@ a row space from Gaussian elimination (rref, canonicalize), orthogonal
 complements from the null space by that elimination, the fixture colouring
 from the spans of its raw rows, the enumeration order from a key read
 off the RREF bases, Grassmann adjacency from a popcount test on every
-pair of vertex masks, colour classes checked against every star from
-those masks, field properties from exhaustive loops, and graph dumps
-from one [i, j] list per edge.  The search kernels are the
+pair of vertex masks, a vertex's degree from a count of the masks that
+meet its mask in an (m-1)-space, colour classes checked against every
+star from those masks, field properties from exhaustive loops, and graph
+dumps from one [i, j] list per edge.  The search kernels are the
 straightforward recursive versions of the library's iterative,
 bitset-driven ones, and the q-polynomial references at the end are
 schoolbook polynomial arithmetic (its product is the reference for the
@@ -135,6 +136,12 @@ def _span_mask(spec, rows, n: int) -> int:
     for v in span_vectors(spec, rows, n):
         mask |= 1 << sum(x * spec.q**j for j, x in enumerate(v))
     return mask
+
+
+def degree_by_masks(G, i: int) -> int:
+    """The number of vertex masks meeting vertex i's in q^(m-1) vectors: its neighbours."""
+    mask, common = G.masks[i], G.spec.q ** (G.m - 1)
+    return sum((mask & x).bit_count() == common for x in G.masks)
 
 
 def pairwise_adjacency(masks, q: int, m: int) -> list[int]:

@@ -57,6 +57,18 @@ def test_build_text(capsys):
     assert "35 vertices" in out
 
 
+def test_a_text_build_builds_no_span_table(capsys, monkeypatch):
+    # the text lists the basis rows and the closed-form degree only
+    def refuse(*args, **kwargs):
+        raise AssertionError("a text build made span table codes")
+
+    monkeypatch.setattr(subspaces, "_class_codes", refuse)
+    code, out, err = run(capsys, "build", "--q", "3", "--n", "5", "--m", "2", "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.startswith("J_3(5,2): 1210 vertices, 94380 edges, degree 156\n  v0: 10000 01000\n")
+    assert out.count("\n") == 1211
+
+
 def test_build_too_large_exits_2(capsys):
     code, _, err = run(capsys, "build", "--q", "2", "--n", "10", "--m", "5")
     assert code == 2
@@ -203,44 +215,50 @@ _UNREADABLE = "error: cannot read fixture: "
 # Each fixture input ends in one of the three ways: exit 0, exit 1 with the
 # reason its certificate fails the witness check, exit 3 with an error line
 # for a file that is no fixture.  said is the start of that reason or line.
-@pytest.mark.parametrize(
-    "edit, code, said",
-    [
-        (lambda t: t.replace(_A35, "A35\n"), 3, "error: fixture matrix A35 is no matrix"),
-        (lambda t: t.replace(_A35, "A35\n100z\n0011\n"), 3, "error: fixture matrix A35"),
-        (lambda t: t.replace(_A35, "A35\n10-0\n0011\n"), 3, "error: invalid literal"),
-        (lambda t: t.replace(_A35, "A35\n1000\n001\n"), 3, "error: fixture matrix A35"),
-        (lambda t: b"A1\n\xff\xfe\n", 3, _UNREADABLE + "'utf-8' codec can't decode"),
-        ("directory", 3, _UNREADABLE),
-        ("missing", 3, _UNREADABLE),
-        (lambda t: t.replace("L1: A1 ", "L1: A99 A1 "), 1, "set L1 names A99"),
-        (lambda t: t.replace(" A17\n", "\n"), 1, "A17 is in no set"),
-        (lambda t: t.replace(_A35, _A35 + "\nA36\n1000\n0011\n"), 1, "A36 is in no set"),
-        (lambda t: t.replace("L1: A1", "L1:").replace("L2: A2", "L2: A2 A1"), 1, "clique"),
-        (lambda t: t.replace("L1: A1", "L1: A2 A1"), 1, "vertex 8 is coloured twice"),
-        (lambda t: t.replace(_A35, "A35\n1000\n"), 1, "A35 spans no vertex of J_2(4,2)"),
-        (lambda t: t.replace(_A35, "A35\n10000\n00110\n"), 1, "A35 spans no vertex"),
-        (lambda t: t.replace(_A35, "A35\n1000\n0011\n1011\n"), 0, None),
-        (lambda t: t + "L8:\n", 0, None),
-        (lambda t: t.replace("L7: A11 A16 A26", "L7: A11 A16\nL8: A26"), 1, "clique size 7"),
-    ],
-    ids=[
-        "empty block", "entry outside GF(2)", "bad digit", "ragged rows", "not UTF-8",
-        "directory", "missing file", "unknown label", "label in no set",
-        "A35's vertex again, in no set", "A1 moved into L2", "label in two sets",
-        "a 1-space", "5 columns", "3 rows spanning a 2-space", "an empty set",
-        "8 proper classes",
-    ],
-)
-def test_fixture_exit_codes(capsys, tmp_path, edit, code, said):
+FIXTURE_INPUTS = [
+    (lambda t: t.replace(_A35, "A35\n"), 3, "error: fixture matrix A35 is no matrix"),
+    (lambda t: t.replace(_A35, "A35\n100z\n0011\n"), 3, "error: fixture matrix A35"),
+    (lambda t: t.replace(_A35, "A35\n10-0\n0011\n"), 3, "error: invalid literal"),
+    (lambda t: t.replace(_A35, "A35\n1000\n001\n"), 3, "error: fixture matrix A35"),
+    (lambda t: b"A1\n\xff\xfe\n", 3, _UNREADABLE + "'utf-8' codec can't decode"),
+    ("directory", 3, _UNREADABLE),
+    ("missing", 3, _UNREADABLE),
+    (lambda t: t.replace("L1: A1 ", "L1: A99 A1 "), 1, "set L1 names A99"),
+    (lambda t: t.replace(" A17\n", "\n"), 1, "A17 is in no set"),
+    (lambda t: t.replace(_A35, _A35 + "\nA36\n1000\n0011\n"), 1, "A36 is in no set"),
+    (lambda t: t.replace("L1: A1", "L1:").replace("L2: A2", "L2: A2 A1"), 1, "clique"),
+    (lambda t: t.replace("L1: A1", "L1: A2 A1"), 1, "vertex 8 is coloured twice"),
+    (lambda t: t.replace(_A35, "A35\n1000\n"), 1, "A35 spans no vertex of J_2(4,2)"),
+    (lambda t: t.replace(_A35, "A35\n10000\n00110\n"), 1, "A35 spans no vertex"),
+    (lambda t: t.replace(_A35, "A35\n1000\n0011\n1011\n"), 0, None),
+    (lambda t: t + "L8:\n", 0, None),
+    (lambda t: t.replace("L7: A11 A16 A26", "L7: A11 A16\nL8: A26"), 1, "clique size 7"),
+]
+FIXTURE_IDS = [
+    "empty block", "entry outside GF(2)", "bad digit", "ragged rows", "not UTF-8",
+    "directory", "missing file", "unknown label", "label in no set",
+    "A35's vertex again, in no set", "A1 moved into L2", "label in two sets",
+    "a 1-space", "5 columns", "3 rows spanning a 2-space", "an empty set",
+    "8 proper classes",
+]
+
+
+def _fixture_file(tmp_path, edit) -> Path:
+    """The path of a fixture input of FIXTURE_INPUTS, written under tmp_path."""
     path = tmp_path / "fixture.txt"
     if edit == "directory":
-        path = tmp_path
-    elif edit != "missing":
+        return tmp_path
+    if edit != "missing":
         text = default_fixture_path().read_text()
         data = edit(text)
         assert data != text
         path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return path
+
+
+@pytest.mark.parametrize("edit, code, said", FIXTURE_INPUTS, ids=FIXTURE_IDS)
+def test_fixture_exit_codes(capsys, tmp_path, edit, code, said):
+    path = _fixture_file(tmp_path, edit)
     got, out, err = run(
         capsys, "coreness", "--q", "2", "--n", "4", "--m", "2", "--fixture", str(path)
     )
@@ -255,6 +273,28 @@ def test_fixture_exit_codes(capsys, tmp_path, edit, code, said):
         assert fixture["violations"] == [] and fixture["chi_upper"] == 7
     else:
         assert fixture["violations"][0].startswith(said)
+
+
+@pytest.mark.parametrize(
+    "edit, said",
+    [(edit, said) for edit, code, said in FIXTURE_INPUTS if code == 3],
+    ids=[i for (_, code, _), i in zip(FIXTURE_INPUTS, FIXTURE_IDS) if code == 3],
+)
+def test_a_file_that_is_no_fixture_exits_3_before_the_search(
+    capsys, monkeypatch, tmp_path, edit, said
+):
+    # every exit-3 input fails as the file is read: its error line is the
+    # same with a search that refuses to run
+    path = _fixture_file(tmp_path, edit)
+    argv = ["coreness", "--q", "2", "--n", "4", "--m", "2", "--fixture", str(path)]
+    _, _, plain = run(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coreness search ran before the fixture was read")
+
+    monkeypatch.setattr(cli, "core_test", refuse)
+    got, out, err = run(capsys, *argv)
+    assert (got, out, err) == (3, "", plain) and err.startswith(said)
 
 
 def test_missing_fixture_exits_3_before_the_search(capsys, monkeypatch, tmp_path):

@@ -32,11 +32,12 @@ from grassmann_lab.graph import (
 )
 from grassmann_lab.qpoly import omega_int
 from grassmann_lab.report import graph_to_text
-from grassmann_lab.subspaces import vector_mask
+from grassmann_lab.subspaces import span_table, vector_mask
 from oracles import (
     all_maximal_cliques,
     bfs_distances,
     canonicalize,
+    degree_by_masks,
     distance_by_masks,
     dual_complement,
     enumerate_subspaces,
@@ -52,7 +53,7 @@ from oracles import (
 
 def _uncached(G):
     """A copy of G with none of its cached properties computed."""
-    return GrassmannGraph(G.spec, G.n, G.m, G.vertices, G.spans)
+    return GrassmannGraph(G.spec, G.n, G.m, G.bases)
 
 
 def test_map_bitset_is_the_image_of_the_set():
@@ -68,55 +69,80 @@ def test_vertex_counts(j242, j252, j342):
     assert j342.num_vertices == 130
 
 
-@pytest.mark.parametrize(
-    "p, e, n, m",
-    [
-        (2, 1, 3, 1),
-        (3, 1, 3, 1),
-        (2, 1, 4, 3),
-        (2, 1, 5, 3),
-        (2, 1, 6, 4),
-        (2, 1, 6, 3),
-        (3, 1, 4, 2),
-        (3, 1, 5, 2),
-        (5, 1, 4, 2),
-        (2, 2, 4, 2),
-        (2, 3, 3, 1),
-        (3, 2, 3, 2),
-    ],
-    ids=[
-        "j231", "j331", "j243", "j253", "j264", "j263", "j342", "j352", "j542", "j442", "j831",
-        "j932",
-    ],
-)
+# m = 1, n = 2m, n - m = 1, prime and extension fields (GF(4), GF(8), GF(9))
+GRAPHS = [
+    (2, 1, 3, 1),
+    (3, 1, 3, 1),
+    (2, 1, 4, 3),
+    (2, 1, 5, 3),
+    (2, 1, 6, 4),
+    (2, 1, 6, 3),
+    (3, 1, 4, 2),
+    (3, 1, 5, 2),
+    (5, 1, 4, 2),
+    (2, 2, 4, 2),
+    (2, 3, 3, 1),
+    (3, 2, 3, 2),
+]
+GRAPH_IDS = [
+    "j231", "j331", "j243", "j253", "j264", "j263", "j342", "j352", "j542", "j442", "j831",
+    "j932",
+]
+
+
+def _text_degree(G) -> int:
+    """The degree graph_to_text prints in its header line."""
+    return int(graph_to_text(G).split("\n", 1)[0].rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize("p, e, n, m", GRAPHS, ids=GRAPH_IDS)
 def test_star_union_adjacency_matches_pairwise_masks(p, e, n, m):
     # masks from span enumeration, adjacency from every pair's popcount;
-    # degree counts mask intersections before any adjacency row exists
+    # the closed-form degree of the text header is each vertex's count of
+    # meeting masks, and each adjacency row's popcount
     G = build_graph(make_field(p, e), n, m)
     masks = [mask_by_enumeration(G.spec, S) for S in G.vertices]
     rows = pairwise_adjacency(masks, G.spec.q, m)
-    assert [G.degree(i) for i in range(G.num_vertices)] == [r.bit_count() for r in rows]
+    degree = _text_degree(G)
+    assert [r.bit_count() for r in rows] == [degree] * G.num_vertices
+    assert [degree_by_masks(G, i) for i in range(G.num_vertices)] == [degree] * G.num_vertices
     assert "adjacency" not in vars(G)
     assert list(G.masks) == masks
     assert list(G.adjacency) == rows
 
 
+@pytest.mark.parametrize("p, e, n, m", GRAPHS, ids=GRAPH_IDS)
+def test_the_derived_spans_and_vertices_match_the_enumeration(p, e, n, m):
+    # G holds only its RREF basis rows; its span table and Subspace view,
+    # both built on first use, are the per-space oracle spans and
+    # span_table's spaces
+    spec = make_field(p, e)
+    G = build_graph(spec, n, m)
+    assert set(vars(G)) == {"spec", "n", "m", "bases"}
+    assert [list(row) for row in zip(*G.spans)] == [span_codes(spec, B, n) for B in G.bases]
+    spaces, codes = span_table(spec, n, m)
+    assert G.vertices == tuple(spaces) and G.spans == codes
+    assert G.bases == tuple(S.basis.rows for S in spaces)
+    assert all(type(row) is tuple for B in G.bases for row in B)
+
+
 def test_a_text_dump_builds_neither_stars_nor_adjacency(f2):
     G = build_graph(f2, 6, 3)
     graph_to_text(G)
-    assert not {"adjacency", "star_bitsets", "_star_rows"} & set(vars(G))
+    built = {"adjacency", "star_bitsets", "_star_rows", "spans", "masks", "vertices"}
+    assert not built & set(vars(G))
 
 
 def test_m_equal_one_is_complete(f2):
     G = build_graph(f2, 3, 1)
     assert G.num_vertices == 7
-    assert all(G.degree(i) == 6 for i in range(7))
+    assert all(degree_by_masks(G, i) == 6 for i in range(7)) and _text_degree(G) == 6
 
 
 def test_regular_with_expected_degree(j242, j252, j342):
     for G, expected in ((j242, 18), (j252, 42), (j342, 48)):
-        degrees = {G.degree(i) for i in range(G.num_vertices)}
-        assert degrees == {expected}
+        degrees = {degree_by_masks(G, i) for i in range(G.num_vertices)}
+        assert degrees == {a.bit_count() for a in G.adjacency} == {_text_degree(G)} == {expected}
 
 
 def test_adjacency_iff_stacked_rank(j242, j342):
@@ -636,7 +662,7 @@ def test_adjacency_that_is_not_the_star_relation_certifies_nothing(j242):
     adj = list(j242.adjacency)
     adj[u] ^= 1 << w
     adj[w] ^= 1 << u
-    G = GrassmannGraph(j242.spec, j242.n, j242.m, j242.vertices, j242.spans)
+    G = GrassmannGraph(j242.spec, j242.n, j242.m, j242.bases)
     G.__dict__["adjacency"] = tuple(adj)  # planted before the first read
     assert G.star_bitsets == j242.star_bitsets and G.adjacency == tuple(adj)
     assert G.clique_adjacency == (False, False)
@@ -787,7 +813,7 @@ def test_extension_field_graph(f4):
     # J_4(4,2): 357 vertices over GF(4), n = 2m so duality applies
     G = build_graph(f4, 4, 2)
     assert G.num_vertices == 357
-    assert {G.degree(i) for i in range(357)} == {4 * 5 * 5}
+    assert {degree_by_masks(G, i) for i in range(357)} == {_text_degree(G)} == {4 * 5 * 5}
     assert G.stars[0].size == G.tops[0].size == 21
     assert dual_map_check(G).ok
 

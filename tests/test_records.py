@@ -47,6 +47,11 @@ def test_graphs_are_equal_only_to_themselves(f2, j242):
 def test_a_cached_graph_property_is_computed_once(j242, monkeypatch):
     real, calls = graph_module.star_catalog, []
     monkeypatch.setattr(graph_module, "star_catalog", lambda G: calls.append(G) or real(G))
-    G = GrassmannGraph(j242.spec, j242.n, j242.m, j242.vertices, j242.spans)
+    codes, tables = graph_module._level_codes, []
+    monkeypatch.setattr(graph_module, "_level_codes", lambda *a: tables.append(a) or codes(*a))
+    G = GrassmannGraph(j242.spec, j242.n, j242.m, j242.bases)
+    assert G.spans is G.spans and tables == [(G.spec, 4, 2)]
+    assert G.spans == j242.spans
     assert G.stars is G.stars and calls == [G]
     assert [c.members for c in G.stars] == [c.members for c in j242.stars]
+    assert tables == [(G.spec, 4, 2)]

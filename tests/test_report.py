@@ -428,7 +428,7 @@ def test_a_repeated_edge_still_reloads():
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_vertex_digits_match_the_per_vertex_writer(q):
     G = build_graph(make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]), 4, 2)
-    digits = report._vertex_digits(G.vertices)
+    digits = report._vertex_digits(G.spec.q, G.bases)
     assert digits == [report.matrix_digits(v) for v in G.vertices]
     assert digits == [oracles.matrix_digits(v) for v in G.vertices]
 
