@@ -257,7 +257,8 @@ def _hyperplane_groups(spec: FieldSpec, codes: list[list[int]]) -> dict[int, lis
     """The space ids of a span table, grouped by hyperplane.
 
     Each group is keyed by the mask of a (k-1)-space and holds the ids of
-    the spaces over it: on the vertices it is one star.
+    the spaces over it: on the vertices it is one star.  Its ids are not
+    ascending: per block of _hyperplane_blocks, the hyperplanes loop outside.
     """
     groups: defaultdict[int, list[int]] = defaultdict(list)
     for lo, _, planes in _hyperplane_blocks(spec, codes):

@@ -6,18 +6,20 @@ neutral.  Reports are plain dicts built in a fixed order, so identical
 configurations always serialize to identical bytes.  json_chunks yields
 exactly json.dumps(data, indent=2), chunk by chunk, as the CLI writes it:
 an h scan's entries come straight from its (q, numerator, denominator)
-rows, and graph dumps' edges straight from the adjacency rows, with no
-list per edge, and no chunk is copied into a larger one.  A dump reloads
-only as exactly the graph build_graph makes (graph_from_json_dict).
+rows, a graph dump's vertices from their basis rows and its edges from
+the stars, with no list per edge and no adjacency, and no chunk is
+copied into a larger one.  A dump reloads only as exactly the graph
+build_graph makes (graph_from_json_dict).
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate, islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
+from . import graph
 from .config import check_decimal_digits
 from .coreness import CorenessReport
 from .field import make_field
@@ -74,13 +76,13 @@ def graph_json_chunks(G: GrassmannGraph):
     """graph_to_json(G) in chunks of _BLOCK vertex records, or of one vertex's edges.
 
     Vertex records come from one %-template (digits need no escaping) and
-    edges straight from the adjacency rows: no dict per vertex or list per edge.
+    edges from the stars, each as it is drawn: no dict per vertex or list per edge.
     """
     params = to_json({"params": params_dict(G)})[:-2]  # drops its closing "\n}"
     record = '{\n      "id": %d,\n      "matrix": [\n        "%s"\n      ]\n    }'
-    # the digits and the adjacency are read before the first chunk, so their failure writes nothing
-    digits = _vertex_digits(G.spec.q, G.bases)
-    records = map(record.__mod__, enumerate(map('",\n        "'.join, digits)))
+    # the digit check and the stars run before the first chunk, so their failure writes nothing
+    row = _row_digits(G.spec.q)
+    records = (record % (i, '",\n        "'.join(map(row, rows))) for i, rows in enumerate(G.bases))
     cell = "\n      %d,\n      "
     edges = _edge_rows(G, "[" + cell, "\n    ],\n    [" + cell, "\n    ]")
     yield from _blocks(records, params + ',\n  "vertices": [\n    ', ",\n    ")
@@ -100,19 +102,17 @@ def _blocks(texts, head: str, sep: str, size: int = _BLOCK):
 def _edge_rows(G: GrassmannGraph, head: str, sep: str, tail: str):
     """head % i, the neighbours j > i joined by sep % i, then tail, per vertex i with such a j.
 
-    The adjacency and labels are read now; each row is formatted as it is drawn.
+    The stars are grouped now, each sorted once; a row is the parts after i of
+    i's [m,1]_q stars, which meet only in i, merged by one sort as it is drawn.
     """
     labels = list(map(str, range(G.num_vertices))).__getitem__
-    rows = ((i, x) for i, a in enumerate(G.adjacency) if (x := a >> (i + 1)))
-    return (head % i + (sep % i).join(map(labels, _above(i, x))) + tail for i, x in rows)
-
-
-def _above(i: int, x: int):
-    """The neighbours j > i, from x = row i >> (i + 1): its bits, low first and
-    less the top one, split on "1" once each 1 is "10", are the gaps between them."""
-    gaps = list(map(len, bin(x)[:2:-1].replace("1", "10").split("1")))
-    gaps[0] += i + 1
-    return accumulate(gaps)
+    through = [[] for _ in G.bases]  # per vertex, (its star's ids, the position past it)
+    for ids in graph._hyperplane_groups(G.spec, G.spans).values():
+        ids.sort()
+        for k, v in enumerate(ids, 1):
+            through[v].append((ids, k))
+    rows = (sorted(chain.from_iterable(ids[k:] for ids, k in stars)) for stars in through)
+    return (head % i + (sep % i).join(map(labels, js)) + tail for i, js in enumerate(rows) if js)
 
 
 def graph_from_json_dict(data: dict) -> GrassmannGraph:
@@ -121,10 +121,10 @@ def graph_from_json_dict(data: dict) -> GrassmannGraph:
 
     J_q(n,m) is fixed by its vertex set, so build_graph makes it afresh,
     once the vertex count and shapes match the params.  An edge may appear
-    reversed or repeated.  Each row gathers its neighbours as bits of a
-    little-endian byte string, through one table of byte offsets, which runs
-    on for V entries past a row, and one of bit values: an id in [V, 2V), or
-    in [-V, 0), indexes past a row, any other id outside [0, V) past a table.
+    reversed or repeated; it sets bit j of row i, its ends ordered i <= j,
+    in little-endian bytes, through a table of byte offsets that runs on for
+    V entries past a row and one of bit values: an i >= V indexes past the
+    rows, a j in [V, 2V) past a row, a larger j past the table.
     """
     p, e, n, m = (data["params"][k] for k in ("p", "e", "n", "m"))
     spec = make_field(p, e)
@@ -147,14 +147,17 @@ def graph_from_json_dict(data: dict) -> GrassmannGraph:
     rows = [bytearray(size) for _ in ids]
     try:
         for i, j in data["edges"]:
+            if not 0 <= i <= j:
+                i, j = j, i
+                if not 0 <= i <= j:  # a negative id, or NaN
+                    raise ValueError
             rows[i][byte[j]] |= bit[j]
-            rows[j][byte[i]] |= bit[i]
     except (IndexError, TypeError, ValueError):
         raise ValueError(f"an edge is not a pair of vertex ids in [0, {nv})") from None
-    adjacency = tuple(int.from_bytes(row, "little") for row in rows)
-    if any(a >> v & 1 for v, a in enumerate(adjacency)):
+    upper = [int.from_bytes(row, "little") for row in rows]
+    if any(a >> v & 1 for v, a in enumerate(upper)):
         raise ValueError("an edge joins a vertex to itself")
-    if adjacency != G.adjacency:
+    if upper != [a >> (v + 1) << (v + 1) for v, a in enumerate(G.adjacency)]:
         raise ValueError(f"a dump of J_{spec.q}({n},{m}) lists exactly the graph's edges")
     return G
 
@@ -167,11 +170,11 @@ def graph_to_dot(G: GrassmannGraph) -> str:
 def graph_dot_chunks(G: GrassmannGraph):
     """graph_to_dot(G) less its newline, in chunks of _BLOCK vertex lines or of one vertex's edges.
 
-    As in graph_json_chunks, the digits and the adjacency are read before the first chunk.
+    As in graph_json_chunks, the digit check and the stars run before the first chunk.
     """
     line = '  v%d [label="v%d", tooltip="%s"];'  # digits need no escaping
-    digits = _vertex_digits(G.spec.q, G.bases)
-    lines = (line % (i, i, "/".join(M)) for i, M in enumerate(digits))
+    row = _row_digits(G.spec.q)
+    lines = (line % (i, i, "/".join(map(row, rows))) for i, rows in enumerate(G.bases))
     edges = _edge_rows(G, "  v%d -- v", ";\n  v%d -- v", ";")
     yield from _blocks(lines, "graph grassmann {\n", "\n")
     yield from _blocks(edges, "\n", "\n", 1)

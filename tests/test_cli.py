@@ -349,8 +349,8 @@ def test_running_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
 
 
 def test_a_dump_that_runs_out_of_memory_writes_nothing(capsys, monkeypatch):
-    # the adjacency, the largest thing a dump reads, is built on first use,
-    # after build_graph; it is built before the first chunk is written
+    # the star grouping, the largest thing a dump builds, is made after
+    # build_graph, once per dump and before the first chunk is written
     def exhausted(*args, **kwargs):
         raise MemoryError()
 

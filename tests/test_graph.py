@@ -31,7 +31,7 @@ from grassmann_lab.graph import (
     map_bitset,
 )
 from grassmann_lab.qpoly import omega_int
-from grassmann_lab.report import graph_to_text
+from grassmann_lab.report import graph_to_dot, graph_to_json, graph_to_text
 from grassmann_lab.subspaces import span_table, vector_mask
 from oracles import (
     all_maximal_cliques,
@@ -131,6 +131,14 @@ def test_a_text_dump_builds_neither_stars_nor_adjacency(f2):
     graph_to_text(G)
     built = {"adjacency", "star_bitsets", "_star_rows", "spans", "masks", "vertices"}
     assert not built & set(vars(G))
+
+
+def test_json_and_dot_dumps_build_neither_stars_nor_adjacency(f2):
+    # a dump's edges come from the star grouping, made once per dump and not kept
+    G = build_graph(f2, 6, 3)
+    graph_to_json(G)
+    graph_to_dot(G)
+    assert not {"adjacency", "star_bitsets", "_star_rows"} & set(vars(G))
 
 
 def test_m_equal_one_is_complete(f2):

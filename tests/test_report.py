@@ -23,6 +23,7 @@ from grassmann_lab import (
     verify_clique_lemmas,
 )
 from grassmann_lab.config import BoundExceeded
+from grassmann_lab.graph import GrassmannGraph
 from grassmann_lab.report import (
     graph_dot_chunks,
     graph_from_json_dict,
@@ -354,7 +355,18 @@ def _j242_dump():
         (lambda d: d["edges"].append([-35, 0]), r"ids in \[0, 35\)"),
         (lambda d: d["edges"].append([0, 1, 2]), r"ids in \[0, 35\)"),
         (lambda d: d["edges"].append([0, 1.0]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([1.0, 0]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([0, "1"]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append(["1", 0]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([0, math.nan]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([math.nan, 0]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([3, -1]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([34, -35]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([35, 40]), r"ids in \[0, 35\)"),
+        (lambda d: d["edges"].append([40, 35]), r"ids in \[0, 35\)"),
         (lambda d: d["edges"].append([4, 4]), "joins a vertex to itself"),
+        (lambda d: d["edges"].append([0, 0]), "joins a vertex to itself"),
+        (lambda d: d["edges"].append([34, 34]), "joins a vertex to itself"),
         (lambda d: d["params"].update(n=5), r"needs 2-spaces of GF\(2\)\^5"),
         (lambda d: d["params"].update(m=1), r"needs 1-spaces of GF\(2\)\^4"),
         (lambda d: d["params"].update(m=4, n=4), "needs 4-spaces"),
@@ -364,7 +376,10 @@ def _j242_dump():
         (lambda d: d.update(vertices=[], edges=[]), "needs 2-spaces"),
     ],
     ids=[
-        "negative id", "id V", "first id -V", "triple", "float id", "loop",
+        "negative id", "id V", "first id -V", "triple", "float id", "float first id",
+        "str id", "str first id", "NaN id", "NaN first id", "reversed negative id",
+        "reversed id -V", "both ids past V", "both ids past V, reversed", "loop",
+        "loop at 0", "loop at V-1",
         "ambient", "dim", "m = n", "repeat", "missing", "out of order", "empty",
     ],
 )
@@ -425,6 +440,17 @@ def test_a_repeated_edge_still_reloads():
     assert graph_from_json_dict(data).adjacency == build_graph(make_field(2, 1), 4, 2).adjacency
 
 
+@pytest.mark.parametrize("p, e, n, m", [(2, 1, 4, 2), (3, 1, 4, 2), (2, 2, 4, 2), (2, 1, 6, 3)])
+def test_a_dump_with_reversed_repeated_and_shuffled_edges_reloads(p, e, n, m):
+    # each edge is written once, into its smaller end's row, whichever way it is listed
+    G = build_graph(make_field(p, e), n, m)
+    data = json.loads(graph_to_json(G))
+    edges = [[j, i] if k % 2 else [i, j] for k, (i, j) in enumerate(data["edges"])]
+    edges += [[j, i] for i, j in data["edges"][::7]] + data["edges"][3::11]
+    random.Random(39).shuffle(edges)
+    assert graph_from_json_dict({**data, "edges": edges}).adjacency == G.adjacency
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_vertex_digits_match_the_per_vertex_writer(q):
     G = build_graph(make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]), 4, 2)
@@ -457,6 +483,26 @@ def test_graph_writers_match_the_per_edge_oracles(p, e, n, m, capsys):
     # the chunks graph_to_json and graph_to_dot join are the dumps the CLI writes
     assert dump == "".join(graph_json_chunks(G))
     assert dot == "".join(graph_dot_chunks(G)) + "\n"
+    for fmt, text in (("json", dump + "\n"), ("dot", dot)):
+        assert cli.main(f"build --q {p**e} --n {n} --m {m} --format {fmt}".split()) == 0
+        assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize(
+    "p, e, n, m", DUMPED_GRAPHS, ids=[f"J_{p**e}({n},{m})" for p, e, n, m in DUMPED_GRAPHS]
+)
+def test_graph_writers_read_no_star_rows(p, e, n, m, monkeypatch, capsys):
+    # the dumps merge each vertex's stars from the grouping: the cached
+    # star bitsets and adjacency rows are never read
+    spec = make_field(p, e)
+    dump, dot = graph_to_json(build_graph(spec, n, m)), graph_to_dot(build_graph(spec, n, m))
+
+    def refused(self):
+        raise AssertionError("a dump read the star rows")
+
+    monkeypatch.setattr(GrassmannGraph, "_star_rows", property(refused))
+    G = build_graph(spec, n, m)
+    assert graph_to_json(G) == dump and graph_to_dot(G) == dot
     for fmt, text in (("json", dump + "\n"), ("dot", dot)):
         assert cli.main(f"build --q {p**e} --n {n} --m {m} --format {fmt}".split()) == 0
         assert capsys.readouterr().out == text
