@@ -5,14 +5,18 @@ invariant under a certified free cyclic group, and a star-seeded DSATUR
 backtracking search for colourings that picks its next vertex from
 per-saturation-level bitsets, tests a colour by one AND of its
 neighbourhood bitset with the vertex's bit, and backtracks at once from a
-vertex that sees all k colours.  Both run on explicit stacks, so no search
-depth touches the interpreter's recursion limit, and both stop at one
-shared node budget (config.NODE_BUDGET unless the caller passes one); on
-exhaustion the coreness verdict degrades to an honest "undetermined",
-never a hang.  The independence number is bracketed by a greedy
-independent set and the free |V|/omega cap, with no search.  Tie-breaking
-is always by smallest vertex id, and the exact cover tries its rows in
-enumeration order, so witnesses are reproducible.
+vertex that sees all k colours.  Neither builds a table its search does
+not read: the exact cover builds a row's clash set when it first chooses
+the row, and DSATUR relabels the vertices by (-degree, id) only when that
+order is not the identity, which it is on every (regular) J_q(n, m).
+Both run on explicit stacks, so no search depth touches the interpreter's
+recursion limit, and both stop at one shared node budget
+(config.NODE_BUDGET unless the caller passes one); on exhaustion the
+coreness verdict degrades to an honest "undetermined", never a hang.  The
+independence number is bracketed by a greedy independent set and the free
+|V|/omega cap, with no search.  Tie-breaking is always by smallest vertex
+id, and the exact cover tries its rows in enumeration order, so witnesses
+are reproducible.
 
 A graph in this family is a core exactly when its chromatic number
 exceeds its clique number (every endomorphism is an automorphism or a
@@ -42,8 +46,9 @@ the colouring is proper.  Neither search checks its own colouring, and
 classify_endomorphism reads the checked map without checking it again.
 The check runs on whole vertex sets, not edge by edge: each vertex is
 tested against the pullback of its image's neighbourhood, computed once
-per image vertex, so a colouring endomorphism, whose image is an
-omega-clique, costs O(V) big-int operations.
+per image vertex from its neighbours in the image (no other vertex has a
+preimage), so a colouring endomorphism, whose image is an omega-clique,
+costs O(V) big-int operations.
 """
 
 from __future__ import annotations
@@ -115,14 +120,16 @@ def find_colouring(
     removes all colour symmetry.  The next vertex is the uncoloured one of
     highest saturation, then degree, then smallest id: once vertices are
     relabelled by (-degree, id), the lowest bit of the highest non-empty
-    saturation level.  Colour c is free at v when seen[c], the union of the
-    neighbourhoods of colour c, misses vb = 1 << v; a vertex at saturation k
-    is a dead end and backtracks with no colour scan.  Backtracking keeps one
-    frame per coloured vertex on an explicit stack, holding its colour and
-    what it takes to undo it; each colour tried is a node.  Returns the
-    colour table, or None when the exhaustive search proves no k-colouring
-    exists; raises SearchBudgetExceeded when the node budget runs out first.
-    The table is not checked here: core_test checks the witness it makes of it.
+    saturation level.  On a regular graph that order is the identity, and the
+    neighbourhoods are read as given.  Colour c is free at v when seen[c], the
+    union of the neighbourhoods of colour c, misses vb = 1 << v; a vertex at
+    saturation k is a dead end and backtracks with no colour scan.
+    Backtracking keeps one frame per coloured vertex on an explicit stack,
+    holding its colour and what it takes to undo it; each colour tried is a
+    node.  Returns the colour table, or None when the exhaustive search proves
+    no k-colouring exists; raises SearchBudgetExceeded when the node budget
+    runs out first.  The table is not checked here: core_test checks the
+    witness it makes of it.
     """
     if len(seed) > k:
         return None
@@ -130,7 +137,8 @@ def find_colouring(
     rank = [0] * nv
     for r, v in enumerate(order):
         rank[v] = r
-    nadj = [map_bitset(rank, adj[v]) for v in order]
+    # the identity order (any regular graph, so every J_q(n,m)) remaps nothing
+    nadj = adj if order == list(range(nv)) else [map_bitset(rank, adj[v]) for v in order]
     seen = [0] * (k + 1)  # seen[k] stays 0, so every colour scan stops by k
     uncoloured = (1 << nv) - 1
     for c, v in enumerate(seed):
@@ -144,14 +152,13 @@ def find_colouring(
     level = [0] * (k + 1)  # uncoloured vertices by saturation
     for u in bits(uncoloured):
         level[sat[u]] |= 1 << u
-    stack = []  # per coloured vertex: (v, 1 << v, c, top, seen[c], level[:top + 2]) before it
+    stack = []  # per coloured vertex v: (1 << v, c, top, seen[c], level[:top + 2]) before it
     nodes = 0
     top = len(seed)  # no saturation level above this one is occupied
     while uncoloured:
         while not level[top]:
             top -= 1
         vb = level[top] & -level[top]
-        v = vb.bit_length() - 1
         c = 0 if top < k else k  # at level k no colour is free: backtrack at once
         while True:
             while seen[c] & vb:
@@ -160,7 +167,7 @@ def find_colouring(
                 break
             if not stack:
                 return None
-            v, vb, c, top, seen[c], levels = stack.pop()
+            vb, c, top, seen[c], levels = stack.pop()
             level[: top + 2] = levels  # colouring v changed no level above top + 1
             uncoloured |= vb
             c += 1
@@ -168,10 +175,10 @@ def find_colouring(
         if nodes > node_budget:
             raise SearchBudgetExceeded(f"colouring search exceeded {node_budget} nodes")
         s = seen[c]
-        stack.append((v, vb, c, top, s, level[: top + 2]))
+        stack.append((vb, c, top, s, level[: top + 2]))
         uncoloured ^= vb
         level[top] ^= vb
-        row = nadj[v]
+        row = nadj[vb.bit_length() - 1]
         seen[c] = s | row
         newly = row & uncoloured & ~s  # these now see c: one level up
         t = top
@@ -186,8 +193,8 @@ def find_colouring(
     table = [-1] * nv
     for c, v in enumerate(seed):
         table[v] = c
-    for v, _, c, *_ in stack:
-        table[order[v]] = c
+    for vb, c, *_ in stack:
+        table[order[vb.bit_length() - 1]] = c
     return table
 
 
@@ -279,14 +286,18 @@ def _exact_cover(rows: list[int], items: int, limit: int) -> tuple[list[int] | N
     Each row is an int bitset of items.  The search picks the uncovered
     item with the fewest live rows (the lowest such item on ties) and
     tries its rows in index order, on an explicit stack; each row tried
-    is a node.  Returns (row indices or None, nodes, cut), where cut says
-    the search stopped after limit nodes rather than deciding.
+    is a node.  The rows through each item are one sum of powers of two;
+    row j's clash set, the rows that share an item with it, is built when
+    j is first chosen and kept, since backtracking may choose j again.
+    Returns (row indices or None, nodes, cut), where cut says the search
+    stopped after limit nodes rather than deciding.
     """
-    item_rows = [0] * items
+    ids = [[] for _ in range(items)]
     for j, row in enumerate(rows):
         for i in bits(row):
-            item_rows[i] |= 1 << j
-    clash = [reduce(int.__or__, map(item_rows.__getitem__, bits(row))) for row in rows]
+            ids[i].append(j)
+    item_rows = [sum(map((1).__lshift__, js)) for js in ids]  # distinct bits: the sum is the OR
+    clash = [None] * len(rows)  # the rows sharing an item with row j, built when j is first chosen
     uncovered = (1 << items) - 1
     alive = (1 << len(rows)) - 1
     chosen = []
@@ -318,6 +329,8 @@ def _exact_cover(rows: list[int], items: int, limit: int) -> tuple[list[int] | N
             return None, nodes, True
         nodes += 1
         j = chosen[-1] = low.bit_length() - 1
+        if clash[j] is None:
+            clash[j] = reduce(int.__or__, map(item_rows.__getitem__, bits(rows[j])))
         alive &= ~clash[j]
         uncovered &= ~rows[j]
     return chosen, nodes, False
@@ -416,7 +429,8 @@ def validate_endomorphism(G: GrassmannGraph, mapping) -> Endomorphism:
     adjacency[mapping[i]], which lacks mapping[i], so collapsed edges fail
     too; the error names the first broken edge (i, j).  With pre[t] the
     bitset of t's preimages, that is: the higher neighbours of i lie in the
-    pullback of mapping[i], the OR of pre[u] over its neighbours u.  The
+    pullback of mapping[i], the OR of pre[u] over its neighbours u in the
+    image (pre[u] is 0 off it).  The
     pullbacks are computed once per image vertex, so a colouring's omega
     image vertices cost omega pullbacks and then one AND per vertex.
     """
@@ -431,8 +445,10 @@ def validate_endomorphism(G: GrassmannGraph, mapping) -> Endomorphism:
     pre = [0] * nv
     for i, fi in enumerate(mapping):
         pre[fi] |= 1 << i
+    targets = set(mapping)
+    image = sum(map((1).__lshift__, targets))  # pre[u] is 0 off the image
     pullback = {
-        t: reduce(int.__or__, map(pre.__getitem__, bits(adj[t])), 0) for t in set(mapping)
+        t: reduce(int.__or__, map(pre.__getitem__, bits(adj[t] & image)), 0) for t in targets
     }
     for i, fi in enumerate(mapping):
         higher = adj[i] >> (i + 1) << (i + 1)

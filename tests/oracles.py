@@ -13,13 +13,14 @@ meet its mask in an (m-1)-space, colour classes checked against every
 star from those masks, field properties from exhaustive loops, and graph
 dumps from one [i, j] list per edge.  The search kernels are the
 straightforward recursive versions of the library's iterative,
-bitset-driven ones, and the q-polynomial references at the end are
-schoolbook polynomial arithmetic (its product is the reference for the
-library's packed product test), the dense polynomial products, the
-recursive cyclotomic division, the Fraction-based scan and the Steiner
-divisibility numbers from the q-binomial product formula, with the
-polynomial helpers they need: exact division, monicity and the expansion
-of a cyclotomic factorization.
+bitset-driven ones, the exact cover is the orbit stage's own as it stood
+when it built every row's clash set before its search, and the
+q-polynomial references at the end are schoolbook polynomial arithmetic
+(its product is the reference for the library's packed product test),
+the dense polynomial products, the recursive cyclotomic division, the
+Fraction-based scan and the Steiner divisibility numbers from the
+q-binomial product formula, with the polynomial helpers they need: exact
+division, monicity and the expansion of a cyclotomic factorization.
 Colourings and endomorphisms are checked one edge at a time, against
 the library's checks on whole colour classes and preimage sets.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd
 
@@ -605,6 +606,64 @@ def dsatur_upper_bound(adj, nv: int, seed=()) -> tuple[int, list[int]]:
             c += 1
         assign(best_v, c)
     return max(colours) + 1, colours
+
+
+# -- exact cover ------------------------------------------------------
+#
+# The orbit stage's exact cover as it stood when it built every row's
+# clash set before the search, kept verbatim as the reference: the kernel
+# that builds a clash set when its row is first chosen must return the
+# same rows, node counts and cuts.
+
+
+def exact_cover(rows: list[int], items: int, limit: int) -> tuple[list[int] | None, int, bool]:
+    """Rows that cover each of the items 0..items-1 exactly once.
+
+    Each row is an int bitset of items.  The search picks the uncovered
+    item with the fewest live rows (the lowest such item on ties) and
+    tries its rows in index order, on an explicit stack; each row tried
+    is a node.  Returns (row indices or None, nodes, cut), where cut says
+    the search stopped after limit nodes rather than deciding.
+    """
+    item_rows = [0] * items
+    for j, row in enumerate(rows):
+        for i in bits(row):
+            item_rows[i] |= 1 << j
+    clash = [reduce(int.__or__, map(item_rows.__getitem__, bits(row))) for row in rows]
+    uncovered = (1 << items) - 1
+    alive = (1 << len(rows)) - 1
+    chosen = []
+    stack = []  # per open choice: (rows left to try, alive, uncovered) before it
+    nodes = 0
+    while uncovered:
+        fewest = len(rows) + 1
+        x = uncovered
+        while x:
+            low = x & -x
+            x ^= low
+            live = item_rows[low.bit_length() - 1] & alive
+            size = live.bit_count()
+            if size < fewest:
+                fewest, cand = size, live
+                if size < 2:
+                    break
+        stack.append((cand, alive, uncovered))
+        chosen.append(0)
+        while not stack[-1][0]:
+            stack.pop()
+            chosen.pop()
+            if not stack:
+                return None, nodes, False
+        cand, alive, uncovered = stack[-1]
+        low = cand & -cand
+        stack[-1] = (cand ^ low, alive, uncovered)
+        if nodes == limit:
+            return None, nodes, True
+        nodes += 1
+        j = chosen[-1] = low.bit_length() - 1
+        alive &= ~clash[j]
+        uncovered &= ~rows[j]
+    return chosen, nodes, False
 
 
 # -- maximal clique enumeration ---------------------------------------

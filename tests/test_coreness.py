@@ -209,6 +209,21 @@ def test_validate_endomorphism_names_the_first_broken_edge(j242, seed):
     ]
     with pytest.raises(ValueError, match=rf"edge \({broken[0][0]}, {broken[0][1]}\) breaks"):
         validate_endomorphism(j242, mapping)
+    # maps neither injective nor onto, whose pullbacks read only image
+    # neighbours: a witness with one vertex moved to another class, and its
+    # colouring sent onto omega vertices that are no clique
+    for q in (3, 4):
+        G, witness, colours = _witness(q, 4, 2)
+        nv, clique = G.num_vertices, sorted(set(witness))
+        v = rng.randrange(nv)
+        moved = witness[:]
+        moved[v] = rng.choice([t for t in clique if t != witness[v]])
+        spread = rng.sample(range(nv), len(clique))
+        assert not all(G.adjacent(u, t) for i, u in enumerate(spread) for t in spread[i + 1 :])
+        for bad in (moved, [spread[c] for c in colours]):
+            want = _endomorphism_error(G, bad)
+            assert want is not None
+            assert _error(validate_endomorphism, G, bad) == want
 
 
 @functools.cache
@@ -511,7 +526,13 @@ def j442(f4):
 
 
 @pytest.mark.parametrize("name", ["j242", "j342", "j442"])
-def test_kernels_match_references_on_grassmann_graphs(name, request):
+def test_kernels_match_references_on_grassmann_graphs(name, request, monkeypatch):
+    # J_q(n,m) is regular, so the (-degree, id) relabelling is the identity
+    # and DSATUR remaps no neighbourhood
+    def refuse(*args):
+        raise AssertionError("find_colouring remapped the neighbourhoods of a regular graph")
+
+    monkeypatch.setattr(coreness, "map_bitset", refuse)
     G = request.getfixturevalue(name)
     adj, nv = G.adjacency, G.num_vertices
     slow = name == "j442"  # its full searches take seconds in the references
@@ -520,6 +541,9 @@ def test_kernels_match_references_on_grassmann_graphs(name, request):
     omega = len(clique)
     for k in (omega - 1, omega):
         _assert_same_searches(adj, nv, k, clique[:k], budgets)
+        nodes = _nodes_used(find_colouring, adj, nv, k, clique[:k], limit=budgets[-1])
+        if nodes is not None:  # the reference decides in as many nodes, and not in fewer
+            _assert_same_searches(adj, nv, k, clique[:k], (nodes - 1, nodes))
     # at k = |V| with budget |V|, the first descent is greedy DSATUR
     greedy = find_colouring(adj, nv, nv, clique, node_budget=nv)
     assert greedy == oracles.dsatur_upper_bound(adj, nv, clique)[1]
@@ -536,15 +560,26 @@ def _random_graph(rng, nv, p):
 
 
 @pytest.mark.parametrize("graph_seed", range(12))
-def test_kernels_match_references_on_random_graphs(graph_seed):
-    # non-regular graphs, so the degree tie-break of the relabelling matters
+def test_kernels_match_references_on_random_graphs(monkeypatch, graph_seed):
+    # non-regular graphs, so the degree tie-break of the relabelling matters,
+    # and each search remaps every neighbourhood once
+    remapped = []
+    remap = coreness.map_bitset
+
+    def counted(mapping, x):
+        remapped.append(x)
+        return remap(mapping, x)
+
+    monkeypatch.setattr(coreness, "map_bitset", counted)
     rng = random.Random(graph_seed)
     nv = rng.randint(8, 60)
     adj = _random_graph(rng, nv, rng.uniform(0.1, 0.6))
     clique = oracles.max_clique_bitset(adj, nv)
     for seed in ((), clique):
         upper, greedy = oracles.dsatur_upper_bound(adj, nv, seed)
+        remapped.clear()
         assert find_colouring(adj, nv, nv, seed, node_budget=nv) == greedy
+        assert sorted(remapped) == sorted(adj)
         # unseeded searches below chi explore every colour permutation and
         # take seconds to exhaust the default budget, so they stop at 1000
         budgets = (1, 50, 1000, NODE_BUDGET) if seed else (1, 50, 1000)
@@ -625,11 +660,13 @@ ORBIT_RUNS = [
     "q, n, order, runs", ORBIT_RUNS, ids=[f"J_{c[0]}({c[1]},2)" for c in ORBIT_RUNS]
 )
 def test_orbit_search_runs_each_group_once_in_pinned_nodes(monkeypatch, q, n, order, runs):
-    # the node counts pin the rows, their enumeration order and the search tree
+    # the node counts pin the rows, their enumeration order and the search
+    # tree, and each cover is the reference's (every clash set built up front)
     seen = []
 
     def spy(rows, items, limit):
         out = exact_cover(rows, items, limit)
+        assert out == oracles.exact_cover(rows, items, limit)
         seen.append((len(rows), out[1], "found" if out[0] else "cut" if out[2] else "refuted"))
         return out
 
@@ -700,6 +737,56 @@ def test_exact_cover_agrees_with_brute_force(seed):
     for limit in range(nodes):
         assert coreness._exact_cover(rows, items, limit) == (None, limit, True)
     assert coreness._exact_cover(rows, items, nodes) == (chosen, nodes, False)
+    for limit in [*range(nodes + 1), 10**6]:
+        assert coreness._exact_cover(rows, items, limit) == oracles.exact_cover(rows, items, limit)
+
+
+def test_exact_cover_matches_the_reference_on_j842(monkeypatch):
+    # the <h, sigma> cover that makes J_8(4,2) not a core backtracks over
+    # 43,630 nodes, re-choosing rows whose clash sets it keeps
+    covers = []
+    exact_cover = coreness._exact_cover
+
+    def spy(rows, items, limit):
+        out = exact_cover(rows, items, limit)
+        covers.append((rows, items, limit, out))
+        return out
+
+    monkeypatch.setattr(coreness, "_exact_cover", spy)
+    rep = core_test(4, 2, 8, search_bound=5000)
+    assert "(|H| = 73, base classes r = 1, nodes 43630 of 200000)" in rep.evidence[1]
+    [(rows, items, limit, out)] = covers
+    assert out[0] is not None and out[1:] == (43630, False)
+    assert out == oracles.exact_cover(rows, items, limit)
+
+
+@pytest.mark.parametrize(
+    "name, runs", [("j342", [(18, 1), (118, 197)]), ("j442", [(178, 2), (1051, 80)])]
+)
+def test_exact_cover_builds_a_clash_set_only_for_a_row_it_chooses(monkeypatch, request, name, runs):
+    # a row's clash set, the rows that share an item with it, is built when
+    # the row is first chosen and then kept: J_4(4,2)'s <h> cover builds at
+    # most 80 of its 1,051, and J_3(4,2)'s builds at most 118 over 197 nodes
+    fold, exact_cover = coreness.reduce, coreness._exact_cover
+    seen = []
+
+    def spy(rows, items, limit):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(coreness, "reduce", counted)
+        out = exact_cover(rows, items, limit)
+        monkeypatch.setattr(coreness, "reduce", fold)
+        seen.append((len(rows), out[1], len(built)))
+        return out
+
+    monkeypatch.setattr(coreness, "_exact_cover", spy)
+    orbit_colouring(request.getfixturevalue(name))
+    assert [r[:2] for r in seen] == runs
+    assert all(0 < built <= min(rows, nodes) for rows, nodes, built in seen)
 
 
 def test_exact_cover_refutes_an_item_no_row_covers_at_once():
